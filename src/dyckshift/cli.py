@@ -49,6 +49,16 @@ def _window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -63,6 +73,8 @@ def _add_alphabet_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _alphabet(args: argparse.Namespace) -> int:
+    if args.m == 1 and not args.allow_m1:
+        raise DyckError("m=1 is the degenerate full-shift case; pass --allow-m1 if you really want it")
     return AlphabetParams(args.m, allow_single_type=args.allow_m1).m
 
 
@@ -350,9 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("sample", help="draw seeded windows from a sampler")
     p.add_argument("--measure", choices=tuple(SAMPLERS), default="tilde")
     p.add_argument("--window", type=_window, required=True, metavar="LO:HI")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_nonnegative, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
-    p.add_argument("--max-extension", type=int, default=10_000)
+    p.add_argument("--max-extension", type=_nonnegative, default=10_000)
     _add_alphabet_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)

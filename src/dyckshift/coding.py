@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .words import DyckError, NotInLanguage, Word, code_text, reduce_codes
+from .words import DyckError, NotInLanguage, Word, code_text, residue
 
 
 class NeedMoreLeft(DyckError):
@@ -83,7 +83,7 @@ class PointWindow:
             raise ValueError(f"letter code {c} out of range for m={self.m}")
         if unknown and not self.truncated:
             raise ValueError("only truncated samples may carry unresolved letters")
-        if not unknown and reduce_codes(self.codes).is_zero:
+        if not unknown and residue(self.codes) is None:
             raise NotInLanguage("window letters annihilate; not a point of the subshift")
 
     @property

@@ -12,16 +12,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .words import (
     BudgetExceeded,
     NotBalanced,
     NotInLanguage,
     Word,
+    is_balanced,
+    is_in_language,
     match_annotate,
     minimal_balanced_extensions,
-    reduce_codes,
+    residue,
 )
 
 
@@ -74,18 +76,32 @@ class MeasureValue:
         return f"{self.value.numerator}/{self.value.denominator}" if self.value else "0"
 
 
+def cylinder_exponents(codes: Sequence[int]) -> tuple[int, int] | None:
+    """Exponents ``(two_exp, m_exp)`` of the cylinder mass ``2^-two_exp * m^-m_exp``.
+
+    The one pricing core: ``two_exp`` is the word length and ``m_exp`` counts
+    matched pairs plus loose letters.  Returns ``None`` for words that reduce
+    to zero, whose cylinders are empty.
+    """
+    found = residue(codes)
+    if found is None:
+        return None
+    loose = len(found[0]) + len(found[1])
+    # pairs + loose, with pairs = (len - loose) / 2
+    return len(codes), (len(codes) + loose) // 2
+
+
 def cylinder_value_from_codes(codes: tuple[int, ...], m: int) -> Fraction:
     """Bare-rational cylinder mass straight from letter codes.
 
-    The workhorse behind :func:`tilde_cylinder_value`, exposed separately so
-    exhaustive verification loops can skip Word construction.
+    Exposed beside :func:`tilde_cylinder_value` so exhaustive loops can skip
+    Word construction.
     """
-    nf = reduce_codes(codes)
-    if nf.is_zero:
+    exponents = cylinder_exponents(codes)
+    if exponents is None:
         return Fraction(0)
-    loose = nf.size()
-    pairs = (len(codes) - loose) // 2
-    return Fraction(1, 2 ** len(codes) * m ** (pairs + loose))
+    two_exp, m_exp = exponents
+    return Fraction(1, 2**two_exp * m**m_exp)
 
 
 def tilde_cylinder_value(w: Word, position: int = 0) -> MeasureValue:
@@ -97,12 +113,10 @@ def tilde_cylinder_value(w: Word, position: int = 0) -> MeasureValue:
     call sites can speak in coordinates.
     """
     del position
-    nf = reduce_codes(w.codes)
-    if nf.is_zero:
+    exponents = cylinder_exponents(w.codes)
+    if exponents is None:
         return MeasureValue.zero()
-    loose = nf.size()
-    pairs = (len(w) - loose) // 2
-    return MeasureValue.monomial(len(w), pairs + loose, w.m)
+    return MeasureValue.monomial(*exponents, w.m)
 
 
 def balanced_cylinder_value(w: Word) -> MeasureValue:
@@ -112,7 +126,7 @@ def balanced_cylinder_value(w: Word) -> MeasureValue:
     root never materializes and the value is the rational
     ``2^-|w| * m^-(|w|/2)``.
     """
-    if not reduce_codes(w.codes).is_identity:
+    if not is_balanced(w):
         raise NotBalanced(f"{w.text()!r} does not reduce to the empty word")
     return MeasureValue.monomial(len(w), len(w) // 2, w.m)
 
@@ -123,8 +137,7 @@ def extension_additivity(w: Word) -> tuple[MeasureValue, MeasureValue]:
     Returns ``(lhs, rhs)`` for the caller to assert equal; both are exact.
     Extensions that fall out of the language contribute zero to the sum.
     """
-    nf = reduce_codes(w.codes)
-    if nf.is_zero:
+    if not is_in_language(w):
         raise NotInLanguage(f"{w.text()!r} reduces to zero")
     lhs = tilde_cylinder_value(w)
     total = Fraction(0)

@@ -250,20 +250,30 @@ ZERO = NormalForm(True)
 IDENTITY = NormalForm(False)
 
 
-def reduce_codes(codes: Sequence[int]) -> NormalForm:
-    """Stack reduction of raw signed codes; the workhorse behind reduce_word."""
+def residue(codes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Stack reduction of raw signed codes: ``(closer types, opener types)``.
+
+    The one stack-matching core of the package.  Returns ``None`` when the
+    word annihilates, otherwise the type indices of the residue's loose
+    closers and loose openers, each in order of appearance.
+    """
     closers: list[int] = []
     stack: list[int] = []
     for c in codes:
         if c > 0:
             stack.append(c)
         elif stack:
-            if stack[-1] != -c:
-                return ZERO
-            stack.pop()
+            if stack.pop() != -c:
+                return None
         else:
             closers.append(-c)
-    return NormalForm(False, tuple(closers), tuple(stack))
+    return tuple(closers), tuple(stack)
+
+
+def reduce_codes(codes: Sequence[int]) -> NormalForm:
+    """The :class:`NormalForm` of raw signed codes; the workhorse behind reduce_word."""
+    found = residue(codes)
+    return ZERO if found is None else NormalForm(False, *found)
 
 
 def reduce_word(w: Word) -> NormalForm:
@@ -277,11 +287,11 @@ def reduce_word(w: Word) -> NormalForm:
 
 
 def is_in_language(w: Word) -> bool:
-    return not reduce_codes(w.codes).is_zero
+    return residue(w.codes) is not None
 
 
 def is_balanced(w: Word) -> bool:
-    return reduce_codes(w.codes).is_identity
+    return residue(w.codes) == ((), ())
 
 
 def are_equivalent(w: Word, other: Word) -> bool:
@@ -373,32 +383,40 @@ def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, 
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    word: list[int] = []
-    stack: list[int] = []
+    return _walk_language(n, m)
 
-    def walk(depth: int, pairs: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        if depth == n:
-            yield tuple(word), pairs, n - 2 * pairs
-            return
-        for i in range(1, m + 1):
-            word.append(i)
-            stack.append(i)
-            yield from walk(depth + 1, pairs)
-            stack.pop()
-            word.pop()
-        if stack:
-            top = stack.pop()
-            word.append(-top)
-            yield from walk(depth + 1, pairs + 1)
-            word.pop()
-            stack.append(top)
+
+def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    if n == 0:
+        yield (), 0, 0
+        return
+    openers = tuple((i,) for i in range(1, m + 1))
+    loose_closers = tuple((-j,) for j in range(1, m + 1))
+    last = n - 1
+    # Prefixes still to extend, as (codes, open opener types innermost last,
+    # matched pairs), the lexicographically next one on top.  A prefix one
+    # letter short yields its extensions instead of pushing them.
+    pending: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    pop, push = pending.pop, pending.append
+    while pending:
+        codes, opens, pairs = pop()
+        if len(codes) < last:
+            if opens:
+                push((codes + (-opens[-1],), opens[:-1], pairs + 1))
+            else:
+                for c in reversed(loose_closers):
+                    push((codes + c, opens, pairs))
+            for i in reversed(openers):
+                push((codes + i, opens + i, pairs))
+            continue
+        loose = n - 2 * pairs
+        for i in openers:
+            yield codes + i, pairs, loose
+        if opens:
+            yield codes + (-opens[-1],), pairs + 1, loose - 2
         else:
-            for j in range(1, m + 1):
-                word.append(-j)
-                yield from walk(depth + 1, pairs)
-                word.pop()
-
-    return walk(0, 0)
+            for c in loose_closers:
+                yield codes + c, pairs, loose
 
 
 def enumerate_language(n: int, m: int) -> Iterator[Word]:

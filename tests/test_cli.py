@@ -71,6 +71,13 @@ def test_single_type_alphabet_is_gated(capsys):
     assert out.strip() == "Λ"
 
 
+def test_single_type_error_names_the_flag(capsys):
+    rc, _, err = run(capsys, "member", "a1", "--m", "1")
+    assert rc == 2
+    assert "--allow-m1" in err
+    assert "allow_single_type" not in err
+
+
 # ------------------------------------------------------------------ member
 
 
@@ -206,6 +213,20 @@ def test_sample_rejects_windows_missing_the_origin(capsys):
     rc, _, err = run(capsys, "sample", "--window", "1:4")
     assert rc == 2
     assert "origin" in err
+
+
+def test_sample_rejects_negative_count(capsys):
+    rc, out, err = run(capsys, "sample", "--window", "0:1", "--count", "-5")
+    assert rc == 2
+    assert out == ""
+    assert "--count" in err
+
+
+def test_sample_rejects_negative_max_extension(capsys):
+    rc, out, err = run(capsys, "sample", "--window", "0:1", "--max-extension", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--max-extension" in err
 
 
 # ----------------------------------------------------------------- entropy

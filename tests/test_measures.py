@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from dyckshift.measures import (
     balanced_cylinder_value,
     block_entropy,
     catalan_convolution,
+    cylinder_exponents,
     cylinder_value_from_codes,
     entropy_report,
     entropy_table,
@@ -26,6 +28,7 @@ from dyckshift.words import (
     Word,
     enumerate_balanced,
     iter_language_stats,
+    match_annotate,
 )
 
 from conftest import language_words
@@ -61,6 +64,22 @@ def test_monomial_exponents_exposed():
     v = tilde_cylinder_value(Word.parse("a1 a2 b2", 2))
     assert (v.two_exp, v.m_exp) == (3, 2)  # one matched pair, one loose opener
     assert v.value == Fraction(1, 32)
+
+
+def test_cylinder_exponents_agree_with_masses_exhaustively():
+    for n in range(7):
+        for codes in itertools.product((1, 2, -1, -2), repeat=n):
+            exponents = cylinder_exponents(codes)
+            value = cylinder_value_from_codes(codes, 2)
+            if exponents is None:
+                assert value == 0
+                with pytest.raises(NotInLanguage):
+                    match_annotate(Word(2, codes))
+                continue
+            ann = match_annotate(Word(2, codes))
+            assert exponents == (n, ann.n_matched_pairs + ann.n_unmatched)
+            assert value == Fraction(1, 2**n * 2 ** exponents[1])
+            assert tilde_cylinder_value(Word(2, codes)) == value
 
 
 def test_measure_value_semantics():

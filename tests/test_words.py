@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from dyckshift.words import (
     parse_codes,
     reduce_codes,
     reduce_word,
+    residue,
 )
 
 from conftest import (
@@ -261,6 +263,41 @@ def test_iter_language_stats_matches_reducer():
         assert not nf.is_zero
         assert nf.size() == loose
         assert 2 * pairs + loose == 7
+
+
+def language_stats_oracle(n: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Brute force: every word in letter order, filtered and priced by the reducer."""
+    letters = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
+    out = []
+    for codes in itertools.product(letters, repeat=n):
+        nf = reduce_codes(codes)
+        if not nf.is_zero:
+            out.append((codes, (n - nf.size()) // 2, nf.size()))
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(n, 2) for n in range(8)] + [(n, 3) for n in range(6)])
+def test_iter_language_stats_equals_brute_force(n, m):
+    # pins completeness, lexicographic order and the pair/loose statistics
+    assert list(iter_language_stats(n, m)) == language_stats_oracle(n, m)
+
+
+def test_iter_language_stats_rejects_negative_length():
+    with pytest.raises(ValueError):
+        iter_language_stats(-1, 2)
+
+
+def test_residue_agrees_with_reducers_exhaustively():
+    rng = random.Random(5)
+    for n in range(7):
+        for codes in itertools.product((1, 2, -1, -2), repeat=n):
+            found = residue(codes)
+            nf = reduce_codes(codes)
+            assert nf == rewrite_oracle(codes, rng)
+            if found is None:
+                assert nf.is_zero
+            else:
+                assert (nf.closers, nf.openers) == found
 
 
 BALANCED_COUNTS_M2 = [1, 2, 8, 40, 224, 1344, 8448]
