@@ -14,7 +14,7 @@ from dyckshift.measures import entropy_report
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=12, help="largest block length (<= 19)")
+    ap.add_argument("--max-n", type=int, default=12, help="largest block length")
     ap.add_argument("--m", type=int, default=2, help="number of bracket types")
     args = ap.parse_args()
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
 from .words import (
@@ -23,6 +22,7 @@ from .words import (
     is_in_language,
     match_annotate,
     minimal_balanced_extensions,
+    pattern_counts,
     residue,
 )
 
@@ -229,24 +229,34 @@ def minimal_extension_mass(
 def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     """Smallest completion length whose residual drops below ``ratio`` of the target.
 
-    Uses the count method, doubling the horizon until the exact residual
-    divided by the cylinder value is at most ``ratio``.
+    The length class with ``f`` added pairs carries ``C_k(f) 4^-f 2^-k`` of
+    the cylinder value for every ``m``, where ``k`` counts loose letters and
+    ``C_k`` is :func:`catalan_convolution`.  One pass over ``f = 0, 1, ...``
+    steps ``C_k(f)`` by its ratio recurrence and compares integers scaled by
+    ``4^f``; it returns the length ``|a| + k + 2f`` of the first class whose
+    residual is at most ``ratio`` of the target, the row that
+    :func:`minimal_extension_mass` would reach first.
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    target = tilde_cylinder_value(a).value
-    if target == 0:
+    found = residue(a.codes)
+    if found is None:
         raise NotInLanguage(f"{a.text()!r} reduces to zero")
-    horizon = max(len(a) + 2, 8)
+    k = len(found[0]) + len(found[1])
+    # residual <= ratio * target  <=>  sum_{g<=f} C_k(g) 4^-g >= (1 - ratio) 2^k,
+    # held as den * reached >= (den - num) 2^k 4^f with reached scaled by 4^f
+    need = (ratio.denominator - ratio.numerator) << k
+    ways, reached, scale, f = 1, 0, 1, 0  # ways = C_k(f), scale = 4^f
     while True:
-        rows = minimal_extension_mass(a, horizon, method="count")
-        if rows and rows[-1].residual <= ratio * target:
-            for row in rows:
-                if row.residual <= ratio * target:
-                    return row.total_len
-        if horizon > 1 << 20:  # pragma: no cover - safety valve
-            raise BudgetExceeded(f"no convergence below {ratio} by length {horizon}")
-        horizon *= 2
+        reached = 4 * reached + ways
+        total_len = len(a) + k + 2 * f
+        if ratio.denominator * reached >= need * scale:
+            return total_len
+        if total_len > 1 << 20:  # pragma: no cover - safety valve
+            raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
+        ways = ways * (2 * f + k) * (2 * f + k + 1) // ((f + 1) * (f + k + 1))
+        scale *= 4
+        f += 1
 
 
 @dataclass(frozen=True)
@@ -269,10 +279,6 @@ class LogPair:
         return {"log2": str(self.log2_coeff), "logm": str(self.logm_coeff)}
 
 
-_MAX_ENTROPY_LEN = 20
-
-
-@lru_cache(maxsize=None)
 def _pattern_stats(length: int) -> tuple[int, int]:
     """Aggregate over all opener/closer patterns of the given length.
 
@@ -280,31 +286,16 @@ def _pattern_stats(length: int) -> tuple[int, int]:
     suffixes has at least as many openers as closers)``.  Patterns are the
     type-forgetting skeletons of words; both aggregates are what the exact
     entropy formulas consume.
+
+    Both are short sums over :func:`pattern_counts`: the ``length - 2p + 1``
+    loose splits of ``p`` pairs each hold ``S(length, p)`` patterns.  The
+    split with no loose closer holds the patterns none of whose prefixes
+    runs a closer surplus, and reversal maps them one-to-one onto the
+    suffix-nonnegative ones.
     """
-    total_pairs = 0
-    suffix_nonneg = 0
-    for bits in range(1 << length):
-        depth = 0
-        pairs = 0
-        for pos in range(length):
-            if (bits >> pos) & 1:
-                depth += 1
-            elif depth:
-                depth -= 1
-                pairs += 1
-        total_pairs += pairs
-        running = 0
-        for pos in range(length):
-            running += 1 if (bits >> pos) & 1 else -1
-            if running < 0:
-                break
-        else:
-            suffix_nonneg += 1
-        # NB: scanning bit positions 0..length-1 walks the *reversed* word,
-        # which is exactly the suffix direction the nonnegativity condition
-        # wants; the pair total is reversal-blind because reversal permutes
-        # the pattern set.
-    return total_pairs, suffix_nonneg
+    counts = pattern_counts(length)
+    total_pairs = sum(p * (length - 2 * p + 1) * count for p, count in enumerate(counts))
+    return total_pairs, sum(counts)
 
 
 def _q_coefficient(length: int) -> Fraction:
@@ -318,14 +309,12 @@ def block_entropy(n: int, m: int) -> LogPair:
 
     A length-``n`` pattern is hit with probability ``2^-n`` regardless of
     ``m`` (the type choices integrate out), so the ``log(m)`` coefficient is
-    a pure pattern statistic and the ``log(2)`` coefficient is ``n``.
+    a pure pattern statistic and the ``log(2)`` coefficient is ``n``.  The
+    pattern statistic is a sum of ``n/2 + 1`` terms, so any length is exact
+    and cheap.
     """
     if n < 0:
         raise ValueError("block length must be >= 0")
-    if n > _MAX_ENTROPY_LEN:
-        raise BudgetExceeded(
-            f"block entropy enumerates 2^{n} patterns; limit is n={_MAX_ENTROPY_LEN}"
-        )
     del m  # the exact coefficients do not depend on it
     return LogPair(Fraction(n), _q_coefficient(n))
 

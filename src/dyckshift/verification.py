@@ -26,6 +26,7 @@ Their results spell out these numbers; see the README for discussion.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -247,27 +248,31 @@ def _check_block_swap(seed: int) -> _Outcome:
 
 
 _ENTROPY_SPAN = 11
+_IDENTITY_SPAN = 256
 _LIMIT_NATS = 1.5 * math.log(2)
 _LIMIT_TEXT = "log(2) + (1/2) log(2) = 1.039721 nats"
+
+
+def _step_nats(n: int) -> float:
+    return entropy_report(n, 2).step.nats(2)
 
 
 def _check_entropy_identity(seed: int) -> _Outcome:
     """The two-branch mixture formula must reproduce every step entropy exactly."""
     del seed
-    for n in range(_ENTROPY_SPAN + 1):
+    expected = (
+        "h_n = log 2 + ((1 + p_nonneg)/2) log m with exact rational coefficients "
+        f"for n <= {_IDENTITY_SPAN}"
+    )
+    for n in range(_IDENTITY_SPAN + 1):
         rep = entropy_report(n, 2)
         predicted = rep.decomposition_step()
         if rep.step != predicted:
-            return (
-                False,
-                f"n={n}: step {rep.step} but mixture predicts {predicted}",
-                "exact equality of step entropy and branch mixture for n <= 11",
-                (),
-            )
+            return False, f"n={n}: step {rep.step} but mixture predicts {predicted}", expected, ()
     return (
         True,
-        f"step entropy equals the branch mixture exactly for n = 0..{_ENTROPY_SPAN}",
-        "h_n = log 2 + ((1 + p_nonneg)/2) log m with exact rational coefficients",
+        f"step entropy equals the branch mixture exactly for n = 0..{_IDENTITY_SPAN}",
+        expected,
         (),
     )
 
@@ -279,12 +284,10 @@ def _check_entropy_limit_gap(seed: int) -> _Outcome:
     h11 = rep.step.nats(2)
     gap = abs(h11 - _LIMIT_NATS)
     coeff = rep.step.log2_coeff + rep.step.logm_coeff  # m = 2 folds both logs together
-    # the gap is (p_n/2) log 2 with p_n the central binomial weight, so the
-    # exact length where it would first reach 0.03 nats is computable
+    # the gap is (p_n/2) log 2 with p_n the central binomial weight, which
+    # tends to 0, so exact step entropies find where it first reaches 0.03
     first_within = next(
-        n
-        for n in range(_ENTROPY_SPAN, 10_000)
-        if math.comb(n, n // 2) / 2**n / 2 * math.log(2) <= 0.03
+        n for n in itertools.count(_ENTROPY_SPAN) if abs(_step_nats(n) - _LIMIT_NATS) <= 0.03
     )
     detail = (
         f"h_11 = ({coeff}) log 2 = {h11:.6f} nats exactly",
@@ -303,16 +306,10 @@ def _check_entropy_below_topological(seed: int) -> _Outcome:
     """h_n < log 3 for all n <= 11, as stated.  False at every such n."""
     del seed
     log3 = math.log(3)
-    values = [(n, entropy_report(n, 2).step.nats(2)) for n in range(_ENTROPY_SPAN + 1)]
+    values = [(n, _step_nats(n)) for n in range(_ENTROPY_SPAN + 1)]
     above = [(n, v) for n, v in values if not v < log3]
-    first_below = None
-    for n in range(_ENTROPY_SPAN + 1, 64):
-        # The mixture identity is exact on the verified range and the branch
-        # weight is the central binomial tail; use it to locate the crossing.
-        p = Fraction(math.comb(n, n // 2), 2**n)
-        if math.log(2) + float(1 + p) / 2 * math.log(2) < log3:
-            first_below = n
-            break
+    # h_n tends to 1.5 log 2 < log 3, so exact step entropies find the crossing
+    first_below = next(n for n in itertools.count(_ENTROPY_SPAN + 1) if _step_nats(n) < log3)
     detail = tuple(f"h_{n} = {v:.6f} nats" for n, v in values[-3:]) + (
         f"log 3 = {log3:.6f}; monotone decrease first crosses below it at n = {first_below}",
     )
@@ -369,7 +366,7 @@ def _check_growth_rate(seed: int) -> _Outcome:
     rel = abs(rate - log3) / log3
     ratio_rate = math.log(total_14 / total_13)
     detail = (
-        f"|L(14)| = {total_14} exactly (by depth DP; enumeration cross-checked in tests)",
+        f"|L(14)| = {total_14} exactly (by pattern counts; enumeration cross-checked in tests)",
         f"per-letter reading log|L(14)|/14 = {rate:.6f} nats",
         f"successive-ratio reading log(|L(14)|/|L(13)|) = {ratio_rate:.6f} nats "
         f"({abs(ratio_rate - log3) / log3:.2%} from log 3) — the prefactor, not the rate, is at fault",

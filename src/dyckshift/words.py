@@ -425,30 +425,37 @@ def enumerate_language(n: int, m: int) -> Iterator[Word]:
         yield Word(m, codes)
 
 
-def count_language(n: int, m: int) -> int:
-    """|L(n)| by dynamic programming over the open-opener stack depth.
+def pattern_counts(n: int) -> list[int]:
+    """Opener/closer patterns of length ``n`` by matched pairs, per loose split.
 
-    From depth ``d`` a word can open any of ``m`` types (depth ``d+1``), close
-    the unique matching type when ``d > 0`` (depth ``d-1``), or emit any of
-    ``m`` unmatched closers when ``d = 0`` (the closer joins the left residue
-    and never constrains the future).
+    Entry ``p`` is ``S(n, p) = C(n, p) - C(n, p - 1)``: the number of
+    patterns with ``p`` matched pairs whose ``n - 2p`` loose letters split
+    one fixed way into leading loose closers and trailing loose openers.
+    Every one of the ``n - 2p + 1`` splits has this same count, so the
+    entries with their split counts tally all ``2^n`` patterns.  The
+    binomials come from their ratio recurrence, one pass over ``p``.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    counts = [1] + [0] * n
-    for _ in range(n):
-        nxt = [0] * (n + 1)
-        for d, v in enumerate(counts):
-            if not v:
-                continue
-            if d + 1 <= n:
-                nxt[d + 1] += v * m
-            if d > 0:
-                nxt[d - 1] += v
-            else:
-                nxt[0] += v * m
-        counts = nxt
-    return sum(counts)
+    counts: list[int] = []
+    below, comb = 0, 1  # C(n, p - 1), C(n, p)
+    for p in range(n // 2 + 1):
+        counts.append(comb - below)
+        below, comb = comb, comb * (n - p) // (p + 1)
+    return counts
+
+
+def count_language(n: int, m: int) -> int:
+    """|L(n)| as a sum over the pattern counts of :func:`pattern_counts`.
+
+    Types integrate out pattern by pattern: a pattern with ``p`` matched
+    pairs and ``n - 2p`` loose letters carries ``m^(n - p)`` words (one free
+    type per pair and per loose letter), and ``n - 2p + 1`` loose splits
+    share each count ``S(n, p)``.
+    """
+    return sum(
+        (n - 2 * p + 1) * count * m ** (n - p) for p, count in enumerate(pattern_counts(n))
+    )
 
 
 def count_balanced(pair_count: int, m: int) -> int:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
+from typing import Sequence
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from dyckshift.measures import ExtensionMassRow
+from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import IDENTITY, ZERO, NormalForm, Word
 
 settings.register_profile(
@@ -134,16 +140,96 @@ def rewrite_oracle(codes: tuple[int, ...], rng: random.Random) -> NormalForm:
     return NormalForm(False, tuple(-c for c in work[:split]), tuple(work[split:]))
 
 
-def pattern_sum(n: int, m: int) -> int:
-    """Independent oracle: types integrate out to m^(pairs+loose) per skeleton."""
-    total = 0
+def pattern_tally(n: int) -> Counter[tuple[int, int]]:
+    """Brute force over all ``2^n`` opener/closer patterns of length ``n``.
+
+    Counts patterns by ``(matched pairs, leading loose closers)``; bit ``pos``
+    set means an opener at position ``pos``.
+    """
+    tally: Counter[tuple[int, int]] = Counter()
     for bits in range(1 << n):
-        depth = pairs = 0
+        depth = pairs = loose_closers = 0
         for pos in range(n):
             if (bits >> pos) & 1:
                 depth += 1
             elif depth:
                 depth -= 1
                 pairs += 1
-        total += m ** (pairs + (n - 2 * pairs))
-    return total
+            else:
+                loose_closers += 1
+        tally[pairs, loose_closers] += 1
+    return tally
+
+
+def pattern_sum(n: int, m: int) -> int:
+    """Independent oracle: types integrate out to m^(pairs+loose) per skeleton."""
+    return sum(count * m ** (n - pairs) for (pairs, _), count in pattern_tally(n).items())
+
+
+def enumerated_pattern_stats(length: int) -> tuple[int, int]:
+    """Oracle for ``measures._pattern_stats``: walk all ``2^length`` patterns.
+
+    Returns ``(total matched pairs, number of patterns every one of whose
+    suffixes has at least as many openers as closers)``.
+    """
+    total_pairs = 0
+    suffix_nonneg = 0
+    for bits in range(1 << length):
+        depth = 0
+        pairs = 0
+        for pos in range(length):
+            if (bits >> pos) & 1:
+                depth += 1
+            elif depth:
+                depth -= 1
+                pairs += 1
+        total_pairs += pairs
+        running = 0
+        for pos in range(length):
+            running += 1 if (bits >> pos) & 1 else -1
+            if running < 0:
+                break
+        else:
+            suffix_nonneg += 1
+        # NB: scanning bit positions 0..length-1 walks the *reversed* word,
+        # which is exactly the suffix direction the nonnegativity condition
+        # wants; the pair total is reversal-blind because reversal permutes
+        # the pattern set.
+    return total_pairs, suffix_nonneg
+
+
+def depth_dp_counts(n_max: int, m: int) -> list[int]:
+    """Oracle: ``|L(n)|`` for ``n = 0..n_max`` by DP over the open-opener stack depth.
+
+    From depth ``d`` a word can open any of ``m`` types (depth ``d+1``), close
+    the unique matching type when ``d > 0`` (depth ``d-1``), or emit any of
+    ``m`` unmatched closers when ``d = 0`` (the closer joins the left residue
+    and never constrains the future).
+    """
+    counts = [1] + [0] * n_max
+    totals = [1]
+    for _ in range(n_max):
+        nxt = [0] * (n_max + 1)
+        for d, v in enumerate(counts):
+            if not v:
+                continue
+            if d < n_max:
+                nxt[d + 1] += v * m
+            if d > 0:
+                nxt[d - 1] += v
+            else:
+                nxt[0] += v * m
+        counts = nxt
+        totals.append(sum(counts))
+    return totals
+
+
+def first_row_within(rows: Sequence[ExtensionMassRow], target: Fraction, ratio: Fraction) -> int | None:
+    """Oracle: length of the first completion row whose residual is within ``ratio`` of ``target``."""
+    return next((row.total_len for row in rows if row.residual <= ratio * target), None)
+
+
+@pytest.fixture(scope="session")
+def exact_check_results() -> dict[str, CheckResult]:
+    """Every exact check, run once per session at the default seed."""
+    return {key: run_check(key, DEFAULT_SEED) for key in SUITES["exact"]}

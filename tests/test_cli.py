@@ -1,7 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from dyckshift import verification
 from dyckshift.cli import main
 
 
@@ -268,10 +271,9 @@ def test_entropy_rejects_negative_n(capsys):
     assert ">= 0" in err
 
 
-def test_entropy_budget_error_is_reported(capsys):
-    rc, _, err = run(capsys, "entropy", "--n", "25")
-    assert rc == 2
-    assert "error:" in err
+def test_entropy_beyond_enumeration(capsys):
+    payload = run_json(capsys, "entropy", "--n", "25", "--json")
+    assert payload["p_nonneg"] == str(Fraction(math.comb(25, 12), 2**25))
 
 
 # -------------------------------------------------------------- extensions
@@ -329,6 +331,16 @@ def test_extensions_reject_zero_words(capsys):
 # ------------------------------------------------------------------ verify
 
 
+@pytest.fixture
+def cached_checks(monkeypatch, exact_check_results):
+    """Serve the exact checks from the session's single run; the CLI around them stays real.
+
+    Exact checks ignore the seed, so one run stands for every seed.
+    """
+    monkeypatch.setattr(verification, "run_check", lambda key, seed: exact_check_results[key])
+
+
+@pytest.mark.usefixtures("cached_checks")
 def test_verify_exact_suite_json(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "exact", "--json")
     payload = json.loads(out)
@@ -345,6 +357,7 @@ def test_verify_exact_suite_json(capsys):
         assert set(r) == {"key", "title", "ok", "observed", "expected", "elapsed_s", "detail"}
 
 
+@pytest.mark.usefixtures("cached_checks")
 def test_verify_tap_output(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "exact", "--seed", "7")
     lines = out.splitlines()

@@ -9,6 +9,7 @@ from dyckshift.measures import (
     EntropyReport,
     LogPair,
     MeasureValue,
+    _pattern_stats,
     balanced_cylinder_value,
     block_entropy,
     catalan_convolution,
@@ -22,7 +23,6 @@ from dyckshift.measures import (
     tilde_cylinder_value,
 )
 from dyckshift.words import (
-    BudgetExceeded,
     NotBalanced,
     NotInLanguage,
     Word,
@@ -31,7 +31,7 @@ from dyckshift.words import (
     match_annotate,
 )
 
-from conftest import language_words
+from conftest import enumerated_pattern_stats, first_row_within, language_words
 
 
 # ----------------------------------------------------------- cylinder values
@@ -279,6 +279,31 @@ def test_residual_horizons(text, ratio, expected):
     assert mass_length_for_residual(Word.parse(text, 2), ratio) == expected
 
 
+HORIZON_RATIOS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 20), Fraction(1, 50))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize(
+    "text,ratios",
+    [
+        ("a1", HORIZON_RATIOS),
+        ("b1", HORIZON_RATIOS),
+        ("a1 a2", HORIZON_RATIOS),
+        # at 1/50 the Fraction rows run to length 14324, about 20 s per alphabet
+        ("b2 b1 a1", HORIZON_RATIOS[:3]),
+        ("a1 b1", HORIZON_RATIOS),
+    ],
+    ids=["a1", "b1", "a1 a2", "b2 b1 a1", "a1 b1"],
+)
+def test_residual_horizon_is_the_first_row_within_ratio(text, ratios, m):
+    """The one-pass horizon equals the first qualifying row of the Fraction table."""
+    a = Word.parse(text, m)
+    target = tilde_cylinder_value(a).value
+    rows = minimal_extension_mass(a, mass_length_for_residual(a, min(ratios)), method="count")
+    for ratio in ratios:
+        assert mass_length_for_residual(a, ratio) == first_row_within(rows, target, ratio), ratio
+
+
 def test_residual_horizon_rejects_zero_words():
     with pytest.raises(NotInLanguage):
         mass_length_for_residual(Word.parse("a1 b2", 2), Fraction(1, 20))
@@ -298,11 +323,19 @@ def test_block_entropy_is_m_independent():
         assert block_entropy(n, 2) == block_entropy(n, 3)
 
 
-def test_block_entropy_budget():
-    with pytest.raises(BudgetExceeded):
-        block_entropy(21, 2)
+def test_step_entropy_beyond_enumeration_matches_closed_form():
+    """No length cap: n = 21..300 against the branch mixture built with math.comb."""
+    for n in range(21, 301):
+        p = Fraction(math.comb(n, n // 2), 2**n)
+        rep = entropy_report(n, 2)
+        assert (rep.step, rep.p_nonneg) == (LogPair(Fraction(1), (1 + p) / 2), p), n
     with pytest.raises(ValueError):
         block_entropy(-1, 2)
+
+
+@pytest.mark.parametrize("length", range(17))
+def test_pattern_stats_equal_enumeration(length):
+    assert _pattern_stats(length) == enumerated_pattern_stats(length)
 
 
 P_NONNEG = [

@@ -27,6 +27,7 @@ from dyckshift.words import (
     min_prefix_height,
     minimal_balanced_extensions,
     parse_codes,
+    pattern_counts,
     reduce_codes,
     reduce_word,
     residue,
@@ -34,9 +35,11 @@ from dyckshift.words import (
 
 from conftest import (
     balanced_words,
+    depth_dp_counts,
     equivalent_word_pairs,
     language_words,
     pattern_sum,
+    pattern_tally,
     raw_words,
     rewrite_oracle,
 )
@@ -240,6 +243,27 @@ def test_language_counts_two_types(n):
 @pytest.mark.parametrize("n", range(9))
 def test_language_counts_three_types(n):
     assert count_language(n, 3) == LANGUAGE_COUNTS_M3[n] == pattern_sum(n, 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_language_counts_equal_depth_dp(m):
+    assert [count_language(n, m) for n in range(151)] == depth_dp_counts(150, m)
+
+
+def test_count_language_rejects_negative_length():
+    with pytest.raises(ValueError):
+        count_language(-1, 2)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pattern_counts_equal_brute_force_tally(n):
+    """Every loose split of p pairs holds S(n, p) patterns, and nothing else occurs."""
+    expected = {
+        (p, closers): count
+        for p, count in enumerate(pattern_counts(n))
+        for closers in range(n - 2 * p + 1)
+    }
+    assert pattern_tally(n) == expected
 
 
 @pytest.mark.parametrize("n,m", [(n, 2) for n in range(9)] + [(n, 3) for n in range(6)])
