@@ -104,21 +104,39 @@ class MatchingTimes:
         return self.backward[j - 1]
 
 
+def _first_dips(codes: Sequence[int], up: bool, j_max: int) -> list[int | None]:
+    """Steps at which a walk first reaches depths ``1 .. j_max`` below its start.
+
+    Each letter code steps the walk up when its opener-ness equals ``up``
+    and down otherwise.  Unit steps reach depth ``j + 1`` only after depth
+    ``j``, so the scan stops at depth ``j_max``.
+    """
+    dips: list[int | None] = [None] * j_max
+    h = reached = 0
+    for i, c in enumerate(codes):
+        if (c > 0) == up:
+            h += 1
+        else:
+            h -= 1
+            if h < -reached:
+                dips[reached] = i
+                reached += 1
+                if reached == j_max:
+                    break
+    return dips
+
+
 def matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    heights = height_cocycle(x)
-    forward: list[int | None] = [None] * j_max
-    for k in range(0, x.hi + 1):
-        h = heights[k + 1 - x.lo]
-        if -j_max <= h <= -1 and forward[-h - 1] is None:
-            forward[-h - 1] = k
-    backward: list[int | None] = [None] * j_max
-    for k in range(-1, x.lo - 1, -1):
-        h = heights[k - x.lo]
-        if -j_max <= h <= -1 and backward[-h - 1] is None:
-            backward[-h - 1] = k
-    return MatchingTimes(tuple(forward), tuple(backward))
+    origin = -x.lo
+    # Forward, H_{k+1} = -j first at letter k; backward, H_k = -j is read
+    # from the origin outward, where openers step down.
+    forward = _first_dips(x.codes[origin:], True, j_max)
+    backward = _first_dips(x.codes[origin - 1 :: -1] if origin else (), False, j_max)
+    return MatchingTimes(
+        tuple(forward), tuple(None if i is None else -1 - i for i in backward)
+    )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .coding import SAMPLERS
 from .measures import (
     balanced_cylinder_value,
     entropy_report,
+    mass_length_for_residual,
     minimal_extension_mass,
     tilde_cylinder_value,
 )
@@ -56,6 +57,16 @@ def _nonnegative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _ratio(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction like 1/20, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -229,29 +240,33 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     w = Word.parse(args.word, m)
     max_len = args.max_len if args.max_len is not None else len(w) + 8
+    if args.ratio is not None and not args.mass:
+        raise DyckError("--ratio needs --mass")
     if args.mass:
         rows = minimal_extension_mass(w, max_len, method=args.method)
         target = tilde_cylinder_value(w).value
+        horizon = None if args.ratio is None else mass_length_for_residual(w, args.ratio)
         if args.json:
-            _emit_json(
-                {
-                    "command": "extensions",
-                    "m": m,
-                    "word": w.text(),
-                    "max_len": max_len,
-                    "cylinder_mass": f"{target.numerator}/{target.denominator}",
-                    "rows": [
-                        {
-                            "total_len": r.total_len,
-                            "count": r.count,
-                            "added": str(r.added),
-                            "partial": str(r.partial),
-                            "residual": str(r.residual),
-                        }
-                        for r in rows
-                    ],
-                }
-            )
+            payload = {
+                "command": "extensions",
+                "m": m,
+                "word": w.text(),
+                "max_len": max_len,
+                "cylinder_mass": f"{target.numerator}/{target.denominator}",
+                "rows": [
+                    {
+                        "total_len": r.total_len,
+                        "count": r.count,
+                        "added": str(r.added),
+                        "partial": str(r.partial),
+                        "residual": str(r.residual),
+                    }
+                    for r in rows
+                ],
+            }
+            if horizon is not None:
+                payload["horizon"] = {"ratio": str(args.ratio), "total_len": horizon}
+            _emit_json(payload)
         else:
             print(f"# word={w.text()!r} m={m} cylinder mass {target} — completion mass by length")
             print(f"{'len':>5} {'count':>10} {'added':>16} {'partial':>20} {'residual':>20}")
@@ -259,6 +274,11 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
                 print(
                     f"{r.total_len:>5} {r.count:>10} {str(r.added):>16} "
                     f"{str(r.partial):>20} {str(r.residual):>20}"
+                )
+            if horizon is not None:
+                print(
+                    f"# residual first drops below {args.ratio} of the cylinder mass "
+                    f"at length {horizon}"
                 )
         return 0
     pairs = []
@@ -385,6 +405,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("count", "enumerate"),
         default="count",
         help="mass accounting route (the two must agree; see the tests)",
+    )
+    p.add_argument(
+        "--ratio",
+        type=_ratio,
+        help="with --mass, report the first length whose residual is within this "
+        "fraction of the cylinder mass, e.g. 1/20",
     )
     p.add_argument("--limit", type=int, default=50, help="cap on listed pairs")
     _add_alphabet_flags(p)

@@ -16,7 +16,11 @@ Matching may reach left of any finite window.  Samplers extend the hidden
 sequence leftward up to ``max_extension`` extra letters; windows that still
 have unresolved closers are emitted with their provenance flagged truncated
 (estimators exclude them and report the rate).  Unresolved letters keep
-their opener/closer kind but an unknown type, rendered ``a?``/``b?``.
+their opener/closer kind but an unknown type, rendered ``a?``/``b?``.  The
+tilde walk applies its fair bits a run at a time, up to a whole 32-bit
+word, wherever no match can fall among them, and bit by bit near a possible
+match; it reads the same bits in the same order as a bit-at-a-time walk,
+so every seeded stream is unchanged.
 """
 
 from __future__ import annotations
@@ -378,26 +382,6 @@ def invert_collapse_minus(window: CollapsedWindow) -> PointWindow:
     return PointWindow(window.m, window.lo, window.hi, tuple(codes))
 
 
-class _BitStream:
-    """Buffered fair bits from one RNG; keeps the hot sampling loops cheap."""
-
-    __slots__ = ("_rng", "_buf", "_left")
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._buf = 0
-        self._left = 0
-
-    def take(self) -> int:
-        if not self._left:
-            self._buf = self._rng.getrandbits(32)
-            self._left = 32
-        bit = self._buf & 1
-        self._buf >>= 1
-        self._left -= 1
-        return bit
-
-
 def _sample_rng(seed: int, index: int) -> random.Random:
     # One independent, platform-stable stream per sample: string seeding
     # hashes via sha512, so sample i of seed s never depends on how many
@@ -414,61 +398,59 @@ def _tilde_window(
     m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
 ) -> PointWindow:
     width = hi - lo + 1
-    stream = _BitStream(rng)
-    bits = [stream.take() for _ in range(width)]
-    ones = [0] * (width + 1)
-    for i, b in enumerate(bits):
-        ones[i + 1] = ones[i] + b
-    zero_off = -lo
+    # Fair bits are read LSB-first from 32-bit words; one getrandbits call
+    # for whole words draws the same words in the same order.
+    words = (width + 31) // 32
+    pool = rng.getrandbits(32 * words)
+    bits = format(pool, f"0{32 * words}b")[: -width - 1 : -1]  # LSB first; "1" = opener
+    buf, left = pool >> width, 32 * words - width
 
-    slots: dict[int, int] = {}
-
-    def slot_type(slot: int) -> int:
-        v = slots.get(slot)
-        if v is None:
-            v = rng.randrange(m) + 1
-            slots[slot] = v
-        return v
-
+    # Every opener owns a fresh slot of the shared type sequence (the signed
+    # running bit count never repeats), so its type is drawn when it appears
+    # and its closer copies it.
     codes = [0] * width
-    stack: list[int] = []  # slots of openers still open, innermost last
+    stack: list[int] = []  # types of openers still open, innermost last
     pending: list[int] = []  # offsets of closers whose opener is left of the window
     for off, b in enumerate(bits):
-        if b:
-            p = off + lo
-            slot = ones[off + 1] - ones[zero_off] if p >= 0 else -(ones[zero_off] - ones[off])
-            codes[off] = slot_type(slot)
-            stack.append(slot)
+        if b == "1":
+            t = rng.randrange(m) + 1
+            codes[off] = t
+            stack.append(t)
         elif stack:
-            codes[off] = -slot_type(stack.pop())
+            codes[off] = -stack.pop()
         else:
             pending.append(off)
 
     truncated = False
     if pending:
-        # Walk leftward bit by bit.  The needs stack starts with the earliest
-        # pending closer on top: a fresh opener always matches the closest
-        # unmatched closer to its right, and every fresh closer becomes the
-        # new closest need.  Out-of-window needs are anonymous (-1): they
-        # consume an opener but emit nothing.
-        needs = list(reversed(pending))
-        ones_seen = ones[zero_off]
-        walked = 0
-        while needs and walked < max_extension:
-            walked += 1
-            if stream.take():
-                ones_seen += 1
-                off = needs.pop()
-                if off >= 0:
-                    codes[off] = -slot_type(-ones_seen)
+        # Walk leftward.  A fresh opener matches the closest unmatched closer
+        # to its right and every fresh closer becomes the new closest need,
+        # so the needs are ``anon`` anonymous out-of-window closers on top of
+        # the pending closers ``pending[j:]``.  An opener matches a pending
+        # closer only when ``anon == 0``; until then any ``anon`` bits are
+        # applied at once by their popcount, as no match can fall among them.
+        j = anon = walked = 0
+        while j < len(pending) and walked < max_extension:
+            if not left:
+                buf, left = rng.getrandbits(32), 32
+            if anon:
+                k = min(anon, left, max_extension - walked)
+                anon += k - 2 * (buf & ((1 << k) - 1)).bit_count()
             else:
-                needs.append(-1)
-        if needs:
+                k = 1
+                if buf & 1:
+                    codes[pending[j]] = -(rng.randrange(m) + 1)
+                    j += 1
+                else:
+                    anon = 1
+            buf >>= k
+            left -= k
+            walked += k
+        if j < len(pending):
             truncated = True
             unknown = -(m + 1)
-            for off in pending:
-                if codes[off] == 0:
-                    codes[off] = unknown
+            for off in pending[j:]:
+                codes[off] = unknown
     return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
 
 
@@ -519,6 +501,8 @@ def sample_tilde(
     addressed by the signed running bit count, so matched pairs agree by
     construction.  Closer lookback has a heavy tail — samples whose matching
     is still open after ``max_extension`` leftward letters come out flagged.
+    Away from a possible match the leftward walk applies its bits in runs
+    of up to a whole word at once, which leaves every seeded stream unchanged.
     """
     _check_window(lo, hi)
     for index in range(count):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Literal, Sequence
 
 from .words import (
@@ -162,6 +163,15 @@ def catalan_convolution(parts: int, pairs: int) -> int:
     return parts * math.comb(top, pairs) // top
 
 
+def _ballot_ways(k: int) -> Iterator[int]:
+    """``C_k(f)`` for ``f = 0, 1, ...``, stepped by its ratio recurrence."""
+    ways, f = 1, 0
+    while True:
+        yield ways
+        ways = ways * (2 * f + k) * (2 * f + k + 1) // ((f + 1) * (f + k + 1))
+        f += 1
+
+
 @dataclass(frozen=True)
 class ExtensionMassRow:
     """One length class of minimal balanced completions of a word.
@@ -186,30 +196,21 @@ def minimal_extension_mass(
     """Partial sums of balanced-law mass over minimal completions of ``a``.
 
     The ``count`` method prices each length class with the ballot-number
-    count of filler shapes (fast, scales to lengths in the thousands); the
-    ``enumerate`` method walks the actual completions and evaluates each
-    completed word (slow, used to validate the count method).  Rows appear
-    only for lengths that contribute, so partial sums strictly increase.
+    count of filler shapes, stepped by its ratio recurrence (fast, scales to
+    lengths in the tens of thousands); the ``enumerate`` method walks the
+    actual completions and evaluates each completed word (slow, used to
+    validate the count method).  Both keep the partial sum as one integer
+    over a power-of-four scale and build Fractions only for the rows.  Rows
+    appear only for lengths that contribute, so partial sums strictly
+    increase.
     """
     ann = match_annotate(a)  # raises NotInLanguage for zero words
-    loose = ann.n_unmatched
-    target = tilde_cylinder_value(a).value
-    base = len(a) + loose
-    rows: list[ExtensionMassRow] = []
-    partial = Fraction(0)
-
-    def push(total_len: int, count: int) -> None:
-        nonlocal partial
-        if count == 0:
-            return
-        added = count * Fraction(1, 2**total_len * a.m ** (total_len // 2))
-        partial += added
-        rows.append(ExtensionMassRow(total_len, count, added, partial, target - partial))
-
+    k = ann.n_unmatched
+    base = len(a) + k
+    classes = range((max_len - base) // 2 + 1) if max_len >= base else range(0)
+    # ways[f]: completions with f added pairs, divided by the m^f types of those pairs
     if method == "count":
-        for total in range(base, max_len + 1, 2):
-            fill = (total - base) // 2
-            push(total, catalan_convolution(loose, fill) * a.m**fill)
+        ways = list(islice(_ballot_ways(k), len(classes)))
     elif method == "enumerate":
         by_len: dict[int, int] = {}
         for left, right in minimal_balanced_extensions(a, max_len):
@@ -219,10 +220,34 @@ def minimal_extension_mass(
             value = balanced_cylinder_value(whole).value
             assert value == Fraction(1, 2 ** len(whole) * a.m ** (len(whole) // 2))
             by_len[len(whole)] = by_len.get(len(whole), 0) + 1
-        for total in sorted(by_len):
-            push(total, by_len[total])
+        ways = []
+        for f in classes:
+            count, untyped = divmod(by_len.get(base + 2 * f, 0), a.m**f)
+            assert not untyped, "added pairs take every type"
+            ways.append(count)
     else:
         raise ValueError(f"unknown method {method!r}")
+    # Class f adds ways[f] / (unit 4^f) with unit = 2^base m^(base/2); the
+    # target is 2^k / unit.  Partial sums stay integers over unit 4^f, and
+    # Fractions are built only for the rows.
+    rows: list[ExtensionMassRow] = []
+    den = 2**base * a.m ** (base // 2)
+    reached, whole_mass, types = 0, 1 << k, 1
+    for f, count in enumerate(ways):
+        reached = 4 * reached + count
+        if count:
+            rows.append(
+                ExtensionMassRow(
+                    base + 2 * f,
+                    count * types,
+                    Fraction(count, den),
+                    Fraction(reached, den),
+                    Fraction(whole_mass - reached, den),
+                )
+            )
+        den *= 4
+        whole_mass *= 4
+        types *= a.m
     return rows
 
 
@@ -246,17 +271,16 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     # residual <= ratio * target  <=>  sum_{g<=f} C_k(g) 4^-g >= (1 - ratio) 2^k,
     # held as den * reached >= (den - num) 2^k 4^f with reached scaled by 4^f
     need = (ratio.denominator - ratio.numerator) << k
-    ways, reached, scale, f = 1, 0, 1, 0  # ways = C_k(f), scale = 4^f
-    while True:
+    reached, scale, total_len = 0, 1, len(a) + k  # scale = 4^f
+    for ways in _ballot_ways(k):
         reached = 4 * reached + ways
-        total_len = len(a) + k + 2 * f
         if ratio.denominator * reached >= need * scale:
             return total_len
         if total_len > 1 << 20:  # pragma: no cover - safety valve
-            raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
-        ways = ways * (2 * f + k) * (2 * f + k + 1) // ((f + 1) * (f + k + 1))
+            break
         scale *= 4
-        f += 1
+        total_len += 2
+    raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
 
 
 @dataclass(frozen=True)

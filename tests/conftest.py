@@ -10,9 +10,11 @@ from typing import Sequence
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from dyckshift.measures import ExtensionMassRow
+from dyckshift.analysis import MatchingTimes
+from dyckshift.coding import PointWindow, Provenance, height_cocycle
+from dyckshift.measures import ExtensionMassRow, catalan_convolution, tilde_cylinder_value
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
-from dyckshift.words import IDENTITY, ZERO, NormalForm, Word
+from dyckshift.words import IDENTITY, ZERO, NormalForm, Word, match_annotate
 
 settings.register_profile(
     "suite",
@@ -227,6 +229,131 @@ def depth_dp_counts(n_max: int, m: int) -> list[int]:
 def first_row_within(rows: Sequence[ExtensionMassRow], target: Fraction, ratio: Fraction) -> int | None:
     """Oracle: length of the first completion row whose residual is within ``ratio`` of ``target``."""
     return next((row.total_len for row in rows if row.residual <= ratio * target), None)
+
+
+def fraction_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
+    """Oracle for ``minimal_extension_mass``: the count route with Fraction partial sums.
+
+    Each length class is priced as its ballot-number count of completions
+    times the balanced law, and added to a running Fraction row by row.
+    """
+    loose = match_annotate(a).n_unmatched
+    target = tilde_cylinder_value(a).value
+    base = len(a) + loose
+    rows: list[ExtensionMassRow] = []
+    partial = Fraction(0)
+    for total in range(base, max_len + 1, 2):
+        fill = (total - base) // 2
+        count = catalan_convolution(loose, fill) * a.m**fill
+        if count == 0:
+            continue
+        added = count * Fraction(1, 2**total * a.m ** (total // 2))
+        partial += added
+        rows.append(ExtensionMassRow(total, count, added, partial, target - partial))
+    return rows
+
+
+def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
+    """Oracle for ``analysis.matching_times``: scan the whole height walk on each side."""
+    heights = height_cocycle(x)
+    forward: list[int | None] = [None] * j_max
+    for k in range(0, x.hi + 1):
+        h = heights[k + 1 - x.lo]
+        if -j_max <= h <= -1 and forward[-h - 1] is None:
+            forward[-h - 1] = k
+    backward: list[int | None] = [None] * j_max
+    for k in range(-1, x.lo - 1, -1):
+        h = heights[k - x.lo]
+        if -j_max <= h <= -1 and backward[-h - 1] is None:
+            backward[-h - 1] = k
+    return MatchingTimes(tuple(forward), tuple(backward))
+
+
+class _BitStream:
+    """Buffered fair bits from one RNG, read LSB-first from 32-bit words."""
+
+    __slots__ = ("_rng", "_buf", "_left")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._buf = 0
+        self._left = 0
+
+    def take(self) -> int:
+        if not self._left:
+            self._buf = self._rng.getrandbits(32)
+            self._left = 32
+        bit = self._buf & 1
+        self._buf >>= 1
+        self._left -= 1
+        return bit
+
+
+def bitwise_tilde_window(
+    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
+) -> PointWindow:
+    """Oracle for ``coding._tilde_window``: the leftward walk one bit at a time.
+
+    Same arguments, same stream use and same window; it keeps the explicit
+    needs stack that the sampler summarises by two counters.
+    """
+    width = hi - lo + 1
+    stream = _BitStream(rng)
+    bits = [stream.take() for _ in range(width)]
+    ones = [0] * (width + 1)
+    for i, b in enumerate(bits):
+        ones[i + 1] = ones[i] + b
+    zero_off = -lo
+
+    slots: dict[int, int] = {}
+
+    def slot_type(slot: int) -> int:
+        v = slots.get(slot)
+        if v is None:
+            v = rng.randrange(m) + 1
+            slots[slot] = v
+        return v
+
+    codes = [0] * width
+    stack: list[int] = []  # slots of openers still open, innermost last
+    pending: list[int] = []  # offsets of closers whose opener is left of the window
+    for off, b in enumerate(bits):
+        if b:
+            p = off + lo
+            slot = ones[off + 1] - ones[zero_off] if p >= 0 else -(ones[zero_off] - ones[off])
+            codes[off] = slot_type(slot)
+            stack.append(slot)
+        elif stack:
+            codes[off] = -slot_type(stack.pop())
+        else:
+            pending.append(off)
+
+    truncated = False
+    if pending:
+        # The needs stack starts with the earliest pending closer on top: a
+        # fresh opener always matches the closest unmatched closer to its
+        # right, and every fresh closer becomes the new closest need.
+        # Out-of-window needs are anonymous (-1): they consume an opener but
+        # emit nothing.
+        needs = list(reversed(pending))
+        ones_seen = ones[zero_off]
+        walked = 0
+        while needs and walked < max_extension:
+            walked += 1
+            if stream.take():
+                ones_seen += 1
+                off = needs.pop()
+                if off >= 0:
+                    codes[off] = -slot_type(-ones_seen)
+            else:
+                needs.append(-1)
+        if needs:
+            truncated = True
+            unknown = -(m + 1)
+            for off in pending:
+                if codes[off] == 0:
+                    codes[off] = unknown
+    return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
 
 
 @pytest.fixture(scope="session")

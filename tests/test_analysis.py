@@ -19,7 +19,7 @@ from dyckshift.coding import PointWindow, Provenance, sample_minus, sample_plus,
 from dyckshift.measures import tilde_cylinder_value
 from dyckshift.words import NotInLanguage, Word
 
-from conftest import equivalent_word_pairs
+from conftest import equivalent_word_pairs, scan_matching_times
 
 
 def window_of(text: str, lo: int, m: int = 2, prov: Provenance | None = None) -> PointWindow:
@@ -157,6 +157,20 @@ def test_backward_times_land_on_openers_and_forward_on_closers():
             a = t.forward_time(j)
             if a is not None:
                 assert x.code_at(a) < 0  # and first reached by closers
+
+
+@pytest.mark.parametrize("window", [(-30, 30), (0, 40), (-40, 0), (0, 0), (-3, 9)])
+@pytest.mark.parametrize("sampler", [sample_tilde, sample_plus, sample_minus])
+def test_matching_times_equal_the_full_height_scan(sampler, window):
+    """Early-exit scans agree with the whole-walk scan, truncated windows included."""
+    lo, hi = window
+    truncated = 0
+    for x in sampler(2, lo, hi, seed=31, count=60, max_extension=20):
+        truncated += x.truncated
+        for j_max in range(1, 13):
+            assert matching_times(x, j_max) == scan_matching_times(x, j_max), (x.text(), j_max)
+    if sampler is sample_tilde and lo < hi:
+        assert truncated  # the low cap leaves unresolved windows in the mix
 
 
 # ------------------------------------------------------------------ estimates

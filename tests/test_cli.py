@@ -322,6 +322,33 @@ def test_extensions_mass_json_routes_agree(capsys):
     }
 
 
+def test_extensions_mass_horizon(capsys):
+    rc, out, _ = run(capsys, "extensions", "a1 a2", "--mass", "--max-len", "12", "--ratio", "1/20")
+    assert rc == 0
+    assert out.splitlines()[-1] == "# residual first drops below 1/20 of the cylinder mass at length 1020"
+    payload = run_json(capsys, "extensions", "a1", "--mass", "--max-len", "4", "--ratio", "1/4", "--json")
+    assert payload["horizon"] == {"ratio": "1/4", "total_len": 10}
+    assert len(payload["rows"]) == 2
+    plain = run_json(capsys, "extensions", "a1", "--mass", "--max-len", "4", "--json")
+    assert "horizon" not in plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mass", "--ratio", "0"),
+        ("--mass", "--ratio", "-1/2"),
+        ("--mass", "--ratio", "1/0"),
+        ("--mass", "--ratio", "half"),
+        ("--ratio", "1/20"),
+    ],
+)
+def test_extensions_ratio_is_checked(capsys, argv):
+    rc, _, err = run(capsys, "extensions", "a1", *argv)
+    assert rc == 2
+    assert "ratio" in err
+
+
 def test_extensions_reject_zero_words(capsys):
     rc, _, err = run(capsys, "extensions", "a1 b2")
     assert rc == 2

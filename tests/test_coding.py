@@ -1,8 +1,10 @@
+import hashlib
 from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dyckshift.analysis import matching_times
 from dyckshift.coding import (
     SAMPLERS,
     BinaryWindow,
@@ -16,6 +18,8 @@ from dyckshift.coding import (
     apply_coding,
     bit_height_cocycle,
     collapse_minus,
+    _sample_rng,
+    _tilde_window,
     collapse_plus,
     height_cocycle,
     invert_collapse_minus,
@@ -29,7 +33,7 @@ from dyckshift.coding import (
 )
 from dyckshift.words import DyckError, NotInLanguage, Word
 
-from conftest import balanced_words, language_words
+from conftest import balanced_words, bitwise_tilde_window, language_words
 
 
 def window_of(text: str, lo: int, m: int = 2) -> PointWindow:
@@ -382,6 +386,43 @@ def test_truncation_rate_regression():
     stream = sample_tilde(2, 0, 1, seed=3, count=40_000, max_extension=10_000)
     truncated = sum(1 for x in stream if x.truncated)
     assert truncated == 276
+
+
+ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 8, 9, 31, 32, 33, 4000, 100_000])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tilde_walk_equals_the_bitwise_walk(m, cap):
+    """Window by window, and RNG state after it, the same as one bit at a time."""
+    for width in ORACLE_WIDTHS:
+        for lo, hi in ((0, width - 1), (1 - width, 0)):
+            for seed in (0, 5):
+                for index in range(6):
+                    fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                    fast = _tilde_window(m, lo, hi, fast_rng, cap, seed, index)
+                    slow = bitwise_tilde_window(m, lo, hi, slow_rng, cap, seed, index)
+                    assert fast.codes == slow.codes, (width, lo, seed, index)
+                    assert fast.provenance == slow.provenance
+                    assert fast_rng.getstate() == slow_rng.getstate()
+
+
+GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))
+
+
+def test_sampler_streams_are_byte_stable():
+    """Digest of every sampler's windows and their matching times over a grid of
+    alphabets, windows, caps and seeds; a change means the streams changed."""
+    h = hashlib.blake2b(digest_size=16)
+    for name in sorted(SAMPLERS):
+        for m in (1, 2, 3):
+            for lo, hi in GOLDEN_WINDOWS:
+                for cap in (0, 33, 10_000, 100_000):
+                    for seed in (0, 1):
+                        for x in SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap):
+                            t = matching_times(x, 6)
+                            h.update(repr((x.codes, x.provenance, t.forward, t.backward)).encode())
+    assert h.hexdigest() == "bf9c88aa4385590bcee6d2be2d7586e6"
 
 
 def test_plus_letters_drift_upward():
