@@ -10,7 +10,7 @@ labels each half instead.
 import argparse
 from collections import Counter
 
-from dyckshift.analysis import classify_window, empirical_cylinder
+from dyckshift.analysis import classify_window, empirical_cylinders
 from dyckshift.coding import SAMPLERS
 from dyckshift.measures import tilde_cylinder_value
 from dyckshift.words import Word, enumerate_language
@@ -39,15 +39,15 @@ def main() -> None:
 
     if args.measure == "tilde":
         print(f"\n{'cylinder':>14} {'exact':>10} {'empirical':>10} {'sigma':>7}")
-        for n in (1, 2):
-            for w in enumerate_language(n, args.m):
-                exact = tilde_cylinder_value(w)
-                est = empirical_cylinder(samples, w, 0)
-                sigma = est.sigma_distance(exact.value)
-                print(
-                    f"{('[' + w.text() + ']_0'):>14} {float(exact):>10.5f} "
-                    f"{float(est.estimate):>10.5f} {sigma:>7.2f}"
-                )
+        words = [w for n in (1, 2) for w in enumerate_language(n, args.m)]
+        estimates = empirical_cylinders(samples, [(w, 0) for w in words])
+        for w, est in zip(words, estimates):
+            exact = tilde_cylinder_value(w)
+            sigma = est.sigma_distance(exact.value)
+            print(
+                f"{('[' + w.text() + ']_0'):>14} {float(exact):>10.5f} "
+                f"{float(est.estimate):>10.5f} {sigma:>7.2f}"
+            )
     else:
         labels = Counter(
             (d.forward_label, d.backward_label)

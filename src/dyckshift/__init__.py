@@ -75,8 +75,10 @@ from .analysis import (  # noqa: F401
     WindowDiagnostics,
     classify_window,
     empirical_cylinder,
+    empirical_cylinders,
     holonomy_apply,
     match_index_coincidence,
+    match_index_coincidences,
     matching_times,
 )
 

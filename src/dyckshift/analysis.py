@@ -5,11 +5,18 @@ the samplers (or hand-built windows) and stays deliberately finite: matching
 times that fall outside a window are reported as ``None`` rather than
 extended, truncated samples are excluded from estimates but counted, and the
 tail classifier is labeled as the finite-window heuristic it is.
+
+The estimators make one pass over a sample stream for any number of events:
+:func:`empirical_cylinders` tallies each window's block once per needed
+coordinate and length, and :func:`match_index_coincidences` scans each
+window's matching times once, to the deepest depth any event needs.  The
+singular forms are one-event views of the same pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -184,54 +191,97 @@ class EmpiricalEstimate:
         return abs(float(self.estimate) - p0) / sigma
 
 
-def empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
-    """Fraction of non-truncated windows showing ``w`` at coordinate ``k``.
+def empirical_cylinders(
+    samples: Iterable[PointWindow], cylinders: Sequence[tuple[Word, int]]
+) -> list[EmpiricalEstimate]:
+    """Fraction of non-truncated windows showing each ``w`` at its coordinate ``k``.
 
+    One pass: every usable window's block at each needed ``(k, |w|)`` is
+    tallied once, and each ``(w, k)`` reads its hits from the tally.
     Truncated samples are excluded wholesale (and counted); a window that
-    does not cover ``[k, k+|w|)`` is a caller error and raises.
+    does not cover some ``[k, k+|w|)`` is a caller error and raises.
     """
-    hits = trials = truncated = 0
+    cylinders = list(cylinders)
+    spans = sorted({(k, len(w)) for w, k in cylinders})
+    tally: Counter[tuple[int, tuple[int, ...]]] = Counter()
+    trials = truncated = 0
     for x in samples:
         if x.truncated:
             truncated += 1
             continue
         trials += 1
-        if x.carries(w, k):
-            hits += 1
-    return EmpiricalEstimate(f"[{w.text()}]_{k}", hits, trials, excluded_truncated=truncated)
+        codes, lo, hi = x.codes, x.lo, x.hi
+        for k, n in spans:
+            if k < lo or k + n - 1 > hi:
+                raise ValueError(f"cylinder [{k}, {k + n - 1}] outside window [{lo}, {hi}]")
+            tally[k, codes[k - lo : k - lo + n]] += 1
+    return [
+        EmpiricalEstimate(f"[{w.text()}]_{k}", tally[k, w.codes], trials, excluded_truncated=truncated)
+        for w, k in cylinders
+    ]
+
+
+def empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
+    """Fraction of non-truncated windows showing ``w`` at coordinate ``k``."""
+    return empirical_cylinders(samples, [(w, k)])[0]
+
+
+def match_index_coincidences(
+    samples: Iterable[PointWindow], events: Sequence[tuple[int, Sequence[int]]]
+) -> list[EmpiricalEstimate]:
+    """Empirical probabilities that backward matching letters repeat their type.
+
+    Each event ``(offset, js)`` is that the letters at the backward times
+    ``b_j`` and ``b_{j+offset}`` carry equal types for every ``j`` in ``js``.
+    Windows that are truncated, or too short to resolve every time an event
+    needs, are excluded from it and counted separately.  Each window's
+    matching times are scanned once, to the deepest depth any event needs;
+    the first dips to shallower depths are the same in that one scan.
+    """
+    events = [(offset, tuple(js)) for offset, js in events]
+    for offset, js in events:
+        if offset < 1:
+            raise ValueError("offset must be at least 1")
+        if not js or any(j < 1 for j in js):
+            raise ValueError("js must be non-empty positive depths")
+    needs = [max(js) + offset for offset, js in events]
+    j_need = max(needs, default=1)
+    hits = [0] * len(events)
+    trials = [0] * len(events)
+    unresolved = [0] * len(events)
+    truncated = 0
+    for x in samples:
+        if x.truncated:
+            truncated += 1
+            continue
+        codes, lo = x.codes, x.lo
+        types = [None if t is None else codes[t - lo] for t in matching_times(x, j_need).backward]
+        for e, (offset, js) in enumerate(events):
+            # A walk reaches depth j + 1 only after depth j, so an event is
+            # resolved exactly when its deepest time is.
+            if types[needs[e] - 1] is None:
+                unresolved[e] += 1
+                continue
+            trials[e] += 1
+            if all(types[j - 1] == types[j + offset - 1] for j in js):
+                hits[e] += 1
+    return [
+        EmpiricalEstimate(
+            "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js))),
+            hits[e],
+            trials[e],
+            truncated,
+            unresolved[e],
+        )
+        for e, (offset, js) in enumerate(events)
+    ]
 
 
 def match_index_coincidence(
     samples: Iterable[PointWindow], offset: int, js: Sequence[int]
 ) -> EmpiricalEstimate:
-    """Empirical probability that backward matching letters repeat their type.
-
-    For each usable window this resolves the backward times ``b_j`` and
-    ``b_{j+offset}`` for every ``j`` in ``js`` and counts the event that all
-    those letter pairs carry equal types.  Windows that are truncated, or too
-    short to resolve every needed time, are excluded and counted separately.
-    """
-    if offset < 1:
-        raise ValueError("offset must be at least 1")
-    js = tuple(js)
-    if not js or any(j < 1 for j in js):
-        raise ValueError("js must be non-empty positive depths")
-    j_need = max(js) + offset
-    hits = trials = truncated = unresolved = 0
-    for x in samples:
-        if x.truncated:
-            truncated += 1
-            continue
-        times = matching_times(x, j_need)
-        needed = [(times.backward[j - 1], times.backward[j + offset - 1]) for j in js]
-        if any(t is None or u is None for t, u in needed):
-            unresolved += 1
-            continue
-        trials += 1
-        if all(x.code_at(t) == x.code_at(u) for t, u in needed):
-            hits += 1
-    event = "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js)))
-    return EmpiricalEstimate(event, hits, trials, truncated, unresolved)
+    """Empirical probability that backward matching letters repeat their type at ``(offset, js)``."""
+    return match_index_coincidences(samples, [(offset, js)])[0]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,12 @@ have unresolved closers are emitted with their provenance flagged truncated
 their opener/closer kind but an unknown type, rendered ``a?``/``b?``.  The
 tilde walk applies its fair bits a run at a time, up to a whole 32-bit
 word, wherever no match can fall among them, and bit by bit near a possible
-match; it reads the same bits in the same order as a bit-at-a-time walk,
-so every seeded stream is unchanged.
+match; it reads the same bits in the same order as a bit-at-a-time walk.
+Type and letter draws are rejection-sampled from ``getrandbits`` exactly as
+CPython's ``randrange`` draws them (see :func:`_below`), so every seeded
+stream is unchanged.  Sampled windows are built without re-validation,
+because the samplers emit language words (or flagged truncated windows) by
+construction.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ class PointWindow:
     truncated samples may contain.  A fully resolved window is checked to be
     a language word on construction — and a window word is in the language
     exactly when all its sub-blocks are, since annihilation is absorbing.
+    The samplers build their windows through a trusted constructor that
+    skips these checks; ``tests/test_coding.py`` re-validates every window
+    of the golden-digest grid through this public constructor.
     """
 
     m: int
@@ -124,7 +131,8 @@ class PointWindow:
 
     def mirror(self) -> "PointWindow":
         """Reverse coordinates about the origin and swap opener/closer kinds."""
-        return PointWindow(self.m, -self.hi, -self.lo, tuple(-c for c in reversed(self.codes)))
+        codes = tuple(-c for c in reversed(self.codes))
+        return PointWindow(self.m, -self.hi, -self.lo, codes, self.provenance)
 
     def text(self) -> str:
         return " ".join(
@@ -389,6 +397,34 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, consuming the stream as ``randrange(n)`` does.
+
+    CPython's ``Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
+    and redraws while the value is at least ``n``; calling that rule
+    directly skips ``randrange``'s argument handling and leaves the same
+    generator state.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _trusted_window(
+    m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance
+) -> PointWindow:
+    """A sampler's window, built without ``PointWindow``'s validation.
+
+    The samplers match every resolved closer to an opener of its type, so
+    their windows are language words (or flagged truncated) by construction.
+    """
+    x = object.__new__(PointWindow)
+    x.__dict__.update(m=m, lo=lo, hi=hi, codes=codes, provenance=provenance)
+    return x
+
+
 def _check_window(lo: int, hi: int) -> None:
     if not lo <= 0 <= hi:
         raise ValueError(f"sampling window [{lo}, {hi}] must contain the origin")
@@ -398,10 +434,11 @@ def _tilde_window(
     m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
 ) -> PointWindow:
     width = hi - lo + 1
+    getrandbits = rng.getrandbits
     # Fair bits are read LSB-first from 32-bit words; one getrandbits call
     # for whole words draws the same words in the same order.
     words = (width + 31) // 32
-    pool = rng.getrandbits(32 * words)
+    pool = getrandbits(32 * words)
     bits = format(pool, f"0{32 * words}b")[: -width - 1 : -1]  # LSB first; "1" = opener
     buf, left = pool >> width, 32 * words - width
 
@@ -413,7 +450,7 @@ def _tilde_window(
     pending: list[int] = []  # offsets of closers whose opener is left of the window
     for off, b in enumerate(bits):
         if b == "1":
-            t = rng.randrange(m) + 1
+            t = _below(getrandbits, m) + 1
             codes[off] = t
             stack.append(t)
         elif stack:
@@ -432,14 +469,14 @@ def _tilde_window(
         j = anon = walked = 0
         while j < len(pending) and walked < max_extension:
             if not left:
-                buf, left = rng.getrandbits(32), 32
+                buf, left = getrandbits(32), 32
             if anon:
                 k = min(anon, left, max_extension - walked)
                 anon += k - 2 * (buf & ((1 << k) - 1)).bit_count()
             else:
                 k = 1
                 if buf & 1:
-                    codes[pending[j]] = -(rng.randrange(m) + 1)
+                    codes[pending[j]] = -(_below(getrandbits, m) + 1)
                     j += 1
                 else:
                     anon = 1
@@ -451,14 +488,15 @@ def _tilde_window(
             unknown = -(m + 1)
             for off in pending[j:]:
                 codes[off] = unknown
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
+    return _trusted_window(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
 
 
 def _plus_window(
     m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
 ) -> PointWindow:
     width = hi - lo + 1
-    letters = [rng.randrange(m + 1) for _ in range(width)]  # 0 = anonymous closer
+    getrandbits = rng.getrandbits
+    letters = [_below(getrandbits, m + 1) for _ in range(width)]  # 0 = anonymous closer
     codes = [0] * width
     stack: list[int] = []
     pending: list[int] = []
@@ -476,7 +514,7 @@ def _plus_window(
         walked = 0
         while needs and walked < max_extension:
             walked += 1
-            v = rng.randrange(m + 1)
+            v = _below(getrandbits, m + 1)
             if v:
                 off = needs.pop()
                 if off >= 0:
@@ -489,7 +527,7 @@ def _plus_window(
             for off in pending:
                 if codes[off] == 0:
                     codes[off] = unknown
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
+    return _trusted_window(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
 
 
 def sample_tilde(
@@ -537,7 +575,7 @@ def sample_minus(
         source = _plus_window(m, -hi, -lo, _sample_rng(seed, index), max_extension, seed, index)
         mirrored = tuple(-c for c in reversed(source.codes))
         prov = Provenance("minus", seed, index, source.provenance.truncated)
-        yield PointWindow(m, lo, hi, mirrored, prov)
+        yield _trusted_window(m, lo, hi, mirrored, prov)
 
 
 SAMPLERS: dict[str, Callable[..., Iterator[PointWindow]]] = {

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .analysis import EmpiricalEstimate, empirical_cylinder, match_index_coincidence
-from .coding import PointWindow, sample_plus, sample_tilde
+from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
+from .coding import sample_plus, sample_tilde
 from .measures import (
     balanced_cylinder_value,
     cylinder_exponents,
@@ -406,20 +406,14 @@ def _check_sampler_formula(seed: int) -> _Outcome:
     must never occur at all.
     """
     count = 100_000
-    samples = list(sample_tilde(2, 0, 1, seed=seed, count=count, max_extension=100_000))
-    truncated = sum(1 for x in samples if x.truncated)
-    checks = []
-    for w in _language_words(2, 2):
-        est = empirical_cylinder(samples, w, 0)
-        checks.append((est, tilde_cylinder_value(w).value))
-    worst, over = _sigma_summary(checks)
-    dead = [
-        Word(2, (1, -2)), Word(2, (2, -1)),
-    ]
-    ghosts = [
-        w.text() for w in dead
-        if any(not x.truncated and x.carries(w, 0) for x in samples)
-    ]
+    samples = sample_tilde(2, 0, 1, seed=seed, count=count, max_extension=100_000)
+    words = _language_words(2, 2)
+    dead = [Word(2, (1, -2)), Word(2, (2, -1))]
+    ests = empirical_cylinders(samples, [(w, 0) for w in words + dead])
+    live, forbidden = ests[: len(words)], ests[len(words) :]
+    truncated = ests[0].excluded_truncated
+    worst, over = _sigma_summary((est, tilde_cylinder_value(w).value) for w, est in zip(words, live))
+    ghosts = [w.text() for w, est in zip(dead, forbidden) if est.hits]
     ok = len(over) <= 2 and not ghosts
     observed = (
         f"worst deviation {worst:.2f} sigma across 18 cylinders; "
@@ -436,15 +430,13 @@ def _check_sampler_formula(seed: int) -> _Outcome:
 def _check_shift_invariance(seed: int) -> _Outcome:
     """The same cylinder at coordinates 0 and 5 must fill at the same rate."""
     count = 50_000
-    samples = list(sample_tilde(2, 0, 6, seed=seed + 1, count=count, max_extension=100_000))
-    truncated = sum(1 for x in samples if x.truncated)
+    samples = sample_tilde(2, 0, 6, seed=seed + 1, count=count, max_extension=100_000)
+    words = [w for w in _language_words(2, 2) if len(w) == 2]
+    ests = empirical_cylinders(samples, [(w, k) for w in words for k in (0, 5)])
+    truncated = ests[0].excluded_truncated
     worst = 0.0
     over = []
-    for w in _language_words(2, 2):
-        if len(w) != 2:
-            continue
-        at0 = empirical_cylinder(samples, w, 0)
-        at5 = empirical_cylinder(samples, w, 5)
+    for w, at0, at5 in zip(words, ests[::2], ests[1::2]):
         spread = math.hypot(at0.stderr, at5.stderr)
         sd = abs(float(at0.estimate) - float(at5.estimate)) / spread
         worst = max(worst, sd)
@@ -462,18 +454,17 @@ def _check_shift_invariance(seed: int) -> _Outcome:
 def _check_plus_invariance(seed: int) -> _Outcome:
     """Type-exchange symmetry of the typed-opener sampler, plus exact marginals."""
     count = 100_000
-    samples = list(sample_plus(2, 0, 2, seed=seed + 2, count=count, max_extension=10_000))
-    truncated = sum(1 for x in samples if x.truncated)
+    samples = sample_plus(2, 0, 2, seed=seed + 2, count=count, max_extension=10_000)
     pairs = [
         (Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), Fraction(1, 9)),
         (Word.parse("a1 a1 b1", 2), Word.parse("a1 a2 b2", 2), Fraction(1, 27)),
     ]
+    ests = empirical_cylinders(samples, [(v, 0) for w, w2, _ in pairs for v in (w, w2)])
+    truncated = ests[0].excluded_truncated
     over = []
     worst = 0.0
     abs_checks = []
-    for w, w2, target in pairs:
-        e1 = empirical_cylinder(samples, w, 0)
-        e2 = empirical_cylinder(samples, w2, 0)
+    for (_, _, target), e1, e2 in zip(pairs, ests[::2], ests[1::2]):
         spread = math.hypot(e1.stderr, e2.stderr)
         sd = abs(float(e1.estimate) - float(e2.estimate)) / spread
         worst = max(worst, sd)
@@ -505,20 +496,20 @@ def _check_index_coincidence(seed: int) -> _Outcome:
     on the types under test) and the resolution rate is reported.
     """
     count = 20_000
-    samples = list(sample_tilde(2, -200, 0, seed=seed + 3, count=count, max_extension=4_000))
-    truncated = sum(1 for x in samples if x.truncated)
+    samples = sample_tilde(2, -200, 0, seed=seed + 3, count=count, max_extension=4_000)
+    events = [(offset, js) for offset in (1, 2) for js in ((1,), (1, 2), (1, 2, 3))]
+    ests = match_index_coincidences(samples, events)
+    truncated = ests[0].excluded_truncated
     over = []
     worst = 0.0
     rates = []
-    for offset in (1, 2):
-        for js in ((1,), (1, 2), (1, 2, 3)):
-            est = match_index_coincidence(samples, offset, js)
-            target = Fraction(1, 2 ** len(js))
-            sd = est.sigma_distance(target)
-            worst = max(worst, sd)
-            rates.append(f"c={offset} J={{{','.join(map(str, js))}}}: resolution {est.resolution_rate:.3f}")
-            if sd > 3.0:
-                over.append(f"{est.event}: {float(est.estimate):.5f} vs {float(target):.5f} ({sd:.2f} sigma)")
+    for (offset, js), est in zip(events, ests):
+        target = Fraction(1, 2 ** len(js))
+        sd = est.sigma_distance(target)
+        worst = max(worst, sd)
+        rates.append(f"c={offset} J={{{','.join(map(str, js))}}}: resolution {est.resolution_rate:.3f}")
+        if sd > 3.0:
+            over.append(f"{est.event}: {float(est.estimate):.5f} vs {float(target):.5f} ({sd:.2f} sigma)")
     ok = not over
     return (
         ok,

@@ -5,12 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from dyckshift.analysis import MatchingTimes
+from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, matching_times
 from dyckshift.coding import PointWindow, Provenance, height_cocycle
 from dyckshift.measures import ExtensionMassRow, catalan_convolution, tilde_cylinder_value
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
@@ -267,6 +267,43 @@ def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
         if -j_max <= h <= -1 and backward[-h - 1] is None:
             backward[-h - 1] = k
     return MatchingTimes(tuple(forward), tuple(backward))
+
+
+def rescan_empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
+    """Oracle for ``analysis.empirical_cylinders``: one pass over the samples per cylinder."""
+    hits = trials = truncated = 0
+    for x in samples:
+        if x.truncated:
+            truncated += 1
+            continue
+        trials += 1
+        if x.carries(w, k):
+            hits += 1
+    return EmpiricalEstimate(f"[{w.text()}]_{k}", hits, trials, excluded_truncated=truncated)
+
+
+def rescan_match_index_coincidence(
+    samples: Iterable[PointWindow], offset: int, js: Sequence[int]
+) -> EmpiricalEstimate:
+    """Oracle for ``analysis.match_index_coincidences``: one event per pass, each
+    window's matching times scanned to that event's own depth."""
+    js = tuple(js)
+    j_need = max(js) + offset
+    hits = trials = truncated = unresolved = 0
+    for x in samples:
+        if x.truncated:
+            truncated += 1
+            continue
+        times = matching_times(x, j_need)
+        needed = [(times.backward[j - 1], times.backward[j + offset - 1]) for j in js]
+        if any(t is None or u is None for t, u in needed):
+            unresolved += 1
+            continue
+        trials += 1
+        if all(x.code_at(t) == x.code_at(u) for t, u in needed):
+            hits += 1
+    event = "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js)))
+    return EmpiricalEstimate(event, hits, trials, truncated, unresolved)
 
 
 class _BitStream:

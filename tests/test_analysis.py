@@ -11,15 +11,22 @@ from dyckshift.analysis import (
     MatchingTimes,
     classify_window,
     empirical_cylinder,
+    empirical_cylinders,
     holonomy_apply,
     match_index_coincidence,
+    match_index_coincidences,
     matching_times,
 )
-from dyckshift.coding import PointWindow, Provenance, sample_minus, sample_plus, sample_tilde
+from dyckshift.coding import SAMPLERS, PointWindow, Provenance, sample_minus, sample_plus, sample_tilde
 from dyckshift.measures import tilde_cylinder_value
-from dyckshift.words import NotInLanguage, Word
+from dyckshift.words import NotInLanguage, Word, iter_language_stats
 
-from conftest import equivalent_word_pairs, scan_matching_times
+from conftest import (
+    equivalent_word_pairs,
+    rescan_empirical_cylinder,
+    rescan_match_index_coincidence,
+    scan_matching_times,
+)
 
 
 def window_of(text: str, lo: int, m: int = 2, prov: Provenance | None = None) -> PointWindow:
@@ -221,6 +228,50 @@ def test_empirical_cylinder_counts_and_excludes():
 def test_empirical_cylinder_rejects_uncovered_coordinates():
     with pytest.raises(ValueError):
         empirical_cylinder([window_of("a1 b1", 0)], Word.parse("a1 a1", 2), 1)
+    with pytest.raises(ValueError):
+        empirical_cylinders([window_of("a1 b1", 0)], [(Word.parse("a1", 2), 0), (Word.parse("b1", 2), 5)])
+
+
+# Two-letter dead patterns never occur in a resolved window.
+DEAD = (Word(2, (1, -2)), Word(2, (2, -1)))
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_empirical_cylinders_equal_the_rescan_oracle(sampler):
+    # A leftward cap of 1 leaves some windows of every sampler truncated.
+    samples = list(SAMPLERS[sampler](2, -1, 6, seed=4, count=3000, max_extension=1))
+    assert any(x.truncated for x in samples) and not all(x.truncated for x in samples)
+    words = [Word(2, codes) for n in (1, 2) for codes, _, _ in iter_language_stats(n, 2)]
+    cylinders = [(w, k) for w in words + list(DEAD) for k in (-1, 0, 5)]
+    tallied = empirical_cylinders(samples, cylinders)
+    assert tallied == [rescan_empirical_cylinder(samples, w, k) for w, k in cylinders]
+    assert all(est.hits == 0 for est, (w, _) in zip(tallied, cylinders) if w in DEAD)
+    assert sum(est.hits for est in tallied) > 0
+
+
+INDEX_EVENTS = [(offset, js) for offset in (1, 2) for js in ((1,), (1, 2), (1, 2, 3))]
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_match_index_coincidences_equal_the_per_event_oracle(sampler):
+    samples = list(SAMPLERS[sampler](2, -40, 0, seed=6, count=1500, max_extension=20))
+    tallied = match_index_coincidences(samples, INDEX_EVENTS)
+    assert tallied == [rescan_match_index_coincidence(samples, c, js) for c, js in INDEX_EVENTS]
+    assert all(est.trials > 0 for est in tallied)
+    # the deepest event is unresolved on some windows that resolve the shallowest
+    assert tallied[-1].excluded_unresolved > tallied[0].excluded_unresolved
+
+
+def test_estimators_accept_one_shot_generators():
+    def stream():
+        return sample_tilde(2, -40, 5, seed=2, count=400, max_extension=20)
+
+    samples = list(stream())
+    cylinders = [(Word.parse("a1 b1", 2), 0), (Word.parse("b2", 2), 5)]
+    assert empirical_cylinders(stream(), cylinders) == empirical_cylinders(samples, cylinders)
+    assert empirical_cylinder(stream(), *cylinders[0]) == rescan_empirical_cylinder(samples, *cylinders[0])
+    assert match_index_coincidences(stream(), INDEX_EVENTS) == match_index_coincidences(samples, INDEX_EVENTS)
+    assert match_index_coincidence(stream(), 2, (1, 2)) == rescan_match_index_coincidence(samples, 2, (1, 2))
 
 
 def test_match_index_coincidence_validates_arguments():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import islice
 
 import pytest
@@ -18,6 +19,7 @@ from dyckshift.coding import (
     apply_coding,
     bit_height_cocycle,
     collapse_minus,
+    _below,
     _sample_rng,
     _tilde_window,
     collapse_plus,
@@ -99,6 +101,23 @@ def test_window_mirror_reflects_about_origin():
     assert (y.lo, y.hi) == (-1, 1)
     assert y.text() == "b2 a1 b1"
     assert y.mirror().codes == x.codes
+
+
+def test_mirror_keeps_provenance():
+    prov = Provenance("tilde", 0, 2, True)
+    y = PointWindow(2, 0, 1, (-3, 1), prov).mirror()
+    assert (y.lo, y.hi, y.codes, y.provenance) == (-1, 0, (-1, 3), prov)
+    assert y.text() == "b1 a?"
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 1), (-3, 2), (-8, 0)])
+def test_sampled_windows_mirror_and_round_trip(lo, hi):
+    samples = list(sample_tilde(2, lo, hi, seed=9, count=200, max_extension=0))
+    assert any(x.truncated for x in samples) and not all(x.truncated for x in samples)
+    for x in samples:
+        y = x.mirror()
+        assert (y.lo, y.hi, y.provenance) == (-hi, -lo, x.provenance)
+        assert y.mirror() == x
 
 
 # ----------------------------------------------- height walks and matching
@@ -423,6 +442,27 @@ def test_sampler_streams_are_byte_stable():
                             t = matching_times(x, 6)
                             h.update(repr((x.codes, x.provenance, t.forward, t.backward)).encode())
     assert h.hexdigest() == "bf9c88aa4385590bcee6d2be2d7586e6"
+
+
+def test_sampled_windows_pass_public_validation():
+    """The samplers skip ``PointWindow`` validation; every golden-grid window
+    must pass it and come out equal."""
+    for name in sorted(SAMPLERS):
+        for m in (1, 2, 3):
+            for lo, hi in GOLDEN_WINDOWS:
+                for cap in (0, 33, 10_000, 100_000):
+                    for seed in (0, 1):
+                        for x in SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap):
+                            checked = PointWindow(x.m, x.lo, x.hi, x.codes, x.provenance)
+                            assert type(x) is PointWindow and checked == x
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_draws_consume_the_stream_as_randrange(n):
+    for seed in (0, 1, 2024):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [_below(ours.getrandbits, n) for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_plus_letters_drift_upward():
