@@ -80,16 +80,26 @@ class MeasureValue:
 def cylinder_exponents(codes: Sequence[int]) -> tuple[int, int] | None:
     """Exponents ``(two_exp, m_exp)`` of the cylinder mass ``2^-two_exp * m^-m_exp``.
 
-    The one pricing core: ``two_exp`` is the word length and ``m_exp`` counts
-    matched pairs plus loose letters.  Returns ``None`` for words that reduce
-    to zero, whose cylinders are empty.
+    The word is reduced from scratch and priced by :func:`residue_exponents`.
+    Returns ``None`` for words that reduce to zero, whose cylinders are empty.
     """
-    found = residue(codes)
+    return residue_exponents(residue(codes), len(codes))
+
+
+def residue_exponents(
+    found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int
+) -> tuple[int, int] | None:
+    """The one pricing rule: exponents of a word from its length and residue.
+
+    ``found`` is the word's :func:`~dyckshift.words.residue`, however it was
+    scanned.  ``two_exp`` is the word length and ``m_exp`` counts matched
+    pairs plus loose letters; ``None`` (zero) prices to ``None``.
+    """
     if found is None:
         return None
-    loose = len(found[0]) + len(found[1])
-    # pairs + loose, with pairs = (len - loose) / 2
-    return len(codes), (len(codes) + loose) // 2
+    closers, openers = found
+    # pairs + loose, with pairs = (length - loose) / 2
+    return length, (length + len(closers) + len(openers)) // 2
 
 
 def cylinder_value_from_codes(codes: tuple[int, ...], m: int) -> Fraction:

@@ -30,9 +30,10 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
 from .coding import sample_plus, sample_tilde
@@ -42,10 +43,12 @@ from .measures import (
     entropy_report,
     mass_length_for_residual,
     minimal_extension_mass,
+    residue_exponents,
     tilde_cylinder_value,
 )
 from .words import (
     Word,
+    advance,
     count_balanced,
     count_language,
     enumerate_balanced,
@@ -79,56 +82,72 @@ class CheckResult:
 _Outcome = tuple[bool, str, str, tuple[str, ...]]
 
 
+_CYLINDER_SCOPES = ((2, 10), (3, 8))
+# Words of one length whose one-letter extensions are stepped together.
+_WORD_BATCH = 512
+
+
 def _check_cylinder_consistency(seed: int) -> _Outcome:
     """One-letter extension additivity plus per-length normalization.
 
     The left side of each comparison comes from enumeration statistics (the
-    depth-first walk tracks pairs/loose counts incrementally); the right side
-    is a sum over the one-letter extensions, each re-reduced from scratch and
-    priced by its exponents.  Both sides are integers: masses at length ``n``
-    scaled by ``2^(n+1) m^(n+1)``.  The two routes share no state, so
-    agreement is meaningful.
+    depth-first walk tracks pairs/loose counts incrementally).  The right
+    side reduces each walked word from scratch with ``residue``, never
+    reusing the walk's state, takes one ``advance`` step for each of the
+    ``2m`` extension letters (annihilating ones included) and prices every
+    result by ``residue_exponents``; the words of one length go through in
+    batches of ``_WORD_BATCH``, one step per letter and batch.  Both sides
+    are integers: masses at length ``n`` scaled by ``2^(n+1) m^(n+1)``.  The
+    two routes share no state, so agreement is meaningful.
     """
     del seed
     bad: list[str] = []
     checked = 0
-    for m, n_max in ((2, 10), (3, 8)):
+    for m, n_max in _CYLINDER_SCOPES:
         ext = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
         for n in range(n_max + 1):
             pow2 = 2**n
+            top = n + 1
             # m_pow[k] = m^k; a length-n cylinder with m-exponent e scales to
             # 2 m^(n+1-e), a length-(n+1) extension with m-exponent e' to m^(n+1-e').
             m_pow = [m**k for k in range(n + 2)]
-            level: dict[int, int] = {}
-            for codes, pairs, loose in iter_language_stats(n, m):
-                e = pairs + loose
-                level[e] = level.get(e, 0) + 1
-                # Independent route: fully re-reduce each one-letter extension
-                # from scratch and sum the priced results exactly.
-                rhs = 0
-                for c in ext:
-                    exponents = cylinder_exponents(codes + (c,))
-                    if exponents is not None:
-                        rhs += m_pow[n + 1 - exponents[1]]
-                lhs = 2 * m_pow[n + 1 - e]
-                checked += 1
-                if rhs != lhs:
-                    if len(bad) < 5:
-                        scale = 2 * pow2 * m_pow[n + 1]
+            level: Counter[int] = Counter()
+            stats = iter_language_stats(n, m)
+            while batch := list(itertools.islice(stats, _WORD_BATCH)):
+                exps = [pairs + loose for _, pairs, loose in batch]
+                level.update(exps)
+                lhs = [2 * m_pow[top - e] for e in exps]
+                found = [residue(codes) for codes, _, _ in batch]
+                # one column per extension letter: the scaled extension masses
+                columns = [
+                    [
+                        0 if priced is None else m_pow[top - priced[1]]
+                        for priced in map(residue_exponents, advance(found, c), itertools.repeat(top))
+                    ]
+                    for c in ext
+                ]
+                rhs = list(map(sum, zip(*columns)))
+                checked += len(batch)
+                if rhs == lhs:
+                    continue
+                scale = 2 * pow2 * m_pow[top]
+                for (codes, _, _), left, right in zip(batch, lhs, rhs):
+                    if left != right and len(bad) < 5:
                         bad.append(
                             f"m={m} word={' '.join(map(str, codes))}: "
-                            f"{Fraction(lhs, scale)} != sum {Fraction(rhs, scale)}"
+                            f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
                         )
             total = sum(Fraction(c, pow2 * m**e) for e, c in level.items())
             if total != 1:
                 bad.append(f"m={m} n={n}: level mass {total} != 1")
     if bad:
         return False, "; ".join(bad), "exact equality everywhere", ()
+    levels = sum(n_max + 1 for _, n_max in _CYLINDER_SCOPES)
     return (
         True,
-        f"{checked} cylinders additively exact; all 20 levels sum to 1",
+        f"{checked} cylinders additively exact; all {levels} levels sum to 1",
         "sum of one-letter extension masses equals each cylinder mass; levels sum to 1",
-        ("scopes: m=2 lengths 0..10, m=3 lengths 0..8",),
+        ("scopes: " + ", ".join(f"m={m} lengths 0..{n_max}" for m, n_max in _CYLINDER_SCOPES),),
     )
 
 
@@ -155,54 +174,122 @@ def _check_balanced_law(seed: int) -> _Outcome:
     )
 
 
-def _bucket_by_residue(n_max: int, m: int) -> dict[tuple, list[tuple[int, ...]]]:
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+def _residue_keys(n_max: int, m: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Every language block of length <= ``n_max`` with its ``(length, *residue)`` key.
+
+    Blocks come by length, then lexicographically, so each class's first
+    block is its lexicographically first.
+    """
     for n in range(n_max + 1):
         for codes, _, _ in iter_language_stats(n, m):
-            buckets.setdefault((n, *residue(codes)), []).append(codes)
-    return buckets
+            yield codes, (n, *residue(codes))
+
+
+def _shared_keys(n_max: int, m: int) -> set[tuple]:
+    """Keys of the residue classes that hold two or more blocks of length <= ``n_max``."""
+    sizes = Counter(key for _, key in _residue_keys(n_max, m))
+    return {key for key, size in sizes.items() if size > 1}
+
+
+def _shared_classes(n_max: int, m: int, shared: set[tuple]) -> dict[tuple, list[tuple[int, ...]]]:
+    """The blocks of each shared class, in :func:`_residue_keys` order."""
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for codes, key in _residue_keys(n_max, m):
+        if key in shared:
+            classes.setdefault(key, []).append(codes)
+    return classes
+
+
+def _codes_text(codes: tuple[int, ...]) -> str:
+    return " ".join(map(str, codes)) or "(empty)"
+
+
+# Contexts carried by one trie walk.  The representatives' scans held at once
+# grow with it; 46 walks the 227 contexts of length <= 4 in five even slices.
+_CONTEXT_SLICE = 46
+
+
+def _swap_sweep(
+    contexts: Sequence[tuple[int, ...]], n_max: int, m: int, shared: set[tuple]
+) -> tuple[int, str | None]:
+    """Every block of length <= ``n_max`` against its class representative, in every context.
+
+    A block's class is its ``(length, *residue)`` key; only the ``shared``
+    classes, those with two or more blocks, are compared.  One preorder walk
+    over the trie of language blocks per slice of ``_CONTEXT_SLICE``
+    contexts advances every context's scan state by one letter along each
+    trie edge, so the states at block ``w`` are ``residue(s + w)`` for each
+    context ``s``.  A class's representative is its first block in
+    preorder, the lexicographically first; its scans ``residue(s + rep)``
+    are reduced from scratch, and each later member's states are compared
+    with them as one list.  Blocks are keyed and pruned by their own
+    ``residue``, also from scratch.
+
+    Returns the number of (block, context) comparisons and, at the first
+    mismatch, a message naming the context and both blocks (else ``None``).
+    """
+    # Pushed in reverse, so the walk pops a1 < .. < am < b1 < .. < bm.
+    letters = tuple(range(-m, 0)) + tuple(range(m, 0, -1))
+    comparisons = 0
+    for start in range(0, len(contexts), _CONTEXT_SLICE):
+        part = contexts[start : start + _CONTEXT_SLICE]
+        reps: dict[tuple, tuple[tuple[int, ...], list]] = {}
+        interned: dict = {}
+        pending: list[tuple[tuple[int, ...], int, list]] = [((), 0, [residue(s) for s in part])]
+        while pending:
+            w, code, states = pending.pop()
+            found = residue(w)
+            if found is None:
+                continue
+            if code:
+                states = advance(states, code)
+            key = (len(w), *found)
+            if key in shared:
+                rep = reps.get(key)
+                if rep is None:
+                    reps[key] = (w, [interned.setdefault(r, r) for r in (residue(s + w) for s in part)])
+                else:
+                    comparisons += len(part)
+                    if states != rep[1]:
+                        i = next(i for i, (a, b) in enumerate(zip(states, rep[1])) if a != b)
+                        return comparisons, (
+                            f"context {_codes_text(part[i])} sees "
+                            f"{_codes_text(w)} != {_codes_text(rep[0])}"
+                        )
+            if len(w) < n_max:
+                pending.extend((w + (c,), c, states) for c in letters)
+    return comparisons, None
 
 
 def _check_block_swap(seed: int) -> _Outcome:
     """Swapping equivalent same-length blocks never changes a cylinder mass.
 
     Three sweeps: (a) every word of length <= 8 against its equivalence-class
-    representative under every left context of length <= 4, compared by full
-    stack reduction; (b) exhaustive two-sided contexts of length <= 2 around
-    every word of length <= 6, compared by direct mass evaluation; (c) seeded
-    random two-sided triples at the full stated sizes.  Masses are compared
-    by their exponents: the words compared have equal lengths, so equal
-    exponents mean equal masses.  Checking members against one
+    representative under every left context of length <= 4, compared by
+    stack reduction (:func:`_swap_sweep`): the representative's scans are
+    reduced from scratch, every other block's are advanced one letter per
+    edge of the block trie; (b) exhaustive two-sided contexts of length <= 2
+    around every word of length <= 6, compared by direct mass evaluation;
+    (c) seeded random two-sided triples at the full stated sizes.  Masses
+    are compared by their exponents: the words compared have equal lengths,
+    so equal exponents mean equal masses.  Checking members against one
     representative covers all pairs, since equality of masses is transitive.
     """
     m = 2
     contexts4: list[tuple[int, ...]] = []
     for n in range(5):
         contexts4.extend(codes for codes, _, _ in iter_language_stats(n, m))
-    buckets8 = _bucket_by_residue(8, m)
-
-    stack_comparisons = 0
-    for _, members in buckets8.items():
-        if len(members) < 2:
-            continue
-        rep = members[0]
-        base = [residue(s + rep) for s in contexts4]
-        for w in members[1:]:
-            for s, expect in zip(contexts4, base):
-                stack_comparisons += 1
-                if residue(s + w) != expect:
-                    return (
-                        False,
-                        f"contexts see {' '.join(map(str, w))} != {' '.join(map(str, rep))}",
-                        "equivalent blocks are indistinguishable to every context",
-                        (),
-                    )
+    shared = _shared_keys(8, m)
+    stack_comparisons, failure = _swap_sweep(contexts4, 8, m, shared)
+    if failure is not None:
+        return False, failure, "equivalent blocks are indistinguishable to every context", ()
+    # Collected after sweep (a), which needs only the keys, so the two never coexist.
+    classes8 = _shared_classes(8, m, shared)
 
     contexts2 = [c for c in contexts4 if len(c) <= 2]
-    buckets6 = {k: v for k, v in buckets8.items() if k[0] <= 6}
     mass_comparisons = 0
-    for _, members in buckets6.items():
-        if len(members) < 2:
+    for key, members in classes8.items():
+        if key[0] > 6:
             continue
         rep = members[0]
         for s in contexts2:
@@ -219,7 +306,7 @@ def _check_block_swap(seed: int) -> _Outcome:
                         )
 
     rng = random.Random(f"{seed}:block-swap")
-    rich = [v for v in buckets8.values() if len(v) >= 2]
+    rich = list(classes8.values())
     random_comparisons = 20_000
     for _ in range(random_comparisons):
         s = rng.choice(contexts4)
@@ -416,7 +503,7 @@ def _check_sampler_formula(seed: int) -> _Outcome:
     ghosts = [w.text() for w, est in zip(dead, forbidden) if est.hits]
     ok = len(over) <= 2 and not ghosts
     observed = (
-        f"worst deviation {worst:.2f} sigma across 18 cylinders; "
+        f"worst deviation {worst:.2f} sigma across {len(words)} cylinders; "
         f"{len(over)} above 3 sigma; out-of-language patterns seen: {len(ghosts)}"
     )
     detail = (
@@ -424,7 +511,7 @@ def _check_sampler_formula(seed: int) -> _Outcome:
         *over,
         *(f"forbidden pattern observed: {g}" for g in ghosts),
     )
-    return ok, observed, "at most 2 of 18 events beyond 3 sigma; forbidden patterns absent", detail
+    return ok, observed, f"at most 2 of {len(words)} events beyond 3 sigma; forbidden patterns absent", detail
 
 
 def _check_shift_invariance(seed: int) -> _Outcome:
@@ -445,7 +532,7 @@ def _check_shift_invariance(seed: int) -> _Outcome:
     ok = not over
     return (
         ok,
-        f"worst origin-vs-shift gap {worst:.2f} sigma across 14 two-letter cylinders",
+        f"worst origin-vs-shift gap {worst:.2f} sigma across {len(words)} two-letter cylinders",
         "every length-2 cylinder frequency equal at coordinates 0 and 5 within 3 sigma",
         (f"seed {seed + 1}, {count} samples on window [0, 6], truncation rate {truncated / count:.4%}", *over),
     )
@@ -513,7 +600,7 @@ def _check_index_coincidence(seed: int) -> _Outcome:
     ok = not over
     return (
         ok,
-        f"worst coincidence deviation {worst:.2f} sigma across 6 events",
+        f"worst coincidence deviation {worst:.2f} sigma across {len(events)} events",
         "matching-type coincidence probability equals 2^-|J| within 3 sigma",
         (
             f"seed {seed + 3}, {count} samples on window [-200, 0], "

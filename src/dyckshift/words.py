@@ -10,6 +10,12 @@ cancels away completely.
 Words are immutable; letters are stored as signed integer codes (``+i`` for
 ``a<i>``, ``-i`` for ``b<i>``), which keeps the hot loops — reduction,
 enumeration, matching — on plain ints.
+
+Reduction is one left-to-right stack scan.  :func:`residue` runs it over a
+whole word from scratch; :func:`advance` is the same scan's one-letter step,
+taken for a batch of words at once, so callers that extend many words by a
+shared letter (a trie walk, the one-letter extensions of a cylinder) scan
+each prefix once.
 """
 
 from __future__ import annotations
@@ -250,7 +256,10 @@ ZERO = NormalForm(True)
 IDENTITY = NormalForm(False)
 
 
-def residue(codes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+_Residue = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def residue(codes: Sequence[int]) -> _Residue | None:
     """Stack reduction of raw signed codes: ``(closer types, opener types)``.
 
     The one stack-matching core of the package.  Returns ``None`` when the
@@ -268,6 +277,30 @@ def residue(codes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | N
         else:
             closers.append(-c)
     return tuple(closers), tuple(stack)
+
+
+def advance(states: Sequence[_Residue | None], code: int) -> list[_Residue | None]:
+    """One letter of :func:`residue`'s scan, taken for a batch of words.
+
+    ``states`` holds ``residue`` values; the result holds the residues of
+    the same words followed by the letter ``code``, so that
+    ``advance([residue(u)], c) == [residue(u + (c,))]``.  ``None`` stays
+    ``None``: zero is absorbing.
+    """
+    if code > 0:
+        pushed = (code,)
+        return [None if s is None else (s[0], s[1] + pushed) for s in states]
+    t = -code
+    loose = (t,)
+    # A closer is loose when nothing is open, cancels an innermost opener of
+    # its own type and annihilates one of another type.
+    return [
+        None if s is None
+        else (s[0] + loose, ()) if not s[1]
+        else (s[0], s[1][:-1]) if s[1][-1] == t
+        else None
+        for s in states
+    ]
 
 
 def reduce_codes(codes: Sequence[int]) -> NormalForm:

@@ -14,7 +14,7 @@ from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, matching_times
 from dyckshift.coding import PointWindow, Provenance, height_cocycle
 from dyckshift.measures import ExtensionMassRow, catalan_convolution, tilde_cylinder_value
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
-from dyckshift.words import IDENTITY, ZERO, NormalForm, Word, match_annotate
+from dyckshift.words import IDENTITY, ZERO, NormalForm, Word, iter_language_stats, match_annotate, residue
 
 settings.register_profile(
     "suite",
@@ -140,6 +140,29 @@ def rewrite_oracle(codes: tuple[int, ...], rng: random.Random) -> NormalForm:
         return IDENTITY
     split = next((i for i, c in enumerate(work) if c > 0), len(work))
     return NormalForm(False, tuple(-c for c in work[:split]), tuple(work[split:]))
+
+
+def pairwise_swap_comparisons(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> int | None:
+    """Sweep (a) of block-swap-exact one (block, context) pair at a time.
+
+    Oracle for the trie walk: every block of length <= ``n_max`` whose
+    ``(length, *residue)`` class holds another block is reduced from scratch
+    under every context and compared with the class's first block.  Returns
+    the number of comparisons, or ``None`` at the first mismatch.
+    """
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for n in range(n_max + 1):
+        for codes, _, _ in iter_language_stats(n, m):
+            buckets.setdefault((n, *residue(codes)), []).append(codes)
+    comparisons = 0
+    for rep, *others in buckets.values():
+        base = [residue(s + rep) for s in contexts]
+        for w in others:
+            for s, expect in zip(contexts, base):
+                comparisons += 1
+                if residue(s + w) != expect:
+                    return None
+    return comparisons
 
 
 def pattern_tally(n: int) -> Counter[tuple[int, int]]:

@@ -1,11 +1,17 @@
-"""The verify runner and the wording of check results."""
+"""The verify runner, the wording of check results, and faults the checks must catch."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
+import pytest
+
 from dyckshift import verification
-from dyckshift.measures import LogPair
+from dyckshift.measures import LogPair, residue_exponents
 from dyckshift.verification import run_check
+from dyckshift.words import advance, iter_language_stats, residue
+
+from conftest import pairwise_swap_comparisons
 
 
 def test_run_check_runs_afresh_on_every_call():
@@ -44,3 +50,122 @@ def test_below_topological_says_every_when_all_lengths_are_above():
 def test_limit_gap_prints_the_branch_weight_from_the_report():
     result = run_check("entropy-limit-gap")
     assert "p_nonneg(11) = 231/1024 is still 0.2256" in " ".join(result.detail)
+
+
+def test_exact_sweeps_keep_their_scope(exact_check_results):
+    # A faster route must make the same comparisons: these counts are the scope.
+    consistency = exact_check_results["cylinder-consistency"]
+    assert consistency.observed == "602872 cylinders additively exact; all 20 levels sum to 1"
+    assert consistency.detail == ("scopes: m=2 lengths 0..10, m=3 lengths 0..8",)
+    assert exact_check_results["block-swap-exact"].observed == (
+        "exact block-swap invariance across 4748386 reductions, "
+        "562799 exhaustive and 20000 randomized mass evaluations"
+    )
+
+
+@pytest.mark.parametrize("m,n_max,context_len,context_slice", [(2, 6, 3, 5), (2, 6, 3, 64), (3, 5, 2, 7)])
+def test_swap_sweep_makes_the_pairwise_comparisons(monkeypatch, m, n_max, context_len, context_slice):
+    monkeypatch.setattr(verification, "_CONTEXT_SLICE", context_slice)
+    contexts = [codes for n in range(context_len + 1) for codes, _, _ in iter_language_stats(n, m)]
+    expected = pairwise_swap_comparisons(contexts, n_max, m)
+    assert expected
+    shared = verification._shared_keys(n_max, m)
+    assert verification._swap_sweep(contexts, n_max, m, shared) == (expected, None)
+
+
+def test_swap_sweep_compares_in_every_context(monkeypatch):
+    # Blocks to length 2 at m = 2 form one shared class, a1 b1 ~ a2 b2, so a
+    # misreduced context + a1 b1 is seen in exactly that context, whichever
+    # slice and place in it the context takes.
+    monkeypatch.setattr(verification, "_CONTEXT_SLICE", 5)
+    contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
+    shared = verification._shared_keys(2, 2)
+    assert shared == {(2, (), ())}
+    for context in contexts:
+        target = context + (1, -1)
+        monkeypatch.setattr(
+            verification, "residue", lambda codes, target=target: None if codes == target else residue(codes)
+        )
+        failure = verification._swap_sweep(contexts, 2, 2, shared)[1]
+        assert failure == f"context {' '.join(map(str, context))} sees 2 -2 != 1 -1"
+
+
+# Planted faults.  Each is patched into ``verification`` alone, so it reaches
+# exactly the routes that the checks take there.
+
+
+def _misstep(states, code):
+    """``advance``, except that ``b2`` meeting three open openers, ``a2`` innermost, annihilates."""
+    stepped = advance(states, code)
+    if code != -2:
+        return stepped
+    return [
+        None if state is not None and len(state[1]) == 3 and state[1][-1] == 2 else out
+        for state, out in zip(states, stepped)
+    ]
+
+
+# A context before a representative in sweep (a), three ways (a1 a1 a1 a1 +
+# a1 a1 a1 b1 b1 b1, and likewise after a1 a1 a1 and a1 a1), and a word that
+# cylinder-consistency walks at m = 2, n = 10.
+MISREDUCED = (1, 1, 1, 1, 1, 1, 1, -1, -1, -1)
+
+
+def _misreduce(codes):
+    """``residue``, except that ``MISREDUCED`` loses one of its four loose openers."""
+    return ((), (1, 1, 1)) if codes == MISREDUCED else residue(codes)
+
+
+def _misprice(found, length):
+    """The pricing rule, one power of m off for the one-letter extension a2 a1 a2 a1 + a1."""
+    priced = residue_exponents(found, length)
+    if length == 5 and found == ((), (2, 1, 2, 1, 1)):
+        return priced[0], priced[1] - 1
+    return priced
+
+
+def _codes(text):
+    return () if text == "(empty)" else tuple(map(int, text.split()))
+
+
+def _swap_failure(result):
+    """The (context, block, representative) that a failed block-swap-exact names."""
+    assert not result.ok
+    found = re.fullmatch(r"context (.+) sees (.+) != (.+)", result.observed)
+    assert found, result.observed
+    return tuple(_codes(part) for part in found.groups())
+
+
+def _consistency_failures(result):
+    """The (m, word) pairs that a failed cylinder-consistency names."""
+    assert not result.ok
+    named = [(int(m), _codes(text)) for m, text in re.findall(r"m=(\d+) word=([-\d ]*):", result.observed)]
+    assert named, result.observed
+    return named
+
+
+def test_faulty_step_fails_both_checks(monkeypatch):
+    monkeypatch.setattr(verification, "advance", _misstep)
+    context, block, rep = _swap_failure(run_check("block-swap-exact"))
+    # the named block really crosses the fault, and really is the representative's equal
+    scan = [residue(context)]
+    for c in block:
+        scan = _misstep(scan, c)
+    assert scan != [residue(context + block)]
+    assert residue(context + block) == residue(context + rep) and len(block) == len(rep)
+    for m, word in _consistency_failures(run_check("cylinder-consistency")):
+        letters = [*range(1, m + 1), *range(-m, 0)]
+        assert any(_misstep([residue(word)], c) != [residue(word + (c,))] for c in letters)
+
+
+def test_misreduced_word_fails_both_checks(monkeypatch):
+    monkeypatch.setattr(verification, "residue", _misreduce)
+    context, _, rep = _swap_failure(run_check("block-swap-exact"))
+    assert context + rep == MISREDUCED
+    assert _consistency_failures(run_check("cylinder-consistency")) == [(2, MISREDUCED)]
+
+
+def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
+    # block-swap-exact prices through measures.cylinder_exponents, out of this fault's reach
+    monkeypatch.setattr(verification, "residue_exponents", _misprice)
+    assert _consistency_failures(run_check("cylinder-consistency")) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]

@@ -9,6 +9,7 @@ from dyckshift.words import (
     ZERO,
     AlphabetParams,
     NormalForm,
+    advance,
     NotInLanguage,
     ParseError,
     Symbol,
@@ -322,6 +323,40 @@ def test_residue_agrees_with_reducers_exhaustively():
                 assert nf.is_zero
             else:
                 assert (nf.closers, nf.openers) == found
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_advance_steps_like_residue_from_every_context(m):
+    # Every language block of length <= 6, letter by letter, from every
+    # language context of length <= 3: a preorder walk of the block trie
+    # checks each prefix once, so every step of every block is checked.
+    contexts = [codes for n in range(4) for codes, _, _ in iter_language_stats(n, m)]
+    letters = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
+    pending = [((), [residue(s) for s in contexts])]
+    steps = mixed = 0
+    while pending:
+        block, states = pending.pop()
+        for c in letters:
+            child = block + (c,)
+            if residue(child) is None:
+                continue
+            stepped = advance(states, c)
+            assert stepped == [residue(s + child) for s in contexts], (child, c)
+            steps += 1
+            mixed += None in stepped and any(stepped)
+            if len(child) < 6:
+                pending.append((child, stepped))
+    assert steps == sum(count_language(n, m) for n in range(1, 7))
+    assert mixed  # lists mixing annihilated and live states were stepped
+
+
+def test_advance_keeps_zero_and_empty_batches():
+    assert advance([], 1) == [] and advance([], -1) == []
+    assert advance([None], 2) == [None] and advance([None], -2) == [None]
+    states = [((), ()), ((1,), (2,)), ((), (1, 2)), None]
+    assert advance(states, -2) == [((2,), ()), ((1,), ()), ((), (1,)), None]
+    assert advance(states, -1) == [((1,), ()), None, None, None]
+    assert advance(states, 3) == [((), (3,)), ((1,), (2, 3)), ((), (1, 2, 3)), None]
 
 
 BALANCED_COUNTS_M2 = [1, 2, 8, 40, 224, 1344, 8448]
