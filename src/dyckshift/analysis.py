@@ -15,13 +15,14 @@ singular forms are one-event views of the same pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coding import PointWindow, height_cocycle
+from .coding import PointWindow
 from .words import DyckError, Word, are_equivalent
 
 
@@ -323,11 +324,13 @@ def classify_window(
     """Label each half of a window by where its depth walk seems headed."""
     if up_threshold <= down_threshold:
         raise ValueError("thresholds must satisfy down < up")
-    heights = height_cocycle(x)
-    fwd = heights[-x.lo :]  # H_0 .. H_{hi+1}
-    bwd = heights[: -x.lo + 1]  # H_lo .. H_0
-    f_end, f_min = fwd[-1], min(fwd)
-    b_end, b_min = bwd[0], min(bwd)
+    # One pass of the unanchored walk over [lo, hi + 1]; H_i is its value
+    # at i minus its value at the origin.
+    walk = list(itertools.accumulate([1 if c > 0 else -1 for c in x.codes], initial=0))
+    origin = -x.lo
+    h0 = walk[origin]
+    f_end, f_min = walk[-1] - h0, min(walk[origin:]) - h0
+    b_end, b_min = -h0, min(walk[: origin + 1]) - h0
     f_score = f_end / math.sqrt(x.hi) if x.hi >= 1 else None
     b_score = b_end / math.sqrt(-x.lo) if x.lo <= -1 else None
     return WindowDiagnostics(

@@ -21,14 +21,20 @@ tilde walk applies its fair bits a run at a time, up to a whole 32-bit
 word, wherever no match can fall among them, and bit by bit near a possible
 match; it reads the same bits in the same order as a bit-at-a-time walk.
 Type and letter draws are rejection-sampled from ``getrandbits`` exactly as
-CPython's ``randrange`` draws them (see :func:`_below`), so every seeded
-stream is unchanged.  Sampled windows are built without re-validation,
+CPython's ``randrange`` draws them (see :func:`_below`).  Inside a window
+they come in blocks (see :func:`_draws`): a tilde window's opener types and
+a plus window's letters are each read from whole-word blocks in one rule,
+which returns the same values and leaves the same generator state as one
+draw at a time, so every seeded stream and every generator state after a
+window is unchanged.  Sampled windows are built without re-validation,
 because the samplers emit language words (or flagged truncated windows) by
 construction.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -403,13 +409,54 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     CPython's ``Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
     and redraws while the value is at least ``n``; calling that rule
     directly skips ``randrange``'s argument handling and leaves the same
-    generator state.
+    generator state.  Draws inside a window come in blocks from
+    :func:`_draws`, which returns the same values and leaves the same state.
     """
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+@functools.cache
+def _draw_table(n: int, base: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments that read one draw from a word's top byte.
+
+    ``getrandbits(k)`` with ``k <= 8`` is the top ``k`` bits of one 32-bit
+    word, so the top byte ``x`` draws ``x >> (8 - k)``: the table maps it to
+    that value plus ``base``, and the deleted bytes are the rejected values.
+    """
+    shift = 8 - n.bit_length()
+    table = bytes((x >> shift) + base if x >> shift < n else 0 for x in range(256))
+    rejected = bytes(x for x in range(256) if x >> shift >= n)
+    return table, rejected
+
+
+# Below this many draws still needed, one ``_below`` call per draw is
+# cheaper than another round of ``_draws``; the two read the same words.
+_ROUND_MIN = 8
+
+
+def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0) -> list[int]:
+    """``count`` draws of :func:`_below` plus ``base``, read in whole-word blocks.
+
+    Each round asks ``getrandbits`` for one 32-bit word per draw still
+    needed, in one call whose words come least significant first, in stream
+    order.  Every accepted draw takes at least one word, so no word is read
+    that ``count`` calls of ``_below`` would not read: the values and the
+    generator state afterwards are the same.  The last few draws, and draws
+    that a top byte cannot hold (``n > 255``), go through ``_below``;
+    ``base`` is 0 or 1, so every value of a round fits a byte.
+    """
+    drawn: list[int] = []
+    if n <= 255 and count > _ROUND_MIN:
+        table, rejected = _draw_table(n, base)
+        while (need := count - len(drawn)) > _ROUND_MIN:
+            drawn += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
+    for _ in range(count - len(drawn)):
+        drawn.append(_below(getrandbits, n) + base)
+    return drawn
 
 
 def _trusted_window(
@@ -439,18 +486,21 @@ def _tilde_window(
     # for whole words draws the same words in the same order.
     words = (width + 31) // 32
     pool = getrandbits(32 * words)
-    bits = format(pool, f"0{32 * words}b")[: -width - 1 : -1]  # LSB first; "1" = opener
+    # LSB first, "1" = opener; the sentinel bit above the pool keeps its leading zeros
+    bits = bin(pool | 1 << 32 * words)[: -width - 1 : -1]
     buf, left = pool >> width, 32 * words - width
 
     # Every opener owns a fresh slot of the shared type sequence (the signed
     # running bit count never repeats), so its type is drawn when it appears
-    # and its closer copies it.
+    # and its closer copies it.  No other draw falls between the openers'
+    # type draws, so they come in one block, in order of appearance.
+    types = iter(_draws(getrandbits, m, bits.count("1"), 1))
     codes = [0] * width
     stack: list[int] = []  # types of openers still open, innermost last
     pending: list[int] = []  # offsets of closers whose opener is left of the window
     for off, b in enumerate(bits):
         if b == "1":
-            t = _below(getrandbits, m) + 1
+            t = next(types)
             codes[off] = t
             stack.append(t)
         elif stack:
@@ -496,7 +546,7 @@ def _plus_window(
 ) -> PointWindow:
     width = hi - lo + 1
     getrandbits = rng.getrandbits
-    letters = [_below(getrandbits, m + 1) for _ in range(width)]  # 0 = anonymous closer
+    letters = _draws(getrandbits, m + 1, width)  # 0 = anonymous closer
     codes = [0] * width
     stack: list[int] = []
     pending: list[int] = []
@@ -573,7 +623,7 @@ def sample_minus(
     _check_window(lo, hi)
     for index in range(count):
         source = _plus_window(m, -hi, -lo, _sample_rng(seed, index), max_extension, seed, index)
-        mirrored = tuple(-c for c in reversed(source.codes))
+        mirrored = tuple(map(operator.neg, reversed(source.codes)))
         prov = Provenance("minus", seed, index, source.provenance.truncated)
         yield _trusted_window(m, lo, hi, mirrored, prov)
 

@@ -93,13 +93,18 @@ def residue_exponents(
 
     ``found`` is the word's :func:`~dyckshift.words.residue`, however it was
     scanned.  ``two_exp`` is the word length and ``m_exp`` counts matched
-    pairs plus loose letters; ``None`` (zero) prices to ``None``.
+    pairs plus loose letters; ``None`` (zero) prices to ``None``.  A residue
+    whose loose letters leave an odd number for the pairs belongs to no word
+    of that length, and raises ``ValueError``.
     """
     if found is None:
         return None
     closers, openers = found
     # pairs + loose, with pairs = (length - loose) / 2
-    return length, (length + len(closers) + len(openers)) // 2
+    paired = length + len(closers) + len(openers)
+    if paired % 2:
+        raise ValueError(f"a residue with {paired - length} loose letters fits no word of length {length}")
+    return length, paired // 2
 
 
 def cylinder_value_from_codes(codes: tuple[int, ...], m: int) -> Fraction:

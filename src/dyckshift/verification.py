@@ -87,6 +87,30 @@ _CYLINDER_SCOPES = ((2, 10), (3, 8))
 _WORD_BATCH = 512
 
 
+def _extension_side(
+    state: tuple | None, top: int, ext: Sequence[int], scaled: dict[int, int]
+) -> int | str:
+    """One word's scaled one-letter extension masses summed, one letter at a time.
+
+    Returns why an extension cannot be priced instead: its residue fits no
+    word of length ``top``, or its m-exponent is one that no language word
+    of that length has.
+    """
+    total = 0
+    for c in ext:
+        (extended,) = advance([state], c)
+        if extended is None:
+            continue
+        try:
+            e = residue_exponents(extended, top)[1]
+        except ValueError as err:
+            return f"extension {c}: {err}"
+        if e not in scaled:
+            return f"extension {c} has m-exponent {e}, outside {min(scaled)}..{top}"
+        total += scaled[e]
+    return total
+
+
 def _check_cylinder_consistency(seed: int) -> _Outcome:
     """One-letter extension additivity plus per-length normalization.
 
@@ -94,11 +118,14 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
     depth-first walk tracks pairs/loose counts incrementally).  The right
     side reduces each walked word from scratch with ``residue``, never
     reusing the walk's state, takes one ``advance`` step for each of the
-    ``2m`` extension letters (annihilating ones included) and prices every
-    result by ``residue_exponents``; the words of one length go through in
-    batches of ``_WORD_BATCH``, one step per letter and batch.  Both sides
+    ``2m`` extension letters (annihilating ones included, at mass 0) and
+    prices every other result by ``residue_exponents``; the words of one
+    length go through in batches of ``_WORD_BATCH``, one step per letter
+    and batch.  Both sides
     are integers: masses at length ``n`` scaled by ``2^(n+1) m^(n+1)``.  The
-    two routes share no state, so agreement is meaningful.
+    two routes share no state, so agreement is meaningful.  An extension
+    whose residue does not fit its length, or whose m-exponent no language
+    word of its length has, is a mismatch that names the word.
     """
     del seed
     bad: list[str] = []
@@ -109,8 +136,11 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
             pow2 = 2**n
             top = n + 1
             # m_pow[k] = m^k; a length-n cylinder with m-exponent e scales to
-            # 2 m^(n+1-e), a length-(n+1) extension with m-exponent e' to m^(n+1-e').
+            # 2 m^(n+1-e), a length-(n+1) extension with m-exponent e' to
+            # scaled[e'] = m^(n+1-e'), where e' = pairs + loose lies in
+            # ceil((n+1)/2) .. n+1.
             m_pow = [m**k for k in range(n + 2)]
+            scaled = {e: m_pow[top - e] for e in range((top + 1) // 2, top + 1)}
             level: Counter[int] = Counter()
             stats = iter_language_stats(n, m)
             while batch := list(itertools.islice(stats, _WORD_BATCH)):
@@ -118,25 +148,27 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
                 level.update(exps)
                 lhs = [2 * m_pow[top - e] for e in exps]
                 found = [residue(codes) for codes, _, _ in batch]
-                # one column per extension letter: the scaled extension masses
-                columns = [
-                    [
-                        0 if priced is None else m_pow[top - priced[1]]
-                        for priced in map(residue_exponents, advance(found, c), itertools.repeat(top))
+                try:
+                    # one column per extension letter: the scaled extension masses
+                    columns = [
+                        [0 if s is None else scaled[residue_exponents(s, top)[1]] for s in advance(found, c)]
+                        for c in ext
                     ]
-                    for c in ext
-                ]
-                rhs = list(map(sum, zip(*columns)))
+                    rhs = list(map(sum, zip(*columns)))
+                except (KeyError, ValueError):
+                    rhs = None
                 checked += len(batch)
                 if rhs == lhs:
                     continue
                 scale = 2 * pow2 * m_pow[top]
-                for (codes, _, _), left, right in zip(batch, lhs, rhs):
-                    if left != right and len(bad) < 5:
-                        bad.append(
-                            f"m={m} word={' '.join(map(str, codes))}: "
-                            f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
-                        )
+                for (codes, _, _), state, left in zip(batch, found, lhs):
+                    if len(bad) >= 5:
+                        break
+                    right = _extension_side(state, top, ext, scaled)
+                    if right != left:
+                        if not isinstance(right, str):
+                            right = f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
+                        bad.append(f"m={m} word={' '.join(map(str, codes))}: {right}")
             total = sum(Fraction(c, pow2 * m**e) for e, c in level.items())
             if total != 1:
                 bad.append(f"m={m} n={n}: level mass {total} != 1")

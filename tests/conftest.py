@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, matching_times
-from dyckshift.coding import PointWindow, Provenance, height_cocycle
+from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
+from dyckshift.coding import SAMPLERS, PointWindow, Provenance, height_cocycle
 from dyckshift.measures import ExtensionMassRow, catalan_convolution, tilde_cylinder_value
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import IDENTITY, ZERO, NormalForm, Word, iter_language_stats, match_annotate, residue
@@ -292,6 +293,26 @@ def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
     return MatchingTimes(tuple(forward), tuple(backward))
 
 
+def cocycle_window_diagnostics(x: PointWindow) -> WindowDiagnostics:
+    """Oracle for ``analysis.classify_window`` at its default thresholds: ends
+    and minima read off the re-anchored ``height_cocycle`` tuple."""
+    heights = height_cocycle(x)
+    fwd = heights[-x.lo :]  # H_0 .. H_{hi+1}
+    bwd = heights[: -x.lo + 1]  # H_lo .. H_0
+    f_score = fwd[-1] / math.sqrt(x.hi) if x.hi >= 1 else None
+    b_score = bwd[0] / math.sqrt(-x.lo) if x.lo <= -1 else None
+    return WindowDiagnostics(
+        forward_label=_drift_label(f_score, 2.0, 1.0),
+        backward_label=_drift_label(b_score, 2.0, 1.0),
+        forward_score=f_score,
+        backward_score=b_score,
+        forward_end=fwd[-1],
+        backward_end=bwd[0],
+        forward_min=min(fwd),
+        backward_min=min(bwd),
+    )
+
+
 def rescan_empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
     """Oracle for ``analysis.empirical_cylinders``: one pass over the samples per cylinder."""
     hits = trials = truncated = 0
@@ -414,6 +435,64 @@ def bitwise_tilde_window(
                 if codes[off] == 0:
                     codes[off] = unknown
     return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
+
+
+def per_draw_plus_window(
+    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
+) -> PointWindow:
+    """Oracle for ``coding._plus_window``: one ``randrange`` call per letter.
+
+    Same arguments, same stream use and same window; the window's letters
+    and the leftward walk's letters are drawn one at a time.
+    """
+    width = hi - lo + 1
+    letters = [rng.randrange(m + 1) for _ in range(width)]  # 0 = anonymous closer
+    codes = [0] * width
+    stack: list[int] = []
+    pending: list[int] = []
+    for off, v in enumerate(letters):
+        if v:
+            codes[off] = v
+            stack.append(v)
+        elif stack:
+            codes[off] = -stack.pop()
+        else:
+            pending.append(off)
+    truncated = False
+    if pending:
+        needs = list(reversed(pending))
+        walked = 0
+        while needs and walked < max_extension:
+            walked += 1
+            v = rng.randrange(m + 1)
+            if v:
+                off = needs.pop()
+                if off >= 0:
+                    codes[off] = -v
+            else:
+                needs.append(-1)
+        if needs:
+            truncated = True
+            unknown = -(m + 1)
+            for off in pending:
+                if codes[off] == 0:
+                    codes[off] = unknown
+    return PointWindow(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
+
+
+GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))
+
+
+def golden_grid_windows() -> Iterator[PointWindow]:
+    """The windows behind the golden stream digest: every sampler at m = 1, 2, 3
+    on each of ``GOLDEN_WINDOWS``, at caps 0, 33, 10^4 and 10^5 and seeds 0 and 1,
+    eight samples each."""
+    for name in sorted(SAMPLERS):
+        for m in (1, 2, 3):
+            for lo, hi in GOLDEN_WINDOWS:
+                for cap in (0, 33, 10_000, 100_000):
+                    for seed in (0, 1):
+                        yield from SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,9 @@ from dyckshift.measures import tilde_cylinder_value
 from dyckshift.words import NotInLanguage, Word, iter_language_stats
 
 from conftest import (
+    cocycle_window_diagnostics,
     equivalent_word_pairs,
+    golden_grid_windows,
     rescan_empirical_cylinder,
     rescan_match_index_coincidence,
     scan_matching_times,
@@ -319,6 +321,13 @@ def test_classifier_on_a_pure_opener_window():
     assert (d.forward_min, d.backward_min) == (0, -2)
     assert d.heuristic
     assert "heuristic" in d.note or "not" in d.note
+
+
+def test_classifier_equals_the_height_cocycle_route():
+    """On every golden-grid window, truncated ones included, one walk pass gives
+    the same diagnostics as the re-anchored height tuple."""
+    for x in golden_grid_windows():
+        assert classify_window(x) == cocycle_window_diagnostics(x), x
 
 
 def test_classifier_leaves_short_windows_undecided():

@@ -20,6 +20,8 @@ from dyckshift.coding import (
     bit_height_cocycle,
     collapse_minus,
     _below,
+    _draws,
+    _plus_window,
     _sample_rng,
     _tilde_window,
     collapse_plus,
@@ -35,7 +37,14 @@ from dyckshift.coding import (
 )
 from dyckshift.words import DyckError, NotInLanguage, Word
 
-from conftest import balanced_words, bitwise_tilde_window, language_words
+from conftest import (
+    GOLDEN_WINDOWS,
+    balanced_words,
+    bitwise_tilde_window,
+    golden_grid_windows,
+    language_words,
+    per_draw_plus_window,
+)
 
 
 def window_of(text: str, lo: int, m: int = 2) -> PointWindow:
@@ -411,7 +420,7 @@ ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 7, 8, 9, 31, 32, 33, 4000, 100_000])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256])
 def test_tilde_walk_equals_the_bitwise_walk(m, cap):
     """Window by window, and RNG state after it, the same as one bit at a time."""
     for width in ORACLE_WIDTHS:
@@ -426,7 +435,23 @@ def test_tilde_walk_equals_the_bitwise_walk(m, cap):
                     assert fast_rng.getstate() == slow_rng.getstate()
 
 
-GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))
+PLUS_ORACLE_WIDTHS = (1, 2, 7, 33, 201, 1001)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 33, 4000, 100_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 254, 300])
+def test_plus_window_equals_the_per_draw_window(m, cap):
+    """Window by window, and RNG state after it, the same as one ``randrange`` per letter."""
+    for width in PLUS_ORACLE_WIDTHS:
+        for lo, hi in ((0, width - 1), (1 - width, 0)):
+            for seed in (0, 5):
+                for index in range(6):
+                    fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                    fast = _plus_window(m, lo, hi, fast_rng, cap, seed, index)
+                    slow = per_draw_plus_window(m, lo, hi, slow_rng, cap, seed, index)
+                    assert fast.codes == slow.codes, (width, lo, seed, index)
+                    assert fast.provenance == slow.provenance
+                    assert fast_rng.getstate() == slow_rng.getstate()
 
 
 def test_sampler_streams_are_byte_stable():
@@ -447,14 +472,9 @@ def test_sampler_streams_are_byte_stable():
 def test_sampled_windows_pass_public_validation():
     """The samplers skip ``PointWindow`` validation; every golden-grid window
     must pass it and come out equal."""
-    for name in sorted(SAMPLERS):
-        for m in (1, 2, 3):
-            for lo, hi in GOLDEN_WINDOWS:
-                for cap in (0, 33, 10_000, 100_000):
-                    for seed in (0, 1):
-                        for x in SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap):
-                            checked = PointWindow(x.m, x.lo, x.hi, x.codes, x.provenance)
-                            assert type(x) is PointWindow and checked == x
+    for x in golden_grid_windows():
+        checked = PointWindow(x.m, x.lo, x.hi, x.codes, x.provenance)
+        assert type(x) is PointWindow and checked == x
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -463,6 +483,18 @@ def test_draws_consume_the_stream_as_randrange(n):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert [_below(ours.getrandbits, n) for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 254, 255, 256, 300])
+def test_block_draws_equal_per_draw_calls(n):
+    """Values and generator state, block by block on one stream, as ``_below`` one draw at a time."""
+    for seed in (0, 1, 2024):
+        for base in (0, 1):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 2, 31, 1000):
+                drawn = _draws(ours.getrandbits, n, count, base)
+                assert drawn == [_below(theirs.getrandbits, n) + base for _ in range(count)], count
+                assert ours.getstate() == theirs.getstate()
 
 
 def test_plus_letters_drift_upward():

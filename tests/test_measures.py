@@ -20,6 +20,7 @@ from dyckshift.measures import (
     extension_additivity,
     mass_length_for_residual,
     minimal_extension_mass,
+    residue_exponents,
     tilde_cylinder_value,
 )
 from dyckshift.words import (
@@ -80,6 +81,13 @@ def test_cylinder_exponents_agree_with_masses_exhaustively():
             assert exponents == (n, ann.n_matched_pairs + ann.n_unmatched)
             assert value == Fraction(1, 2**n * 2 ** exponents[1])
             assert tilde_cylinder_value(Word(2, codes)) == value
+
+
+def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
+    assert residue_exponents(((), (1, 1)), 4) == (4, 3)
+    for found, length in [(((), (1, 1, 1)), 4), (((2,), ()), 0), (((1,), (2, 2)), 6)]:
+        with pytest.raises(ValueError, match="fits no word"):
+            residue_exponents(found, length)
 
 
 def test_measure_value_semantics():

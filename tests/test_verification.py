@@ -124,6 +124,25 @@ def _misprice(found, length):
     return priced
 
 
+def _ignore_b2(states, code):
+    """``advance``, except that ``b2`` meeting three open openers, ``a2`` innermost, leaves the state as it was."""
+    stepped = advance(states, code)
+    if code != -2:
+        return stepped
+    return [
+        state if state is not None and len(state[1]) == 3 and state[1][-1] == 2 else out
+        for state, out in zip(states, stepped)
+    ]
+
+
+def _overprice(found, length):
+    """The pricing rule, one power of m too high for the one-letter extension a2 a1 a2 a1 + a1."""
+    priced = residue_exponents(found, length)
+    if length == 5 and found == ((), (2, 1, 2, 1, 1)):
+        return priced[0], priced[1] + 1
+    return priced
+
+
 def _codes(text):
     return () if text == "(empty)" else tuple(map(int, text.split()))
 
@@ -169,3 +188,21 @@ def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
     # block-swap-exact prices through measures.cylinder_exponents, out of this fault's reach
     monkeypatch.setattr(verification, "residue_exponents", _misprice)
     assert _consistency_failures(run_check("cylinder-consistency")) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
+
+
+def test_step_that_ignores_a_closer_fails_cylinder_consistency(monkeypatch):
+    # The stale state keeps one loose letter too many, which no word of the
+    # extended length has; the parity must not be floored away.
+    monkeypatch.setattr(verification, "advance", _ignore_b2)
+    result = run_check("cylinder-consistency")
+    for m, word in _consistency_failures(result):
+        assert _ignore_b2([residue(word)], -2) != [residue(word + (-2,))], (m, word)
+    assert "fits no word of length" in result.observed
+
+
+def test_overpriced_extension_fails_cylinder_consistency(monkeypatch):
+    # m-exponent 6 on a length-5 word would index m^(n+1-e) below m^0
+    monkeypatch.setattr(verification, "residue_exponents", _overprice)
+    result = run_check("cylinder-consistency")
+    assert _consistency_failures(result) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
+    assert result.observed.count("extension 1 has m-exponent 6, outside 3..5") == 2
