@@ -16,10 +16,23 @@ Matching may reach left of any finite window.  Samplers extend the hidden
 sequence leftward up to ``max_extension`` extra letters; windows that still
 have unresolved closers are emitted with their provenance flagged truncated
 (estimators exclude them and report the rate).  Unresolved letters keep
-their opener/closer kind but an unknown type, rendered ``a?``/``b?``.  The
-tilde walk applies its fair bits a run at a time, up to a whole 32-bit
-word, wherever no match can fall among them, and bit by bit near a possible
-match; it reads the same bits in the same order as a bit-at-a-time walk.
+their opener/closer kind but an unknown type, rendered ``a?``/``b?``.
+
+The leftward walks take many bits or letters per step.  The tilde walk's
+count of unmatched fresh closers is a walk reflected at 0 (a closer steps
++1, an opener -1), and its matches with pending closers fall exactly at
+that walk's new minima.  Below 8 unmatched closers it steps by chunks of up
+to 8 bits that are already buffered, looking each up in two 512-entry
+tables (see :func:`_chunk_tables`) and drawing the types of a chunk's
+matches in one block; from 8 on, it applies that many bits at once by
+their popcount, since no match can fall among them, and fetches the words
+they span in one call.  The plus walk draws as many letters as it has
+needs in one block, since each letter cancels at most one need.  Either
+way the walk reads the same words and draws in the same order as one bit
+or letter at a time: a chunk's draws follow bits already buffered, a run's
+words are words that walk reads before its next draw, and a plus block
+holds letters that walk draws before it can stop.
+
 Type and letter draws are rejection-sampled from ``getrandbits`` exactly as
 CPython's ``randrange`` draws them (see :func:`_below`).  Inside a window
 they come in blocks (see :func:`_draws`): a tilde window's opener types and
@@ -37,7 +50,7 @@ import functools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .words import DyckError, NotInLanguage, Word, code_text, residue
 
@@ -54,10 +67,12 @@ class IndexCoverageGap(DyckError):
     """The type sequence does not cover a slot the coding map touched."""
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Which sampler produced a window, from which seed stream, and whether
-    the leftward extension cap was hit before every letter resolved."""
+    the leftward extension cap was hit before every letter resolved.
+
+    A named tuple, because every sampled window builds one.
+    """
 
     sampler: str
     seed: int
@@ -459,6 +474,30 @@ def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0)
     return drawn
 
 
+@functools.cache
+def _chunk_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Net step and depth of every chunk of at most 8 leftward-walk bits.
+
+    Entry ``1 << k | bits`` describes ``k`` bits read least significant
+    first, where a closer (0) steps +1 and an opener (1) steps -1: ``net``
+    is the sum of the steps and ``depth`` is minus the least prefix sum,
+    the empty prefix included.  From ``anon`` unmatched closers the walk
+    reflected at 0 makes ``max(0, depth - anon)`` matches over the chunk,
+    one at each new minimum, and ends at ``net + max(anon, depth)``.
+    """
+    net = [0] * 512
+    depth = [0] * 512
+    for k in range(9):
+        for bits in range(1 << k):
+            h = low = 0
+            for i in range(k):
+                h += -1 if bits >> i & 1 else 1
+                low = min(low, h)
+            net[1 << k | bits] = h
+            depth[1 << k | bits] = -low
+    return tuple(net), tuple(depth)
+
+
 def _trusted_window(
     m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance
 ) -> PointWindow:
@@ -472,9 +511,13 @@ def _trusted_window(
     return x
 
 
-def _check_window(lo: int, hi: int) -> None:
+def _check_window(m: int, lo: int, hi: int, max_extension: int) -> None:
+    if m < 1:
+        raise ValueError(f"alphabet size m={m} must be at least 1")
     if not lo <= 0 <= hi:
         raise ValueError(f"sampling window [{lo}, {hi}] must contain the origin")
+    if max_extension < 0:
+        raise ValueError(f"max_extension={max_extension} must be at least 0")
 
 
 def _tilde_window(
@@ -513,27 +556,47 @@ def _tilde_window(
         # Walk leftward.  A fresh opener matches the closest unmatched closer
         # to its right and every fresh closer becomes the new closest need,
         # so the needs are ``anon`` anonymous out-of-window closers on top of
-        # the pending closers ``pending[j:]``.  An opener matches a pending
-        # closer only when ``anon == 0``; until then any ``anon`` bits are
-        # applied at once by their popcount, as no match can fall among them.
-        j = anon = walked = 0
-        while j < len(pending) and walked < max_extension:
-            if not left:
-                buf, left = getrandbits(32), 32
-            if anon:
-                k = min(anon, left, max_extension - walked)
-                anon += k - 2 * (buf & ((1 << k) - 1)).bit_count()
+        # the pending closers ``pending[j:]``.  ``anon`` is the walk that
+        # steps +1 per closer and -1 per opener, reflected at 0, and an
+        # opener matches a pending closer exactly when that walk would go
+        # below 0: at each of its new minima (see :func:`_chunk_tables`).
+        net, depth = _chunk_tables()
+        j = anon = 0
+        need = len(pending)
+        room = max_extension
+        while j < need and room:
+            if anon < 8:
+                # A chunk of at most 8 buffered bits: one table lookup.  Its
+                # matches' types are drawn together, capped at the pending
+                # closers still open; the chunk's bits are already buffered,
+                # so no word is read among these draws.
+                if not left:
+                    buf, left = getrandbits(32), 32
+                k = 8 if left > 8 else left
+                if k > room:
+                    k = room
+                chunk = buf & ((1 << k) - 1) | 1 << k
+                low = depth[chunk]
+                if low > anon:
+                    for t in _draws(getrandbits, m, min(low - anon, need - j), 1):
+                        codes[pending[j]] = -t
+                        j += 1
+                    anon = low
+                anon += net[chunk]
             else:
-                k = 1
-                if buf & 1:
-                    codes[pending[j]] = -(_below(getrandbits, m) + 1)
-                    j += 1
-                else:
-                    anon = 1
+                # No match can fall among the next ``anon`` bits, so they are
+                # applied at once by their popcount.  The walk reads every
+                # word they span, and the missing ones come in one call.
+                k = anon if anon < room else room
+                if k > left:
+                    more = (k - left + 31) // 32
+                    buf |= getrandbits(32 * more) << left
+                    left += 32 * more
+                anon += k - 2 * (buf & ((1 << k) - 1)).bit_count()
             buf >>= k
             left -= k
-            walked += k
-        if j < len(pending):
+            room -= k
+        if j < need:
             truncated = True
             unknown = -(m + 1)
             for off in pending[j:]:
@@ -541,11 +604,10 @@ def _tilde_window(
     return _trusted_window(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
 
 
-def _plus_window(
-    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
-) -> PointWindow:
-    width = hi - lo + 1
-    getrandbits = rng.getrandbits
+def _plus_codes(
+    m: int, width: int, getrandbits: Callable[[int], int], max_extension: int
+) -> tuple[list[int], bool]:
+    """The codes of a plus window of ``width`` letters, and whether it is truncated."""
     letters = _draws(getrandbits, m + 1, width)  # 0 = anonymous closer
     codes = [0] * width
     stack: list[int] = []
@@ -558,25 +620,38 @@ def _plus_window(
             codes[off] = -stack.pop()
         else:
             pending.append(off)
-    truncated = False
-    if pending:
-        needs = list(reversed(pending))
-        walked = 0
-        while needs and walked < max_extension:
-            walked += 1
-            v = _below(getrandbits, m + 1)
-            if v:
-                off = needs.pop()
-                if off >= 0:
-                    codes[off] = -v
+    if not pending:
+        return codes, False
+    # Walk leftward: ``anon`` fresh out-of-window closers sit on top of the
+    # pending closers ``needs``, the earliest last.  Each letter cancels at
+    # most one need, so the walk draws at least as many more letters as
+    # there are needs, and they come in one block of that size.
+    needs = pending[::-1]
+    anon = 0
+    room = max_extension
+    while room and (block := anon + len(needs)):
+        if block > room:
+            block = room
+        room -= block
+        for v in _draws(getrandbits, m + 1, block):
+            if not v:
+                anon += 1
+            elif anon:
+                anon -= 1
             else:
-                needs.append(-1)
-        if needs:
-            truncated = True
-            unknown = -(m + 1)
-            for off in pending:
-                if codes[off] == 0:
-                    codes[off] = unknown
+                codes[needs.pop()] = -v
+    if not needs:
+        return codes, False
+    unknown = -(m + 1)
+    for off in needs:
+        codes[off] = unknown
+    return codes, True
+
+
+def _plus_window(
+    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
+) -> PointWindow:
+    codes, truncated = _plus_codes(m, hi - lo + 1, rng.getrandbits, max_extension)
     return _trusted_window(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
 
 
@@ -589,10 +664,15 @@ def sample_tilde(
     addressed by the signed running bit count, so matched pairs agree by
     construction.  Closer lookback has a heavy tail — samples whose matching
     is still open after ``max_extension`` leftward letters come out flagged.
-    Away from a possible match the leftward walk applies its bits in runs
-    of up to a whole word at once, which leaves every seeded stream unchanged.
+    The leftward walk matches a pending closer at each new minimum of its
+    reflected walk: it steps by table lookups of 8-bit chunks below 8
+    unmatched closers and by popcount runs of that many bits, across words,
+    above; it reads the same words and makes the same draws in the same
+    order as a bit-at-a-time walk, so every seeded stream is unchanged.
+    Raises ``ValueError`` for ``m < 1``, a window without the origin or a
+    negative ``max_extension``.
     """
-    _check_window(lo, hi)
+    _check_window(m, lo, hi, max_extension)
     for index in range(count):
         yield _tilde_window(m, lo, hi, _sample_rng(seed, index), max_extension, seed, index)
 
@@ -604,9 +684,13 @@ def sample_plus(
 
     Letters are i.i.d. uniform over the m+1 collapsed letters, so openers
     outnumber closers and the leftward matching walk has positive drift —
-    truncation is essentially a non-event at the default cap.
+    truncation is essentially a non-event at the default cap.  Each letter
+    of that walk cancels at most one need, so it draws its letters in
+    blocks of as many as it has needs: letters a one-at-a-time walk would
+    draw too, which leaves every seeded stream unchanged.  Arguments are
+    checked as in :func:`sample_tilde`.
     """
-    _check_window(lo, hi)
+    _check_window(m, lo, hi, max_extension)
     for index in range(count):
         yield _plus_window(m, lo, hi, _sample_rng(seed, index), max_extension, seed, index)
 
@@ -620,12 +704,12 @@ def sample_minus(
     reflecting each result, which swaps kinds and reverses coordinates; a
     letterwise swap alone would not stay inside the language.
     """
-    _check_window(lo, hi)
+    _check_window(m, lo, hi, max_extension)
     for index in range(count):
-        source = _plus_window(m, -hi, -lo, _sample_rng(seed, index), max_extension, seed, index)
-        mirrored = tuple(map(operator.neg, reversed(source.codes)))
-        prov = Provenance("minus", seed, index, source.provenance.truncated)
-        yield _trusted_window(m, lo, hi, mirrored, prov)
+        rng = _sample_rng(seed, index)
+        codes, truncated = _plus_codes(m, hi - lo + 1, rng.getrandbits, max_extension)
+        mirrored = tuple(map(operator.neg, reversed(codes)))
+        yield _trusted_window(m, lo, hi, mirrored, Provenance("minus", seed, index, truncated))
 
 
 SAMPLERS: dict[str, Callable[..., Iterator[PointWindow]]] = {

@@ -20,6 +20,7 @@ from dyckshift.coding import (
     bit_height_cocycle,
     collapse_minus,
     _below,
+    _chunk_tables,
     _draws,
     _plus_window,
     _sample_rng,
@@ -419,7 +420,7 @@ def test_truncation_rate_regression():
 ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)
 
 
-@pytest.mark.parametrize("cap", [0, 1, 7, 8, 9, 31, 32, 33, 4000, 100_000])
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 40, 65, 257, 4000, 100_000])
 @pytest.mark.parametrize("m", [1, 2, 3, 255, 256])
 def test_tilde_walk_equals_the_bitwise_walk(m, cap):
     """Window by window, and RNG state after it, the same as one bit at a time."""
@@ -435,10 +436,35 @@ def test_tilde_walk_equals_the_bitwise_walk(m, cap):
                     assert fast_rng.getstate() == slow_rng.getstate()
 
 
+def test_chunk_tables_equal_the_bitwise_walk():
+    """Every chunk of at most 8 bits, from every start below 9 unmatched
+    closers: the table's matches and end state are the bit-by-bit walk's."""
+    net, depth = _chunk_tables()
+    entries = 0
+    for k in range(9):
+        for bits in range(1 << k):
+            chunk = 1 << k | bits
+            entries += 1
+            for anon in range(9):
+                walk, matches = anon, 0
+                for i in range(k):
+                    if not bits >> i & 1:
+                        walk += 1
+                    elif walk:
+                        walk -= 1
+                    else:
+                        matches += 1
+                assert (max(0, depth[chunk] - anon), net[chunk] + max(anon, depth[chunk])) == (
+                    matches,
+                    walk,
+                ), (k, bits, anon)
+    assert entries == 511
+
+
 PLUS_ORACLE_WIDTHS = (1, 2, 7, 33, 201, 1001)
 
 
-@pytest.mark.parametrize("cap", [0, 1, 7, 33, 4000, 100_000])
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 9, 33, 4000, 100_000])
 @pytest.mark.parametrize("m", [1, 2, 3, 254, 300])
 def test_plus_window_equals_the_per_draw_window(m, cap):
     """Window by window, and RNG state after it, the same as one ``randrange`` per letter."""
@@ -475,6 +501,22 @@ def test_sampled_windows_pass_public_validation():
     for x in golden_grid_windows():
         checked = PointWindow(x.m, x.lo, x.hi, x.codes, x.provenance)
         assert type(x) is PointWindow and checked == x
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize(
+    "m, lo, hi, cap", [(0, 0, 40, 10), (-1, 0, 40, 10), (0, 0, 1, 0), (2, 0, 1, -1), (2, -3, 0, -1)]
+)
+def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m, lo, hi, cap):
+    """m < 1 would loop forever in ``_below`` or emit codes outside the
+    alphabet; the arguments are refused before any stream is drawn."""
+
+    def no_stream(seed: int, index: int) -> random.Random:
+        raise AssertionError("a window was drawn before the arguments were checked")
+
+    monkeypatch.setattr("dyckshift.coding._sample_rng", no_stream)
+    with pytest.raises(ValueError, match="m=" if m < 1 else "max_extension"):
+        next(SAMPLERS[name](m, lo, hi, seed=0, count=1, max_extension=cap))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
