@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coding import PointWindow
 from .words import DyckError, Word, are_equivalent
@@ -34,8 +33,13 @@ class InsufficientData(DyckError):
     """No usable samples survived exclusion; estimate undefined."""
 
 
-@dataclass(frozen=True)
-class Holonomy:
+class _HolonomyFields(NamedTuple):
+    w: Word
+    w_prime: Word
+    k: int
+
+
+class Holonomy(_HolonomyFields):
     """Swap one word for an equivalent one at a fixed coordinate.
 
     Equivalent means: same length, same normal form, both in the language.
@@ -43,19 +47,16 @@ class Holonomy:
     the verification suite checks empirically and exactly.
     """
 
-    w: Word
-    w_prime: Word
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.w.m != self.w_prime.m:
+    def __new__(cls, w: Word, w_prime: Word, k: int) -> "Holonomy":
+        if w.m != w_prime.m:
             raise ValueError("block swap needs both words over the same alphabet")
-        if len(self.w) != len(self.w_prime):
+        if len(w) != len(w_prime):
             raise ValueError("block swap needs words of equal length")
-        if not are_equivalent(self.w, self.w_prime):
-            raise ValueError(
-                f"{self.w.text()!r} and {self.w_prime.text()!r} are not equivalent"
-            )
+        if not are_equivalent(w, w_prime):
+            raise ValueError(f"{w.text()!r} and {w_prime.text()!r} are not equivalent")
+        return tuple.__new__(cls, (w, w_prime, k))
 
     @property
     def span(self) -> tuple[int, int]:
@@ -88,11 +89,10 @@ def holonomy_apply(h: Holonomy, x: PointWindow) -> PointWindow:
             f"window shows {' '.join(map(str, segment))} at {lo}, not {h.w.text()!r}"
         )
     patched = x.codes[: lo - x.lo] + h.w_prime.codes + x.codes[hi - x.lo + 1 :]
-    return replace(x, codes=patched)
+    return PointWindow(x.m, x.lo, x.hi, patched, x.provenance)
 
 
-@dataclass(frozen=True)
-class MatchingTimes:
+class MatchingTimes(NamedTuple):
     """First forward and last backward visits of each depth ``-j``.
 
     ``forward[j-1]`` is the least ``k >= 0`` with ``H_{k+1} = -j`` (the time
@@ -147,8 +147,7 @@ def matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimate:
+class EmpiricalEstimate(NamedTuple):
     """A counted event over a sample stream, with its exclusions on record.
 
     ``sigma_distance`` measures the gap to a hypothesised probability in
@@ -285,8 +284,7 @@ def match_index_coincidence(
     return match_index_coincidences(samples, [(offset, js)])[0]
 
 
-@dataclass(frozen=True)
-class WindowDiagnostics:
+class WindowDiagnostics(NamedTuple):
     """Finite-window tail read-out.  Heuristic by construction.
 
     Each half-window gets a drift score ``H_end / sqrt(half length)``.  A

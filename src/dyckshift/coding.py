@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .words import DyckError, NotInLanguage, Word, code_text, residue
@@ -70,8 +69,6 @@ class IndexCoverageGap(DyckError):
 class Provenance(NamedTuple):
     """Which sampler produced a window, from which seed stream, and whether
     the leftward extension cap was hit before every letter resolved.
-
-    A named tuple, because every sampled window builds one.
     """
 
     sampler: str
@@ -80,8 +77,15 @@ class Provenance(NamedTuple):
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class PointWindow:
+class _PointWindowFields(NamedTuple):
+    m: int
+    lo: int
+    hi: int
+    codes: tuple[int, ...]
+    provenance: Provenance | None
+
+
+class PointWindow(_PointWindowFields):
     """Letters of one point on the coordinate window ``[lo, hi]`` (0 inside).
 
     Codes are signed types as in :class:`~dyckshift.words.Word`; additionally
@@ -94,29 +98,28 @@ class PointWindow:
     of the golden-digest grid through this public constructor.
     """
 
-    m: int
-    lo: int
-    hi: int
-    codes: tuple[int, ...]
-    provenance: Provenance | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lo <= 0 <= self.hi:
-            raise ValueError(f"window [{self.lo}, {self.hi}] must contain the origin")
-        if len(self.codes) != self.hi - self.lo + 1:
+    def __new__(
+        cls, m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance | None = None
+    ) -> "PointWindow":
+        if not lo <= 0 <= hi:
+            raise ValueError(f"window [{lo}, {hi}] must contain the origin")
+        if len(codes) != hi - lo + 1:
             raise ValueError("window length does not match its bounds")
         unknown = False
-        for c in self.codes:
-            if 1 <= abs(c) <= self.m:
+        for c in codes:
+            if 1 <= abs(c) <= m:
                 continue
-            if abs(c) == self.m + 1:
+            if abs(c) == m + 1:
                 unknown = True
                 continue
-            raise ValueError(f"letter code {c} out of range for m={self.m}")
-        if unknown and not self.truncated:
+            raise ValueError(f"letter code {c} out of range for m={m}")
+        if unknown and not (provenance is not None and provenance.truncated):
             raise ValueError("only truncated samples may carry unresolved letters")
-        if not unknown and residue(self.codes) is None:
+        if not unknown and residue(codes) is None:
             raise NotInLanguage("window letters annihilate; not a point of the subshift")
+        return tuple.__new__(cls, (m, lo, hi, codes, provenance))
 
     @property
     def truncated(self) -> bool:
@@ -162,21 +165,25 @@ class PointWindow:
         )
 
 
-@dataclass(frozen=True)
-class BinaryWindow:
-    """A window of opener/closer indicator bits (1 = opener)."""
-
+class _BinaryWindowFields(NamedTuple):
     lo: int
     hi: int
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+
+class BinaryWindow(_BinaryWindowFields):
+    """A window of opener/closer indicator bits (1 = opener)."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int, bits: tuple[int, ...]) -> "BinaryWindow":
+        if lo > hi:
             raise ValueError("empty bit window")
-        if len(self.bits) != self.hi - self.lo + 1:
+        if len(bits) != hi - lo + 1:
             raise ValueError("bit window length does not match its bounds")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        return tuple.__new__(cls, (lo, hi, bits))
 
     def bit(self, i: int) -> int:
         if not self.lo <= i <= self.hi:
@@ -184,20 +191,24 @@ class BinaryWindow:
         return self.bits[i - self.lo]
 
 
-@dataclass(frozen=True)
-class IndexWindow:
-    """A window of the shared type sequence: values in ``[1, m]`` per slot."""
-
+class _IndexWindowFields(NamedTuple):
     m: int
     lo: int
     hi: int
     indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != self.hi - self.lo + 1:
+
+class IndexWindow(_IndexWindowFields):
+    """A window of the shared type sequence: values in ``[1, m]`` per slot."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, lo: int, hi: int, indices: tuple[int, ...]) -> "IndexWindow":
+        if len(indices) != hi - lo + 1:
             raise ValueError("index window length does not match its bounds")
-        if any(not 1 <= v <= self.m for v in self.indices):
-            raise ValueError(f"type indices must lie in [1, {self.m}]")
+        if any(not 1 <= v <= m for v in indices):
+            raise ValueError(f"type indices must lie in [1, {m}]")
+        return tuple.__new__(cls, (m, lo, hi, indices))
 
     def get(self, slot: int) -> int:
         if not self.lo <= slot <= self.hi:
@@ -210,31 +221,37 @@ class IndexWindow:
 _COLLAPSED_VARIANTS = ("plus", "minus")
 
 
-@dataclass(frozen=True)
-class CollapsedWindow:
-    """A window over a collapsed alphabet.
-
-    Variant ``plus`` keeps opener types and merges all closers into ``b``;
-    variant ``minus`` keeps closer types and merges all openers into ``a``.
-    """
-
+class _CollapsedWindowFields(NamedTuple):
     m: int
     lo: int
     hi: int
     letters: tuple[str, ...]
     variant: str
 
-    def __post_init__(self) -> None:
-        if self.variant not in _COLLAPSED_VARIANTS:
+
+class CollapsedWindow(_CollapsedWindowFields):
+    """A window over a collapsed alphabet.
+
+    Variant ``plus`` keeps opener types and merges all closers into ``b``;
+    variant ``minus`` keeps closer types and merges all openers into ``a``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, m: int, lo: int, hi: int, letters: tuple[str, ...], variant: str
+    ) -> "CollapsedWindow":
+        if variant not in _COLLAPSED_VARIANTS:
             raise ValueError(f"variant must be one of {_COLLAPSED_VARIANTS}")
-        if not self.lo <= 0 <= self.hi:
-            raise ValueError(f"window [{self.lo}, {self.hi}] must contain the origin")
-        if len(self.letters) != self.hi - self.lo + 1:
+        if not lo <= 0 <= hi:
+            raise ValueError(f"window [{lo}, {hi}] must contain the origin")
+        if len(letters) != hi - lo + 1:
             raise ValueError("window length does not match its bounds")
-        allowed = self.alphabet(self.m, self.variant)
-        for letter in self.letters:
+        allowed = cls.alphabet(m, variant)
+        for letter in letters:
             if letter not in allowed:
-                raise ValueError(f"letter {letter!r} not in the {self.variant} alphabet")
+                raise ValueError(f"letter {letter!r} not in the {variant} alphabet")
+        return tuple.__new__(cls, (m, lo, hi, letters, variant))
 
     @staticmethod
     def alphabet(m: int, variant: str) -> frozenset[str]:
@@ -411,11 +428,19 @@ def invert_collapse_minus(window: CollapsedWindow) -> PointWindow:
     return PointWindow(window.m, window.lo, window.hi, tuple(codes))
 
 
-def _sample_rng(seed: int, index: int) -> random.Random:
-    # One independent, platform-stable stream per sample: string seeding
-    # hashes via sha512, so sample i of seed s never depends on how many
-    # samples ran before it or on which worker drew it.
-    return random.Random(f"{seed}:{index}")
+def _sample_rng(seed: int, index: int, rng: random.Random | None = None) -> random.Random:
+    """The generator of sample ``index`` of ``seed``: ``rng`` reseeded, or a new one.
+
+    One independent, platform-stable stream per sample: string seeding
+    hashes via sha512, so sample i of seed s never depends on how many
+    samples ran before it or on which worker drew it.  Reseeding a
+    generator in place leaves the same state as building a new one from
+    the same string, so each sampler keeps one generator for its stream.
+    """
+    if rng is None:
+        return random.Random(f"{seed}:{index}")
+    rng.seed(f"{seed}:{index}")
+    return rng
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -506,9 +531,7 @@ def _trusted_window(
     The samplers match every resolved closer to an opener of its type, so
     their windows are language words (or flagged truncated) by construction.
     """
-    x = object.__new__(PointWindow)
-    x.__dict__.update(m=m, lo=lo, hi=hi, codes=codes, provenance=provenance)
-    return x
+    return tuple.__new__(PointWindow, (m, lo, hi, codes, provenance))
 
 
 def _check_window(m: int, lo: int, hi: int, max_extension: int) -> None:
@@ -673,8 +696,9 @@ def sample_tilde(
     negative ``max_extension``.
     """
     _check_window(m, lo, hi, max_extension)
+    rng = random.Random()
     for index in range(count):
-        yield _tilde_window(m, lo, hi, _sample_rng(seed, index), max_extension, seed, index)
+        yield _tilde_window(m, lo, hi, _sample_rng(seed, index, rng), max_extension, seed, index)
 
 
 def sample_plus(
@@ -691,8 +715,9 @@ def sample_plus(
     checked as in :func:`sample_tilde`.
     """
     _check_window(m, lo, hi, max_extension)
+    rng = random.Random()
     for index in range(count):
-        yield _plus_window(m, lo, hi, _sample_rng(seed, index), max_extension, seed, index)
+        yield _plus_window(m, lo, hi, _sample_rng(seed, index, rng), max_extension, seed, index)
 
 
 def sample_minus(
@@ -705,9 +730,10 @@ def sample_minus(
     letterwise swap alone would not stay inside the language.
     """
     _check_window(m, lo, hi, max_extension)
+    rng = random.Random()
     for index in range(count):
-        rng = _sample_rng(seed, index)
-        codes, truncated = _plus_codes(m, hi - lo + 1, rng.getrandbits, max_extension)
+        getrandbits = _sample_rng(seed, index, rng).getrandbits
+        codes, truncated = _plus_codes(m, hi - lo + 1, getrandbits, max_extension)
         mirrored = tuple(map(operator.neg, reversed(codes)))
         yield _trusted_window(m, lo, hi, mirrored, Provenance("minus", seed, index, truncated))
 

@@ -9,10 +9,9 @@ reporting boundary.  Nothing in this module samples anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 from .words import (
     BudgetExceeded,
@@ -28,8 +27,13 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class _MeasureValueFields(NamedTuple):
+    value: Fraction
+    two_exp: int | None
+    m_exp: int | None
+
+
+class MeasureValue(_MeasureValueFields):
     """Exact nonnegative rational, with an optional monomial fast path.
 
     When ``two_exp``/``m_exp`` are present the value is ``2^-two_exp * m^-m_exp``
@@ -37,13 +41,14 @@ class MeasureValue:
     keep only the rational.  Equality and hashing go by value alone.
     """
 
-    value: Fraction
-    two_exp: int | None = None
-    m_exp: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    def __new__(
+        cls, value: Fraction, two_exp: int | None = None, m_exp: int | None = None
+    ) -> "MeasureValue":
+        if value < 0:
             raise ValueError("measure values are nonnegative")
+        return tuple.__new__(cls, (value, two_exp, m_exp))
 
     @classmethod
     def monomial(cls, two_exp: int, m_exp: int, m: int) -> "MeasureValue":
@@ -63,6 +68,11 @@ class MeasureValue:
         if isinstance(other, (int, Fraction)):
             return self.value == other
         return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # Tuples define their own ``!=``; this one is ``not ==``, by value.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         return hash(self.value)
@@ -187,8 +197,7 @@ def _ballot_ways(k: int) -> Iterator[int]:
         f += 1
 
 
-@dataclass(frozen=True)
-class ExtensionMassRow:
+class ExtensionMassRow(NamedTuple):
     """One length class of minimal balanced completions of a word.
 
     ``count`` completions of total length ``total_len`` each carry the same
@@ -298,8 +307,7 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
 
 
-@dataclass(frozen=True)
-class LogPair:
+class LogPair(NamedTuple):
     """Exact value ``log2_coeff * log(2) + logm_coeff * log(m)``."""
 
     log2_coeff: Fraction
@@ -358,8 +366,7 @@ def block_entropy(n: int, m: int) -> LogPair:
     return LogPair(Fraction(n), _q_coefficient(n))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Exact block and step entropy at one length, plus the branch weight.
 
     ``step`` is the conditional entropy of the next letter given an

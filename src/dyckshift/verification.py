@@ -31,9 +31,8 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
 from .coding import sample_plus, sample_tilde
@@ -57,8 +56,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     key: str
     title: str
     ok: bool
@@ -301,8 +299,13 @@ def _check_block_swap(seed: int) -> _Outcome:
     stack reduction (:func:`_swap_sweep`): the representative's scans are
     reduced from scratch, every other block's are advanced one letter per
     edge of the block trie; (b) exhaustive two-sided contexts of length <= 2
-    around every word of length <= 6, compared by direct mass evaluation;
-    (c) seeded random two-sided triples at the full stated sizes.  Masses
+    around every word of length <= 6, compared by mass: for each left
+    context ``s`` every block's ``residue(s + w)`` is reduced from scratch
+    once, stepped through each right context ``t`` by :func:`advance`
+    (``t``'s one-letter prefix stepped first and shared), and each
+    ``s + w + t`` is priced by :func:`residue_exponents`; (c) seeded random
+    two-sided triples at the full stated sizes, each reduced and priced
+    from scratch by :func:`cylinder_exponents`.  Masses
     are compared by their exponents: the words compared have equal lengths,
     so equal exponents mean equal masses.  Checking members against one
     representative covers all pairs, since equality of masses is transitive.
@@ -318,21 +321,26 @@ def _check_block_swap(seed: int) -> _Outcome:
     # Collected after sweep (a), which needs only the keys, so the two never coexist.
     classes8 = _shared_classes(8, m, shared)
 
+    # Right contexts come shortest first, so each one's prefix is stepped before it.
     contexts2 = [c for c in contexts4 if len(c) <= 2]
     mass_comparisons = 0
     for key, members in classes8.items():
         if key[0] > 6:
             continue
-        rep = members[0]
         for s in contexts2:
+            stepped = {(): [residue(s + w) for w in members]}
             for t in contexts2:
-                expect = cylinder_exponents(s + rep + t)
-                for w in members[1:]:
+                if t:
+                    stepped[t] = advance(stepped[t[:-1]], t[-1])
+                states = stepped[t]
+                top = len(s) + key[0] + len(t)
+                expect = residue_exponents(states[0], top)
+                for i in range(1, len(members)):
                     mass_comparisons += 1
-                    if cylinder_exponents(s + w + t) != expect:
+                    if residue_exponents(states[i], top) != expect:
                         return (
                             False,
-                            f"mass of s+{' '.join(map(str, w))}+t differs from the representative's",
+                            f"mass of s+{' '.join(map(str, members[i]))}+t differs from the representative's",
                             "equal masses for equivalent middle blocks",
                             (),
                         )

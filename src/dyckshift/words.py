@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class DyckError(Exception):
@@ -53,8 +52,16 @@ class BudgetExceeded(DyckError):
     """An enumeration was asked to exceed its configured size budget."""
 
 
-@dataclass(frozen=True)
-class AlphabetParams:
+# The package's records are named tuples.  A record with checks declares its
+# fields in a private named tuple and checks them in a subclass's ``__new__``
+# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
+# ``_make`` build through ``tuple.__new__`` and skip those checks.
+class _AlphabetFields(NamedTuple):
+    m: int
+    allow_single_type: bool
+
+
+class AlphabetParams(_AlphabetFields):
     """Run-time alphabet configuration.
 
     ``m`` counts the bracket types.  ``m = 1`` degenerates to the full shift
@@ -63,34 +70,41 @@ class AlphabetParams:
     unless ``allow_single_type`` is set explicitly.
     """
 
-    m: int
-    allow_single_type: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one bracket type, got m={self.m}")
-        if self.m == 1 and not self.allow_single_type:
+    def __new__(cls, m: int, allow_single_type: bool = False) -> "AlphabetParams":
+        if m < 1:
+            raise ValueError(f"need at least one bracket type, got m={m}")
+        if m == 1 and not allow_single_type:
             raise ValueError(
                 "m=1 is the degenerate full-shift case; "
                 "pass allow_single_type=True if you really want it"
             )
+        return tuple.__new__(cls, (m, allow_single_type))
 
 
 _TOKEN_RE = re.compile(r"([ab])([1-9][0-9]*)\Z")
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """A single letter: ``kind`` is ``"a"`` (opener) or ``"b"`` (closer)."""
-
+class _SymbolFields(NamedTuple):
     kind: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("a", "b"):
-            raise ValueError(f"symbol kind must be 'a' or 'b', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"symbol index must be >= 1, got {self.index}")
+
+class Symbol(_SymbolFields):
+    """A single letter: ``kind`` is ``"a"`` (opener) or ``"b"`` (closer).
+
+    Symbols order as their ``(kind, index)`` tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "Symbol":
+        if kind not in ("a", "b"):
+            raise ValueError(f"symbol kind must be 'a' or 'b', got {kind!r}")
+        if index < 1:
+            raise ValueError(f"symbol index must be >= 1, got {index}")
+        return tuple.__new__(cls, (kind, index))
 
     @classmethod
     def from_code(cls, code: int) -> "Symbol":
@@ -125,19 +139,45 @@ def parse_codes(text: str, m: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-@dataclass(frozen=True)
 class Word:
-    """An immutable finite word over the 2m-letter bracket alphabet."""
+    """An immutable finite word over the 2m-letter bracket alphabet.
 
+    A slotted class rather than a tuple, so that iterating a word walks its
+    letters.  Words compare and hash by ``(m, codes)``.
+    """
+
+    __slots__ = ("m", "codes")
     m: int
     codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got {self.m}")
-        for c in self.codes:
-            if c == 0 or abs(c) > self.m:
-                raise ValueError(f"letter code {c} out of range for m={self.m}")
+    def __init__(self, m: int, codes: tuple[int, ...]) -> None:
+        if m < 1:
+            raise ValueError(f"need m >= 1, got {m}")
+        for c in codes:
+            if c == 0 or abs(c) > m:
+                raise ValueError(f"letter code {c} out of range for m={m}")
+        _set_word_m(self, m)
+        _set_word_codes(self, codes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.codes))
+
+    def __repr__(self) -> str:
+        return f"Word(m={self.m!r}, codes={self.codes!r})"
+
+    def __reduce__(self) -> tuple:
+        return Word, (self.m, self.codes)
 
     @classmethod
     def parse(cls, text: str, m: int) -> "Word":
@@ -179,6 +219,12 @@ class Word:
         return self.text() or "(empty)"
 
 
+# The slots' own setters: ``Word.__init__`` fills the slots through them,
+# past the ``__setattr__`` that refuses every assignment.
+_set_word_m = Word.m.__set__
+_set_word_codes = Word.codes.__set__
+
+
 def code_text(code: int) -> str:
     return f"a{code}" if code > 0 else f"b{-code}"
 
@@ -188,8 +234,13 @@ def lex_key(w: Word) -> tuple[tuple[int, int], ...]:
     return tuple((0, c) if c > 0 else (1, -c) for c in w.codes)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class _NormalFormFields(NamedTuple):
+    is_zero: bool
+    closers: tuple[int, ...]
+    openers: tuple[int, ...]
+
+
+class NormalForm(_NormalFormFields):
     """The irreducible residue of a word: zero, or closers then openers.
 
     ``closers``/``openers`` hold type indices.  A nonzero normal form never
@@ -197,13 +248,14 @@ class NormalForm:
     The empty nonzero form is the monoid identity and prints as ``Λ``.
     """
 
-    is_zero: bool
-    closers: tuple[int, ...] = ()
-    openers: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.is_zero and (self.closers or self.openers):
+    def __new__(
+        cls, is_zero: bool, closers: tuple[int, ...] = (), openers: tuple[int, ...] = ()
+    ) -> "NormalForm":
+        if is_zero and (closers or openers):
             raise ValueError("the zero element carries no letters")
+        return tuple.__new__(cls, (is_zero, closers, openers))
 
     @property
     def is_identity(self) -> bool:
@@ -357,8 +409,7 @@ def min_prefix_height(w: Word) -> int:
     return min(height_profile(w))
 
 
-@dataclass(frozen=True)
-class MatchAnnotation:
+class MatchAnnotation(NamedTuple):
     """Stack-matching structure of a language word.
 
     ``matched_pairs`` are (opener position, closer position) pairs, sorted by

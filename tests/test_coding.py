@@ -519,6 +519,19 @@ def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m,
         next(SAMPLERS[name](m, lo, hi, seed=0, count=1, max_extension=cap))
 
 
+@pytest.mark.parametrize("seed", [-1, 0, 7])
+def test_reseeded_sample_streams_equal_fresh_ones(seed):
+    """A sampler reseeds one generator per sample; each state is a fresh generator's."""
+    reused = random.Random()
+    for index in range(301):
+        fresh = _sample_rng(seed, index)
+        assert fresh.getstate() == random.Random(f"{seed}:{index}").getstate()
+        assert _sample_rng(seed, index, reused) is reused
+        assert reused.getstate() == fresh.getstate(), index
+        reused.getrandbits(32 * (index % 5) + index % 3)  # the next reseed starts from a drawn state
+        reused.gauss(0.0, 1.0)  # and from a cached second normal variate
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_draws_consume_the_stream_as_randrange(n):
     for seed in (0, 1, 2024):

@@ -1,0 +1,298 @@
+"""Value semantics of the package's records: repr, equality, hash, immutability, checks.
+
+Every record is pinned here by its literal ``repr``, by equality and hash
+(hash equals that of the tuple of its fields, so sets and dicts of records
+keep their order), by refusing assignment and deletion, by pickling to an
+equal value, and by each construction check's exception type and message.
+The records are named tuples (``Word`` a slotted class), so importing the
+package stays clear of ``dataclasses`` and what it imports.
+"""
+
+import pickle
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import dyckshift
+
+from dyckshift.analysis import (
+    EmpiricalEstimate,
+    Holonomy,
+    MatchingTimes,
+    WindowDiagnostics,
+    holonomy_apply,
+)
+from dyckshift.coding import (
+    BinaryWindow,
+    CollapsedWindow,
+    IndexWindow,
+    PointWindow,
+    Provenance,
+    _trusted_window,
+)
+from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair, MeasureValue
+from dyckshift.verification import CheckResult
+from dyckshift.words import AlphabetParams, MatchAnnotation, NormalForm, NotInLanguage, Symbol, Word
+
+W1 = Word(2, (1, -1, 2, -2))
+W2 = Word(2, (2, -2, 1, -1))
+PROV = Provenance("tilde", 7, 3)
+HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fraction(1, 4))
+
+# (class, every field in order, the fields of an unequal record, literal repr)
+RECORDS = [
+    (AlphabetParams, (2, False), (3, False), "AlphabetParams(m=2, allow_single_type=False)"),
+    (Symbol, ("b", 2), ("a", 2), "Symbol(kind='b', index=2)"),
+    (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
+    (NormalForm, (False, (2,), (1,)), (False, (1,), (2,)), "NormalForm(is_zero=False, closers=(2,), openers=(1,))"),
+    (
+        MatchAnnotation,
+        (((0, 1),), (2,), ()),
+        (((0, 1),), (), (2,)),
+        "MatchAnnotation(matched_pairs=((0, 1),), unmatched_openers=(2,), unmatched_closers=())",
+    ),
+    (Provenance, ("tilde", 7, 3, False), ("plus", 7, 3, False), "Provenance(sampler='tilde', seed=7, index=3, truncated=False)"),
+    (
+        PointWindow,
+        (2, -1, 1, (1, -1, 2), PROV),
+        (2, -1, 1, (2, -2, 2), PROV),
+        "PointWindow(m=2, lo=-1, hi=1, codes=(1, -1, 2), "
+        "provenance=Provenance(sampler='tilde', seed=7, index=3, truncated=False))",
+    ),
+    (BinaryWindow, (0, 1, (1, 0)), (0, 1, (0, 0)), "BinaryWindow(lo=0, hi=1, bits=(1, 0))"),
+    (IndexWindow, (2, 0, 1, (1, 2)), (2, 0, 1, (2, 2)), "IndexWindow(m=2, lo=0, hi=1, indices=(1, 2))"),
+    (
+        CollapsedWindow,
+        (2, 0, 1, ("a1", "b"), "plus"),
+        (2, 0, 1, ("a2", "b"), "plus"),
+        "CollapsedWindow(m=2, lo=0, hi=1, letters=('a1', 'b'), variant='plus')",
+    ),
+    (
+        ExtensionMassRow,
+        (4, 2, Fraction(1, 8), Fraction(1, 4), Fraction(0)),
+        (4, 2, Fraction(1, 8), Fraction(1, 4), Fraction(1)),
+        "ExtensionMassRow(total_len=4, count=2, added=Fraction(1, 8), partial=Fraction(1, 4), residual=Fraction(0, 1))",
+    ),
+    (
+        LogPair,
+        (Fraction(1), Fraction(1, 2)),
+        (Fraction(1), Fraction(1, 4)),
+        "LogPair(log2_coeff=Fraction(1, 1), logm_coeff=Fraction(1, 2))",
+    ),
+    (
+        EntropyReport,
+        (2, 3, QUARTER, HALF, Fraction(1, 2)),
+        (2, 3, QUARTER, QUARTER, Fraction(1, 2)),
+        "EntropyReport(n=2, m=3, block=LogPair(log2_coeff=Fraction(2, 1), logm_coeff=Fraction(1, 4)), "
+        "step=LogPair(log2_coeff=Fraction(1, 1), logm_coeff=Fraction(1, 2)), p_nonneg=Fraction(1, 2))",
+    ),
+    (
+        CheckResult,
+        ("k", "t", True, "o", "e", 0.5, ("d",)),
+        ("k", "t", False, "o", "e", 0.5, ("d",)),
+        "CheckResult(key='k', title='t', ok=True, observed='o', expected='e', elapsed=0.5, detail=('d',))",
+    ),
+    (
+        Holonomy,
+        (W1, W2, 0),
+        (W1, W2, 1),
+        "Holonomy(w=Word(m=2, codes=(1, -1, 2, -2)), w_prime=Word(m=2, codes=(2, -2, 1, -1)), k=0)",
+    ),
+    (MatchingTimes, ((0, None), (-1, None)), ((0, None), (-2, None)), "MatchingTimes(forward=(0, None), backward=(-1, None))"),
+    (
+        EmpiricalEstimate,
+        ("e", 3, 10, 1, 2),
+        ("e", 4, 10, 1, 2),
+        "EmpiricalEstimate(event='e', hits=3, trials=10, excluded_truncated=1, excluded_unresolved=2)",
+    ),
+    (
+        WindowDiagnostics,
+        ("a", "b", 1.5, None, 1, -1, 0, -2, True, "n"),
+        ("a", "b", 1.5, None, 1, -1, 0, -3, True, "n"),
+        "WindowDiagnostics(forward_label='a', backward_label='b', forward_score=1.5, backward_score=None, "
+        "forward_end=1, backward_end=-1, forward_min=0, backward_min=-2, heuristic=True, note='n')",
+    ),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
+def test_repr_is_the_literal_field_listing(cls, fields, other, text):
+    assert repr(cls(*fields)) == text
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
+def test_equality_and_hash_go_by_the_fields(cls, fields, other, text):
+    a, b, c = cls(*fields), cls(*fields), cls(*other)
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert hash(a) == hash(b) == hash(tuple(fields))
+    assert len({a, b, c}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
+def test_records_refuse_assignment_and_deletion(cls, fields, other, text):
+    record = cls(*fields)
+    name = re.match(r"\w+\((\w+)=", text).group(1)
+    with pytest.raises(AttributeError):
+        setattr(record, name, other[0])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*fields)
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
+def test_records_pickle_to_equal_values(cls, fields, other, text):
+    record = cls(*fields)
+    again = pickle.loads(pickle.dumps(record))
+    assert type(again) is cls
+    assert again == record and repr(again) == text
+
+
+def test_defaults_fill_the_trailing_fields():
+    assert AlphabetParams(2) == AlphabetParams(2, False)
+    assert NormalForm(True) == NormalForm(True, (), ())
+    assert PointWindow(2, 0, 0, (1,)).provenance is None
+    assert MeasureValue(Fraction(1, 2)) == MeasureValue(Fraction(1, 2), None, None)
+    assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0, 0)
+    assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
+        "finite-window drift score; not a tail determination"
+    )
+    assert CheckResult("k", "t", True, "o", "e", 0.0).detail == ()
+    assert Provenance(sampler="plus", seed=1, index=2) == Provenance("plus", 1, 2, False)
+
+
+def test_measure_values_compare_by_value_alone():
+    mono, plain = MeasureValue.monomial(1, 1, 2), MeasureValue(Fraction(1, 4))
+    assert repr(mono) == "MeasureValue(value=Fraction(1, 4), two_exp=1, m_exp=1)"
+    assert mono == plain and not mono != plain
+    assert mono == Fraction(1, 4) and not mono != Fraction(1, 4)
+    assert MeasureValue.zero() == 0 and MeasureValue.one() == 1
+    assert hash(mono) == hash(plain) == hash(Fraction(1, 4))
+    assert len({mono, plain}) == 1
+    assert mono != MeasureValue(Fraction(1, 8))
+    assert mono + plain == MeasureValue(Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        mono.value = Fraction(1)
+    again = pickle.loads(pickle.dumps(mono))
+    assert repr(again) == repr(mono)
+
+
+def test_symbols_order_by_kind_then_index():
+    a1, a2, a10, b1 = Symbol("a", 1), Symbol("a", 2), Symbol("a", 10), Symbol("b", 1)
+    assert sorted([b1, a10, a2, a1]) == [a1, a2, a10, b1]
+    assert a1 < a2 < a10 < b1 and b1 > a10 >= a10 and a1 <= a1
+    assert [Symbol.from_code(c).code for c in (2, -1)] == [2, -1]
+    assert Symbol.from_code(-3) == Symbol("b", 3)
+
+
+def test_words_iterate_index_and_slice_their_letters():
+    w = Word(2, (1, -1, 2))
+    assert list(w) == [1, -1, 2] and len(w) == 3
+    assert w[0] == 1 and w[-1] == 2
+    assert w[1:] == Word(2, (-1, 2))
+    assert w + Word(2, (-2,)) == Word(2, (1, -1, 2, -2))
+    assert w != (2, (1, -1, 2)) and w != Word(3, (1, -1, 2))
+
+
+def test_sampler_windows_equal_checked_windows():
+    fields = (2, -1, 1, (1, -1, 2), PROV)
+    trusted, checked = _trusted_window(*fields), PointWindow(*fields)
+    assert type(trusted) is PointWindow
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    assert trusted.truncated is False
+
+
+def _raises(exc_type, message, build):
+    with pytest.raises(exc_type) as info:
+        build()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
+CHECKS = [
+    (ValueError, "need at least one bracket type, got m=0", lambda: AlphabetParams(0)),
+    (
+        ValueError,
+        "m=1 is the degenerate full-shift case; pass allow_single_type=True if you really want it",
+        lambda: AlphabetParams(1),
+    ),
+    (ValueError, "symbol kind must be 'a' or 'b', got 'c'", lambda: Symbol("c", 1)),
+    (ValueError, "symbol index must be >= 1, got 0", lambda: Symbol("a", 0)),
+    (ValueError, "code 0 does not denote a letter", lambda: Symbol.from_code(0)),
+    (ValueError, "need m >= 1, got 0", lambda: Word(0, ())),
+    (ValueError, "letter code 3 out of range for m=2", lambda: Word(2, (3,))),
+    (ValueError, "letter code 0 out of range for m=2", lambda: Word(2, (1, 0))),
+    (ValueError, "the zero element carries no letters", lambda: NormalForm(True, (1,))),
+    (ValueError, "the zero element carries no letters", lambda: NormalForm(True, (), (2,))),
+    (ValueError, "window [1, 2] must contain the origin", lambda: PointWindow(2, 1, 2, (1, 1))),
+    (ValueError, "window length does not match its bounds", lambda: PointWindow(2, 0, 1, (1,))),
+    (ValueError, "letter code 4 out of range for m=2", lambda: PointWindow(2, 0, 1, (1, 4))),
+    (
+        ValueError,
+        "only truncated samples may carry unresolved letters",
+        lambda: PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0)),
+    ),
+    (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
+    (ValueError, "empty bit window", lambda: BinaryWindow(1, 0, ())),
+    (ValueError, "bit window length does not match its bounds", lambda: BinaryWindow(0, 1, (1,))),
+    (ValueError, "bits must be 0 or 1", lambda: BinaryWindow(0, 1, (1, 2))),
+    (ValueError, "index window length does not match its bounds", lambda: IndexWindow(2, 0, 1, (1,))),
+    (ValueError, "type indices must lie in [1, 2]", lambda: IndexWindow(2, 0, 1, (1, 3))),
+    (ValueError, "variant must be one of ('plus', 'minus')", lambda: CollapsedWindow(2, 0, 0, ("b",), "both")),
+    (ValueError, "window [-2, -1] must contain the origin", lambda: CollapsedWindow(2, -2, -1, ("b", "b"), "plus")),
+    (ValueError, "window length does not match its bounds", lambda: CollapsedWindow(2, 0, 1, ("b",), "plus")),
+    (ValueError, "letter 'a3' not in the plus alphabet", lambda: CollapsedWindow(2, 0, 0, ("a3",), "plus")),
+    (ValueError, "letter 'b' not in the minus alphabet", lambda: CollapsedWindow(2, 0, 0, ("b",), "minus")),
+    (ValueError, "measure values are nonnegative", lambda: MeasureValue(Fraction(-1, 2))),
+    (ValueError, "block swap needs both words over the same alphabet", lambda: Holonomy(W1, Word(3, W2.codes), 0)),
+    (ValueError, "block swap needs words of equal length", lambda: Holonomy(W1, Word(2, (1, -1)), 0)),
+    (ValueError, "'a1 b1 a2 b2' and 'a1 b1 a1 a2' are not equivalent", lambda: Holonomy(W1, Word(2, (1, -1, 1, 2)), 0)),
+    (NotInLanguage, "'a1 b2' reduces to zero", lambda: Holonomy(Word(2, (1, -2)), Word(2, (2, -1)), 0)),
+]
+
+
+@pytest.mark.parametrize("exc_type, message, build", CHECKS, ids=[m for _, m, _ in CHECKS])
+def test_construction_checks_keep_their_errors(exc_type, message, build):
+    _raises(exc_type, message, build)
+
+
+def test_valid_edge_records_construct():
+    assert AlphabetParams(1, True).m == 1
+    assert PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0, True)).truncated
+    assert CollapsedWindow(2, 0, 0, ("a",), "minus").text() == "a"
+    assert MeasureValue.zero().text() == "0"
+
+
+def test_holonomy_apply_rechecks_the_patched_window():
+    swap = Holonomy(W1, W2, 2)
+    good = PointWindow(2, 0, 5, (1, -1) + W1.codes, PROV)
+    patched = holonomy_apply(swap, good)
+    assert type(patched) is PointWindow
+    assert patched == PointWindow(2, 0, 5, (1, -1) + W2.codes, PROV)
+    assert swap.inverse().apply(patched) == good
+    # A window that was never checked (the samplers' trusted route) is
+    # checked when a swap rebuilds it.
+    bad = _trusted_window(2, 0, 5, (1, -2) + W1.codes, PROV)
+    _raises(NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: holonomy_apply(swap, bad))
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # -S: no site packages, so only the package's own imports are seen.
+    src = Path(dyckshift.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dyckshift, dyckshift.cli; "
+        "print(dyckshift.__file__); "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    imported_from, heavy = done.stdout.splitlines()
+    assert Path(imported_from).resolve().is_relative_to(src)
+    assert heavy == "[]"

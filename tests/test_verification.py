@@ -1,6 +1,5 @@
 """The verify runner, the wording of check results, and faults the checks must catch."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ def test_below_topological_counts_lengths_when_only_some_are_above(monkeypatch):
     def fake(n, m=2):
         rep = real(n, m)
         # from n = 6 on, pretend h_n = log 2 < log 3
-        return rep if n < 6 else dataclasses.replace(rep, step=LogPair(Fraction(1), Fraction(0)))
+        return rep if n < 6 else rep._replace(step=LogPair(Fraction(1), Fraction(0)))
 
     monkeypatch.setattr(verification, "entropy_report", fake)
     result = run_check("entropy-below-topological")
@@ -182,6 +181,25 @@ def test_misreduced_word_fails_both_checks(monkeypatch):
     context, _, rep = _swap_failure(run_check("block-swap-exact"))
     assert context + rep == MISREDUCED
     assert _consistency_failures(run_check("cylinder-consistency")) == [(2, MISREDUCED)]
+
+
+def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
+    # Planted once the classes are collected, so that sweep (a) and the
+    # classes see the true residue and only sweep (b)'s from-scratch scans of
+    # s + w meet it: a1 + a2 b2 keeps a2 open, which b1 then annihilates.
+    collect = verification._shared_classes
+
+    def collect_then_plant(*args):
+        classes = collect(*args)
+        monkeypatch.setattr(
+            verification, "residue", lambda codes: ((), (2,)) if codes == (1, 2, -2) else residue(codes)
+        )
+        return classes
+
+    monkeypatch.setattr(verification, "_shared_classes", collect_then_plant)
+    result = run_check("block-swap-exact")
+    assert not result.ok
+    assert result.observed == "mass of s+2 -2+t differs from the representative's"
 
 
 def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
