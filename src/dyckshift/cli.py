@@ -18,7 +18,7 @@ from typing import Sequence
 from . import __version__
 from .coding import SAMPLERS
 from .measures import (
-    balanced_cylinder_value,
+    LogPair,
     entropy_report,
     mass_length_for_residual,
     minimal_extension_mass,
@@ -226,12 +226,14 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
                  r.step.logm_coeff, f"{r.step.nats(m):.6f}", r.p_nonneg]
             )
         return 0
+    # h_n's limit is log 2 + (1/2) log m; the gap to it is (p_nonneg/2) log m
+    limit = LogPair(Fraction(1), Fraction(1, 2))
     print(f"# m={m}  H_n and h_n exact as p*log2 + q*log{m}; nats rounded")
-    print(f"{'n':>3} {'H_n (nats)':>12} {'h_n (nats)':>12} {'p_nonneg':>12}")
+    print(f"{'n':>3} {'H_n (nats)':>12} {'h_n (nats)':>12} {'p_nonneg':>12} {'gap to limit':>14}")
     for r in reports:
         print(
             f"{r.n:>3} {r.block.nats(m):>12.6f} {r.step.nats(m):>12.6f} "
-            f"{str(r.p_nonneg):>12}"
+            f"{str(r.p_nonneg):>12} {(r.step - limit).nats(m):>14.6f}"
         )
     return 0
 

@@ -19,8 +19,6 @@ from .words import (
     NotInLanguage,
     Word,
     is_balanced,
-    is_in_language,
-    match_annotate,
     minimal_balanced_extensions,
     pattern_counts,
     residue,
@@ -157,39 +155,14 @@ def balanced_cylinder_value(w: Word) -> MeasureValue:
     return MeasureValue.monomial(len(w), len(w) // 2, w.m)
 
 
-def extension_additivity(w: Word) -> tuple[MeasureValue, MeasureValue]:
-    """Cylinder mass of ``w`` versus the sum over its one-letter extensions.
-
-    Returns ``(lhs, rhs)`` for the caller to assert equal; both are exact.
-    Extensions that fall out of the language contribute zero to the sum.
-    """
-    if not is_in_language(w):
-        raise NotInLanguage(f"{w.text()!r} reduces to zero")
-    lhs = tilde_cylinder_value(w)
-    total = Fraction(0)
-    for code in range(1, w.m + 1):
-        total += tilde_cylinder_value(Word(w.m, w.codes + (code,))).value
-        total += tilde_cylinder_value(Word(w.m, w.codes + (-code,))).value
-    return lhs, MeasureValue(total)
-
-
-def catalan_convolution(parts: int, pairs: int) -> int:
-    """Number of ``parts``-tuples of balanced nesting shapes totaling ``pairs`` pairs.
-
-    Closed form ``parts/(2*pairs+parts) * C(2*pairs+parts, pairs)`` (a ballot
-    number); the tests cross-check it against an explicit convolution of
-    Catalan numbers.
-    """
-    if parts < 0 or pairs < 0:
-        raise ValueError("arguments must be nonnegative")
-    if parts == 0:
-        return 1 if pairs == 0 else 0
-    top = 2 * pairs + parts
-    return parts * math.comb(top, pairs) // top
-
-
 def _ballot_ways(k: int) -> Iterator[int]:
-    """``C_k(f)`` for ``f = 0, 1, ...``, stepped by its ratio recurrence."""
+    """``C_k(f)`` for ``f = 0, 1, ...``, stepped by its ratio recurrence.
+
+    ``C_k(f) = k/(2f+k) * C(2f+k, f)`` (a ballot number, 1 when ``k = f =
+    0``) counts the ``k``-tuples of balanced nesting shapes with ``f`` pairs
+    in all: the filler shapes of a completion that adds ``f`` pairs to a
+    word with ``k`` loose letters.
+    """
     ways, f = 1, 0
     while True:
         yield ways
@@ -212,6 +185,14 @@ class ExtensionMassRow(NamedTuple):
     residual: Fraction
 
 
+def _loose_letters(a: Word) -> int:
+    """Letter count of ``a``'s residue; raises NotInLanguage for zero words."""
+    found = residue(a.codes)
+    if found is None:
+        raise NotInLanguage(f"{a.text()!r} reduces to zero")
+    return len(found[0]) + len(found[1])
+
+
 def minimal_extension_mass(
     a: Word,
     max_len: int,
@@ -228,8 +209,7 @@ def minimal_extension_mass(
     appear only for lengths that contribute, so partial sums strictly
     increase.
     """
-    ann = match_annotate(a)  # raises NotInLanguage for zero words
-    k = ann.n_unmatched
+    k = _loose_letters(a)
     base = len(a) + k
     classes = range((max_len - base) // 2 + 1) if max_len >= base else range(0)
     # ways[f]: completions with f added pairs, divided by the m^f types of those pairs
@@ -280,18 +260,15 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
 
     The length class with ``f`` added pairs carries ``C_k(f) 4^-f 2^-k`` of
     the cylinder value for every ``m``, where ``k`` counts loose letters and
-    ``C_k`` is :func:`catalan_convolution`.  One pass over ``f = 0, 1, ...``
-    steps ``C_k(f)`` by its ratio recurrence and compares integers scaled by
-    ``4^f``; it returns the length ``|a| + k + 2f`` of the first class whose
-    residual is at most ``ratio`` of the target, the row that
-    :func:`minimal_extension_mass` would reach first.
+    ``C_k`` is the ballot number of :func:`_ballot_ways`.  One pass over
+    ``f = 0, 1, ...`` steps ``C_k(f)`` by its ratio recurrence and compares
+    integers scaled by ``4^f``; it returns the length ``|a| + k + 2f`` of
+    the first class whose residual is at most ``ratio`` of the target, the
+    row that :func:`minimal_extension_mass` would reach first.
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    found = residue(a.codes)
-    if found is None:
-        raise NotInLanguage(f"{a.text()!r} reduces to zero")
-    k = len(found[0]) + len(found[1])
+    k = _loose_letters(a)
     # residual <= ratio * target  <=>  sum_{g<=f} C_k(g) 4^-g >= (1 - ratio) 2^k,
     # held as den * reached >= (den - num) 2^k 4^f with reached scaled by 4^f
     need = (ratio.denominator - ratio.numerator) << k
@@ -407,8 +384,3 @@ def entropy_report(n: int, m: int = 2) -> EntropyReport:
         step=there - here,
         p_nonneg=Fraction(nonneg, 2**n),
     )
-
-
-def entropy_table(n_max: int, m: int = 2) -> Iterator[EntropyReport]:
-    for n in range(1, n_max + 1):
-        yield entropy_report(n, m)

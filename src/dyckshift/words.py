@@ -86,44 +86,6 @@ class AlphabetParams(_AlphabetFields):
 _TOKEN_RE = re.compile(r"([ab])([1-9][0-9]*)\Z")
 
 
-class _SymbolFields(NamedTuple):
-    kind: str
-    index: int
-
-
-class Symbol(_SymbolFields):
-    """A single letter: ``kind`` is ``"a"`` (opener) or ``"b"`` (closer).
-
-    Symbols order as their ``(kind, index)`` tuples.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, index: int) -> "Symbol":
-        if kind not in ("a", "b"):
-            raise ValueError(f"symbol kind must be 'a' or 'b', got {kind!r}")
-        if index < 1:
-            raise ValueError(f"symbol index must be >= 1, got {index}")
-        return tuple.__new__(cls, (kind, index))
-
-    @classmethod
-    def from_code(cls, code: int) -> "Symbol":
-        if code == 0:
-            raise ValueError("code 0 does not denote a letter")
-        return cls("a", code) if code > 0 else cls("b", -code)
-
-    @property
-    def code(self) -> int:
-        """Signed type code: ``+index`` for openers, ``-index`` for closers."""
-        return self.index if self.kind == "a" else -self.index
-
-    def text(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text()
-
-
 def parse_codes(text: str, m: int) -> tuple[int, ...]:
     """Parse word text (``"a1 b2"`` style) into a tuple of signed codes."""
     codes: list[int] = []
@@ -182,14 +144,6 @@ class Word:
     @classmethod
     def parse(cls, text: str, m: int) -> "Word":
         return cls(m, parse_codes(text, m))
-
-    @classmethod
-    def from_symbols(cls, symbols: Sequence[Symbol], m: int) -> "Word":
-        return cls(m, tuple(s.code for s in symbols))
-
-    @property
-    def symbols(self) -> tuple[Symbol, ...]:
-        return tuple(Symbol.from_code(c) for c in self.codes)
 
     def text(self) -> str:
         return " ".join(code_text(c) for c in self.codes)
@@ -390,73 +344,6 @@ def are_equivalent(w: Word, other: Word) -> bool:
     return nf == nf_other
 
 
-def height_profile(w: Word) -> tuple[int, ...]:
-    """Running opener-minus-closer count over prefixes; starts at 0."""
-    out = [0]
-    h = 0
-    for c in w.codes:
-        h += 1 if c > 0 else -1
-        out.append(h)
-    return tuple(out)
-
-
-def height(w: Word) -> int:
-    return sum(1 if c > 0 else -1 for c in w.codes)
-
-
-def min_prefix_height(w: Word) -> int:
-    """Minimum of the height profile.  Never positive: the empty prefix is 0."""
-    return min(height_profile(w))
-
-
-class MatchAnnotation(NamedTuple):
-    """Stack-matching structure of a language word.
-
-    ``matched_pairs`` are (opener position, closer position) pairs, sorted by
-    opener position.  Unmatched closer positions always precede unmatched
-    opener positions — the residue reads closers-then-openers.
-    """
-
-    matched_pairs: tuple[tuple[int, int], ...]
-    unmatched_openers: tuple[int, ...]
-    unmatched_closers: tuple[int, ...]
-
-    @property
-    def n_matched_pairs(self) -> int:
-        return len(self.matched_pairs)
-
-    @property
-    def n_unmatched(self) -> int:
-        return len(self.unmatched_openers) + len(self.unmatched_closers)
-
-
-def match_annotate(w: Word) -> MatchAnnotation:
-    """Pair every closer with the most recent open opener of the same type.
-
-    Raises NotInLanguage when a closer meets an open opener of a different
-    type — exactly the annihilation case, so no separate membership check is
-    needed.
-    """
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    loose_closers: list[int] = []
-    for pos, c in enumerate(w.codes):
-        if c > 0:
-            stack.append(pos)
-        elif stack:
-            opener_pos = stack[-1]
-            if w.codes[opener_pos] != -c:
-                raise NotInLanguage(
-                    f"{w.text()!r}: closer at {pos} annihilates opener at {opener_pos}"
-                )
-            stack.pop()
-            pairs.append((opener_pos, pos))
-        else:
-            loose_closers.append(pos)
-    pairs.sort()
-    return MatchAnnotation(tuple(pairs), tuple(stack), tuple(loose_closers))
-
-
 def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Depth-first walk of the length-``n`` language in lexicographic order.
 
@@ -501,12 +388,6 @@ def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]
         else:
             for c in loose_closers:
                 yield codes + c, pairs, loose
-
-
-def enumerate_language(n: int, m: int) -> Iterator[Word]:
-    """All language words of length ``n``, lexicographic (a1 < .. < am < b1 < .. < bm)."""
-    for codes, _, _ in iter_language_stats(n, m):
-        yield Word(m, codes)
 
 
 def pattern_counts(n: int) -> list[int]:
@@ -593,16 +474,19 @@ def minimal_balanced_extensions(
     ``a``.  Structurally: ``l`` supplies one opener per unmatched closer of
     ``a`` (in reverse order of appearance, so they nest), ``r`` supplies one
     closer per unmatched opener likewise, and arbitrary balanced filler may
-    sit after each supplied opener and before each supplied closer.
+    sit after each supplied opener and before each supplied closer.  The
+    needs are the two halves of ``a``'s :func:`residue`.  Raises
+    NotInLanguage when ``a`` reduces to zero.
 
     Yields groups of increasing total length ``|l·a·r| <= max_len``; within a
     length group the order is lexicographic in ``(l, r)``.
     """
     if max_len < len(a):
         raise ValueError(f"max_len={max_len} is shorter than the word ({len(a)})")
-    ann = match_annotate(a)
-    left_needs = [-a.codes[p] for p in ann.unmatched_closers]
-    right_needs = [a.codes[p] for p in ann.unmatched_openers]
+    found = residue(a.codes)
+    if found is None:
+        raise NotInLanguage(f"{a.text()!r} reduces to zero")
+    left_needs, right_needs = found
     slots = len(left_needs) + len(right_needs)
     base = len(a) + slots
 

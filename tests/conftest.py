@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
 from dyckshift.coding import SAMPLERS, PointWindow, Provenance, height_cocycle
-from dyckshift.measures import ExtensionMassRow, catalan_convolution, tilde_cylinder_value
+from dyckshift.measures import ExtensionMassRow, MeasureValue, tilde_cylinder_value
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
-from dyckshift.words import IDENTITY, ZERO, NormalForm, Word, iter_language_stats, match_annotate, residue
+from dyckshift.words import IDENTITY, ZERO, NormalForm, NotInLanguage, Word, iter_language_stats, residue
 
 settings.register_profile(
     "suite",
@@ -255,13 +255,47 @@ def first_row_within(rows: Sequence[ExtensionMassRow], target: Fraction, ratio: 
     return next((row.total_len for row in rows if row.residual <= ratio * target), None)
 
 
+def extension_additivity(w: Word) -> tuple[MeasureValue, MeasureValue]:
+    """Cylinder mass of ``w`` versus the sum over its one-letter extensions.
+
+    Returns ``(lhs, rhs)`` for the caller to assert equal; both are exact.
+    Extensions that fall out of the language contribute zero to the sum.
+    """
+    if residue(w.codes) is None:
+        raise NotInLanguage(f"{w.text()!r} reduces to zero")
+    lhs = tilde_cylinder_value(w)
+    total = Fraction(0)
+    for code in range(1, w.m + 1):
+        total += tilde_cylinder_value(Word(w.m, w.codes + (code,))).value
+        total += tilde_cylinder_value(Word(w.m, w.codes + (-code,))).value
+    return lhs, MeasureValue(total)
+
+
+def catalan_convolution(parts: int, pairs: int) -> int:
+    """Number of ``parts``-tuples of balanced nesting shapes totaling ``pairs`` pairs.
+
+    Closed form ``parts/(2*pairs+parts) * C(2*pairs+parts, pairs)`` (a ballot
+    number), checked against an explicit convolution of Catalan numbers.
+    """
+    if parts < 0 or pairs < 0:
+        raise ValueError("arguments must be nonnegative")
+    if parts == 0:
+        return 1 if pairs == 0 else 0
+    top = 2 * pairs + parts
+    return parts * math.comb(top, pairs) // top
+
+
 def fraction_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
     """Oracle for ``minimal_extension_mass``: the count route with Fraction partial sums.
 
     Each length class is priced as its ballot-number count of completions
-    times the balanced law, and added to a running Fraction row by row.
+    times the balanced law, and added to a running Fraction row by row.  The
+    loose letters are counted by the order-free rewriting oracle.
     """
-    loose = match_annotate(a).n_unmatched
+    nf = rewrite_oracle(a.codes, random.Random(0))
+    if nf.is_zero:
+        raise NotInLanguage(f"{a.text()!r} reduces to zero")
+    loose = nf.size()
     target = tilde_cylinder_value(a).value
     base = len(a) + loose
     rows: list[ExtensionMassRow] = []

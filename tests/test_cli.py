@@ -244,6 +244,21 @@ def test_entropy_table(capsys):
     assert lines[2].split()[0] == "0"
 
 
+def test_entropy_table_gap_column(capsys):
+    """The last column is h_n's gap to its limit log 2 + (1/2) log m, i.e. (p_n/2) log m."""
+    for m in (2, 3):
+        rc, out, _ = run(capsys, "entropy", "--n", "11", "--m", str(m))
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[1].split()[-3:] == ["gap", "to", "limit"]
+        assert len(lines) == 14  # comment, header, rows n=0..11
+        for line in lines[2:]:
+            _, _, _, p_nonneg, gap = line.split()
+            assert float(gap) == pytest.approx(float(Fraction(p_nonneg)) / 2 * math.log(m), abs=5e-7)
+        if m == 2:  # the figure entropy-limit-gap reports
+            assert lines[-1].split()[-1] == "0.078182"
+
+
 def test_entropy_json_row(capsys):
     payload = run_json(capsys, "entropy", "--n", "11", "--json")
     assert payload == {
@@ -352,7 +367,10 @@ def test_extensions_ratio_is_checked(capsys, argv):
 def test_extensions_reject_zero_words(capsys):
     rc, _, err = run(capsys, "extensions", "a1 b2")
     assert rc == 2
-    assert "error:" in err
+    assert err == "error: 'a1 b2' reduces to zero\n"
+    rc, _, err = run(capsys, "extensions", "a1 b2", "--mass")
+    assert rc == 2
+    assert err == "error: 'a1 b2' reduces to zero\n"
 
 
 # ------------------------------------------------------------------ verify

@@ -1,23 +1,21 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dyckshift.measures import (
-    EntropyReport,
     LogPair,
     MeasureValue,
+    _ballot_ways,
     _pattern_stats,
     balanced_cylinder_value,
     block_entropy,
-    catalan_convolution,
     cylinder_exponents,
     cylinder_value_from_codes,
     entropy_report,
-    entropy_table,
-    extension_additivity,
     mass_length_for_residual,
     minimal_extension_mass,
     residue_exponents,
@@ -29,10 +27,17 @@ from dyckshift.words import (
     Word,
     enumerate_balanced,
     iter_language_stats,
-    match_annotate,
 )
 
-from conftest import enumerated_pattern_stats, first_row_within, fraction_extension_rows, language_words
+from conftest import (
+    catalan_convolution,
+    enumerated_pattern_stats,
+    extension_additivity,
+    first_row_within,
+    fraction_extension_rows,
+    language_words,
+    rewrite_oracle,
+)
 
 
 # ----------------------------------------------------------- cylinder values
@@ -68,17 +73,18 @@ def test_monomial_exponents_exposed():
 
 
 def test_cylinder_exponents_agree_with_masses_exhaustively():
+    rng = random.Random(0)
     for n in range(7):
         for codes in itertools.product((1, 2, -1, -2), repeat=n):
             exponents = cylinder_exponents(codes)
             value = cylinder_value_from_codes(codes, 2)
+            nf = rewrite_oracle(codes, rng)
+            assert (exponents is None) == nf.is_zero
             if exponents is None:
                 assert value == 0
-                with pytest.raises(NotInLanguage):
-                    match_annotate(Word(2, codes))
                 continue
-            ann = match_annotate(Word(2, codes))
-            assert exponents == (n, ann.n_matched_pairs + ann.n_unmatched)
+            loose = nf.size()
+            assert exponents == (n, (n - loose) // 2 + loose)
             assert value == Fraction(1, 2**n * 2 ** exponents[1])
             assert tilde_cylinder_value(Word(2, codes)) == value
 
@@ -200,6 +206,7 @@ def conv_oracle(parts: int, pairs: int) -> int:
 @pytest.mark.parametrize("pairs", range(9))
 def test_catalan_convolution_closed_form(parts, pairs):
     assert catalan_convolution(parts, pairs) == conv_oracle(parts, pairs)
+    assert next(itertools.islice(_ballot_ways(parts), pairs, None)) == conv_oracle(parts, pairs)
 
 
 def test_catalan_convolution_validates():
@@ -397,12 +404,6 @@ def test_step_entropy_value_at_eleven():
 def test_step_entropy_nonincreasing():
     values = [entropy_report(n, 2).step.nats(2) for n in range(13)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_entropy_table_shape():
-    rows = list(entropy_table(5, 2))
-    assert [r.n for r in rows] == [1, 2, 3, 4, 5]
-    assert all(isinstance(r, EntropyReport) for r in rows)
 
 
 def test_entropy_json_fields():

@@ -12,6 +12,7 @@ import pickle
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from dyckshift.coding import (
 )
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair, MeasureValue
 from dyckshift.verification import CheckResult
-from dyckshift.words import AlphabetParams, MatchAnnotation, NormalForm, NotInLanguage, Symbol, Word
+from dyckshift.words import AlphabetParams, NormalForm, NotInLanguage, Word
 
 W1 = Word(2, (1, -1, 2, -2))
 W2 = Word(2, (2, -2, 1, -1))
@@ -46,15 +47,8 @@ HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fract
 # (class, every field in order, the fields of an unequal record, literal repr)
 RECORDS = [
     (AlphabetParams, (2, False), (3, False), "AlphabetParams(m=2, allow_single_type=False)"),
-    (Symbol, ("b", 2), ("a", 2), "Symbol(kind='b', index=2)"),
     (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
     (NormalForm, (False, (2,), (1,)), (False, (1,), (2,)), "NormalForm(is_zero=False, closers=(2,), openers=(1,))"),
-    (
-        MatchAnnotation,
-        (((0, 1),), (2,), ()),
-        (((0, 1),), (), (2,)),
-        "MatchAnnotation(matched_pairs=((0, 1),), unmatched_openers=(2,), unmatched_closers=())",
-    ),
     (Provenance, ("tilde", 7, 3, False), ("plus", 7, 3, False), "Provenance(sampler='tilde', seed=7, index=3, truncated=False)"),
     (
         PointWindow,
@@ -185,14 +179,6 @@ def test_measure_values_compare_by_value_alone():
     assert repr(again) == repr(mono)
 
 
-def test_symbols_order_by_kind_then_index():
-    a1, a2, a10, b1 = Symbol("a", 1), Symbol("a", 2), Symbol("a", 10), Symbol("b", 1)
-    assert sorted([b1, a10, a2, a1]) == [a1, a2, a10, b1]
-    assert a1 < a2 < a10 < b1 and b1 > a10 >= a10 and a1 <= a1
-    assert [Symbol.from_code(c).code for c in (2, -1)] == [2, -1]
-    assert Symbol.from_code(-3) == Symbol("b", 3)
-
-
 def test_words_iterate_index_and_slice_their_letters():
     w = Word(2, (1, -1, 2))
     assert list(w) == [1, -1, 2] and len(w) == 3
@@ -224,9 +210,6 @@ CHECKS = [
         "m=1 is the degenerate full-shift case; pass allow_single_type=True if you really want it",
         lambda: AlphabetParams(1),
     ),
-    (ValueError, "symbol kind must be 'a' or 'b', got 'c'", lambda: Symbol("c", 1)),
-    (ValueError, "symbol index must be >= 1, got 0", lambda: Symbol("a", 0)),
-    (ValueError, "code 0 does not denote a letter", lambda: Symbol.from_code(0)),
     (ValueError, "need m >= 1, got 0", lambda: Word(0, ())),
     (ValueError, "letter code 3 out of range for m=2", lambda: Word(2, (3,))),
     (ValueError, "letter code 0 out of range for m=2", lambda: Word(2, (1, 0))),
@@ -296,3 +279,30 @@ def test_import_leaves_dataclasses_and_inspect_out():
     imported_from, heavy = done.stdout.splitlines()
     assert Path(imported_from).resolve().is_relative_to(src)
     assert heavy == "[]"
+
+
+# The names the README's "Library" section uses, and nothing else.
+README_LIBRARY_NAMES = {
+    "Word",
+    "reduce_word",
+    "tilde_cylinder_value",
+    "entropy_report",
+    "sample_tilde",
+    "empirical_cylinder",
+    "empirical_cylinders",
+    "match_index_coincidences",
+}
+
+
+def test_package_exports_only_the_readme_library_names():
+    public = {
+        name
+        for name, value in vars(dyckshift).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == README_LIBRARY_NAMES
+    assert dyckshift.__version__ == "0.1.0"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    for name in README_LIBRARY_NAMES:
+        assert re.search(rf"\b{name}\b", library), name

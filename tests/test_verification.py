@@ -203,7 +203,9 @@ def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
 
 
 def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
-    # block-swap-exact prices through measures.cylinder_exponents, out of this fault's reach
+    # block-swap-exact's sweep (b) prices through this same residue_exponents, but
+    # equivalent blocks have equal residues and lengths, so it misprices both
+    # sides of every comparison alike and still passes
     monkeypatch.setattr(verification, "residue_exponents", _misprice)
     assert _consistency_failures(run_check("cylinder-consistency")) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
 

@@ -12,20 +12,15 @@ from dyckshift.words import (
     advance,
     NotInLanguage,
     ParseError,
-    Symbol,
     Word,
     are_equivalent,
     count_balanced,
     count_language,
     enumerate_balanced,
-    enumerate_language,
-    height_profile,
     is_balanced,
     is_in_language,
     iter_language_stats,
     lex_key,
-    match_annotate,
-    min_prefix_height,
     minimal_balanced_extensions,
     parse_codes,
     pattern_counts,
@@ -75,12 +70,6 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         Word.parse("a1 b0", 2)
     assert exc.value.position == 3
-
-
-def test_symbol_codes():
-    s = Symbol.from_code(-2)
-    assert (s.kind, s.index, s.code, s.text()) == ("b", 2, -2, "b2")
-    assert Symbol.from_code(1).text() == "a1"
 
 
 def test_alphabet_params_gate_single_type():
@@ -187,45 +176,11 @@ def test_generated_equivalent_pairs_are_equivalent(pair):
 # ---------------------------------------------------------------- heights
 
 
-def test_height_profile_runs_from_zero():
-    w = Word.parse("a1 a2 b2 b1 b2", 2)
-    assert height_profile(w) == (0, 1, 2, 1, 0, -1)
-    assert min_prefix_height(w) == -1
-
-
 @given(language_words(m=2))
 def test_loose_closer_count_is_minus_min_height(w):
-    nf = reduce_codes(w.codes)
-    assert len(nf.closers) == -min_prefix_height(w)
-
-
-# ---------------------------------------------------------------- matching
-
-
-def test_match_annotate_example():
-    ann = match_annotate(Word.parse("b1 a1 a2 b2 a1", 2))
-    assert ann.matched_pairs == ((2, 3),)  # b2 closes the innermost opener
-    assert ann.unmatched_closers == (0,)
-    assert ann.unmatched_openers == (1, 4)
-
-
-def test_match_annotate_rejects_zero():
-    with pytest.raises(NotInLanguage):
-        match_annotate(Word.parse("a1 b2", 2))
-
-
-@given(language_words(m=3, max_len=14))
-def test_matched_pairs_nest_and_agree_in_type(w):
-    ann = match_annotate(w)
-    nf = reduce_codes(w.codes)
-    assert 2 * ann.n_matched_pairs + nf.size() == len(w)
-    for i, j in ann.matched_pairs:
-        assert w[i] == -w[j] and i < j
-    # properly nested: matched intervals never cross
-    for (i, j) in ann.matched_pairs:
-        for (k, l) in ann.matched_pairs:
-            if i < k < j:
-                assert l < j
+    """Loose closers count the deepest dip of the running opener-minus-closer height."""
+    lowest = min(itertools.accumulate((1 if c > 0 else -1 for c in w.codes), initial=0))
+    assert len(reduce_codes(w.codes).closers) == -lowest
 
 
 # ---------------------------------------------------------------- counting
@@ -269,11 +224,11 @@ def test_pattern_counts_equal_brute_force_tally(n):
 
 @pytest.mark.parametrize("n,m", [(n, 2) for n in range(9)] + [(n, 3) for n in range(6)])
 def test_enumeration_matches_count(n, m):
-    assert sum(1 for _ in enumerate_language(n, m)) == count_language(n, m)
+    assert sum(1 for _ in iter_language_stats(n, m)) == count_language(n, m)
 
 
 def test_enumeration_is_lexicographic_and_clean():
-    words = list(enumerate_language(3, 2))
+    words = [Word(2, codes) for codes, _, _ in iter_language_stats(3, 2)]
     keys = [lex_key(w) for w in words]
     assert keys == sorted(keys)
     assert len(set(w.codes for w in words)) == len(words)
@@ -386,6 +341,11 @@ def test_generated_balanced_words_balance(w):
 
 def completions(text: str, m: int, max_len: int):
     return list(minimal_balanced_extensions(Word.parse(text, m), max_len))
+
+
+def test_completions_reject_zero_words():
+    with pytest.raises(NotInLanguage, match=r"^'a1 b2' reduces to zero$"):
+        completions("a1 b2", 2, 6)
 
 
 def test_completions_of_single_opener():
