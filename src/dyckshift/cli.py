@@ -19,10 +19,10 @@ from . import __version__
 from .coding import SAMPLERS
 from .measures import (
     LogPair,
+    cylinder_mass,
     entropy_report,
     mass_length_for_residual,
     minimal_extension_mass,
-    tilde_cylinder_value,
 )
 from .verification import DEFAULT_SEED, SUITES, run_suite, tap_report
 from .words import (
@@ -136,36 +136,32 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    if args.measure != "tilde":
-        print(
-            f"error: measure {args.measure!r} has no exact cylinder formula here; "
-            f"estimate it empirically via: dyckshift sample --measure {args.measure}",
-            file=sys.stderr,
-        )
-        return 2
     m = _alphabet(args)
     w = Word.parse(args.word, m)
-    value = tilde_cylinder_value(w, args.position)
+    value = cylinder_mass(w.codes, m, args.measure)
+    text = f"{value.numerator}/{value.denominator}" if value else "0"
     balanced = is_balanced(w) and len(w) > 0
+    # (1/(2*sqrt(m)))^|w| is the tilde mass of a balanced word
+    closed_form = f"(1/(2*sqrt({m})))^{len(w)}" if balanced and args.measure == "tilde" else None
     if args.json:
         payload = {
             "command": "measure",
             "m": m,
-            "measure": "tilde",
+            "measure": args.measure,
             "word": w.text(),
             "position": args.position,
-            "value": value.text(),
+            "value": text,
             "decimal": float(value),
             "balanced": balanced,
         }
-        if balanced:
-            payload["balanced_form"] = f"(1/(2*sqrt({m})))^{len(w)}"
+        if closed_form:
+            payload["balanced_form"] = closed_form
         _emit_json(payload)
     else:
-        print(value.text())
+        print(text)
         print(f"# ~ {float(value):.10g}")
-        if balanced:
-            print(f"# balanced: equals (1/(2*sqrt({m})))^{len(w)}")
+        if closed_form:
+            print(f"# balanced: equals {closed_form}")
     return 0
 
 
@@ -246,7 +242,7 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
         raise DyckError("--ratio needs --mass")
     if args.mass:
         rows = minimal_extension_mass(w, max_len, method=args.method)
-        target = tilde_cylinder_value(w).value
+        target = cylinder_mass(w.codes, m)
         horizon = None if args.ratio is None else mass_length_for_residual(w, args.ratio)
         if args.json:
             payload = {
@@ -373,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", type=int, default=0, help="cylinder start coordinate")
     p.add_argument(
         "--measure",
-        choices=("tilde", "plus", "minus"),
+        choices=tuple(SAMPLERS),
         default="tilde",
-        help="only 'tilde' has an exact formula; others point to `sample`",
+        help="the measure that prices the cylinder (default tilde)",
     )
     _add_alphabet_flags(p)
     p.add_argument("--json", action="store_true")

@@ -1,9 +1,10 @@
-"""Exact cylinder values and entropy for the coin-flip coding measure.
+"""Exact cylinder masses for the tilde, plus and minus measures, and entropy.
 
-Every quantity here is exact: cylinder values are rationals (usually of the
-monomial shape ``2^-a * m^-c``), block entropies are kept as rational
-combinations ``p*log(2) + q*log(m)`` and only turned into floats at the
-reporting boundary.  Nothing in this module samples anything.
+Every quantity here is exact: cylinder masses are rationals of the shapes
+``2^-a * m^-c`` (tilde) and ``(m+1)^-a * m^-c`` (plus and minus), block
+entropies of the tilde measure are kept as rational combinations
+``p*log(2) + q*log(m)`` and only turned into floats at the reporting
+boundary.  Nothing in this module samples anything.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 
 from .words import (
     BudgetExceeded,
-    NotBalanced,
     NotInLanguage,
     Word,
     is_balanced,
@@ -23,66 +23,6 @@ from .words import (
     pattern_counts,
     residue,
 )
-
-
-class _MeasureValueFields(NamedTuple):
-    value: Fraction
-    two_exp: int | None
-    m_exp: int | None
-
-
-class MeasureValue(_MeasureValueFields):
-    """Exact nonnegative rational, with an optional monomial fast path.
-
-    When ``two_exp``/``m_exp`` are present the value is ``2^-two_exp * m^-m_exp``
-    exactly; aggregates (sums over many cylinders) drop the monomial form and
-    keep only the rational.  Equality and hashing go by value alone.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, value: Fraction, two_exp: int | None = None, m_exp: int | None = None
-    ) -> "MeasureValue":
-        if value < 0:
-            raise ValueError("measure values are nonnegative")
-        return tuple.__new__(cls, (value, two_exp, m_exp))
-
-    @classmethod
-    def monomial(cls, two_exp: int, m_exp: int, m: int) -> "MeasureValue":
-        return cls(Fraction(1, 2**two_exp * m**m_exp), two_exp, m_exp)
-
-    @classmethod
-    def zero(cls) -> "MeasureValue":
-        return cls(Fraction(0))
-
-    @classmethod
-    def one(cls) -> "MeasureValue":
-        return cls(Fraction(1), 0, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MeasureValue):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        # Tuples define their own ``!=``; this one is ``not ==``, by value.
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __add__(self, other: "MeasureValue") -> "MeasureValue":
-        return MeasureValue(self.value + other.value)
-
-    def text(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}" if self.value else "0"
 
 
 def cylinder_exponents(codes: Sequence[int]) -> tuple[int, int] | None:
@@ -97,7 +37,7 @@ def cylinder_exponents(codes: Sequence[int]) -> tuple[int, int] | None:
 def residue_exponents(
     found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int
 ) -> tuple[int, int] | None:
-    """The one pricing rule: exponents of a word from its length and residue.
+    """The tilde pricing rule: exponents of a word from its length and residue.
 
     ``found`` is the word's :func:`~dyckshift.words.residue`, however it was
     scanned.  ``two_exp`` is the word length and ``m_exp`` counts matched
@@ -115,44 +55,26 @@ def residue_exponents(
     return length, paired // 2
 
 
-def cylinder_value_from_codes(codes: tuple[int, ...], m: int) -> Fraction:
-    """Bare-rational cylinder mass straight from letter codes.
+def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fraction:
+    """Exact mass of the cylinder fixing the letters ``codes``, under ``measure``.
 
-    Exposed beside :func:`tilde_cylinder_value` so exhaustive loops can skip
-    Word construction.
+    A language word of length ``n`` is priced from its residue: ``tilde``
+    gives ``2^-n * m^-(pairs + loose)``, ``plus`` gives ``(m+1)^-n *
+    m^-(loose closers)`` and ``minus``, the mirror of plus, gives ``(m+1)^-n
+    * m^-(loose openers)``.  Words that reduce to zero have empty cylinders
+    and mass 0.  No measure depends on where the cylinder starts: all three
+    are shift invariant.
     """
-    exponents = cylinder_exponents(codes)
-    if exponents is None:
+    if measure not in ("tilde", "plus", "minus"):
+        raise ValueError(f"unknown measure {measure!r}; expected tilde, plus or minus")
+    found = residue(codes)
+    if found is None:
         return Fraction(0)
-    two_exp, m_exp = exponents
-    return Fraction(1, 2**two_exp * m**m_exp)
-
-
-def tilde_cylinder_value(w: Word, position: int = 0) -> MeasureValue:
-    """Exact mass of the cylinder fixing ``w`` starting at ``position``.
-
-    The value is ``2^-|w| * m^-(pairs + loose)`` for language words and 0
-    otherwise (those cylinders are empty, not errors).  ``position`` does not
-    enter the formula — the measure is shift invariant — but is accepted so
-    call sites can speak in coordinates.
-    """
-    del position
-    exponents = cylinder_exponents(w.codes)
-    if exponents is None:
-        return MeasureValue.zero()
-    return MeasureValue.monomial(*exponents, w.m)
-
-
-def balanced_cylinder_value(w: Word) -> MeasureValue:
-    """The balanced-word law ``(1/(2*sqrt(m)))^|w|``, exact.
-
-    Only balanced words are accepted; their length is even, so the square
-    root never materializes and the value is the rational
-    ``2^-|w| * m^-(|w|/2)``.
-    """
-    if not is_balanced(w):
-        raise NotBalanced(f"{w.text()!r} does not reduce to the empty word")
-    return MeasureValue.monomial(len(w), len(w) // 2, w.m)
+    n = len(codes)
+    if measure == "tilde":
+        return Fraction(1, 2**n * m ** residue_exponents(found, n)[1])
+    closers, openers = found
+    return Fraction(1, (m + 1) ** n * m ** len(closers if measure == "plus" else openers))
 
 
 def _ballot_ways(k: int) -> Iterator[int]:
@@ -203,7 +125,7 @@ def minimal_extension_mass(
     The ``count`` method prices each length class with the ballot-number
     count of filler shapes, stepped by its ratio recurrence (fast, scales to
     lengths in the tens of thousands); the ``enumerate`` method walks the
-    actual completions and evaluates each completed word (slow, used to
+    actual completions and checks that each one balances (slow, used to
     validate the count method).  Both keep the partial sum as one integer
     over a power-of-four scale and build Fractions only for the rows.  Rows
     appear only for lengths that contribute, so partial sums strictly
@@ -219,10 +141,7 @@ def minimal_extension_mass(
         by_len: dict[int, int] = {}
         for left, right in minimal_balanced_extensions(a, max_len):
             whole = left + a + right
-            # Each completion carries the balanced law for its length; the
-            # call also hard-verifies that the completion really balances.
-            value = balanced_cylinder_value(whole).value
-            assert value == Fraction(1, 2 ** len(whole) * a.m ** (len(whole) // 2))
+            assert is_balanced(whole), f"{whole.text()!r} does not balance"
             by_len[len(whole)] = by_len.get(len(whole), 0) + 1
         ways = []
         for f in classes:

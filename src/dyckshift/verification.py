@@ -37,13 +37,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
 from .coding import sample_plus, sample_tilde
 from .measures import (
-    balanced_cylinder_value,
     cylinder_exponents,
+    cylinder_mass,
     entropy_report,
     mass_length_for_residual,
     minimal_extension_mass,
     residue_exponents,
-    tilde_cylinder_value,
 )
 from .words import (
     Word,
@@ -188,7 +187,7 @@ def _check_balanced_law(seed: int) -> _Outcome:
     for m, n_max in ((2, 5), (3, 5)):
         for pairs in range(n_max + 1):
             for w in enumerate_balanced(pairs, m):
-                if balanced_cylinder_value(w) != tilde_cylinder_value(w):
+                if cylinder_mass(w.codes, m) != Fraction(1, 2 ** len(w) * m ** (len(w) // 2)):
                     return (
                         False,
                         f"{w.text()!r} prices differently under the two forms",
@@ -539,7 +538,7 @@ def _check_sampler_formula(seed: int) -> _Outcome:
     ests = empirical_cylinders(samples, [(w, 0) for w in words + dead])
     live, forbidden = ests[: len(words)], ests[len(words) :]
     truncated = ests[0].excluded_truncated
-    worst, over = _sigma_summary((est, tilde_cylinder_value(w).value) for w, est in zip(words, live))
+    worst, over = _sigma_summary((est, cylinder_mass(w.codes, 2)) for w, est in zip(words, live))
     ghosts = [w.text() for w, est in zip(dead, forbidden) if est.hits]
     ok = len(over) <= 2 and not ghosts
     observed = (
@@ -582,23 +581,20 @@ def _check_plus_invariance(seed: int) -> _Outcome:
     """Type-exchange symmetry of the typed-opener sampler, plus exact marginals."""
     count = 100_000
     samples = sample_plus(2, 0, 2, seed=seed + 2, count=count, max_extension=10_000)
-    pairs = [
-        (Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), Fraction(1, 9)),
-        (Word.parse("a1 a1 b1", 2), Word.parse("a1 a2 b2", 2), Fraction(1, 27)),
-    ]
-    ests = empirical_cylinders(samples, [(v, 0) for w, w2, _ in pairs for v in (w, w2)])
+    # two type-swapped pairs: the length-2 pair, then the length-3 pair
+    words = [Word.parse(text, 2) for text in ("a1 b1", "a2 b2", "a1 a1 b1", "a1 a2 b2")]
+    exact = [cylinder_mass(w.codes, 2, "plus") for w in words]
+    ests = empirical_cylinders(samples, [(w, 0) for w in words])
     truncated = ests[0].excluded_truncated
     over = []
     worst = 0.0
-    abs_checks = []
-    for (_, _, target), e1, e2 in zip(pairs, ests[::2], ests[1::2]):
+    for e1, e2 in zip(ests[::2], ests[1::2]):
         spread = math.hypot(e1.stderr, e2.stderr)
         sd = abs(float(e1.estimate) - float(e2.estimate)) / spread
         worst = max(worst, sd)
         if sd > 3.0:
             over.append(f"{e1.event} vs {e2.event}: {sd:.2f} sigma apart")
-        abs_checks.extend([(e1, target), (e2, target)])
-    abs_worst, abs_over = _sigma_summary(abs_checks)
+    abs_worst, abs_over = _sigma_summary(zip(ests, exact))
     ok = not over and not abs_over
     return (
         ok,
@@ -606,7 +602,7 @@ def _check_plus_invariance(seed: int) -> _Outcome:
         "type-swapped cylinder pairs agree within 3 sigma and match their exact masses",
         (
             f"seed {seed + 2}, {count} samples on window [0, 2], truncation rate {truncated / count:.4%}",
-            "exact masses: 1/9 for the length-2 pair, 1/27 for the length-3 pair",
+            f"exact masses: {exact[0]} for the length-2 pair, {exact[2]} for the length-3 pair",
             *over,
             *abs_over,
         ),
@@ -664,7 +660,7 @@ def _check_extension_mass(seed: int) -> _Outcome:
     rows_info = []
     for text in ("a1", "b1", "a1 a2"):
         a = Word.parse(text, 2)
-        target = tilde_cylinder_value(a).value
+        target = cylinder_mass(a.codes, 2)
         horizon = mass_length_for_residual(a, ratio)
         rows = minimal_extension_mass(a, horizon, method="count")
         if not rows:

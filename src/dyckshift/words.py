@@ -44,10 +44,6 @@ class NotInLanguage(DyckError):
     """The word reduces to zero, so the requested operation is undefined."""
 
 
-class NotBalanced(DyckError):
-    """The word does not reduce to the empty word."""
-
-
 class BudgetExceeded(DyckError):
     """An enumeration was asked to exceed its configured size budget."""
 

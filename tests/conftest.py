@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
 from dyckshift.coding import SAMPLERS, PointWindow, Provenance, height_cocycle
-from dyckshift.measures import ExtensionMassRow, MeasureValue, tilde_cylinder_value
+from dyckshift.measures import ExtensionMassRow, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import IDENTITY, ZERO, NormalForm, NotInLanguage, Word, iter_language_stats, residue
 
@@ -255,20 +256,52 @@ def first_row_within(rows: Sequence[ExtensionMassRow], target: Fraction, ratio: 
     return next((row.total_len for row in rows if row.residual <= ratio * target), None)
 
 
-def extension_additivity(w: Word) -> tuple[MeasureValue, MeasureValue]:
+def extension_additivity(w: Word, measure: str = "tilde", side: str = "right") -> tuple[Fraction, Fraction]:
     """Cylinder mass of ``w`` versus the sum over its one-letter extensions.
 
-    Returns ``(lhs, rhs)`` for the caller to assert equal; both are exact.
-    Extensions that fall out of the language contribute zero to the sum.
+    ``side`` says where the letter goes: ``"right"`` sums ``w a``, ``"left"``
+    sums ``a w``.  Returns ``(lhs, rhs)`` for the caller to assert equal;
+    both are exact.  Extensions that fall out of the language contribute
+    zero to the sum.
     """
     if residue(w.codes) is None:
         raise NotInLanguage(f"{w.text()!r} reduces to zero")
-    lhs = tilde_cylinder_value(w)
     total = Fraction(0)
-    for code in range(1, w.m + 1):
-        total += tilde_cylinder_value(Word(w.m, w.codes + (code,))).value
-        total += tilde_cylinder_value(Word(w.m, w.codes + (-code,))).value
-    return lhs, MeasureValue(total)
+    for code in (*range(1, w.m + 1), *range(-w.m, 0)):
+        extended = w.codes + (code,) if side == "right" else (code,) + w.codes
+        total += cylinder_mass(extended, w.m, measure)
+    return cylinder_mass(w.codes, w.m, measure), total
+
+
+def plus_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
+    """Oracle for the plus cylinder masses: the law of ``n`` letters of the plus construction.
+
+    Enumerates every string of ``n`` collapsed letters (``m`` typed openers
+    and one anonymous closer, each with probability ``1/(m+1)``), retypes
+    each closer matched inside the string from its opener with a stack of
+    its own, and gives each loose closer, whose opener lies to the left of
+    the string, every type with weight ``1/m``.  Words missing from the
+    returned mapping have mass 0.
+    """
+    law: dict[tuple[int, ...], Fraction] = {}
+    for letters in itertools.product(range(m + 1), repeat=n):  # 0 is the anonymous closer
+        codes = [0] * n
+        stack: list[int] = []
+        loose: list[int] = []
+        for i, v in enumerate(letters):
+            if v:
+                codes[i] = v
+                stack.append(v)
+            elif stack:
+                codes[i] = -stack.pop()
+            else:
+                loose.append(i)
+        weight = Fraction(1, (m + 1) ** n * m ** len(loose))
+        for types in itertools.product(range(1, m + 1), repeat=len(loose)):
+            for i, t in zip(loose, types):
+                codes[i] = -t
+            law[tuple(codes)] = law.get(tuple(codes), Fraction(0)) + weight
+    return law
 
 
 def catalan_convolution(parts: int, pairs: int) -> int:
@@ -296,7 +329,7 @@ def fraction_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
     if nf.is_zero:
         raise NotInLanguage(f"{a.text()!r} reduces to zero")
     loose = nf.size()
-    target = tilde_cylinder_value(a).value
+    target = cylinder_mass(a.codes, a.m)
     base = len(a) + loose
     rows: list[ExtensionMassRow] = []
     partial = Fraction(0)

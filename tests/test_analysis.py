@@ -18,7 +18,7 @@ from dyckshift.analysis import (
     matching_times,
 )
 from dyckshift.coding import SAMPLERS, PointWindow, Provenance, sample_minus, sample_plus, sample_tilde
-from dyckshift.measures import tilde_cylinder_value
+from dyckshift.measures import cylinder_mass
 from dyckshift.words import NotInLanguage, Word, iter_language_stats
 
 from conftest import (
@@ -108,7 +108,7 @@ def test_swap_rejects_unresolved_overlap():
 
 @given(equivalent_word_pairs(m=2, max_total=10))
 def test_swaps_preserve_exact_window_mass(pair):
-    """Swapping equivalent blocks never changes the cylinder value.
+    """Swapping equivalent blocks never changes the cylinder mass, under any measure.
 
     The block is embedded with closer padding on the left and opener padding
     on the right, which can never annihilate against it.
@@ -119,7 +119,8 @@ def test_swaps_preserve_exact_window_mass(pair):
     pad_l, pad_r = (-1, -2), (1,)
     x = PointWindow(2, -2, len(w), pad_l + w.codes + pad_r)
     y = holonomy_apply(Holonomy(w, w_prime, 0), x)
-    assert tilde_cylinder_value(y.word()) == tilde_cylinder_value(x.word())
+    for measure in SAMPLERS:
+        assert cylinder_mass(y.codes, 2, measure) == cylinder_mass(x.codes, 2, measure), measure
     assert y.codes != x.codes or w == w_prime
 
 

@@ -155,12 +155,19 @@ def test_measure_position_is_cosmetic(capsys):
     assert b["position"] == -5
 
 
-@pytest.mark.parametrize("name", ["plus", "minus"])
-def test_measure_redirects_sampled_measures(capsys, name):
-    rc, out, err = run(capsys, "measure", "a1", "--measure", name)
-    assert rc == 2
-    assert out == ""
-    assert f"dyckshift sample --measure {name}" in err
+@pytest.mark.parametrize(
+    "word,name,value",
+    [("a1 b1", "plus", "1/9"), ("b1", "plus", "1/6"), ("b1", "minus", "1/3")],
+    ids=["plus", "plus-loose-closer", "minus"],
+)
+def test_measure_prices_plus_and_minus_exactly(capsys, word, name, value):
+    rc, out, _ = run(capsys, "measure", word, "--measure", name)
+    assert rc == 0
+    assert out.splitlines()[0] == value
+    assert "balanced" not in out
+    payload = run_json(capsys, "measure", word, "--measure", name, "--json")
+    assert (payload["measure"], payload["value"]) == (name, value)
+    assert "balanced_form" not in payload
 
 
 # ------------------------------------------------------------------ sample

@@ -8,21 +8,17 @@ from hypothesis import given, strategies as st
 
 from dyckshift.measures import (
     LogPair,
-    MeasureValue,
     _ballot_ways,
     _pattern_stats,
-    balanced_cylinder_value,
     block_entropy,
     cylinder_exponents,
-    cylinder_value_from_codes,
+    cylinder_mass,
     entropy_report,
     mass_length_for_residual,
     minimal_extension_mass,
     residue_exponents,
-    tilde_cylinder_value,
 )
 from dyckshift.words import (
-    NotBalanced,
     NotInLanguage,
     Word,
     enumerate_balanced,
@@ -36,8 +32,12 @@ from conftest import (
     first_row_within,
     fraction_extension_rows,
     language_words,
+    plus_law,
     rewrite_oracle,
 )
+
+MEASURES = ("tilde", "plus", "minus")
+SIDES = ("right", "left")
 
 
 # ----------------------------------------------------------- cylinder values
@@ -58,18 +58,36 @@ from conftest import (
     ],
 )
 def test_cylinder_value_examples(text, m, expected):
-    assert tilde_cylinder_value(Word.parse(text, m)) == expected
+    assert cylinder_mass(Word.parse(text, m).codes, m) == expected
 
 
-def test_cylinder_value_ignores_position():
-    w = Word.parse("b1 a2", 2)
-    assert tilde_cylinder_value(w, 0) == tilde_cylinder_value(w, -7)
+@pytest.mark.parametrize(
+    "text,m,plus,minus",
+    [
+        ("", 2, Fraction(1), Fraction(1)),
+        ("a1 b1", 2, Fraction(1, 9), Fraction(1, 9)),
+        ("b1", 2, Fraction(1, 6), Fraction(1, 3)),
+        ("a1", 2, Fraction(1, 3), Fraction(1, 6)),
+        ("b2 b1 a1", 2, Fraction(1, 108), Fraction(1, 54)),
+        ("a1 b2", 2, Fraction(0), Fraction(0)),
+        ("b3 a1 b1", 3, Fraction(1, 192), Fraction(1, 64)),
+    ],
+)
+def test_plus_and_minus_examples(text, m, plus, minus):
+    codes = Word.parse(text, m).codes
+    assert (cylinder_mass(codes, m, "plus"), cylinder_mass(codes, m, "minus")) == (plus, minus)
+
+
+def test_unknown_measure_is_refused():
+    for codes in ((1, -1), (1, -2)):
+        with pytest.raises(ValueError, match="unknown measure 'both'"):
+            cylinder_mass(codes, 2, "both")
 
 
 def test_monomial_exponents_exposed():
-    v = tilde_cylinder_value(Word.parse("a1 a2 b2", 2))
-    assert (v.two_exp, v.m_exp) == (3, 2)  # one matched pair, one loose opener
-    assert v.value == Fraction(1, 32)
+    codes = Word.parse("a1 a2 b2", 2).codes
+    assert cylinder_exponents(codes) == (3, 2)  # one matched pair, one loose opener
+    assert cylinder_mass(codes, 2) == Fraction(1, 32)
 
 
 def test_cylinder_exponents_agree_with_masses_exhaustively():
@@ -77,7 +95,7 @@ def test_cylinder_exponents_agree_with_masses_exhaustively():
     for n in range(7):
         for codes in itertools.product((1, 2, -1, -2), repeat=n):
             exponents = cylinder_exponents(codes)
-            value = cylinder_value_from_codes(codes, 2)
+            value = cylinder_mass(codes, 2)
             nf = rewrite_oracle(codes, rng)
             assert (exponents is None) == nf.is_zero
             if exponents is None:
@@ -86,7 +104,6 @@ def test_cylinder_exponents_agree_with_masses_exhaustively():
             loose = nf.size()
             assert exponents == (n, (n - loose) // 2 + loose)
             assert value == Fraction(1, 2**n * 2 ** exponents[1])
-            assert tilde_cylinder_value(Word(2, codes)) == value
 
 
 def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
@@ -96,36 +113,28 @@ def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
             residue_exponents(found, length)
 
 
-def test_measure_value_semantics():
-    third = MeasureValue(Fraction(1, 3))
-    assert third == Fraction(1, 3)
-    assert MeasureValue.one() == 1
-    assert (third + third).value == Fraction(2, 3)
-    assert MeasureValue.zero().text() == "0"
-    assert MeasureValue(Fraction(3, 8)).text() == "3/8"
-    assert float(MeasureValue.monomial(3, 1, 2)) == 1 / 16
-    with pytest.raises(ValueError):
-        MeasureValue(Fraction(-1, 2))
+def assert_additive(w: Word) -> None:
+    for measure in MEASURES:
+        for side in SIDES:
+            lhs, rhs = extension_additivity(w, measure, side)
+            assert lhs == rhs, (measure, side)
 
 
 @given(language_words(m=2, max_len=12))
 def test_one_letter_additivity(w):
-    """Extending by one letter splits a cylinder's mass exactly."""
-    lhs, rhs = extension_additivity(w)
-    assert lhs == rhs
+    """Extending by one letter, on either side, splits a cylinder's mass exactly."""
+    assert_additive(w)
 
 
 @given(language_words(m=3, max_len=9))
 def test_one_letter_additivity_three_types(w):
-    lhs, rhs = extension_additivity(w)
-    assert lhs == rhs
+    assert_additive(w)
 
 
 def test_additivity_exhaustive_short_words():
     for n in range(6):
         for codes, _, _ in iter_language_stats(n, 2):
-            lhs, rhs = extension_additivity(Word(2, codes))
-            assert lhs == rhs
+            assert_additive(Word(2, codes))
 
 
 def test_additivity_rejects_zero_words():
@@ -136,11 +145,44 @@ def test_additivity_rejects_zero_words():
 @pytest.mark.parametrize("m,n_max", [(2, 8), (3, 6)])
 def test_language_masses_sum_to_one(m, n_max):
     for n in range(n_max + 1):
-        total = sum(
-            (cylinder_value_from_codes(codes, m) for codes, _, _ in iter_language_stats(n, m)),
-            Fraction(0),
-        )
-        assert total == 1, f"level n={n} sums to {total}"
+        words = [codes for codes, _, _ in iter_language_stats(n, m)]
+        for measure in MEASURES:
+            total = sum((cylinder_mass(codes, m, measure) for codes in words), Fraction(0))
+            assert total == 1, f"{measure} level n={n} sums to {total}"
+
+
+# The scopes of the plus and minus checks: every word to length 6 at m = 2
+# and to length 4 at m = 3.
+PLUS_SCOPES = [(2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize("m,n_max", PLUS_SCOPES)
+def test_plus_masses_equal_the_plus_construction(m, n_max):
+    """Every word, in the language or not, against the enumerated plus law."""
+    letters = (*range(1, m + 1), *range(-m, 0))
+    for n in range(n_max + 1):
+        law = plus_law(n, m)
+        assert sum(law.values()) == 1
+        for codes in itertools.product(letters, repeat=n):
+            assert cylinder_mass(codes, m, "plus") == law.get(codes, 0), codes
+
+
+def mirror(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Reverse the word and swap openers with closers."""
+    return tuple(-c for c in reversed(codes))
+
+
+@pytest.mark.parametrize("m,n_max,language,asymmetric", [(2, 6, 2475, 2012), (3, 4, 847, 654)])
+def test_mirror_relations(m, n_max, language, asymmetric):
+    """Minus mirrors plus, tilde is its own mirror, and plus is not."""
+    words = [codes for n in range(n_max + 1) for codes, _, _ in iter_language_stats(n, m)]
+    assert len(words) == language
+    for codes in words:
+        plus = cylinder_mass(codes, m, "plus")
+        assert cylinder_mass(mirror(codes), m, "minus") == plus
+        assert cylinder_mass(mirror(codes), m) == cylinder_mass(codes, m)
+    differ = sum(cylinder_mass(mirror(codes), m, "plus") != cylinder_mass(codes, m, "plus") for codes in words)
+    assert differ == asymmetric
 
 
 def test_bit_pattern_marginal_is_fair_coin():
@@ -154,9 +196,7 @@ def test_bit_pattern_marginal_is_fair_coin():
             per_pattern: dict[tuple[bool, ...], Fraction] = {}
             for codes, _, _ in iter_language_stats(n, m):
                 pattern = tuple(c > 0 for c in codes)
-                per_pattern[pattern] = (
-                    per_pattern.get(pattern, Fraction(0)) + cylinder_value_from_codes(codes, m)
-                )
+                per_pattern[pattern] = per_pattern.get(pattern, Fraction(0)) + cylinder_mass(codes, m)
             assert len(per_pattern) == 2**n
             assert all(mass == Fraction(1, 2**n) for mass in per_pattern.values())
 
@@ -168,19 +208,12 @@ def test_bit_pattern_marginal_is_fair_coin():
 def test_balanced_law_agrees_with_general_formula(m):
     for pairs in range(5):
         for w in enumerate_balanced(pairs, m):
-            assert balanced_cylinder_value(w) == tilde_cylinder_value(w)
-
-
-def test_balanced_law_rejects_unbalanced():
-    with pytest.raises(NotBalanced):
-        balanced_cylinder_value(Word.parse("a1", 2))
-    with pytest.raises(NotBalanced):
-        balanced_cylinder_value(Word.parse("a1 b2", 2))
+            assert cylinder_mass(w.codes, m) == Fraction(1, 2 ** len(w) * m ** (len(w) // 2))
 
 
 def test_balanced_law_closed_form():
     # (1/(2*sqrt(2)))^4 = 1/64
-    assert balanced_cylinder_value(Word.parse("a1 a2 b2 b1", 2)) == Fraction(1, 64)
+    assert cylinder_mass(Word.parse("a1 a2 b2 b1", 2).codes, 2) == Fraction(1, 64)
 
 
 # ------------------------------------------------------ completion masses
@@ -279,7 +312,7 @@ def test_mass_rows_equal_the_fraction_sums(text, m):
 
 def test_mass_rows_conserve_and_increase():
     w = Word.parse("a1 a2", 2)
-    target = tilde_cylinder_value(w).value
+    target = cylinder_mass(w.codes, 2)
     rows = minimal_extension_mass(w, 16)
     previous = Fraction(-1)
     for row in rows:
@@ -321,7 +354,7 @@ HORIZON_RATIOS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 20), Fraction(1, 5
 def test_residual_horizon_is_the_first_row_within_ratio(text, ratios, m):
     """The one-pass horizon equals the first qualifying row of the Fraction table."""
     a = Word.parse(text, m)
-    target = tilde_cylinder_value(a).value
+    target = cylinder_mass(a.codes, m)
     rows = minimal_extension_mass(a, mass_length_for_residual(a, min(ratios)), method="count")
     for ratio in ratios:
         assert mass_length_for_residual(a, ratio) == first_row_within(rows, target, ratio), ratio

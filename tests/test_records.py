@@ -35,7 +35,7 @@ from dyckshift.coding import (
     Provenance,
     _trusted_window,
 )
-from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair, MeasureValue
+from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
 from dyckshift.words import AlphabetParams, NormalForm, NotInLanguage, Word
 
@@ -154,29 +154,12 @@ def test_defaults_fill_the_trailing_fields():
     assert AlphabetParams(2) == AlphabetParams(2, False)
     assert NormalForm(True) == NormalForm(True, (), ())
     assert PointWindow(2, 0, 0, (1,)).provenance is None
-    assert MeasureValue(Fraction(1, 2)) == MeasureValue(Fraction(1, 2), None, None)
     assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0, 0)
     assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
         "finite-window drift score; not a tail determination"
     )
     assert CheckResult("k", "t", True, "o", "e", 0.0).detail == ()
     assert Provenance(sampler="plus", seed=1, index=2) == Provenance("plus", 1, 2, False)
-
-
-def test_measure_values_compare_by_value_alone():
-    mono, plain = MeasureValue.monomial(1, 1, 2), MeasureValue(Fraction(1, 4))
-    assert repr(mono) == "MeasureValue(value=Fraction(1, 4), two_exp=1, m_exp=1)"
-    assert mono == plain and not mono != plain
-    assert mono == Fraction(1, 4) and not mono != Fraction(1, 4)
-    assert MeasureValue.zero() == 0 and MeasureValue.one() == 1
-    assert hash(mono) == hash(plain) == hash(Fraction(1, 4))
-    assert len({mono, plain}) == 1
-    assert mono != MeasureValue(Fraction(1, 8))
-    assert mono + plain == MeasureValue(Fraction(1, 2))
-    with pytest.raises(AttributeError):
-        mono.value = Fraction(1)
-    again = pickle.loads(pickle.dumps(mono))
-    assert repr(again) == repr(mono)
 
 
 def test_words_iterate_index_and_slice_their_letters():
@@ -234,7 +217,6 @@ CHECKS = [
     (ValueError, "window length does not match its bounds", lambda: CollapsedWindow(2, 0, 1, ("b",), "plus")),
     (ValueError, "letter 'a3' not in the plus alphabet", lambda: CollapsedWindow(2, 0, 0, ("a3",), "plus")),
     (ValueError, "letter 'b' not in the minus alphabet", lambda: CollapsedWindow(2, 0, 0, ("b",), "minus")),
-    (ValueError, "measure values are nonnegative", lambda: MeasureValue(Fraction(-1, 2))),
     (ValueError, "block swap needs both words over the same alphabet", lambda: Holonomy(W1, Word(3, W2.codes), 0)),
     (ValueError, "block swap needs words of equal length", lambda: Holonomy(W1, Word(2, (1, -1)), 0)),
     (ValueError, "'a1 b1 a2 b2' and 'a1 b1 a1 a2' are not equivalent", lambda: Holonomy(W1, Word(2, (1, -1, 1, 2)), 0)),
@@ -251,7 +233,6 @@ def test_valid_edge_records_construct():
     assert AlphabetParams(1, True).m == 1
     assert PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0, True)).truncated
     assert CollapsedWindow(2, 0, 0, ("a",), "minus").text() == "a"
-    assert MeasureValue.zero().text() == "0"
 
 
 def test_holonomy_apply_rechecks_the_patched_window():
@@ -285,7 +266,7 @@ def test_import_leaves_dataclasses_and_inspect_out():
 README_LIBRARY_NAMES = {
     "Word",
     "reduce_word",
-    "tilde_cylinder_value",
+    "cylinder_mass",
     "entropy_report",
     "sample_tilde",
     "empirical_cylinder",
