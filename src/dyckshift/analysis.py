@@ -9,8 +9,8 @@ tail classifier is labeled as the finite-window heuristic it is.
 The estimators make one pass over a sample stream for any number of events:
 :func:`empirical_cylinders` tallies each window's block once per needed
 coordinate and length, and :func:`match_index_coincidences` scans each
-window's matching times once, to the deepest depth any event needs.  The
-singular forms are one-event views of the same pass.
+window's matching times once, to the deepest depth any event needs.
+:func:`empirical_cylinder` is the one-cylinder view of the same pass.
 """
 
 from __future__ import annotations
@@ -66,30 +66,27 @@ class Holonomy(_HolonomyFields):
         return Holonomy(self.w_prime, self.w, self.k)
 
     def apply(self, x: PointWindow) -> PointWindow:
-        return holonomy_apply(self, x)
+        """Rewrite the block ``w`` at coordinate ``k`` of ``x`` into ``w_prime``.
 
-
-def holonomy_apply(h: Holonomy, x: PointWindow) -> PointWindow:
-    """Rewrite the block ``h.w`` at coordinate ``h.k`` into ``h.w_prime``.
-
-    The window must cover the block, the block must be fully resolved, and it
-    must literally spell ``h.w``; otherwise DomainMismatch.  The result keeps
-    the window bounds and provenance and is re-validated on construction.
-    """
-    lo, hi = h.span
-    if x.m != h.w.m:
-        raise DomainMismatch("window and block swap use different alphabets")
-    if lo < x.lo or hi > x.hi:
-        raise DomainMismatch(f"window [{x.lo}, {x.hi}] does not cover the block [{lo}, {hi}]")
-    segment = x.codes[lo - x.lo : hi - x.lo + 1]
-    if any(abs(c) > x.m for c in segment):
-        raise DomainMismatch("block overlaps unresolved letters of a truncated sample")
-    if segment != h.w.codes:
-        raise DomainMismatch(
-            f"window shows {' '.join(map(str, segment))} at {lo}, not {h.w.text()!r}"
-        )
-    patched = x.codes[: lo - x.lo] + h.w_prime.codes + x.codes[hi - x.lo + 1 :]
-    return PointWindow(x.m, x.lo, x.hi, patched, x.provenance)
+        The window must cover the block, the block must be fully resolved,
+        and it must literally spell ``w``; otherwise DomainMismatch.  The
+        result keeps the window bounds and provenance and is re-validated on
+        construction.
+        """
+        lo, hi = self.span
+        if x.m != self.w.m:
+            raise DomainMismatch("window and block swap use different alphabets")
+        if lo < x.lo or hi > x.hi:
+            raise DomainMismatch(f"window [{x.lo}, {x.hi}] does not cover the block [{lo}, {hi}]")
+        segment = x.codes[lo - x.lo : hi - x.lo + 1]
+        if any(abs(c) > x.m for c in segment):
+            raise DomainMismatch("block overlaps unresolved letters of a truncated sample")
+        if segment != self.w.codes:
+            raise DomainMismatch(
+                f"window shows {' '.join(map(str, segment))} at {lo}, not {self.w.text()!r}"
+            )
+        patched = x.codes[: lo - x.lo] + self.w_prime.codes + x.codes[hi - x.lo + 1 :]
+        return PointWindow(x.m, x.lo, x.hi, patched, x.provenance)
 
 
 class MatchingTimes(NamedTuple):
@@ -104,12 +101,6 @@ class MatchingTimes(NamedTuple):
 
     forward: tuple[int | None, ...]
     backward: tuple[int | None, ...]
-
-    def forward_time(self, j: int) -> int | None:
-        return self.forward[j - 1]
-
-    def backward_time(self, j: int) -> int | None:
-        return self.backward[j - 1]
 
 
 def _first_dips(codes: Sequence[int], up: bool, j_max: int) -> list[int | None]:
@@ -275,13 +266,6 @@ def match_index_coincidences(
         )
         for e, (offset, js) in enumerate(events)
     ]
-
-
-def match_index_coincidence(
-    samples: Iterable[PointWindow], offset: int, js: Sequence[int]
-) -> EmpiricalEstimate:
-    """Empirical probability that backward matching letters repeat their type at ``(offset, js)``."""
-    return match_index_coincidences(samples, [(offset, js)])[0]
 
 
 class WindowDiagnostics(NamedTuple):

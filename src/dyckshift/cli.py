@@ -26,7 +26,6 @@ from .measures import (
 )
 from .verification import DEFAULT_SEED, SUITES, run_suite, tap_report
 from .words import (
-    AlphabetParams,
     DyckError,
     Word,
     count_balanced,
@@ -84,9 +83,11 @@ def _add_alphabet_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _alphabet(args: argparse.Namespace) -> int:
+    if args.m < 1:
+        raise DyckError(f"need at least one bracket type, got m={args.m}")
     if args.m == 1 and not args.allow_m1:
         raise DyckError("m=1 is the degenerate full-shift case; pass --allow-m1 if you really want it")
-    return AlphabetParams(args.m, allow_single_type=args.allow_m1).m
+    return args.m
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -149,7 +150,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             "m": m,
             "measure": args.measure,
             "word": w.text(),
-            "position": args.position,
             "value": text,
             "decimal": float(value),
             "balanced": balanced,
@@ -241,7 +241,7 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
     if args.ratio is not None and not args.mass:
         raise DyckError("--ratio needs --mass")
     if args.mass:
-        rows = minimal_extension_mass(w, max_len, method=args.method)
+        rows = minimal_extension_mass(w, max_len)
         target = cylinder_mass(w.codes, m)
         horizon = None if args.ratio is None else mass_length_for_residual(w, args.ratio)
         if args.json:
@@ -310,12 +310,7 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.m != 2:
-        print(
-            "error: the verification suite pins m=2 (with m=3 sub-checks where stated)",
-            file=sys.stderr,
-        )
-        return 2
+    # The suite pins m=2 (with m=3 sub-checks where stated).
     results = run_suite(args.suite, args.seed)
     failed = sum(1 for r in results if not r.ok)
     if args.json:
@@ -323,14 +318,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {
                 "command": "verify",
                 "suite": args.suite,
-                "m": args.m,
+                "m": 2,
                 "seed": args.seed,
                 "failed": failed,
                 "results": [r.json_dict() for r in results],
             }
         )
     else:
-        print(f"# suite={args.suite} m={args.m} seed={args.seed}")
+        print(f"# suite={args.suite} m=2 seed={args.seed}")
         for line in tap_report(results):
             print(line)
     return 1 if failed else 0
@@ -366,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("measure", help="exact cylinder mass of a word")
     p.add_argument("word", nargs="?", default="")
-    p.add_argument("--position", type=int, default=0, help="cylinder start coordinate")
     p.add_argument(
         "--measure",
         choices=tuple(SAMPLERS),
@@ -399,12 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, help="largest completed length (default |word|+8)")
     p.add_argument("--mass", action="store_true", help="show the completion-mass table")
     p.add_argument(
-        "--method",
-        choices=("count", "enumerate"),
-        default="count",
-        help="mass accounting route (the two must agree; see the tests)",
-    )
-    p.add_argument(
         "--ratio",
         type=_ratio,
         help="with --mass, report the first length whose residual is within this "
@@ -418,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
-    p.add_argument("--m", type=int, default=2, help="must be 2; the suite pins its scopes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,12 +1,15 @@
-"""Windowed points of the bracket subshift, the bit/type coding map, and samplers.
+"""Windowed points of the bracket subshift and their seeded samplers.
 
 Bi-infinite points are handled through finite coordinate windows ``[lo, hi]``
 containing the origin, plus on-demand leftward extension where matching needs
 it.  Three seeded samplers emit such windows:
 
-* ``sample_tilde`` — fair coin bits choose opener/closer, a shared i.i.d.
-  uniform type sequence (addressed through the signed running bit count)
-  types every bracket, closers copying the type of the opener they match.
+* ``sample_tilde`` — the bit/type coding map: fair coin bits choose
+  opener/closer, a shared i.i.d. uniform type sequence (addressed through
+  the signed running bit count) types every bracket, closers copying the
+  type of the opener they match.  ``tilde_law`` in ``tests/conftest.py``
+  enumerates that map over every bit string of a window, and the tests
+  check its law against :func:`~dyckshift.measures.cylinder_mass`.
 * ``sample_plus`` — i.i.d. uniform letters over the m+1-letter collapsed
   alphabet (typed openers, one anonymous closer), closers re-typed from the
   opener they match.
@@ -49,21 +52,9 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .words import DyckError, NotInLanguage, Word, code_text, residue
-
-
-class NeedMoreLeft(DyckError):
-    """Matching ran off the left edge of the available window."""
-
-
-class NeedMoreRight(DyckError):
-    """Matching ran off the right edge of the available window."""
-
-
-class IndexCoverageGap(DyckError):
-    """The type sequence does not cover a slot the coding map touched."""
 
 
 class Provenance(NamedTuple):
@@ -125,307 +116,17 @@ class PointWindow(_PointWindowFields):
     def truncated(self) -> bool:
         return self.provenance is not None and self.provenance.truncated
 
-    def code_at(self, i: int) -> int:
-        if not self.lo <= i <= self.hi:
-            raise ValueError(f"coordinate {i} outside window [{self.lo}, {self.hi}]")
-        return self.codes[i - self.lo]
-
     def word(self) -> Word:
         """The whole window as a Word; refuses windows with unresolved letters."""
         if any(abs(c) > self.m for c in self.codes):
             raise DyckError("truncated window has unresolved letters")
         return Word(self.m, self.codes)
 
-    def block(self, lo: int, hi: int) -> Word:
-        """Sub-block ``[lo, hi]`` as a Word (bounds and resolution checked)."""
-        if not (self.lo <= lo and hi <= self.hi and lo <= hi):
-            raise ValueError(f"block [{lo}, {hi}] outside window [{self.lo}, {self.hi}]")
-        codes = self.codes[lo - self.lo : hi - self.lo + 1]
-        if any(abs(c) > self.m for c in codes):
-            raise DyckError("block contains unresolved letters")
-        return Word(self.m, codes)
-
-    def carries(self, w: Word, k: int) -> bool:
-        """Whether the window shows word ``w`` starting at coordinate ``k``."""
-        if k < self.lo or k + len(w) - 1 > self.hi:
-            raise ValueError(
-                f"cylinder [{k}, {k + len(w) - 1}] outside window [{self.lo}, {self.hi}]"
-            )
-        return self.codes[k - self.lo : k - self.lo + len(w)] == w.codes
-
-    def mirror(self) -> "PointWindow":
-        """Reverse coordinates about the origin and swap opener/closer kinds."""
-        codes = tuple(-c for c in reversed(self.codes))
-        return PointWindow(self.m, -self.hi, -self.lo, codes, self.provenance)
-
     def text(self) -> str:
         return " ".join(
             ("a?" if c > 0 else "b?") if abs(c) == self.m + 1 else code_text(c)
             for c in self.codes
         )
-
-
-class _BinaryWindowFields(NamedTuple):
-    lo: int
-    hi: int
-    bits: tuple[int, ...]
-
-
-class BinaryWindow(_BinaryWindowFields):
-    """A window of opener/closer indicator bits (1 = opener)."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int, bits: tuple[int, ...]) -> "BinaryWindow":
-        if lo > hi:
-            raise ValueError("empty bit window")
-        if len(bits) != hi - lo + 1:
-            raise ValueError("bit window length does not match its bounds")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        return tuple.__new__(cls, (lo, hi, bits))
-
-    def bit(self, i: int) -> int:
-        if not self.lo <= i <= self.hi:
-            raise ValueError(f"coordinate {i} outside window [{self.lo}, {self.hi}]")
-        return self.bits[i - self.lo]
-
-
-class _IndexWindowFields(NamedTuple):
-    m: int
-    lo: int
-    hi: int
-    indices: tuple[int, ...]
-
-
-class IndexWindow(_IndexWindowFields):
-    """A window of the shared type sequence: values in ``[1, m]`` per slot."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, lo: int, hi: int, indices: tuple[int, ...]) -> "IndexWindow":
-        if len(indices) != hi - lo + 1:
-            raise ValueError("index window length does not match its bounds")
-        if any(not 1 <= v <= m for v in indices):
-            raise ValueError(f"type indices must lie in [1, {m}]")
-        return tuple.__new__(cls, (m, lo, hi, indices))
-
-    def get(self, slot: int) -> int:
-        if not self.lo <= slot <= self.hi:
-            raise IndexCoverageGap(
-                f"type sequence covers [{self.lo}, {self.hi}] but slot {slot} was needed"
-            )
-        return self.indices[slot - self.lo]
-
-
-_COLLAPSED_VARIANTS = ("plus", "minus")
-
-
-class _CollapsedWindowFields(NamedTuple):
-    m: int
-    lo: int
-    hi: int
-    letters: tuple[str, ...]
-    variant: str
-
-
-class CollapsedWindow(_CollapsedWindowFields):
-    """A window over a collapsed alphabet.
-
-    Variant ``plus`` keeps opener types and merges all closers into ``b``;
-    variant ``minus`` keeps closer types and merges all openers into ``a``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, m: int, lo: int, hi: int, letters: tuple[str, ...], variant: str
-    ) -> "CollapsedWindow":
-        if variant not in _COLLAPSED_VARIANTS:
-            raise ValueError(f"variant must be one of {_COLLAPSED_VARIANTS}")
-        if not lo <= 0 <= hi:
-            raise ValueError(f"window [{lo}, {hi}] must contain the origin")
-        if len(letters) != hi - lo + 1:
-            raise ValueError("window length does not match its bounds")
-        allowed = cls.alphabet(m, variant)
-        for letter in letters:
-            if letter not in allowed:
-                raise ValueError(f"letter {letter!r} not in the {variant} alphabet")
-        return tuple.__new__(cls, (m, lo, hi, letters, variant))
-
-    @staticmethod
-    def alphabet(m: int, variant: str) -> frozenset[str]:
-        if variant == "plus":
-            return frozenset({f"a{i}" for i in range(1, m + 1)} | {"b"})
-        return frozenset({f"b{i}" for i in range(1, m + 1)} | {"a"})
-
-    def text(self) -> str:
-        return " ".join(self.letters)
-
-
-def _anchored_walk(steps: Sequence[int], lo: int) -> tuple[int, ...]:
-    """Cumulative walk over ``[lo, lo + len(steps)]`` pinned to 0 at the origin."""
-    profile = [0]
-    acc = 0
-    for s in steps:
-        acc += s
-        profile.append(acc)
-    anchor = -lo
-    if not 0 <= anchor < len(profile):
-        raise ValueError("the anchored walk needs the origin inside its range")
-    origin = profile[anchor]
-    return tuple(v - origin for v in profile)
-
-
-def height_cocycle(x: PointWindow) -> tuple[int, ...]:
-    """Bracket-depth walk ``H_i`` for ``i`` in ``[lo, hi+1]``, with ``H_0 = 0``.
-
-    Forward of the origin each opener adds one and each closer removes one;
-    behind the origin the signs flip, which is the same single anchored walk
-    read from the other side.  Unresolved letters still carry their kind, so
-    truncated windows have well-defined heights.
-    """
-    return _anchored_walk([1 if c > 0 else -1 for c in x.codes], x.lo)
-
-
-def bit_height_cocycle(z: BinaryWindow) -> tuple[int, ...]:
-    """The same anchored walk for a bit window (1 steps up, 0 steps down)."""
-    return _anchored_walk([1 if b else -1 for b in z.bits], z.lo)
-
-
-def slot_index(z: BinaryWindow, k: int) -> int:
-    """Signed running bit count addressing the type sequence at step ``k``.
-
-    Counts set bits over ``[0, k]`` for ``k >= 0`` and minus the count over
-    ``[k, -1]`` for ``k < 0``.  Openers therefore consume pairwise distinct
-    slots (never slot 0), and a closer looks up its opener's slot.
-    """
-    if k >= 0:
-        if z.lo > 0 or z.hi < k:
-            raise ValueError(f"slot {k} needs bits on [0, {k}], window is [{z.lo}, {z.hi}]")
-        return sum(z.bits[-z.lo : k - z.lo + 1])
-    if z.lo > k or z.hi < -1:
-        raise ValueError(f"slot {k} needs bits on [{k}, -1], window is [{z.lo}, {z.hi}]")
-    return -sum(z.bits[k - z.lo : -1 - z.lo + 1])
-
-
-def match_left(z: BinaryWindow, n: int) -> int:
-    """Coordinate of the opener bit that a closer bit at ``n`` matches.
-
-    Literally the largest ``l < n`` whose walk height does not exceed the
-    height just after ``n``; raises NeedMoreLeft when no in-window ``l``
-    qualifies.  (The condition is a height difference, so no origin anchor
-    is needed.)
-    """
-    if not z.lo <= n <= z.hi:
-        raise ValueError(f"coordinate {n} outside window [{z.lo}, {z.hi}]")
-    profile = [0]
-    acc = 0
-    for b in z.bits:
-        acc += 1 if b else -1
-        profile.append(acc)
-    target = profile[n - z.lo + 1]
-    for l in range(n - 1, z.lo - 1, -1):
-        if profile[l - z.lo] <= target:
-            return l
-    raise NeedMoreLeft(f"no match for coordinate {n} inside [{z.lo}, {z.hi}]")
-
-
-def apply_coding(
-    z: BinaryWindow, types: IndexWindow, out_lo: int, out_hi: int
-) -> PointWindow:
-    """Realize the bit window as bracket letters using the shared type sequence.
-
-    An opener at ``n`` takes the type stored at its slot; a closer copies the
-    type at its matching opener's slot.  NeedMoreLeft propagates when a match
-    lies left of ``z``; IndexCoverageGap propagates when ``types`` misses a
-    touched slot.  The output window is a valid point window by construction
-    (matched pairs share their type).
-    """
-    if out_lo < z.lo or out_hi > z.hi:
-        raise ValueError("output range must lie inside the bit window")
-    codes = []
-    for n in range(out_lo, out_hi + 1):
-        if z.bit(n):
-            codes.append(types.get(slot_index(z, n)))
-        else:
-            opener = match_left(z, n)
-            codes.append(-types.get(slot_index(z, opener)))
-    return PointWindow(types.m, out_lo, out_hi, tuple(codes))
-
-
-def project_bits(x: PointWindow) -> BinaryWindow:
-    """Forget types: 1 per opener, 0 per closer (unresolved letters keep kind)."""
-    return BinaryWindow(x.lo, x.hi, tuple(1 if c > 0 else 0 for c in x.codes))
-
-
-def collapse_plus(x: PointWindow) -> CollapsedWindow:
-    """Merge all closers into the anonymous ``b``; openers keep their type."""
-    letters = []
-    for c in x.codes:
-        if c < 0:
-            letters.append("b")
-        elif c <= x.m:
-            letters.append(f"a{c}")
-        else:
-            raise ValueError("cannot collapse a window with unresolved openers")
-    return CollapsedWindow(x.m, x.lo, x.hi, tuple(letters), "plus")
-
-
-def collapse_minus(x: PointWindow) -> CollapsedWindow:
-    """Merge all openers into the anonymous ``a``; closers keep their type."""
-    letters = []
-    for c in x.codes:
-        if c > 0:
-            letters.append("a")
-        elif -c <= x.m:
-            letters.append(f"b{-c}")
-        else:
-            raise ValueError("cannot collapse a window with unresolved closers")
-    return CollapsedWindow(x.m, x.lo, x.hi, tuple(letters), "minus")
-
-
-def invert_collapse_plus(window: CollapsedWindow) -> PointWindow:
-    """Re-type the anonymous closers of a ``plus`` window.
-
-    Each ``b`` matches the nearest opener to its left that is still open at
-    its own depth — the latest coordinate where the collapsed walk revisits
-    the closer's height — and copies that opener's type.  A ``b`` whose match
-    lies left of the window raises NeedMoreLeft.
-    """
-    if window.variant != "plus":
-        raise ValueError("expected a plus-collapsed window")
-    codes: list[int] = []
-    stack: list[int] = []
-    for letter in window.letters:
-        if letter == "b":
-            if not stack:
-                raise NeedMoreLeft("a closer's opener lies left of the window")
-            codes.append(-stack.pop())
-        else:
-            t = int(letter[1:])
-            stack.append(t)
-            codes.append(t)
-    return PointWindow(window.m, window.lo, window.hi, tuple(codes))
-
-
-def invert_collapse_minus(window: CollapsedWindow) -> PointWindow:
-    """Mirror image of :func:`invert_collapse_plus` (matches run rightward)."""
-    if window.variant != "minus":
-        raise ValueError("expected a minus-collapsed window")
-    codes: list[int] = []
-    stack: list[int] = []
-    for letter in reversed(window.letters):
-        if letter == "a":
-            if not stack:
-                raise NeedMoreRight("an opener's closer lies right of the window")
-            codes.append(stack.pop())
-        else:
-            t = int(letter[1:])
-            stack.append(t)
-            codes.append(-t)
-    codes.reverse()
-    return PointWindow(window.m, window.lo, window.hi, tuple(codes))
 
 
 def _sample_rng(seed: int, index: int, rng: random.Random | None = None) -> random.Random:

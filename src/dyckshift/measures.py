@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .words import (
     BudgetExceeded,
     NotInLanguage,
     Word,
-    is_balanced,
-    minimal_balanced_extensions,
     pattern_counts,
     residue,
 )
@@ -115,48 +113,27 @@ def _loose_letters(a: Word) -> int:
     return len(found[0]) + len(found[1])
 
 
-def minimal_extension_mass(
-    a: Word,
-    max_len: int,
-    method: Literal["count", "enumerate"] = "count",
-) -> list[ExtensionMassRow]:
+def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     """Partial sums of balanced-law mass over minimal completions of ``a``.
 
-    The ``count`` method prices each length class with the ballot-number
-    count of filler shapes, stepped by its ratio recurrence (fast, scales to
-    lengths in the tens of thousands); the ``enumerate`` method walks the
-    actual completions and checks that each one balances (slow, used to
-    validate the count method).  Both keep the partial sum as one integer
-    over a power-of-four scale and build Fractions only for the rows.  Rows
-    appear only for lengths that contribute, so partial sums strictly
+    Each length class is priced with the ballot-number count of filler
+    shapes, stepped by its ratio recurrence, so lengths in the tens of
+    thousands are cheap; the tests check it against a literal walk over the
+    completions of :func:`~dyckshift.words.minimal_balanced_extensions`.
+    Rows appear only for lengths that contribute, so partial sums strictly
     increase.
     """
     k = _loose_letters(a)
     base = len(a) + k
-    classes = range((max_len - base) // 2 + 1) if max_len >= base else range(0)
-    # ways[f]: completions with f added pairs, divided by the m^f types of those pairs
-    if method == "count":
-        ways = list(islice(_ballot_ways(k), len(classes)))
-    elif method == "enumerate":
-        by_len: dict[int, int] = {}
-        for left, right in minimal_balanced_extensions(a, max_len):
-            whole = left + a + right
-            assert is_balanced(whole), f"{whole.text()!r} does not balance"
-            by_len[len(whole)] = by_len.get(len(whole), 0) + 1
-        ways = []
-        for f in classes:
-            count, untyped = divmod(by_len.get(base + 2 * f, 0), a.m**f)
-            assert not untyped, "added pairs take every type"
-            ways.append(count)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # Class f adds ways[f] / (unit 4^f) with unit = 2^base m^(base/2); the
-    # target is 2^k / unit.  Partial sums stay integers over unit 4^f, and
-    # Fractions are built only for the rows.
+    classes = (max_len - base) // 2 + 1 if max_len >= base else 0
+    # Class f holds C_k(f) completions per typing of its f added pairs and
+    # adds C_k(f) / (unit 4^f) with unit = 2^base m^(base/2); the target is
+    # 2^k / unit.  Partial sums stay integers over unit 4^f, and Fractions
+    # are built only for the rows.
     rows: list[ExtensionMassRow] = []
     den = 2**base * a.m ** (base // 2)
     reached, whole_mass, types = 0, 1 << k, 1
-    for f, count in enumerate(ways):
+    for f, count in enumerate(islice(_ballot_ways(k), classes)):
         reached = 4 * reached + count
         if count:
             rows.append(

@@ -662,7 +662,7 @@ def _check_extension_mass(seed: int) -> _Outcome:
         a = Word.parse(text, 2)
         target = cylinder_mass(a.codes, 2)
         horizon = mass_length_for_residual(a, ratio)
-        rows = minimal_extension_mass(a, horizon, method="count")
+        rows = minimal_extension_mass(a, horizon)
         if not rows:
             return False, f"{text!r}: no completions found", "convergent completion mass", ()
         prev = Fraction(-1)

@@ -48,37 +48,6 @@ class BudgetExceeded(DyckError):
     """An enumeration was asked to exceed its configured size budget."""
 
 
-# The package's records are named tuples.  A record with checks declares its
-# fields in a private named tuple and checks them in a subclass's ``__new__``
-# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
-# ``_make`` build through ``tuple.__new__`` and skip those checks.
-class _AlphabetFields(NamedTuple):
-    m: int
-    allow_single_type: bool
-
-
-class AlphabetParams(_AlphabetFields):
-    """Run-time alphabet configuration.
-
-    ``m`` counts the bracket types.  ``m = 1`` degenerates to the full shift
-    on two letters (every word is in the language, nothing ever annihilates),
-    which defeats the point of most computations here, so it is refused
-    unless ``allow_single_type`` is set explicitly.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, allow_single_type: bool = False) -> "AlphabetParams":
-        if m < 1:
-            raise ValueError(f"need at least one bracket type, got m={m}")
-        if m == 1 and not allow_single_type:
-            raise ValueError(
-                "m=1 is the degenerate full-shift case; "
-                "pass allow_single_type=True if you really want it"
-            )
-        return tuple.__new__(cls, (m, allow_single_type))
-
-
 _TOKEN_RE = re.compile(r"([ab])([1-9][0-9]*)\Z")
 
 
@@ -184,6 +153,10 @@ def lex_key(w: Word) -> tuple[tuple[int, int], ...]:
     return tuple((0, c) if c > 0 else (1, -c) for c in w.codes)
 
 
+# The package's records are named tuples.  A record with checks declares its
+# fields in a private named tuple and checks them in a subclass's ``__new__``
+# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
+# ``_make`` build through ``tuple.__new__`` and skip those checks.
 class _NormalFormFields(NamedTuple):
     is_zero: bool
     closers: tuple[int, ...]
@@ -215,33 +188,6 @@ class NormalForm(_NormalFormFields):
         """Letter count of the residue (0 for zero and for the identity)."""
         return len(self.closers) + len(self.openers)
 
-    def to_word(self, m: int) -> Word:
-        if self.is_zero:
-            raise NotInLanguage("zero has no representing word")
-        codes = tuple(-i for i in self.closers) + self.openers
-        return Word(m, codes)
-
-    def combine(self, other: "NormalForm") -> "NormalForm":
-        """Monoid product of two normal forms, renormalized.
-
-        Cancellation only ever happens where ``self``'s opener run meets
-        ``other``'s closer run; a type mismatch there annihilates everything.
-        """
-        if self.is_zero or other.is_zero:
-            return ZERO
-        a, b = self.openers, other.closers
-        k = 0
-        limit = min(len(a), len(b))
-        while k < limit and a[len(a) - 1 - k] == b[k]:
-            k += 1
-        if k < limit:
-            return ZERO
-        return NormalForm(
-            False,
-            self.closers + b[k:],
-            a[: len(a) - k] + other.openers,
-        )
-
     def text(self) -> str:
         if self.is_zero:
             return "0"
@@ -255,7 +201,6 @@ class NormalForm(_NormalFormFields):
 
 
 ZERO = NormalForm(True)
-IDENTITY = NormalForm(False)
 
 
 _Residue = tuple[tuple[int, ...], tuple[int, ...]]

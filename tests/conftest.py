@@ -13,10 +13,19 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
-from dyckshift.coding import SAMPLERS, PointWindow, Provenance, height_cocycle
+from dyckshift.coding import SAMPLERS, PointWindow, Provenance
 from dyckshift.measures import ExtensionMassRow, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
-from dyckshift.words import IDENTITY, ZERO, NormalForm, NotInLanguage, Word, iter_language_stats, residue
+from dyckshift.words import (
+    ZERO,
+    NormalForm,
+    NotInLanguage,
+    Word,
+    is_balanced,
+    iter_language_stats,
+    minimal_balanced_extensions,
+    residue,
+)
 
 settings.register_profile(
     "suite",
@@ -139,7 +148,7 @@ def rewrite_oracle(codes: tuple[int, ...], rng: random.Random) -> NormalForm:
             return ZERO
         del work[i : i + 2]
     if not work:
-        return IDENTITY
+        return NormalForm(False)
     split = next((i for i, c in enumerate(work) if c > 0), len(work))
     return NormalForm(False, tuple(-c for c in work[:split]), tuple(work[split:]))
 
@@ -304,6 +313,65 @@ def plus_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
     return law
 
 
+def match_left(bits: Sequence[int], n: int) -> int | None:
+    """The coding map's matching rule: the offset of the opener that the closer at ``n`` matches.
+
+    Bits are letter kinds (1 = opener), the walk steps up on 1 and down on 0,
+    and the opener is literally the largest ``l < n`` whose walk height does
+    not exceed the height just after ``n``.  ``None`` when no offset in the
+    window qualifies: the opener lies left of the window.
+    """
+    profile = [0]
+    for b in bits:
+        profile.append(profile[-1] + (1 if b else -1))
+    target = profile[n + 1]
+    return next((l for l in range(n - 1, -1, -1) if profile[l] <= target), None)
+
+
+def coding_slots(bits: Sequence[int]) -> list[int]:
+    """The slot of the shared type sequence that each letter of a bit window at the origin reads.
+
+    An opener at offset ``n`` reads the slot of the running bit count over
+    ``[0, n]``, so openers read distinct slots from 1 up.  A closer reads the
+    slot of the opener that :func:`match_left` finds.  A closer whose opener
+    lies left of the window reads that opener's slot, which no letter of the
+    window shares; its value depends on bits left of the window, so it is
+    named ``-1, -2, ...`` in order of appearance.
+    """
+    slots: list[int] = []
+    fresh = 0
+    for n, b in enumerate(bits):
+        if b:
+            slots.append(sum(bits[: n + 1]))
+        elif (opener := match_left(bits, n)) is not None:
+            slots.append(slots[opener])
+        else:
+            fresh -= 1
+            slots.append(fresh)
+    return slots
+
+
+def tilde_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
+    """Oracle for the tilde cylinder masses: the law of ``n`` letters of the coding map.
+
+    Enumerates every string of ``n`` fair bits (1 = opener), assigns each
+    letter its :func:`coding_slots` slot and gives the used slots i.i.d.
+    uniform types, so each typing weighs ``2^-n m^-slots``.  An opener takes
+    its slot's type and a closer minus it.  Words missing from the returned
+    mapping have mass 0.
+    """
+    law: dict[tuple[int, ...], Fraction] = {}
+    for bits in itertools.product((0, 1), repeat=n):
+        slots = coding_slots(bits)
+        used = sorted(set(slots))
+        weight = Fraction(1, 2**n * m ** len(used))
+        for types in itertools.product(range(1, m + 1), repeat=len(used)):
+            typed = dict(zip(used, types))
+            codes = tuple(typed[s] if b else -typed[s] for b, s in zip(bits, slots))
+            law[codes] = law.get(codes, Fraction(0)) + weight
+    return law
+
+
 def catalan_convolution(parts: int, pairs: int) -> int:
     """Number of ``parts``-tuples of balanced nesting shapes totaling ``pairs`` pairs.
 
@@ -342,6 +410,42 @@ def fraction_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
         partial += added
         rows.append(ExtensionMassRow(total, count, added, partial, target - partial))
     return rows
+
+
+def walked_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
+    """Oracle for ``minimal_extension_mass``: a literal walk over the completions.
+
+    Every completion ``l a r`` that ``minimal_balanced_extensions`` lists
+    must balance.  Each length class is priced as its number of completions
+    times the balanced law ``2^-n m^-(n/2)``, and added to a running Fraction.
+    """
+    by_len: Counter[int] = Counter()
+    for left, right in minimal_balanced_extensions(a, max_len):
+        whole = left + a + right
+        assert is_balanced(whole), f"{whole.text()!r} does not balance"
+        by_len[len(whole)] += 1
+    target = cylinder_mass(a.codes, a.m)
+    rows: list[ExtensionMassRow] = []
+    partial = Fraction(0)
+    for total in sorted(by_len):
+        added = by_len[total] * Fraction(1, 2**total * a.m ** (total // 2))
+        partial += added
+        rows.append(ExtensionMassRow(total, by_len[total], added, partial, target - partial))
+    return rows
+
+
+def height_cocycle(x: PointWindow) -> tuple[int, ...]:
+    """Bracket-depth walk ``H_i`` for ``i`` in ``[lo, hi+1]``, with ``H_0 = 0``.
+
+    Each opener steps up one and each closer down one, and the walk is
+    anchored at the origin, so behind the origin the signs read flipped.
+    Unresolved letters keep their kind, so truncated windows have heights.
+    """
+    profile = [0]
+    for c in x.codes:
+        profile.append(profile[-1] + (1 if c > 0 else -1))
+    origin = profile[-x.lo]
+    return tuple(h - origin for h in profile)
 
 
 def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
@@ -388,7 +492,7 @@ def rescan_empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -
             truncated += 1
             continue
         trials += 1
-        if x.carries(w, k):
+        if x.codes[k - x.lo : k - x.lo + len(w)] == w.codes:
             hits += 1
     return EmpiricalEstimate(f"[{w.text()}]_{k}", hits, trials, excluded_truncated=truncated)
 
@@ -411,7 +515,7 @@ def rescan_match_index_coincidence(
             unresolved += 1
             continue
         trials += 1
-        if all(x.code_at(t) == x.code_at(u) for t, u in needed):
+        if all(x.codes[t - x.lo] == x.codes[u - x.lo] for t, u in needed):
             hits += 1
     event = "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js)))
     return EmpiricalEstimate(event, hits, trials, truncated, unresolved)

@@ -12,8 +12,6 @@ from dyckshift.analysis import (
     classify_window,
     empirical_cylinder,
     empirical_cylinders,
-    holonomy_apply,
-    match_index_coincidence,
     match_index_coincidences,
     matching_times,
 )
@@ -81,21 +79,21 @@ def test_swap_rejects_uncovered_blocks():
     x = window_of("a1 b1", 0)
     h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 1)
     with pytest.raises(DomainMismatch, match="cover"):
-        holonomy_apply(h, x)
+        h.apply(x)
 
 
 def test_swap_rejects_wrong_alphabet_window():
     x = window_of("a1 b1", 0, m=3)
     h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 0)
     with pytest.raises(DomainMismatch, match="alphabet"):
-        holonomy_apply(h, x)
+        h.apply(x)
 
 
 def test_swap_rejects_mismatched_segment():
     x = window_of("a2 b2", 0)
     h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 0)
     with pytest.raises(DomainMismatch, match="not"):
-        holonomy_apply(h, x)
+        h.apply(x)
 
 
 def test_swap_rejects_unresolved_overlap():
@@ -103,7 +101,7 @@ def test_swap_rejects_unresolved_overlap():
     x = PointWindow(2, 0, 1, (-3, 1), prov)
     h = Holonomy(Word.parse("b1 a1", 2), Word.parse("b1 a1", 2), 0)
     with pytest.raises(DomainMismatch, match="unresolved"):
-        holonomy_apply(h, x)
+        h.apply(x)
 
 
 @given(equivalent_word_pairs(m=2, max_total=10))
@@ -118,7 +116,7 @@ def test_swaps_preserve_exact_window_mass(pair):
         return
     pad_l, pad_r = (-1, -2), (1,)
     x = PointWindow(2, -2, len(w), pad_l + w.codes + pad_r)
-    y = holonomy_apply(Holonomy(w, w_prime, 0), x)
+    y = Holonomy(w, w_prime, 0).apply(x)
     for measure in SAMPLERS:
         assert cylinder_mass(y.codes, 2, measure) == cylinder_mass(x.codes, 2, measure), measure
     assert y.codes != x.codes or w == w_prime
@@ -131,10 +129,6 @@ def test_matching_times_example():
     x = window_of("a1 b1 b2", -1)
     t = matching_times(x, 2)
     assert t == MatchingTimes(forward=(0, 1), backward=(-1, None))
-    assert t.forward_time(1) == 0
-    assert t.forward_time(2) == 1
-    assert t.backward_time(1) == -1
-    assert t.backward_time(2) is None
 
 
 def test_matching_times_of_left_openers():
@@ -160,13 +154,11 @@ def test_matching_times_work_on_truncated_windows():
 def test_backward_times_land_on_openers_and_forward_on_closers():
     for x in sample_tilde(2, -25, 25, seed=23, count=80, max_extension=60):
         t = matching_times(x, 4)
-        for j in range(1, 5):
-            b = t.backward_time(j)
+        for b, a in zip(t.backward, t.forward):
             if b is not None:
-                assert x.code_at(b) > 0  # depth records are set by openers
-            a = t.forward_time(j)
+                assert x.codes[b - x.lo] > 0  # depth records are set by openers
             if a is not None:
-                assert x.code_at(a) < 0  # and first reached by closers
+                assert x.codes[a - x.lo] < 0  # and first reached by closers
 
 
 @pytest.mark.parametrize("window", [(-30, 30), (0, 40), (-40, 0), (0, 0), (-3, 9)])
@@ -274,16 +266,16 @@ def test_estimators_accept_one_shot_generators():
     assert empirical_cylinders(stream(), cylinders) == empirical_cylinders(samples, cylinders)
     assert empirical_cylinder(stream(), *cylinders[0]) == rescan_empirical_cylinder(samples, *cylinders[0])
     assert match_index_coincidences(stream(), INDEX_EVENTS) == match_index_coincidences(samples, INDEX_EVENTS)
-    assert match_index_coincidence(stream(), 2, (1, 2)) == rescan_match_index_coincidence(samples, 2, (1, 2))
+    assert match_index_coincidences(stream(), [(2, (1, 2))]) == [rescan_match_index_coincidence(samples, 2, (1, 2))]
 
 
 def test_match_index_coincidence_validates_arguments():
     with pytest.raises(ValueError):
-        match_index_coincidence([], 0, [1])
+        match_index_coincidences([], [(0, [1])])
     with pytest.raises(ValueError):
-        match_index_coincidence([], 1, [])
+        match_index_coincidences([], [(1, [])])
     with pytest.raises(ValueError):
-        match_index_coincidence([], 1, [0])
+        match_index_coincidences([], [(1, [0])])
 
 
 def test_match_index_coincidence_hand_examples():
@@ -292,15 +284,14 @@ def test_match_index_coincidence_hand_examples():
         PointWindow(2, -2, 0, (2, 1, -1)),  # types at -2,-1: 2,1 -> miss
         PointWindow(2, -2, 0, (-1, 1, 1)),  # depth 2 never reached -> excluded
     ]
-    est = match_index_coincidence(samples, 1, [1])
+    (est,) = match_index_coincidences(samples, [(1, [1])])
     assert (est.hits, est.trials, est.excluded_unresolved) == (1, 2, 1)
     assert est.scanned == 3
 
 
 def test_match_index_coincidence_seeded_run():
     samples = list(sample_tilde(2, -200, 0, seed=3, count=500, max_extension=4000))
-    single = match_index_coincidence(samples, 1, [1])
-    double = match_index_coincidence(samples, 2, [1, 2])
+    single, double = match_index_coincidences(samples, [(1, [1]), (2, [1, 2])])
     assert single.scanned == double.scanned == 500
     # under the coding measure the repeated-type events are fair coin flips
     assert single.sigma_distance(Fraction(1, 2)) < 4

@@ -6,6 +6,9 @@ import pytest
 
 from dyckshift import verification
 from dyckshift.cli import main
+from dyckshift.words import Word
+
+from conftest import walked_extension_rows
 
 
 def run(capsys, *argv):
@@ -72,6 +75,15 @@ def test_single_type_alphabet_is_gated(capsys):
     rc, out, _ = run(capsys, "reduce", "a1 b1", "--m", "1", "--allow-m1")
     assert rc == 0
     assert out.strip() == "Λ"
+
+
+@pytest.mark.parametrize(
+    "argv", [("count", "--length", "3", "--m", "0"), ("entropy", "--n", "2", "--m", "-1")]
+)
+def test_empty_alphabets_are_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: need at least one bracket type, got m={argv[-1]}\n"
 
 
 def test_single_type_error_names_the_flag(capsys):
@@ -146,13 +158,6 @@ def test_measure_json(capsys):
     assert payload["decimal"] == 0.125
     assert payload["balanced"] is True
     assert payload["balanced_form"] == "(1/(2*sqrt(2)))^2"
-
-
-def test_measure_position_is_cosmetic(capsys):
-    a = run_json(capsys, "measure", "b1 a2", "--json")
-    b = run_json(capsys, "measure", "b1 a2", "--position", "-5", "--json")
-    assert a["value"] == b["value"] == "1/16"
-    assert b["position"] == -5
 
 
 @pytest.mark.parametrize(
@@ -329,11 +334,17 @@ def test_extensions_mass_table(capsys):
 
 def test_extensions_mass_json_routes_agree(capsys):
     fast = run_json(capsys, "extensions", "a1", "--mass", "--max-len", "8", "--json")
-    slow = run_json(
-        capsys,
-        "extensions", "a1", "--mass", "--max-len", "8", "--method", "enumerate", "--json",
-    )
-    assert fast["rows"] == slow["rows"]
+    walked = walked_extension_rows(Word.parse("a1", 2), 8)
+    assert fast["rows"] == [
+        {
+            "total_len": r.total_len,
+            "count": r.count,
+            "added": str(r.added),
+            "partial": str(r.partial),
+            "residual": str(r.residual),
+        }
+        for r in walked
+    ]
     assert fast["cylinder_mass"] == "1/4"
     assert fast["rows"][0] == {
         "total_len": 2,
@@ -422,9 +433,10 @@ def test_verify_tap_output(capsys):
 
 
 def test_verify_rejects_other_alphabets(capsys):
-    rc, _, err = run(capsys, "verify", "--m", "3")
-    assert rc == 2
-    assert "m=2" in err
+    # The suite pins m=2 and takes no alphabet option.
+    rc, out, err = run(capsys, "verify", "--m", "3")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --m 3" in err
 
 
 def test_verify_rejects_unknown_suites(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -8,43 +9,29 @@ from hypothesis import given, strategies as st
 from dyckshift.analysis import matching_times
 from dyckshift.coding import (
     SAMPLERS,
-    BinaryWindow,
-    CollapsedWindow,
-    IndexCoverageGap,
-    IndexWindow,
-    NeedMoreLeft,
-    NeedMoreRight,
     PointWindow,
     Provenance,
-    apply_coding,
-    bit_height_cocycle,
-    collapse_minus,
     _below,
     _chunk_tables,
     _draws,
     _plus_window,
     _sample_rng,
     _tilde_window,
-    collapse_plus,
-    height_cocycle,
-    invert_collapse_minus,
-    invert_collapse_plus,
-    match_left,
-    project_bits,
     sample_minus,
     sample_plus,
     sample_tilde,
-    slot_index,
 )
 from dyckshift.words import DyckError, NotInLanguage, Word
 
 from conftest import (
     GOLDEN_WINDOWS,
-    balanced_words,
     bitwise_tilde_window,
+    coding_slots,
     golden_grid_windows,
-    language_words,
+    height_cocycle,
+    match_left,
     per_draw_plus_window,
+    tilde_law,
 )
 
 
@@ -91,43 +78,9 @@ def test_unresolved_letters_need_truncated_provenance():
 
 def test_window_accessors():
     x = window_of("a1 b1 a2", -1)
-    assert x.code_at(-1) == 1
-    assert x.code_at(1) == 2
-    with pytest.raises(ValueError):
-        x.code_at(2)
-    assert x.word().text() == "a1 b1 a2"
-    assert x.block(0, 1).text() == "b1 a2"
-    with pytest.raises(ValueError):
-        x.block(-2, 0)
-    assert x.carries(Word.parse("b1", 2), 0)
-    assert not x.carries(Word.parse("b2", 2), 0)
-    with pytest.raises(ValueError):
-        x.carries(Word.parse("a1 a1", 2), 1)
-
-
-def test_window_mirror_reflects_about_origin():
-    x = window_of("a1 b1 a2", -1)
-    y = x.mirror()
-    assert (y.lo, y.hi) == (-1, 1)
-    assert y.text() == "b2 a1 b1"
-    assert y.mirror().codes == x.codes
-
-
-def test_mirror_keeps_provenance():
-    prov = Provenance("tilde", 0, 2, True)
-    y = PointWindow(2, 0, 1, (-3, 1), prov).mirror()
-    assert (y.lo, y.hi, y.codes, y.provenance) == (-1, 0, (-1, 3), prov)
-    assert y.text() == "b1 a?"
-
-
-@pytest.mark.parametrize("lo,hi", [(0, 1), (-3, 2), (-8, 0)])
-def test_sampled_windows_mirror_and_round_trip(lo, hi):
-    samples = list(sample_tilde(2, lo, hi, seed=9, count=200, max_extension=0))
-    assert any(x.truncated for x in samples) and not all(x.truncated for x in samples)
-    for x in samples:
-        y = x.mirror()
-        assert (y.lo, y.hi, y.provenance) == (-hi, -lo, x.provenance)
-        assert y.mirror() == x
+    assert x.word() == Word(2, (1, -1, 2))
+    assert x.text() == "a1 b1 a2"
+    assert not x.truncated
 
 
 # ----------------------------------------------- height walks and matching
@@ -146,36 +99,11 @@ def test_height_steps_track_letter_kinds():
         assert profile[i + 1] - profile[i] == (1 if c > 0 else -1)
 
 
-def test_bit_walk_needs_the_anchor_in_range():
-    assert bit_height_cocycle(BinaryWindow(-2, -1, (1, 0))) == (0, 1, 0)
-    assert bit_height_cocycle(BinaryWindow(0, 1, (1, 1))) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        bit_height_cocycle(BinaryWindow(1, 2, (1, 1)))
-
-
-def test_slot_index_two_sided_count():
-    z = BinaryWindow(-2, 2, (1, 0, 1, 1, 0))
-    assert slot_index(z, 0) == 1  # one set bit in [0, 0]
-    assert slot_index(z, 1) == 2
-    assert slot_index(z, 2) == 2  # the closer at 2 adds nothing
-    assert slot_index(z, -1) == 0  # no set bits in [-1, -1]
-    assert slot_index(z, -2) == -1
-    with pytest.raises(ValueError):
-        slot_index(z, 3)
-    with pytest.raises(ValueError):
-        slot_index(BinaryWindow(1, 2, (1, 1)), 2)  # needs bits back to 0
-    with pytest.raises(ValueError):
-        slot_index(BinaryWindow(-1, 0, (1, 1)), -5)
-
-
 def test_match_left_examples():
-    z = BinaryWindow(0, 3, (1, 1, 0, 0))
-    assert match_left(z, 2) == 1
-    assert match_left(z, 3) == 0
-    with pytest.raises(NeedMoreLeft):
-        match_left(BinaryWindow(0, 1, (0, 1)), 0)
-    with pytest.raises(ValueError):
-        match_left(z, 4)
+    bits = (1, 1, 0, 0)
+    assert match_left(bits, 2) == 1
+    assert match_left(bits, 3) == 0
+    assert match_left((0, 1), 0) is None
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(0, 39))
@@ -183,7 +111,6 @@ def test_match_left_agrees_with_stack_matching(bits, pos):
     """The height-scan definition equals plain bracket matching."""
     if pos >= len(bits) or bits[pos] == 1:
         return
-    z = BinaryWindow(0, len(bits) - 1, tuple(bits))
     stack = []
     expected = None
     for i, b in enumerate(bits[: pos + 1]):
@@ -193,73 +120,24 @@ def test_match_left_agrees_with_stack_matching(bits, pos):
             stack.append(i)
         elif stack:
             stack.pop()
-    if expected is None:
-        with pytest.raises(NeedMoreLeft):
-            match_left(z, pos)
-    else:
-        assert match_left(z, pos) == expected
+    assert match_left(bits, pos) == expected
 
 
 # ---------------------------------------------------------- the coding map
 
 
 def test_coding_pairs_share_one_type():
-    z = BinaryWindow(0, 1, (1, 0))
-    types = IndexWindow(2, 1, 1, (2,))
-    x = apply_coding(z, types, 0, 1)
-    assert x.codes == (2, -2)
+    assert coding_slots((1, 0)) == [1, 1]
+    law = tilde_law(2, 2)
+    assert law[(2, -2)] == Fraction(1, 8)
+    assert (2, -1) not in law
 
 
 def test_coding_nested_example():
-    z = BinaryWindow(0, 3, (1, 1, 0, 0))
-    types = IndexWindow(2, 1, 2, (1, 2))
-    x = apply_coding(z, types, 0, 3)
-    assert x.word().text() == "a1 a2 b2 b1"
-
-
-def test_coding_reports_missing_slots():
-    z = BinaryWindow(0, 3, (1, 1, 0, 0))
-    types = IndexWindow(2, 1, 1, (1,))
-    with pytest.raises(IndexCoverageGap):
-        apply_coding(z, types, 0, 3)
-
-
-def test_coding_propagates_unmatched_closers():
-    z = BinaryWindow(0, 1, (0, 1))
-    types = IndexWindow(2, -1, 1, (1, 1, 1))
-    with pytest.raises(NeedMoreLeft):
-        apply_coding(z, types, 0, 1)
-
-
-def test_coding_output_range_validated():
-    z = BinaryWindow(0, 1, (1, 0))
-    types = IndexWindow(2, 1, 1, (1,))
-    with pytest.raises(ValueError):
-        apply_coding(z, types, 0, 2)
-
-
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=24),
-    st.integers(1, 2**24),
-)
-def test_coding_then_projection_restores_the_bits(bits, type_bits):
-    """apply_coding followed by project_bits is the identity on kinds.
-
-    Closers that would match left of the window are plugged by prepending
-    enough openers, so the coding always succeeds.
-    """
-    depth = 0
-    shortfall = 0
-    for b in bits:
-        depth += 1 if b else -1
-        shortfall = min(shortfall, depth)
-    padded = [1] * (-shortfall) + bits
-    z = BinaryWindow(shortfall, len(bits) - 1, tuple(padded))
-    span = len(padded)
-    types = IndexWindow(2, -span, span, tuple((type_bits >> (i % 24)) % 2 + 1 for i in range(2 * span + 1)))
-    x = apply_coding(z, types, z.lo, z.hi)
-    assert project_bits(x) == z
-    x.word()  # validates language membership
+    assert coding_slots((1, 1, 0, 0)) == [1, 2, 2, 1]
+    # closers whose openers lie left of the window read slots of their own
+    assert coding_slots((0, 1, 0, 0)) == [-1, 1, 1, -2]
+    assert tilde_law(4, 2)[(1, 2, -2, -1)] == Fraction(1, 64)
 
 
 def test_sampled_pairs_agree_by_the_matching_relation():
@@ -267,79 +145,14 @@ def test_sampled_pairs_agree_by_the_matching_relation():
     for x in sample_tilde(2, -6, 6, seed=19, count=150, max_extension=64):
         if x.truncated:
             continue
-        z = project_bits(x)
-        for n in range(x.lo, x.hi + 1):
-            if x.code_at(n) > 0:
+        bits = [1 if c > 0 else 0 for c in x.codes]
+        for n, c in enumerate(x.codes):
+            if c > 0:
                 continue
-            try:
-                opener = match_left(z, n)
-            except NeedMoreLeft:
+            opener = match_left(bits, n)
+            if opener is None:
                 continue  # resolved beyond the window; not checkable here
-            assert x.code_at(n) == -x.code_at(opener)
-
-
-# -------------------------------------------------------- collapsed windows
-
-
-def test_collapse_plus_merges_closers():
-    x = window_of("a1 a2 b2 b1", 0)
-    c = collapse_plus(x)
-    assert c.letters == ("a1", "a2", "b", "b")
-    assert c.variant == "plus"
-    assert c.text() == "a1 a2 b b"
-
-
-def test_collapse_minus_merges_openers():
-    x = window_of("a1 a2 b2 b1", 0)
-    c = collapse_minus(x)
-    assert c.letters == ("a", "a", "b2", "b1")
-
-
-def test_collapsed_alphabet_and_validation():
-    assert CollapsedWindow.alphabet(2, "plus") == {"a1", "a2", "b"}
-    assert CollapsedWindow.alphabet(3, "minus") == {"b1", "b2", "b3", "a"}
-    with pytest.raises(ValueError, match="variant"):
-        CollapsedWindow(2, 0, 0, ("a1",), "sideways")
-    with pytest.raises(ValueError, match="alphabet"):
-        CollapsedWindow(2, 0, 0, ("b1",), "plus")
-    with pytest.raises(ValueError, match="origin"):
-        CollapsedWindow(2, 2, 3, ("a1", "b"), "plus")
-
-
-def test_invert_collapse_checks_variant():
-    x = window_of("a1 b1", 0)
-    with pytest.raises(ValueError):
-        invert_collapse_plus(collapse_minus(x))
-    with pytest.raises(ValueError):
-        invert_collapse_minus(collapse_plus(x))
-
-
-@given(balanced_words(m=2, max_pairs=5))
-def test_collapse_round_trips_on_balanced_windows(w):
-    """Balanced windows lose nothing under either collapse."""
-    if len(w) == 0:
-        return
-    x = PointWindow(2, 0, len(w) - 1, w.codes)
-    assert invert_collapse_plus(collapse_plus(x)) == x
-    assert invert_collapse_minus(collapse_minus(x)) == x
-
-
-def test_invert_collapse_needs_the_matching_side():
-    lead = CollapsedWindow(2, 0, 1, ("b", "a1"), "plus")
-    with pytest.raises(NeedMoreLeft):
-        invert_collapse_plus(lead)
-    trail = CollapsedWindow(2, 0, 1, ("b1", "a"), "minus")
-    with pytest.raises(NeedMoreRight):
-        invert_collapse_minus(trail)
-
-
-def test_invert_collapse_recovers_loose_closers_of_the_other_kind():
-    # loose openers are fine for the plus inversion ...
-    c = collapse_plus(window_of("a1 a2 b2 a1", 0))
-    assert invert_collapse_plus(c).word().text() == "a1 a2 b2 a1"
-    # ... and loose closers for the minus inversion
-    c = collapse_minus(window_of("b1 a2 b2", 0))
-    assert invert_collapse_minus(c).word().text() == "b1 a2 b2"
+            assert c == -x.codes[opener]
 
 
 # ------------------------------------------------------------------ samplers

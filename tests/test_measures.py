@@ -34,6 +34,8 @@ from conftest import (
     language_words,
     plus_law,
     rewrite_oracle,
+    tilde_law,
+    walked_extension_rows,
 )
 
 MEASURES = ("tilde", "plus", "minus")
@@ -167,6 +169,18 @@ def test_plus_masses_equal_the_plus_construction(m, n_max):
             assert cylinder_mass(codes, m, "plus") == law.get(codes, 0), codes
 
 
+@pytest.mark.parametrize("m,n_max", [(2, 6), (3, 5)])
+def test_tilde_masses_equal_the_coding_construction(m, n_max):
+    """Every word, in the language or not, against the enumerated coding map."""
+    letters = (*range(1, m + 1), *range(-m, 0))
+    for n in range(n_max + 1):
+        law = tilde_law(n, m)
+        assert set(law) == {codes for codes, _, _ in iter_language_stats(n, m)}
+        assert sum(law.values()) == 1
+        for codes in itertools.product(letters, repeat=n):
+            assert cylinder_mass(codes, m) == law.get(codes, 0), codes
+
+
 def mirror(codes: tuple[int, ...]) -> tuple[int, ...]:
     """Reverse the word and swap openers with closers."""
     return tuple(-c for c in reversed(codes))
@@ -297,9 +311,7 @@ def test_mass_accounting_routes_agree(text):
     """Priced length classes equal a literal walk over the completions."""
     w = Word.parse(text, 2)
     cap = len(w) + 10
-    counted = minimal_extension_mass(w, cap, method="count")
-    walked = minimal_extension_mass(w, cap, method="enumerate")
-    assert counted == walked
+    assert minimal_extension_mass(w, cap) == walked_extension_rows(w, cap)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -355,7 +367,7 @@ def test_residual_horizon_is_the_first_row_within_ratio(text, ratios, m):
     """The one-pass horizon equals the first qualifying row of the Fraction table."""
     a = Word.parse(text, m)
     target = cylinder_mass(a.codes, m)
-    rows = minimal_extension_mass(a, mass_length_for_residual(a, min(ratios)), method="count")
+    rows = minimal_extension_mass(a, mass_length_for_residual(a, min(ratios)))
     for ratio in ratios:
         assert mass_length_for_residual(a, ratio) == first_row_within(rows, target, ratio), ratio
 

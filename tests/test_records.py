@@ -8,6 +8,7 @@ The records are named tuples (``Word`` a slotted class), so importing the
 package stays clear of ``dataclasses`` and what it imports.
 """
 
+import ast
 import pickle
 import re
 import subprocess
@@ -25,19 +26,11 @@ from dyckshift.analysis import (
     Holonomy,
     MatchingTimes,
     WindowDiagnostics,
-    holonomy_apply,
 )
-from dyckshift.coding import (
-    BinaryWindow,
-    CollapsedWindow,
-    IndexWindow,
-    PointWindow,
-    Provenance,
-    _trusted_window,
-)
+from dyckshift.coding import PointWindow, Provenance, _trusted_window
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
-from dyckshift.words import AlphabetParams, NormalForm, NotInLanguage, Word
+from dyckshift.words import NormalForm, NotInLanguage, Word
 
 W1 = Word(2, (1, -1, 2, -2))
 W2 = Word(2, (2, -2, 1, -1))
@@ -46,7 +39,6 @@ HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fract
 
 # (class, every field in order, the fields of an unequal record, literal repr)
 RECORDS = [
-    (AlphabetParams, (2, False), (3, False), "AlphabetParams(m=2, allow_single_type=False)"),
     (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
     (NormalForm, (False, (2,), (1,)), (False, (1,), (2,)), "NormalForm(is_zero=False, closers=(2,), openers=(1,))"),
     (Provenance, ("tilde", 7, 3, False), ("plus", 7, 3, False), "Provenance(sampler='tilde', seed=7, index=3, truncated=False)"),
@@ -56,14 +48,6 @@ RECORDS = [
         (2, -1, 1, (2, -2, 2), PROV),
         "PointWindow(m=2, lo=-1, hi=1, codes=(1, -1, 2), "
         "provenance=Provenance(sampler='tilde', seed=7, index=3, truncated=False))",
-    ),
-    (BinaryWindow, (0, 1, (1, 0)), (0, 1, (0, 0)), "BinaryWindow(lo=0, hi=1, bits=(1, 0))"),
-    (IndexWindow, (2, 0, 1, (1, 2)), (2, 0, 1, (2, 2)), "IndexWindow(m=2, lo=0, hi=1, indices=(1, 2))"),
-    (
-        CollapsedWindow,
-        (2, 0, 1, ("a1", "b"), "plus"),
-        (2, 0, 1, ("a2", "b"), "plus"),
-        "CollapsedWindow(m=2, lo=0, hi=1, letters=('a1', 'b'), variant='plus')",
     ),
     (
         ExtensionMassRow,
@@ -151,7 +135,6 @@ def test_records_pickle_to_equal_values(cls, fields, other, text):
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert AlphabetParams(2) == AlphabetParams(2, False)
     assert NormalForm(True) == NormalForm(True, (), ())
     assert PointWindow(2, 0, 0, (1,)).provenance is None
     assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0, 0)
@@ -187,12 +170,6 @@ def _raises(exc_type, message, build):
 
 
 CHECKS = [
-    (ValueError, "need at least one bracket type, got m=0", lambda: AlphabetParams(0)),
-    (
-        ValueError,
-        "m=1 is the degenerate full-shift case; pass allow_single_type=True if you really want it",
-        lambda: AlphabetParams(1),
-    ),
     (ValueError, "need m >= 1, got 0", lambda: Word(0, ())),
     (ValueError, "letter code 3 out of range for m=2", lambda: Word(2, (3,))),
     (ValueError, "letter code 0 out of range for m=2", lambda: Word(2, (1, 0))),
@@ -207,16 +184,6 @@ CHECKS = [
         lambda: PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0)),
     ),
     (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
-    (ValueError, "empty bit window", lambda: BinaryWindow(1, 0, ())),
-    (ValueError, "bit window length does not match its bounds", lambda: BinaryWindow(0, 1, (1,))),
-    (ValueError, "bits must be 0 or 1", lambda: BinaryWindow(0, 1, (1, 2))),
-    (ValueError, "index window length does not match its bounds", lambda: IndexWindow(2, 0, 1, (1,))),
-    (ValueError, "type indices must lie in [1, 2]", lambda: IndexWindow(2, 0, 1, (1, 3))),
-    (ValueError, "variant must be one of ('plus', 'minus')", lambda: CollapsedWindow(2, 0, 0, ("b",), "both")),
-    (ValueError, "window [-2, -1] must contain the origin", lambda: CollapsedWindow(2, -2, -1, ("b", "b"), "plus")),
-    (ValueError, "window length does not match its bounds", lambda: CollapsedWindow(2, 0, 1, ("b",), "plus")),
-    (ValueError, "letter 'a3' not in the plus alphabet", lambda: CollapsedWindow(2, 0, 0, ("a3",), "plus")),
-    (ValueError, "letter 'b' not in the minus alphabet", lambda: CollapsedWindow(2, 0, 0, ("b",), "minus")),
     (ValueError, "block swap needs both words over the same alphabet", lambda: Holonomy(W1, Word(3, W2.codes), 0)),
     (ValueError, "block swap needs words of equal length", lambda: Holonomy(W1, Word(2, (1, -1)), 0)),
     (ValueError, "'a1 b1 a2 b2' and 'a1 b1 a1 a2' are not equivalent", lambda: Holonomy(W1, Word(2, (1, -1, 1, 2)), 0)),
@@ -230,22 +197,20 @@ def test_construction_checks_keep_their_errors(exc_type, message, build):
 
 
 def test_valid_edge_records_construct():
-    assert AlphabetParams(1, True).m == 1
     assert PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0, True)).truncated
-    assert CollapsedWindow(2, 0, 0, ("a",), "minus").text() == "a"
 
 
 def test_holonomy_apply_rechecks_the_patched_window():
     swap = Holonomy(W1, W2, 2)
     good = PointWindow(2, 0, 5, (1, -1) + W1.codes, PROV)
-    patched = holonomy_apply(swap, good)
+    patched = swap.apply(good)
     assert type(patched) is PointWindow
     assert patched == PointWindow(2, 0, 5, (1, -1) + W2.codes, PROV)
     assert swap.inverse().apply(patched) == good
     # A window that was never checked (the samplers' trusted route) is
     # checked when a swap rebuilds it.
     bad = _trusted_window(2, 0, 5, (1, -2) + W1.codes, PROV)
-    _raises(NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: holonomy_apply(swap, bad))
+    _raises(NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: swap.apply(bad))
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
@@ -287,3 +252,45 @@ def test_package_exports_only_the_readme_library_names():
     library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
     for name in README_LIBRARY_NAMES:
         assert re.search(rf"\b{name}\b", library), name
+
+
+def _public_definitions(path: Path) -> list[tuple[str, range]]:
+    """Each public top-level name a module defines, with the lines (0-based) of its definition."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(name, range(node.lineno - 1, node.end_lineno)) for name in names if not name.startswith("_")]
+    return found
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """A public name of ``src/`` that only its own definition mentions is test-only surface.
+
+    A name counts as used when a line of ``src/`` outside its definition,
+    a bench script or the README mentions it.
+    """
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "dyckshift").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in modules}
+    outside = (root / "README.md").read_text()
+    outside += "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    unused = []
+    for path in modules:
+        for name, span in _public_definitions(path):
+            mention = re.compile(rf"\b{name}\b").search
+            in_src = any(
+                mention(line)
+                for other in modules
+                for i, line in enumerate(lines[other])
+                if other != path or i not in span
+            )
+            if not in_src and not mention(outside):
+                unused.append(f"{path.name}: {name}")
+    assert unused == []
