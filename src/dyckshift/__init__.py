@@ -10,4 +10,4 @@ __version__ = "0.1.0"
 from .analysis import empirical_cylinder, empirical_cylinders, match_index_coincidences  # noqa: F401
 from .coding import sample_tilde  # noqa: F401
 from .measures import cylinder_mass, entropy_report  # noqa: F401
-from .words import Word, reduce_word  # noqa: F401
+from .words import Word, residue, residue_text  # noqa: F401

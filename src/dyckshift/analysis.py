@@ -33,6 +33,10 @@ class InsufficientData(DyckError):
     """No usable samples survived exclusion; estimate undefined."""
 
 
+# The package's records are named tuples.  A record with checks declares its
+# fields in a private named tuple and checks them in a subclass's ``__new__``
+# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
+# ``_make`` build through ``tuple.__new__`` and skip those checks.
 class _HolonomyFields(NamedTuple):
     w: Word
     w_prime: Word
@@ -61,9 +65,6 @@ class Holonomy(_HolonomyFields):
     @property
     def span(self) -> tuple[int, int]:
         return self.k, self.k + len(self.w) - 1
-
-    def inverse(self) -> "Holonomy":
-        return Holonomy(self.w_prime, self.w, self.k)
 
     def apply(self, x: PointWindow) -> PointWindow:
         """Rewrite the block ``w`` at coordinate ``k`` of ``x`` into ``w_prime``.

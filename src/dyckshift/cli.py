@@ -32,7 +32,8 @@ from .words import (
     count_language,
     is_balanced,
     minimal_balanced_extensions,
-    reduce_word,
+    residue,
+    residue_text,
 )
 
 
@@ -93,27 +94,27 @@ def _alphabet(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     w = Word.parse(args.word, m)
-    nf = reduce_word(w)
+    found = residue(w.codes)
     if args.json:
         _emit_json(
             {
                 "command": "reduce",
                 "m": m,
                 "word": w.text(),
-                "normal_form": nf.text(),
-                "is_zero": nf.is_zero,
-                "is_balanced": nf.is_identity,
+                "normal_form": residue_text(found),
+                "is_zero": found is None,
+                "is_balanced": found == ((), ()),
             }
         )
     else:
-        print(nf.text())
+        print(residue_text(found))
     return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     w = Word.parse(args.word, m)
-    member = not reduce_word(w).is_zero
+    member = residue(w.codes) is not None
     if args.json:
         _emit_json({"command": "member", "m": m, "word": w.text(), "member": member})
     else:
@@ -204,9 +205,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     m = _alphabet(args)
-    if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return 2
     if args.json:
         _emit_json(entropy_report(args.n, m).json_dict())
         return 0
@@ -238,6 +236,8 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     w = Word.parse(args.word, m)
     max_len = args.max_len if args.max_len is not None else len(w) + 8
+    if max_len < len(w):
+        raise DyckError(f"max_len={max_len} is shorter than the word ({len(w)})")
     if args.ratio is not None and not args.mass:
         raise DyckError("--ratio needs --mass")
     if args.mass:
@@ -382,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = commands.add_parser("entropy", help="exact block/step entropy table")
-    p.add_argument("--n", type=int, required=True, help="largest block length")
+    p.add_argument("--n", type=_nonnegative, required=True, help="largest block length")
     p.add_argument("--csv", action="store_true", help="emit the table as CSV")
     _add_alphabet_flags(p)
     p.add_argument("--json", action="store_true", help="emit the single row for --n")
@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --mass, report the first length whose residual is within this "
         "fraction of the cylinder mass, e.g. 1/20",
     )
-    p.add_argument("--limit", type=int, default=50, help="cap on listed pairs")
+    p.add_argument("--limit", type=_nonnegative, default=50, help="cap on listed pairs")
     _add_alphabet_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extensions)

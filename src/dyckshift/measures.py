@@ -218,13 +218,7 @@ def _pattern_stats(length: int) -> tuple[int, int]:
     return total_pairs, sum(counts)
 
 
-def _q_coefficient(length: int) -> Fraction:
-    """Exact ``log(m)`` coefficient of the block entropy at this length."""
-    total_pairs, _ = _pattern_stats(length)
-    return length - Fraction(total_pairs, 2**length)
-
-
-def block_entropy(n: int, m: int) -> LogPair:
+def block_entropy(n: int) -> LogPair:
     """Exact entropy of the length-``n`` block distribution, in the two-log form.
 
     A length-``n`` pattern is hit with probability ``2^-n`` regardless of
@@ -233,10 +227,15 @@ def block_entropy(n: int, m: int) -> LogPair:
     pattern statistic is a sum of ``n/2 + 1`` terms, so any length is exact
     and cheap.
     """
+    return _block_and_p_nonneg(n)[0]
+
+
+def _block_and_p_nonneg(n: int) -> tuple[LogPair, Fraction]:
+    """:func:`block_entropy` and ``p_nonneg`` at length ``n``, from one pass of pattern counts."""
     if n < 0:
         raise ValueError("block length must be >= 0")
-    del m  # the exact coefficients do not depend on it
-    return LogPair(Fraction(n), _q_coefficient(n))
+    total_pairs, nonneg = _pattern_stats(n)
+    return LogPair(Fraction(n), n - Fraction(total_pairs, 2**n)), Fraction(nonneg, 2**n)
 
 
 class EntropyReport(NamedTuple):
@@ -270,13 +269,5 @@ class EntropyReport(NamedTuple):
 
 def entropy_report(n: int, m: int = 2) -> EntropyReport:
     """Exact entropy data at block length ``n`` (needs patterns of length n+1)."""
-    here = block_entropy(n, m)
-    there = block_entropy(n + 1, m)
-    _, nonneg = _pattern_stats(n)
-    return EntropyReport(
-        n=n,
-        m=m,
-        block=here,
-        step=there - here,
-        p_nonneg=Fraction(nonneg, 2**n),
-    )
+    here, p_nonneg = _block_and_p_nonneg(n)
+    return EntropyReport(n=n, m=m, block=here, step=block_entropy(n + 1) - here, p_nonneg=p_nonneg)

@@ -15,7 +15,10 @@ Reduction is one left-to-right stack scan.  :func:`residue` runs it over a
 whole word from scratch; :func:`advance` is the same scan's one-letter step,
 taken for a batch of words at once, so callers that extend many words by a
 shared letter (a trie walk, the one-letter extensions of a cylinder) scan
-each prefix once.
+each prefix once.  The rewrite system is confluent, so the scan order cannot
+change the outcome (the tests check this against an order-free rewriting
+oracle).  A word's residue — loose closers then loose openers, or ``None``
+for zero — is its normal form, and :func:`residue_text` renders it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 
 class DyckError(Exception):
@@ -45,7 +48,12 @@ class NotInLanguage(DyckError):
 
 
 class BudgetExceeded(DyckError):
-    """An enumeration was asked to exceed its configured size budget."""
+    """A search passed its hard length cap without finding what it looks for.
+
+    Raised by :func:`~dyckshift.measures.mass_length_for_residual` when no
+    completion length up to about ``2^20`` letters brings the residual mass
+    below the requested ratio.
+    """
 
 
 _TOKEN_RE = re.compile(r"([ab])([1-9][0-9]*)\Z")
@@ -113,21 +121,8 @@ class Word:
     def text(self) -> str:
         return " ".join(code_text(c) for c in self.codes)
 
-    def mirror(self) -> "Word":
-        """Reverse the word and swap opener/closer roles (types kept).
-
-        This is the order-reversing symmetry of the bracket monoid: it maps
-        the language onto itself and balanced words onto balanced words.
-        """
-        return Word(self.m, tuple(-c for c in reversed(self.codes)))
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __add__(self, other: "Word") -> "Word":
-        if self.m != other.m:
-            raise ValueError(f"cannot concatenate words with m={self.m} and m={other.m}")
-        return Word(self.m, self.codes + other.codes)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -151,56 +146,6 @@ def code_text(code: int) -> str:
 def lex_key(w: Word) -> tuple[tuple[int, int], ...]:
     """Sort key realizing the declared letter order a1 < .. < am < b1 < .. < bm."""
     return tuple((0, c) if c > 0 else (1, -c) for c in w.codes)
-
-
-# The package's records are named tuples.  A record with checks declares its
-# fields in a private named tuple and checks them in a subclass's ``__new__``
-# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
-# ``_make`` build through ``tuple.__new__`` and skip those checks.
-class _NormalFormFields(NamedTuple):
-    is_zero: bool
-    closers: tuple[int, ...]
-    openers: tuple[int, ...]
-
-
-class NormalForm(_NormalFormFields):
-    """The irreducible residue of a word: zero, or closers then openers.
-
-    ``closers``/``openers`` hold type indices.  A nonzero normal form never
-    contains an adjacent opener-closer pair, so it reads as ``b.. b.. a.. a..``.
-    The empty nonzero form is the monoid identity and prints as ``Λ``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, is_zero: bool, closers: tuple[int, ...] = (), openers: tuple[int, ...] = ()
-    ) -> "NormalForm":
-        if is_zero and (closers or openers):
-            raise ValueError("the zero element carries no letters")
-        return tuple.__new__(cls, (is_zero, closers, openers))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.is_zero and not self.closers and not self.openers
-
-    def size(self) -> int:
-        """Letter count of the residue (0 for zero and for the identity)."""
-        return len(self.closers) + len(self.openers)
-
-    def text(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_identity:
-            return "Λ"
-        parts = [f"b{i}" for i in self.closers] + [f"a{i}" for i in self.openers]
-        return " ".join(parts)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text()
-
-
-ZERO = NormalForm(True)
 
 
 _Residue = tuple[tuple[int, ...], tuple[int, ...]]
@@ -250,22 +195,6 @@ def advance(states: Sequence[_Residue | None], code: int) -> list[_Residue | Non
     ]
 
 
-def reduce_codes(codes: Sequence[int]) -> NormalForm:
-    """The :class:`NormalForm` of raw signed codes; the workhorse behind reduce_word."""
-    found = residue(codes)
-    return ZERO if found is None else NormalForm(False, *found)
-
-
-def reduce_word(w: Word) -> NormalForm:
-    """Reduce ``w`` to its unique irreducible monoid residue.
-
-    One left-to-right pass suffices: the rewrite system is confluent, so the
-    scan order cannot change the outcome (the tests check this against an
-    order-free rewriting oracle).
-    """
-    return reduce_codes(w.codes)
-
-
 def is_in_language(w: Word) -> bool:
     return residue(w.codes) is not None
 
@@ -274,15 +203,23 @@ def is_balanced(w: Word) -> bool:
     return residue(w.codes) == ((), ())
 
 
+def residue_text(found: _Residue | None) -> str:
+    """The text of a :func:`residue`: ``0`` for zero, ``Λ`` for the identity, else ``b.. a..``."""
+    if found is None:
+        return "0"
+    closers, openers = found
+    return " ".join([f"b{i}" for i in closers] + [f"a{i}" for i in openers]) or "Λ"
+
+
 def are_equivalent(w: Word, other: Word) -> bool:
     """Whether two language words are equal as monoid elements."""
-    nf = reduce_word(w)
-    if nf.is_zero:
+    found = residue(w.codes)
+    if found is None:
         raise NotInLanguage(f"{w.text()!r} reduces to zero")
-    nf_other = reduce_word(other)
-    if nf_other.is_zero:
+    found_other = residue(other.codes)
+    if found_other is None:
         raise NotInLanguage(f"{other.text()!r} reduces to zero")
-    return nf == nf_other
+    return found == found_other
 
 
 def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:

@@ -17,8 +17,6 @@ from dyckshift.coding import SAMPLERS, PointWindow, Provenance
 from dyckshift.measures import ExtensionMassRow, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
-    ZERO,
-    NormalForm,
     NotInLanguage,
     Word,
     is_balanced,
@@ -129,12 +127,16 @@ def equivalent_word_pairs(draw, m: int = 2, max_total: int = 12) -> tuple[Word, 
     return Word(m, build()), Word(m, build())
 
 
-def rewrite_oracle(codes: tuple[int, ...], rng: random.Random) -> NormalForm:
+def rewrite_oracle(
+    codes: tuple[int, ...], rng: random.Random
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Reduce by randomly ordered adjacent rewrites; confluence oracle.
 
     Picks any adjacent opener-closer pair, cancels it if the types match and
     annihilates everything otherwise, until no such pair remains.  The final
-    letters are then loose closers followed by loose openers.
+    letters are then loose closers followed by loose openers, returned as
+    ``residue`` returns them: ``(closer types, opener types)``, or ``None``
+    for zero.
     """
     work = list(codes)
     while True:
@@ -145,12 +147,10 @@ def rewrite_oracle(codes: tuple[int, ...], rng: random.Random) -> NormalForm:
             break
         i = rng.choice(redexes)
         if work[i] != -work[i + 1]:
-            return ZERO
+            return None
         del work[i : i + 2]
-    if not work:
-        return NormalForm(False)
     split = next((i for i, c in enumerate(work) if c > 0), len(work))
-    return NormalForm(False, tuple(-c for c in work[:split]), tuple(work[split:]))
+    return tuple(-c for c in work[:split]), tuple(work[split:])
 
 
 def pairwise_swap_comparisons(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> int | None:
@@ -393,10 +393,10 @@ def fraction_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
     times the balanced law, and added to a running Fraction row by row.  The
     loose letters are counted by the order-free rewriting oracle.
     """
-    nf = rewrite_oracle(a.codes, random.Random(0))
-    if nf.is_zero:
+    found = rewrite_oracle(a.codes, random.Random(0))
+    if found is None:
         raise NotInLanguage(f"{a.text()!r} reduces to zero")
-    loose = nf.size()
+    loose = len(found[0]) + len(found[1])
     target = cylinder_mass(a.codes, a.m)
     base = len(a) + loose
     rows: list[ExtensionMassRow] = []
@@ -421,7 +421,7 @@ def walked_extension_rows(a: Word, max_len: int) -> list[ExtensionMassRow]:
     """
     by_len: Counter[int] = Counter()
     for left, right in minimal_balanced_extensions(a, max_len):
-        whole = left + a + right
+        whole = Word(a.m, left.codes + a.codes + right.codes)
         assert is_balanced(whole), f"{whole.text()!r} does not balance"
         by_len[len(whole)] += 1
     target = cylinder_mass(a.codes, a.m)

@@ -60,8 +60,9 @@ def test_swap_requires_shared_alphabet():
 def test_swap_span_and_inverse():
     h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 3)
     assert h.span == (3, 4)
-    assert h.inverse().w.text() == "a2 b2"
-    assert h.inverse().inverse() == h
+    back = Holonomy(h.w_prime, h.w, h.k)
+    assert back.w.text() == "a2 b2"
+    assert Holonomy(back.w_prime, back.w, back.k) == h
 
 
 def test_swap_rewrites_the_block_in_place():
@@ -72,7 +73,7 @@ def test_swap_rewrites_the_block_in_place():
     assert y.word().text() == "a2 a2 b2 b2"
     assert (y.lo, y.hi) == (x.lo, x.hi)
     assert y.provenance is prov
-    assert h.inverse().apply(y) == x
+    assert Holonomy(h.w_prime, h.w, h.k).apply(y) == x
 
 
 def test_swap_rejects_uncovered_blocks():

@@ -293,9 +293,10 @@ def test_entropy_csv(capsys):
 
 
 def test_entropy_rejects_negative_n(capsys):
-    rc, _, err = run(capsys, "entropy", "--n", "-1")
+    rc, out, err = run(capsys, "entropy", "--n", "-1")
     assert rc == 2
-    assert ">= 0" in err
+    assert out == ""
+    assert "argument --n: must be >= 0, got -1" in err
 
 
 def test_entropy_beyond_enumeration(capsys):
@@ -380,6 +381,21 @@ def test_extensions_ratio_is_checked(capsys, argv):
     rc, _, err = run(capsys, "extensions", "a1", *argv)
     assert rc == 2
     assert "ratio" in err
+
+
+def test_extensions_rejects_negative_limit(capsys):
+    rc, out, err = run(capsys, "extensions", "a1", "--limit", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "argument --limit: must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--mass",), ("--mass", "--json")])
+def test_extensions_refuse_a_max_len_shorter_than_the_word(capsys, mode):
+    rc, out, err = run(capsys, "extensions", "a1 a2", "--max-len", "1", *mode)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: max_len=1 is shorter than the word (2)\n"
 
 
 def test_extensions_reject_zero_words(capsys):

@@ -30,7 +30,7 @@ from dyckshift.analysis import (
 from dyckshift.coding import PointWindow, Provenance, _trusted_window
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
-from dyckshift.words import NormalForm, NotInLanguage, Word
+from dyckshift.words import NotInLanguage, Word
 
 W1 = Word(2, (1, -1, 2, -2))
 W2 = Word(2, (2, -2, 1, -1))
@@ -40,7 +40,6 @@ HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fract
 # (class, every field in order, the fields of an unequal record, literal repr)
 RECORDS = [
     (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
-    (NormalForm, (False, (2,), (1,)), (False, (1,), (2,)), "NormalForm(is_zero=False, closers=(2,), openers=(1,))"),
     (Provenance, ("tilde", 7, 3, False), ("plus", 7, 3, False), "Provenance(sampler='tilde', seed=7, index=3, truncated=False)"),
     (
         PointWindow,
@@ -135,7 +134,6 @@ def test_records_pickle_to_equal_values(cls, fields, other, text):
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert NormalForm(True) == NormalForm(True, (), ())
     assert PointWindow(2, 0, 0, (1,)).provenance is None
     assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0, 0)
     assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
@@ -150,7 +148,6 @@ def test_words_iterate_index_and_slice_their_letters():
     assert list(w) == [1, -1, 2] and len(w) == 3
     assert w[0] == 1 and w[-1] == 2
     assert w[1:] == Word(2, (-1, 2))
-    assert w + Word(2, (-2,)) == Word(2, (1, -1, 2, -2))
     assert w != (2, (1, -1, 2)) and w != Word(3, (1, -1, 2))
 
 
@@ -173,8 +170,6 @@ CHECKS = [
     (ValueError, "need m >= 1, got 0", lambda: Word(0, ())),
     (ValueError, "letter code 3 out of range for m=2", lambda: Word(2, (3,))),
     (ValueError, "letter code 0 out of range for m=2", lambda: Word(2, (1, 0))),
-    (ValueError, "the zero element carries no letters", lambda: NormalForm(True, (1,))),
-    (ValueError, "the zero element carries no letters", lambda: NormalForm(True, (), (2,))),
     (ValueError, "window [1, 2] must contain the origin", lambda: PointWindow(2, 1, 2, (1, 1))),
     (ValueError, "window length does not match its bounds", lambda: PointWindow(2, 0, 1, (1,))),
     (ValueError, "letter code 4 out of range for m=2", lambda: PointWindow(2, 0, 1, (1, 4))),
@@ -206,7 +201,7 @@ def test_holonomy_apply_rechecks_the_patched_window():
     patched = swap.apply(good)
     assert type(patched) is PointWindow
     assert patched == PointWindow(2, 0, 5, (1, -1) + W2.codes, PROV)
-    assert swap.inverse().apply(patched) == good
+    assert Holonomy(W2, W1, 2).apply(patched) == good
     # A window that was never checked (the samplers' trusted route) is
     # checked when a swap rebuilds it.
     bad = _trusted_window(2, 0, 5, (1, -2) + W1.codes, PROV)
@@ -230,7 +225,8 @@ def test_import_leaves_dataclasses_and_inspect_out():
 # The names the README's "Library" section uses, and nothing else.
 README_LIBRARY_NAMES = {
     "Word",
-    "reduce_word",
+    "residue",
+    "residue_text",
     "cylinder_mass",
     "entropy_report",
     "sample_tilde",
@@ -254,8 +250,8 @@ def test_package_exports_only_the_readme_library_names():
         assert re.search(rf"\b{name}\b", library), name
 
 
-def _public_definitions(path: Path) -> list[tuple[str, range]]:
-    """Each public top-level name a module defines, with the lines (0-based) of its definition."""
+def _public_definitions(path: Path) -> list[tuple[str, str, range]]:
+    """Each public top-level name a module defines: ``(name, name, lines of its definition)``, 0-based."""
     found = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -266,8 +262,43 @@ def _public_definitions(path: Path) -> list[tuple[str, range]]:
             names = [node.target.id]
         else:
             continue
-        found += [(name, range(node.lineno - 1, node.end_lineno)) for name in names if not name.startswith("_")]
+        found += [(name, name, range(node.lineno - 1, node.end_lineno)) for name in names if not name.startswith("_")]
     return found
+
+
+def _public_methods(path: Path) -> list[tuple[str, str, range]]:
+    """Each public method or property of a module's classes: ``(Class.name, name, lines of its definition)``."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name, range(item.lineno - 1, item.end_lineno))
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def _unmentioned(definitions, mention_of) -> list[str]:
+    """The definitions that no line of ``src/`` outside their own, no bench script and no README line mentions."""
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "dyckshift").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in modules}
+    outside = (root / "README.md").read_text()
+    outside += "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    unused = []
+    for path in modules:
+        for label, name, span in definitions(path):
+            mention = re.compile(mention_of(name)).search
+            in_src = any(
+                mention(line)
+                for other in modules
+                for i, line in enumerate(lines[other])
+                if other != path or i not in span
+            )
+            if not in_src and not mention(outside):
+                unused.append(f"{path.name}: {label}")
+    return unused
 
 
 def test_every_public_name_has_a_user_outside_the_tests():
@@ -276,21 +307,21 @@ def test_every_public_name_has_a_user_outside_the_tests():
     A name counts as used when a line of ``src/`` outside its definition,
     a bench script or the README mentions it.
     """
-    root = Path(__file__).resolve().parents[1]
-    modules = sorted((root / "src" / "dyckshift").glob("*.py"))
-    lines = {path: path.read_text().splitlines() for path in modules}
-    outside = (root / "README.md").read_text()
-    outside += "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
-    unused = []
-    for path in modules:
-        for name, span in _public_definitions(path):
-            mention = re.compile(rf"\b{name}\b").search
-            in_src = any(
-                mention(line)
-                for other in modules
-                for i, line in enumerate(lines[other])
-                if other != path or i not in span
-            )
-            if not in_src and not mention(outside):
-                unused.append(f"{path.name}: {name}")
-    assert unused == []
+    assert _unmentioned(_public_definitions, lambda name: rf"\b{name}\b") == []
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    """A public method or property of ``src/`` that nothing outside its definition calls is test-only surface.
+
+    A method counts as used when a line of ``src/`` outside its definition,
+    a bench script or the README mentions it as ``.name``.  Dunder methods
+    are out of scope.
+    """
+    assert _unmentioned(_public_methods, lambda name: rf"\.{name}\b") == []
+
+
+def test_src_stays_within_its_line_budget():
+    """``src/dyckshift/*.py`` holds at most 2,900 lines, the budget ROADMAP item 6 sets."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dyckshift"
+    total = sum(len(path.read_text().splitlines()) for path in src.glob("*.py"))
+    assert total <= 2900, total
