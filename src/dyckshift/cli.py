@@ -21,6 +21,7 @@ from .measures import (
     LogPair,
     cylinder_mass,
     entropy_report,
+    entropy_table,
     mass_length_for_residual,
     minimal_extension_mass,
 )
@@ -208,7 +209,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(entropy_report(args.n, m).json_dict())
         return 0
-    reports = [entropy_report(n, m) for n in range(args.n + 1)]
+    reports = entropy_table(args.n, m)
     if args.csv:
         import csv
 
@@ -236,8 +237,6 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     w = Word.parse(args.word, m)
     max_len = args.max_len if args.max_len is not None else len(w) + 8
-    if max_len < len(w):
-        raise DyckError(f"max_len={max_len} is shorter than the word ({len(w)})")
     if args.ratio is not None and not args.mass:
         raise DyckError("--ratio needs --mass")
     if args.mass:
@@ -436,11 +435,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(_fuse_window_flag(raw))
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
+    # Exact results print in full.  Python 3.10.7+ caps int-to-text
+    # conversion at 4300 digits by default; the cap stays on while the
+    # arguments are parsed above and is lifted only for the command.
+    digit_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digit_cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (DyckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

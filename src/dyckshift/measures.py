@@ -121,8 +121,11 @@ def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     thousands are cheap; the tests check it against a literal walk over the
     completions of :func:`~dyckshift.words.minimal_balanced_extensions`.
     Rows appear only for lengths that contribute, so partial sums strictly
-    increase.
+    increase.  Like :func:`~dyckshift.words.minimal_balanced_extensions`,
+    raises ``ValueError`` for a ``max_len`` shorter than ``a``.
     """
+    if max_len < len(a):
+        raise ValueError(f"max_len={max_len} is shorter than the word ({len(a)})")
     k = _loose_letters(a)
     base = len(a) + k
     classes = (max_len - base) // 2 + 1 if max_len >= base else 0
@@ -156,26 +159,30 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
 
     The length class with ``f`` added pairs carries ``C_k(f) 4^-f 2^-k`` of
     the cylinder value for every ``m``, where ``k`` counts loose letters and
-    ``C_k`` is the ballot number of :func:`_ballot_ways`.  One pass over
-    ``f = 0, 1, ...`` steps ``C_k(f)`` by its ratio recurrence and compares
-    integers scaled by ``4^f``; it returns the length ``|a| + k + 2f`` of
-    the first class whose residual is at most ``ratio`` of the target, the
-    row that :func:`minimal_extension_mass` would reach first.
+    ``C_k`` is the ballot number of :func:`_ballot_ways`.  With ``ratio =
+    num/den``, the residual after class ``f`` is at most ``ratio`` of the
+    target exactly when the integer ``slack = den Σ_{g<=f} C_k(g) 4^(f-g) -
+    (den - num) 2^k 4^f`` is nonnegative.  One pass over ``f = 0, 1, ...``
+    keeps ``slack`` as its only accumulator, updated as ``4 slack + den
+    C_k(f)``, and steps ``den C_k(f)`` by the ratio recurrence of ``C_k``.
+    It returns the length ``|a| + k + 2f`` of the first class with ``slack
+    >= 0``, the row that :func:`minimal_extension_mass` would reach first.
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
     k = _loose_letters(a)
-    # residual <= ratio * target  <=>  sum_{g<=f} C_k(g) 4^-g >= (1 - ratio) 2^k,
-    # held as den * reached >= (den - num) 2^k 4^f with reached scaled by 4^f
-    need = (ratio.denominator - ratio.numerator) << k
-    reached, scale, total_len = 0, 1, len(a) + k  # scale = 4^f
-    for ways in _ballot_ways(k):
-        reached = 4 * reached + ways
-        if ratio.denominator * reached >= need * scale:
+    den = ratio.denominator
+    slack = -((den - ratio.numerator) << k)
+    share, f, total_len = den, 0, len(a) + k  # share = den * C_k(f)
+    while True:
+        slack += share
+        if slack >= 0:
             return total_len
         if total_len > 1 << 20:  # pragma: no cover - safety valve
             break
-        scale *= 4
+        slack <<= 2
+        share = share * ((2 * f + k) * (2 * f + k + 1)) // ((f + 1) * (f + k + 1))
+        f += 1
         total_len += 2
     raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
 
@@ -207,15 +214,17 @@ def _pattern_stats(length: int) -> tuple[int, int]:
     type-forgetting skeletons of words; both aggregates are what the exact
     entropy formulas consume.
 
-    Both are short sums over :func:`pattern_counts`: the ``length - 2p + 1``
-    loose splits of ``p`` pairs each hold ``S(length, p)`` patterns.  The
-    split with no loose closer holds the patterns none of whose prefixes
-    runs a closer surplus, and reversal maps them one-to-one onto the
-    suffix-nonnegative ones.
+    Both are short sums, folded in one pass over :func:`pattern_counts`:
+    the ``length - 2p + 1`` loose splits of ``p`` pairs each hold
+    ``S(length, p)`` patterns.  The split with no loose closer holds the
+    patterns none of whose prefixes runs a closer surplus, and reversal
+    maps them one-to-one onto the suffix-nonnegative ones.
     """
-    counts = pattern_counts(length)
-    total_pairs = sum(p * (length - 2 * p + 1) * count for p, count in enumerate(counts))
-    return total_pairs, sum(counts)
+    total_pairs = nonneg = 0
+    for p, count in enumerate(pattern_counts(length)):
+        total_pairs += p * (length - 2 * p + 1) * count
+        nonneg += count
+    return total_pairs, nonneg
 
 
 def block_entropy(n: int) -> LogPair:
@@ -271,3 +280,18 @@ def entropy_report(n: int, m: int = 2) -> EntropyReport:
     """Exact entropy data at block length ``n`` (needs patterns of length n+1)."""
     here, p_nonneg = _block_and_p_nonneg(n)
     return EntropyReport(n=n, m=m, block=here, step=block_entropy(n + 1) - here, p_nonneg=p_nonneg)
+
+
+def entropy_table(n_max: int, m: int = 2) -> list[EntropyReport]:
+    """:func:`entropy_report` for ``n = 0 .. n_max``, one pattern pass per length.
+
+    Row ``n`` needs the block entropy of length ``n + 1``, which is row
+    ``n + 1``'s own, so each length's pattern statistics are computed once.
+    """
+    if n_max < 0:
+        raise ValueError("block length must be >= 0")
+    stats = [_block_and_p_nonneg(n) for n in range(n_max + 2)]
+    return [
+        EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)
+        for n, ((here, p_nonneg), (after, _)) in enumerate(zip(stats, stats[1:]))
+    ]

@@ -268,24 +268,28 @@ def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]
                 yield codes + c, pairs, loose
 
 
-def pattern_counts(n: int) -> list[int]:
+def pattern_counts(n: int) -> Iterator[int]:
     """Opener/closer patterns of length ``n`` by matched pairs, per loose split.
 
-    Entry ``p`` is ``S(n, p) = C(n, p) - C(n, p - 1)``: the number of
-    patterns with ``p`` matched pairs whose ``n - 2p`` loose letters split
-    one fixed way into leading loose closers and trailing loose openers.
-    Every one of the ``n - 2p + 1`` splits has this same count, so the
-    entries with their split counts tally all ``2^n`` patterns.  The
-    binomials come from their ratio recurrence, one pass over ``p``.
+    Yields ``S(n, p) = C(n, p) - C(n, p - 1)`` for ``p = 0 .. n // 2``: the
+    number of patterns with ``p`` matched pairs whose ``n - 2p`` loose
+    letters split one fixed way into leading loose closers and trailing
+    loose openers.  Every one of the ``n - 2p + 1`` splits has this same
+    count, so the entries with their split counts tally all ``2^n``
+    patterns.  The binomials come from their ratio recurrence, stepped
+    lazily, so a caller that folds the entries as they come holds no list
+    of ``n / 2`` big integers.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    counts: list[int] = []
+    return _step_pattern_counts(n)
+
+
+def _step_pattern_counts(n: int) -> Iterator[int]:
     below, comb = 0, 1  # C(n, p - 1), C(n, p)
     for p in range(n // 2 + 1):
-        counts.append(comb - below)
+        yield comb - below
         below, comb = comb, comb * (n - p) // (p + 1)
-    return counts
 
 
 def count_language(n: int, m: int) -> int:
@@ -294,11 +298,16 @@ def count_language(n: int, m: int) -> int:
     Types integrate out pattern by pattern: a pattern with ``p`` matched
     pairs and ``n - 2p`` loose letters carries ``m^(n - p)`` words (one free
     type per pair and per loose letter), and ``n - 2p + 1`` loose splits
-    share each count ``S(n, p)``.
+    share each count ``S(n, p)``.  The sum ``Σ_p (n - 2p + 1) S(n, p)
+    m^(n - p)`` is ``m^(n - n // 2)`` times a polynomial in ``m`` whose
+    coefficients come in the order :func:`pattern_counts` steps them, so
+    Horner's rule folds each term in with one multiply by ``m`` as it is
+    stepped, and one power finishes.
     """
-    return sum(
-        (n - 2 * p + 1) * count * m ** (n - p) for p, count in enumerate(pattern_counts(n))
-    )
+    folded = 0
+    for p, count in enumerate(pattern_counts(n)):
+        folded = folded * m + (n - 2 * p + 1) * count
+    return folded * m ** (n - n // 2)
 
 
 def count_balanced(pair_count: int, m: int) -> int:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
 from dyckshift.coding import SAMPLERS, PointWindow, Provenance
-from dyckshift.measures import ExtensionMassRow, cylinder_mass
+from dyckshift.measures import ExtensionMassRow, _ballot_ways, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
     NotInLanguage,
@@ -22,6 +22,7 @@ from dyckshift.words import (
     is_balanced,
     iter_language_stats,
     minimal_balanced_extensions,
+    pattern_counts,
     residue,
 )
 
@@ -258,6 +259,30 @@ def depth_dp_counts(n_max: int, m: int) -> list[int]:
         counts = nxt
         totals.append(sum(counts))
     return totals
+
+
+def power_sum_count(n: int, m: int) -> int:
+    """Oracle for ``count_language``: each pattern term with its own power of ``m``, summed."""
+    return sum((n - 2 * p + 1) * count * m ** (n - p) for p, count in enumerate(pattern_counts(n)))
+
+
+def stepped_horizon(a: Word, ratio: Fraction) -> int:
+    """Oracle for ``mass_length_for_residual``: partial sum and ``4^f`` scale stepped side by side.
+
+    With ``k`` loose letters the residual after ``f`` added pairs is within
+    ``ratio`` of the target once ``den * Σ_{g<=f} C_k(g) 4^(f-g) >= (den -
+    num) 2^k 4^f``; both sides are kept as separate integers.
+    """
+    found = residue(a.codes)
+    k = len(found[0]) + len(found[1])
+    need = (ratio.denominator - ratio.numerator) << k
+    reached, scale, total_len = 0, 1, len(a) + k  # scale = 4^f
+    for ways in _ballot_ways(k):
+        reached = 4 * reached + ways
+        if ratio.denominator * reached >= need * scale:
+            return total_len
+        scale *= 4
+        total_len += 2
 
 
 def first_row_within(rows: Sequence[ExtensionMassRow], target: Fraction, ratio: Fraction) -> int | None:

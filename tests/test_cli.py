@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dyckshift import verification
+from dyckshift import measures, verification
 from dyckshift.cli import main
-from dyckshift.words import Word
+from dyckshift.words import Word, count_language
 
 from conftest import walked_extension_rows
 
@@ -125,6 +126,39 @@ def test_count_balanced(capsys):
 def test_count_json(capsys):
     payload = run_json(capsys, "count", "--length", "4", "--m", "3", "--json")
     assert payload == {"command": "count", "m": 3, "count": 666, "length": 4}
+
+
+@pytest.fixture
+def digit_cap():
+    """Python's default 4300-digit cap on int-to-text conversion, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-text digit cap before Python 3.10.7")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_count_prints_exact_values_past_the_digit_cap(capsys, digit_cap):
+    rc, out, err = run(capsys, "count", "--length", "10000")
+    rc_json, out_json, _ = run(capsys, "count", "--length", "10000", "--json")
+    assert (rc, rc_json, err) == (0, 0, "")
+    assert sys.get_int_max_str_digits() == digit_cap
+    sys.set_int_max_str_digits(0)  # to read the answer back; the fixture restores the cap
+    expected = count_language(10000, 2)
+    assert len(str(expected)) > digit_cap
+    assert out == f"{expected}\n"
+    assert json.loads(out_json) == {"command": "count", "m": 2, "count": expected, "length": 10000}
+
+
+def test_digit_cap_holds_while_arguments_are_parsed(capsys, digit_cap):
+    rc, out, err = run(capsys, "count", "--length", "9" * (digit_cap + 1))
+    assert (rc, out) == (2, "")
+    assert "invalid int value" in err
+    assert sys.get_int_max_str_digits() == digit_cap
+    rc, _, _ = run(capsys, "reduce", "a3")  # a command that fails restores it too
+    assert rc == 2
+    assert sys.get_int_max_str_digits() == digit_cap
 
 
 def test_count_flags_are_exclusive(capsys):
@@ -290,6 +324,16 @@ def test_entropy_csv(capsys):
     assert lines[0] == "n,H_log2,H_logm,h_log2,h_logm,h_nats,p_nonneg"
     assert len(lines) == 5
     assert lines[1].startswith("0,0,0,1,")
+
+
+def test_entropy_table_counts_each_length_once(capsys, monkeypatch):
+    """Row n needs the patterns of n and n + 1; neighbouring rows share them."""
+    seen = []
+    real = measures._pattern_stats
+    monkeypatch.setattr(measures, "_pattern_stats", lambda n: seen.append(n) or real(n))
+    rc, _, _ = run(capsys, "entropy", "--n", "30", "--m", "3")
+    assert rc == 0
+    assert sorted(seen) == list(range(32))
 
 
 def test_entropy_rejects_negative_n(capsys):

@@ -14,6 +14,7 @@ from dyckshift.measures import (
     cylinder_exponents,
     cylinder_mass,
     entropy_report,
+    entropy_table,
     mass_length_for_residual,
     minimal_extension_mass,
     residue_exponents,
@@ -23,6 +24,8 @@ from dyckshift.words import (
     Word,
     enumerate_balanced,
     iter_language_stats,
+    minimal_balanced_extensions,
+    residue,
 )
 
 from conftest import (
@@ -34,6 +37,7 @@ from conftest import (
     language_words,
     plus_law,
     rewrite_oracle,
+    stepped_horizon,
     tilde_law,
     walked_extension_rows,
 )
@@ -372,6 +376,32 @@ def test_residual_horizon_is_the_first_row_within_ratio(text, ratios, m):
         assert mass_length_for_residual(a, ratio) == first_row_within(rows, target, ratio), ratio
 
 
+# one word for each count k = 0..5 of loose letters
+LOOSE_WORDS = ("a1 b1", "b2", "a1 a2", "b2 b1 a1", "b1 a2 b2 b2 a1 a1", "b2 b1 a1 a2 b2 a1 a2")
+WALK_RATIOS = tuple(map(Fraction, ("2", "1", "1/2", "1/3", "3/7", "1/20", "1/50")))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", range(6))
+def test_residual_horizon_walk_equals_stepped_loop(k, m):
+    """The one-accumulator walk returns the stepped loop's horizon for every ratio."""
+    a = Word.parse(LOOSE_WORDS[k], m)
+    assert sum(map(len, residue(a.codes))) == k
+    for ratio in WALK_RATIOS:
+        assert mass_length_for_residual(a, ratio) == stepped_horizon(a, ratio), ratio
+
+
+def test_short_max_len_is_refused_by_both_completion_routes():
+    a = Word.parse("a1 a2", 2)
+    message = r"max_len=1 is shorter than the word \(2\)"
+    with pytest.raises(ValueError, match=message):
+        minimal_extension_mass(a, 1)
+    with pytest.raises(ValueError, match=message):
+        next(minimal_balanced_extensions(a, 1))
+    # as long as the word but too short to complete it: no rows, no completions
+    assert minimal_extension_mass(a, 3) == [] == list(minimal_balanced_extensions(a, 3))
+
+
 def test_residual_horizon_rejects_zero_words():
     with pytest.raises(NotInLanguage):
         mass_length_for_residual(Word.parse("a1 b2", 2), Fraction(1, 20))
@@ -399,6 +429,14 @@ def test_step_entropy_beyond_enumeration_matches_closed_form():
         assert (rep.step, rep.p_nonneg) == (LogPair(Fraction(1), (1 + p) / 2), p), n
     with pytest.raises(ValueError):
         block_entropy(-1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_entropy_table_rows_equal_single_reports(m):
+    assert entropy_table(30, m) == [entropy_report(n, m) for n in range(31)]
+    assert entropy_table(0, m) == [entropy_report(0, m)]
+    with pytest.raises(ValueError):
+        entropy_table(-1, m)
 
 
 @pytest.mark.parametrize("length", range(17))

@@ -31,6 +31,7 @@ from conftest import (
     language_words,
     pattern_sum,
     pattern_tally,
+    power_sum_count,
     raw_words,
     rewrite_oracle,
 )
@@ -179,6 +180,13 @@ def test_language_counts_three_types(n):
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_language_counts_equal_depth_dp(m):
     assert [count_language(n, m) for n in range(151)] == depth_dp_counts(150, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [151, 777, 1500, 2001])
+def test_language_counts_equal_power_sum(n, m):
+    """Horner's fold in m gives the sum of one power per pattern term, at real-load lengths."""
+    assert count_language(n, m) == power_sum_count(n, m)
 
 
 def test_count_language_rejects_negative_length():
