@@ -1,4 +1,4 @@
-"""Window diagnostics: block swaps, matching times, and empirical estimators.
+"""Window diagnostics: matching times and empirical estimators.
 
 Everything here consumes :class:`~dyckshift.coding.PointWindow` streams from
 the samplers (or hand-built windows) and stays deliberately finite: matching
@@ -10,7 +10,6 @@ The estimators make one pass over a sample stream for any number of events:
 :func:`empirical_cylinders` tallies each window's block once per needed
 coordinate and length, and :func:`match_index_coincidences` scans each
 window's matching times once, to the deepest depth any event needs.
-:func:`empirical_cylinder` is the one-cylinder view of the same pass.
 """
 
 from __future__ import annotations
@@ -22,72 +21,11 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .coding import PointWindow
-from .words import DyckError, Word, are_equivalent
-
-
-class DomainMismatch(DyckError):
-    """A block swap was applied to a window outside its domain cylinder."""
+from .words import DyckError, Word
 
 
 class InsufficientData(DyckError):
     """No usable samples survived exclusion; estimate undefined."""
-
-
-# The package's records are named tuples.  A record with checks declares its
-# fields in a private named tuple and checks them in a subclass's ``__new__``
-# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
-# ``_make`` build through ``tuple.__new__`` and skip those checks.
-class _HolonomyFields(NamedTuple):
-    w: Word
-    w_prime: Word
-    k: int
-
-
-class Holonomy(_HolonomyFields):
-    """Swap one word for an equivalent one at a fixed coordinate.
-
-    Equivalent means: same length, same normal form, both in the language.
-    Such a swap is measure-preserving and invertible, which is exactly what
-    the verification suite checks empirically and exactly.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, w: Word, w_prime: Word, k: int) -> "Holonomy":
-        if w.m != w_prime.m:
-            raise ValueError("block swap needs both words over the same alphabet")
-        if len(w) != len(w_prime):
-            raise ValueError("block swap needs words of equal length")
-        if not are_equivalent(w, w_prime):
-            raise ValueError(f"{w.text()!r} and {w_prime.text()!r} are not equivalent")
-        return tuple.__new__(cls, (w, w_prime, k))
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.k, self.k + len(self.w) - 1
-
-    def apply(self, x: PointWindow) -> PointWindow:
-        """Rewrite the block ``w`` at coordinate ``k`` of ``x`` into ``w_prime``.
-
-        The window must cover the block, the block must be fully resolved,
-        and it must literally spell ``w``; otherwise DomainMismatch.  The
-        result keeps the window bounds and provenance and is re-validated on
-        construction.
-        """
-        lo, hi = self.span
-        if x.m != self.w.m:
-            raise DomainMismatch("window and block swap use different alphabets")
-        if lo < x.lo or hi > x.hi:
-            raise DomainMismatch(f"window [{x.lo}, {x.hi}] does not cover the block [{lo}, {hi}]")
-        segment = x.codes[lo - x.lo : hi - x.lo + 1]
-        if any(abs(c) > x.m for c in segment):
-            raise DomainMismatch("block overlaps unresolved letters of a truncated sample")
-        if segment != self.w.codes:
-            raise DomainMismatch(
-                f"window shows {' '.join(map(str, segment))} at {lo}, not {self.w.text()!r}"
-            )
-        patched = x.codes[: lo - x.lo] + self.w_prime.codes + x.codes[hi - x.lo + 1 :]
-        return PointWindow(x.m, x.lo, x.hi, patched, x.provenance)
 
 
 class MatchingTimes(NamedTuple):
@@ -211,11 +149,6 @@ def empirical_cylinders(
         EmpiricalEstimate(f"[{w.text()}]_{k}", tally[k, w.codes], trials, excluded_truncated=truncated)
         for w, k in cylinders
     ]
-
-
-def empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
-    """Fraction of non-truncated windows showing ``w`` at coordinate ``k``."""
-    return empirical_cylinders(samples, [(w, k)])[0]
 
 
 def match_index_coincidences(

@@ -68,6 +68,10 @@ class Provenance(NamedTuple):
     truncated: bool = False
 
 
+# The package's records are named tuples.  A record with checks declares its
+# fields in a private named tuple and checks them in a subclass's ``__new__``
+# (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
+# ``_make`` build through ``tuple.__new__`` and skip those checks.
 class _PointWindowFields(NamedTuple):
     m: int
     lo: int

@@ -193,9 +193,6 @@ class LogPair(NamedTuple):
     log2_coeff: Fraction
     logm_coeff: Fraction
 
-    def __add__(self, other: "LogPair") -> "LogPair":
-        return LogPair(self.log2_coeff + other.log2_coeff, self.logm_coeff + other.logm_coeff)
-
     def __sub__(self, other: "LogPair") -> "LogPair":
         return LogPair(self.log2_coeff - other.log2_coeff, self.logm_coeff - other.logm_coeff)
 
@@ -227,20 +224,16 @@ def _pattern_stats(length: int) -> tuple[int, int]:
     return total_pairs, nonneg
 
 
-def block_entropy(n: int) -> LogPair:
-    """Exact entropy of the length-``n`` block distribution, in the two-log form.
-
-    A length-``n`` pattern is hit with probability ``2^-n`` regardless of
-    ``m`` (the type choices integrate out), so the ``log(m)`` coefficient is
-    a pure pattern statistic and the ``log(2)`` coefficient is ``n``.  The
-    pattern statistic is a sum of ``n/2 + 1`` terms, so any length is exact
-    and cheap.
-    """
-    return _block_and_p_nonneg(n)[0]
-
-
 def _block_and_p_nonneg(n: int) -> tuple[LogPair, Fraction]:
-    """:func:`block_entropy` and ``p_nonneg`` at length ``n``, from one pass of pattern counts."""
+    """Exact block entropy and ``p_nonneg`` at length ``n``, from one pass of pattern counts.
+
+    The block entropy is that of the length-``n`` block distribution, in
+    the two-log form.  A length-``n`` pattern is hit with probability
+    ``2^-n`` regardless of ``m`` (the type choices integrate out), so the
+    ``log(m)`` coefficient is a pure pattern statistic and the ``log(2)``
+    coefficient is ``n``.  The pattern statistic is a sum of ``n/2 + 1``
+    terms, so any length is exact and cheap.
+    """
     if n < 0:
         raise ValueError("block length must be >= 0")
     total_pairs, nonneg = _pattern_stats(n)
@@ -277,16 +270,22 @@ class EntropyReport(NamedTuple):
 
 
 def entropy_report(n: int, m: int = 2) -> EntropyReport:
-    """Exact entropy data at block length ``n`` (needs patterns of length n+1)."""
+    """Exact entropy data at the one block length ``n``.
+
+    The one-length route: two pattern passes, at lengths ``n`` and ``n + 1``.
+    For several lengths use :func:`entropy_table`, which counts each once.
+    """
     here, p_nonneg = _block_and_p_nonneg(n)
-    return EntropyReport(n=n, m=m, block=here, step=block_entropy(n + 1) - here, p_nonneg=p_nonneg)
+    after = _block_and_p_nonneg(n + 1)[0]
+    return EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)
 
 
 def entropy_table(n_max: int, m: int = 2) -> list[EntropyReport]:
     """:func:`entropy_report` for ``n = 0 .. n_max``, one pattern pass per length.
 
-    Row ``n`` needs the block entropy of length ``n + 1``, which is row
-    ``n + 1``'s own, so each length's pattern statistics are computed once.
+    The only multi-length route.  Row ``n`` needs the block entropy of
+    length ``n + 1``, which is row ``n + 1``'s own, so each length's
+    pattern statistics are computed once.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")

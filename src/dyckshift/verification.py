@@ -39,7 +39,7 @@ from .coding import sample_plus, sample_tilde
 from .measures import (
     cylinder_exponents,
     cylinder_mass,
-    entropy_report,
+    entropy_table,
     mass_length_for_residual,
     minimal_extension_mass,
     residue_exponents,
@@ -308,6 +308,8 @@ def _check_block_swap(seed: int) -> _Outcome:
     are compared by their exponents: the words compared have equal lengths,
     so equal exponents mean equal masses.  Checking members against one
     representative covers all pairs, since equality of masses is transitive.
+    Sweep (a) compares whole residues, and a residue fixes every later one,
+    so it covers each measure that prices a word by its length and residue.
     """
     m = 2
     contexts4: list[tuple[int, ...]] = []
@@ -369,18 +371,17 @@ def _check_block_swap(seed: int) -> _Outcome:
             "blocks to length 8, one-sided contexts to length 4 (reduction route)",
             "blocks to length 6, two-sided contexts to length 2 (direct-mass route)",
             f"randomized sweep seeded {seed}:block-swap",
+            "the comparisons cover every measure that prices by length and residue (tilde, plus, minus)",
         ),
     )
 
 
 _ENTROPY_SPAN = 11
+# The three entropy checks read one table to this length; the limit gap and
+# log 3 crossings they search for lie at n = 85 and n = 21.
 _IDENTITY_SPAN = 256
 _LIMIT_NATS = 1.5 * math.log(2)
 _LIMIT_TEXT = "log(2) + (1/2) log(2) = 1.039721 nats"
-
-
-def _step_nats(n: int) -> float:
-    return entropy_report(n, 2).step.nats(2)
 
 
 def _check_entropy_identity(seed: int) -> _Outcome:
@@ -390,11 +391,10 @@ def _check_entropy_identity(seed: int) -> _Outcome:
         "h_n = log 2 + ((1 + p_nonneg)/2) log m with exact rational coefficients "
         f"for n <= {_IDENTITY_SPAN}"
     )
-    for n in range(_IDENTITY_SPAN + 1):
-        rep = entropy_report(n, 2)
+    for rep in entropy_table(_IDENTITY_SPAN, 2):
         predicted = rep.decomposition_step()
         if rep.step != predicted:
-            return False, f"n={n}: step {rep.step} but mixture predicts {predicted}", expected, ()
+            return False, f"n={rep.n}: step {rep.step} but mixture predicts {predicted}", expected, ()
     return (
         True,
         f"step entropy equals the branch mixture exactly for n = 0..{_IDENTITY_SPAN}",
@@ -406,15 +406,14 @@ def _check_entropy_identity(seed: int) -> _Outcome:
 def _check_entropy_limit_gap(seed: int) -> _Outcome:
     """|h_11 - limit| <= 0.03 nats, as stated.  It is not, and we say so."""
     del seed
-    rep = entropy_report(_ENTROPY_SPAN, 2)
+    table = entropy_table(_IDENTITY_SPAN, 2)
+    rep = table[_ENTROPY_SPAN]
     h11 = rep.step.nats(2)
     gap = abs(h11 - _LIMIT_NATS)
     coeff = rep.step.log2_coeff + rep.step.logm_coeff  # m = 2 folds both logs together
     # the gap is (p_n/2) log 2 with p_n the central binomial weight, which
     # tends to 0, so exact step entropies find where it first reaches 0.03
-    first_within = next(
-        n for n in itertools.count(_ENTROPY_SPAN) if abs(_step_nats(n) - _LIMIT_NATS) <= 0.03
-    )
+    first_within = next(r.n for r in table[_ENTROPY_SPAN:] if abs(r.step.nats(2) - _LIMIT_NATS) <= 0.03)
     detail = (
         f"h_11 = ({coeff}) log 2 = {h11:.6f} nats exactly",
         f"the gap decays like 1/sqrt(n) and first reaches 0.03 nats at n = {first_within}",
@@ -432,10 +431,11 @@ def _check_entropy_below_topological(seed: int) -> _Outcome:
     """h_n < log 3 for all n <= 11, as stated.  False at every such n."""
     del seed
     log3 = math.log(3)
-    values = [(n, _step_nats(n)) for n in range(_ENTROPY_SPAN + 1)]
+    table = entropy_table(_IDENTITY_SPAN, 2)
+    values = [(rep.n, rep.step.nats(2)) for rep in table[: _ENTROPY_SPAN + 1]]
     above = [(n, v) for n, v in values if not v < log3]
     # h_n tends to 1.5 log 2 < log 3, so exact step entropies find the crossing
-    first_below = next(n for n in itertools.count(_ENTROPY_SPAN + 1) if _step_nats(n) < log3)
+    first_below = next(rep.n for rep in table[_ENTROPY_SPAN + 1 :] if rep.step.nats(2) < log3)
     detail = tuple(f"h_{n} = {v:.6f} nats" for n, v in values[-3:]) + (
         f"log 3 = {log3:.6f}; monotone decrease first crosses below it at n = {first_below}",
     )
@@ -516,6 +516,11 @@ def _sigma_summary(pairs: Iterable[tuple[EmpiricalEstimate, Fraction]]) -> tuple
     return worst, over
 
 
+def _gap_sigmas(a: EmpiricalEstimate, b: EmpiricalEstimate) -> float:
+    """The gap between two estimates, in their combined standard error."""
+    return abs(float(a.estimate) - float(b.estimate)) / math.hypot(a.stderr, b.stderr)
+
+
 def _language_words(max_len: int, m: int) -> list[Word]:
     out = []
     for n in range(1, max_len + 1):
@@ -560,18 +565,16 @@ def _check_shift_invariance(seed: int) -> _Outcome:
     words = [w for w in _language_words(2, 2) if len(w) == 2]
     ests = empirical_cylinders(samples, [(w, k) for w in words for k in (0, 5)])
     truncated = ests[0].excluded_truncated
-    worst = 0.0
-    over = []
-    for w, at0, at5 in zip(words, ests[::2], ests[1::2]):
-        spread = math.hypot(at0.stderr, at5.stderr)
-        sd = abs(float(at0.estimate) - float(at5.estimate)) / spread
-        worst = max(worst, sd)
-        if sd > 3.0:
-            over.append(f"[{w.text()}]: {float(at0.estimate):.5f} at 0 vs {float(at5.estimate):.5f} at 5 ({sd:.2f} sigma)")
-    ok = not over
+    pairs = list(zip(words, ests[::2], ests[1::2]))
+    gaps = [_gap_sigmas(at0, at5) for _, at0, at5 in pairs]
+    over = [
+        f"[{w.text()}]: {float(at0.estimate):.5f} at 0 vs {float(at5.estimate):.5f} at 5 ({sd:.2f} sigma)"
+        for (w, at0, at5), sd in zip(pairs, gaps)
+        if sd > 3.0
+    ]
     return (
-        ok,
-        f"worst origin-vs-shift gap {worst:.2f} sigma across {len(words)} two-letter cylinders",
+        not over,
+        f"worst origin-vs-shift gap {max(gaps):.2f} sigma across {len(words)} two-letter cylinders",
         "every length-2 cylinder frequency equal at coordinates 0 and 5 within 3 sigma",
         (f"seed {seed + 1}, {count} samples on window [0, 6], truncation rate {truncated / count:.4%}", *over),
     )
@@ -586,19 +589,13 @@ def _check_plus_invariance(seed: int) -> _Outcome:
     exact = [cylinder_mass(w.codes, 2, "plus") for w in words]
     ests = empirical_cylinders(samples, [(w, 0) for w in words])
     truncated = ests[0].excluded_truncated
-    over = []
-    worst = 0.0
-    for e1, e2 in zip(ests[::2], ests[1::2]):
-        spread = math.hypot(e1.stderr, e2.stderr)
-        sd = abs(float(e1.estimate) - float(e2.estimate)) / spread
-        worst = max(worst, sd)
-        if sd > 3.0:
-            over.append(f"{e1.event} vs {e2.event}: {sd:.2f} sigma apart")
+    pairs = list(zip(ests[::2], ests[1::2]))
+    gaps = [_gap_sigmas(e1, e2) for e1, e2 in pairs]
+    over = [f"{e1.event} vs {e2.event}: {sd:.2f} sigma apart" for (e1, e2), sd in zip(pairs, gaps) if sd > 3.0]
     abs_worst, abs_over = _sigma_summary(zip(ests, exact))
-    ok = not over and not abs_over
     return (
-        ok,
-        f"exchange gap {worst:.2f} sigma; worst marginal {abs_worst:.2f} sigma vs exact",
+        not over and not abs_over,
+        f"exchange gap {max(gaps):.2f} sigma; worst marginal {abs_worst:.2f} sigma vs exact",
         "type-swapped cylinder pairs agree within 3 sigma and match their exact masses",
         (
             f"seed {seed + 2}, {count} samples on window [0, 2], truncation rate {truncated / count:.4%}",
@@ -623,19 +620,13 @@ def _check_index_coincidence(seed: int) -> _Outcome:
     events = [(offset, js) for offset in (1, 2) for js in ((1,), (1, 2), (1, 2, 3))]
     ests = match_index_coincidences(samples, events)
     truncated = ests[0].excluded_truncated
-    over = []
-    worst = 0.0
-    rates = []
-    for (offset, js), est in zip(events, ests):
-        target = Fraction(1, 2 ** len(js))
-        sd = est.sigma_distance(target)
-        worst = max(worst, sd)
-        rates.append(f"c={offset} J={{{','.join(map(str, js))}}}: resolution {est.resolution_rate:.3f}")
-        if sd > 3.0:
-            over.append(f"{est.event}: {float(est.estimate):.5f} vs {float(target):.5f} ({sd:.2f} sigma)")
-    ok = not over
+    worst, over = _sigma_summary((est, Fraction(1, 2 ** len(js))) for (_, js), est in zip(events, ests))
+    rates = [
+        f"c={offset} J={{{','.join(map(str, js))}}}: resolution {est.resolution_rate:.3f}"
+        for (offset, js), est in zip(events, ests)
+    ]
     return (
-        ok,
+        not over,
         f"worst coincidence deviation {worst:.2f} sigma across {len(events)} events",
         "matching-type coincidence probability equals 2^-|J| within 3 sigma",
         (

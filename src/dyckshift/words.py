@@ -211,17 +211,6 @@ def residue_text(found: _Residue | None) -> str:
     return " ".join([f"b{i}" for i in closers] + [f"a{i}" for i in openers]) or "Λ"
 
 
-def are_equivalent(w: Word, other: Word) -> bool:
-    """Whether two language words are equal as monoid elements."""
-    found = residue(w.codes)
-    if found is None:
-        raise NotInLanguage(f"{w.text()!r} reduces to zero")
-    found_other = residue(other.codes)
-    if found_other is None:
-        raise NotInLanguage(f"{other.text()!r} reduces to zero")
-    return found == found_other
-
-
 def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Depth-first walk of the length-``n`` language in lexicographic order.
 

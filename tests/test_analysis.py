@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given
 
 from dyckshift.analysis import (
-    DomainMismatch,
     EmpiricalEstimate,
-    Holonomy,
     InsufficientData,
     MatchingTimes,
     classify_window,
-    empirical_cylinder,
     empirical_cylinders,
     match_index_coincidences,
     matching_times,
 )
 from dyckshift.coding import SAMPLERS, PointWindow, Provenance, sample_minus, sample_plus, sample_tilde
 from dyckshift.measures import cylinder_mass
-from dyckshift.words import NotInLanguage, Word, iter_language_stats
+from dyckshift.words import Word, iter_language_stats
 
 from conftest import (
     cocycle_window_diagnostics,
@@ -37,74 +34,6 @@ def window_of(text: str, lo: int, m: int = 2, prov: Provenance | None = None) ->
 # ---------------------------------------------------------------- block swaps
 
 
-def test_swap_requires_equal_length():
-    with pytest.raises(ValueError, match="length"):
-        Holonomy(Word.parse("a1 b1", 2), Word.parse("a1", 2), 0)
-
-
-def test_swap_requires_equivalence():
-    with pytest.raises(ValueError, match="not equivalent"):
-        Holonomy(Word.parse("a1 b1", 2), Word.parse("a1 a1", 2), 0)
-
-
-def test_swap_requires_language_words():
-    with pytest.raises(NotInLanguage):
-        Holonomy(Word.parse("a1 b2", 2), Word.parse("a1 b1", 2), 0)
-
-
-def test_swap_requires_shared_alphabet():
-    with pytest.raises(ValueError, match="alphabet"):
-        Holonomy(Word.parse("a1 b1", 2), Word.parse("a1 b1", 3), 0)
-
-
-def test_swap_span_and_inverse():
-    h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 3)
-    assert h.span == (3, 4)
-    back = Holonomy(h.w_prime, h.w, h.k)
-    assert back.w.text() == "a2 b2"
-    assert Holonomy(back.w_prime, back.w, back.k) == h
-
-
-def test_swap_rewrites_the_block_in_place():
-    prov = Provenance("tilde", 1, 5)
-    x = window_of("a2 a1 b1 b2", -1, prov=prov)
-    h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 0)
-    y = h.apply(x)
-    assert y.word().text() == "a2 a2 b2 b2"
-    assert (y.lo, y.hi) == (x.lo, x.hi)
-    assert y.provenance is prov
-    assert Holonomy(h.w_prime, h.w, h.k).apply(y) == x
-
-
-def test_swap_rejects_uncovered_blocks():
-    x = window_of("a1 b1", 0)
-    h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 1)
-    with pytest.raises(DomainMismatch, match="cover"):
-        h.apply(x)
-
-
-def test_swap_rejects_wrong_alphabet_window():
-    x = window_of("a1 b1", 0, m=3)
-    h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 0)
-    with pytest.raises(DomainMismatch, match="alphabet"):
-        h.apply(x)
-
-
-def test_swap_rejects_mismatched_segment():
-    x = window_of("a2 b2", 0)
-    h = Holonomy(Word.parse("a1 b1", 2), Word.parse("a2 b2", 2), 0)
-    with pytest.raises(DomainMismatch, match="not"):
-        h.apply(x)
-
-
-def test_swap_rejects_unresolved_overlap():
-    prov = Provenance("tilde", 0, 0, truncated=True)
-    x = PointWindow(2, 0, 1, (-3, 1), prov)
-    h = Holonomy(Word.parse("b1 a1", 2), Word.parse("b1 a1", 2), 0)
-    with pytest.raises(DomainMismatch, match="unresolved"):
-        h.apply(x)
-
-
 @given(equivalent_word_pairs(m=2, max_total=10))
 def test_swaps_preserve_exact_window_mass(pair):
     """Swapping equivalent blocks never changes the cylinder mass, under any measure.
@@ -113,14 +42,10 @@ def test_swaps_preserve_exact_window_mass(pair):
     on the right, which can never annihilate against it.
     """
     w, w_prime = pair
-    if len(w) == 0:
-        return
     pad_l, pad_r = (-1, -2), (1,)
-    x = PointWindow(2, -2, len(w), pad_l + w.codes + pad_r)
-    y = Holonomy(w, w_prime, 0).apply(x)
+    x, y = pad_l + w.codes + pad_r, pad_l + w_prime.codes + pad_r
     for measure in SAMPLERS:
-        assert cylinder_mass(y.codes, 2, measure) == cylinder_mass(x.codes, 2, measure), measure
-    assert y.codes != x.codes or w == w_prime
+        assert cylinder_mass(y, 2, measure) == cylinder_mass(x, 2, measure), measure
 
 
 # ------------------------------------------------------------- matching times
@@ -215,7 +140,7 @@ def test_empirical_cylinder_counts_and_excludes():
         window_of("a2 b2", 0),
         PointWindow(2, 0, 1, (-3, 1), prov),
     ]
-    est = empirical_cylinder(samples, Word.parse("a1 b1", 2), 0)
+    (est,) = empirical_cylinders(samples, [(Word.parse("a1 b1", 2), 0)])
     assert est.event == "[a1 b1]_0"
     assert (est.hits, est.trials, est.excluded_truncated) == (1, 2, 1)
     assert est.estimate == Fraction(1, 2)
@@ -223,7 +148,7 @@ def test_empirical_cylinder_counts_and_excludes():
 
 def test_empirical_cylinder_rejects_uncovered_coordinates():
     with pytest.raises(ValueError):
-        empirical_cylinder([window_of("a1 b1", 0)], Word.parse("a1 a1", 2), 1)
+        empirical_cylinders([window_of("a1 b1", 0)], [(Word.parse("a1 a1", 2), 1)])
     with pytest.raises(ValueError):
         empirical_cylinders([window_of("a1 b1", 0)], [(Word.parse("a1", 2), 0), (Word.parse("b1", 2), 5)])
 
@@ -265,7 +190,7 @@ def test_estimators_accept_one_shot_generators():
     samples = list(stream())
     cylinders = [(Word.parse("a1 b1", 2), 0), (Word.parse("b2", 2), 5)]
     assert empirical_cylinders(stream(), cylinders) == empirical_cylinders(samples, cylinders)
-    assert empirical_cylinder(stream(), *cylinders[0]) == rescan_empirical_cylinder(samples, *cylinders[0])
+    assert empirical_cylinders(stream(), cylinders[:1]) == [rescan_empirical_cylinder(samples, *cylinders[0])]
     assert match_index_coincidences(stream(), INDEX_EVENTS) == match_index_coincidences(samples, INDEX_EVENTS)
     assert match_index_coincidences(stream(), [(2, (1, 2))]) == [rescan_match_index_coincidence(samples, 2, (1, 2))]
 

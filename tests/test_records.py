@@ -21,19 +21,12 @@ import pytest
 
 import dyckshift
 
-from dyckshift.analysis import (
-    EmpiricalEstimate,
-    Holonomy,
-    MatchingTimes,
-    WindowDiagnostics,
-)
+from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics
 from dyckshift.coding import PointWindow, Provenance, _trusted_window
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
 from dyckshift.words import NotInLanguage, Word
 
-W1 = Word(2, (1, -1, 2, -2))
-W2 = Word(2, (2, -2, 1, -1))
 PROV = Provenance("tilde", 7, 3)
 HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fraction(1, 4))
 
@@ -72,12 +65,6 @@ RECORDS = [
         ("k", "t", True, "o", "e", 0.5, ("d",)),
         ("k", "t", False, "o", "e", 0.5, ("d",)),
         "CheckResult(key='k', title='t', ok=True, observed='o', expected='e', elapsed=0.5, detail=('d',))",
-    ),
-    (
-        Holonomy,
-        (W1, W2, 0),
-        (W1, W2, 1),
-        "Holonomy(w=Word(m=2, codes=(1, -1, 2, -2)), w_prime=Word(m=2, codes=(2, -2, 1, -1)), k=0)",
     ),
     (MatchingTimes, ((0, None), (-1, None)), ((0, None), (-2, None)), "MatchingTimes(forward=(0, None), backward=(-1, None))"),
     (
@@ -179,10 +166,6 @@ CHECKS = [
         lambda: PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0)),
     ),
     (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
-    (ValueError, "block swap needs both words over the same alphabet", lambda: Holonomy(W1, Word(3, W2.codes), 0)),
-    (ValueError, "block swap needs words of equal length", lambda: Holonomy(W1, Word(2, (1, -1)), 0)),
-    (ValueError, "'a1 b1 a2 b2' and 'a1 b1 a1 a2' are not equivalent", lambda: Holonomy(W1, Word(2, (1, -1, 1, 2)), 0)),
-    (NotInLanguage, "'a1 b2' reduces to zero", lambda: Holonomy(Word(2, (1, -2)), Word(2, (2, -1)), 0)),
 ]
 
 
@@ -193,19 +176,6 @@ def test_construction_checks_keep_their_errors(exc_type, message, build):
 
 def test_valid_edge_records_construct():
     assert PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0, True)).truncated
-
-
-def test_holonomy_apply_rechecks_the_patched_window():
-    swap = Holonomy(W1, W2, 2)
-    good = PointWindow(2, 0, 5, (1, -1) + W1.codes, PROV)
-    patched = swap.apply(good)
-    assert type(patched) is PointWindow
-    assert patched == PointWindow(2, 0, 5, (1, -1) + W2.codes, PROV)
-    assert Holonomy(W2, W1, 2).apply(patched) == good
-    # A window that was never checked (the samplers' trusted route) is
-    # checked when a swap rebuilds it.
-    bad = _trusted_window(2, 0, 5, (1, -2) + W1.codes, PROV)
-    _raises(NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: swap.apply(bad))
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
@@ -230,7 +200,6 @@ README_LIBRARY_NAMES = {
     "cylinder_mass",
     "entropy_report",
     "sample_tilde",
-    "empirical_cylinder",
     "empirical_cylinders",
     "match_index_coincidences",
 }
@@ -280,12 +249,15 @@ def _public_methods(path: Path) -> list[tuple[str, str, range]]:
 
 
 def _unmentioned(definitions, mention_of) -> list[str]:
-    """The definitions that no line of ``src/`` outside their own, no bench script and no README line mentions."""
+    """The definitions that no line of ``src/`` outside their own and no bench script mentions.
+
+    Documentation does not count: a name that only the README mentions has
+    no user.
+    """
     root = Path(__file__).resolve().parents[1]
     modules = sorted((root / "src" / "dyckshift").glob("*.py"))
     lines = {path: path.read_text().splitlines() for path in modules}
-    outside = (root / "README.md").read_text()
-    outside += "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    outside = "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
     unused = []
     for path in modules:
         for label, name, span in definitions(path):
@@ -304,8 +276,8 @@ def _unmentioned(definitions, mention_of) -> list[str]:
 def test_every_public_name_has_a_user_outside_the_tests():
     """A public name of ``src/`` that only its own definition mentions is test-only surface.
 
-    A name counts as used when a line of ``src/`` outside its definition,
-    a bench script or the README mentions it.
+    A name counts as used when a line of ``src/`` outside its definition
+    or a bench script mentions it; a README mention does not count.
     """
     assert _unmentioned(_public_definitions, lambda name: rf"\b{name}\b") == []
 
@@ -313,9 +285,9 @@ def test_every_public_name_has_a_user_outside_the_tests():
 def test_every_public_method_has_a_user_outside_the_tests():
     """A public method or property of ``src/`` that nothing outside its definition calls is test-only surface.
 
-    A method counts as used when a line of ``src/`` outside its definition,
-    a bench script or the README mentions it as ``.name``.  Dunder methods
-    are out of scope.
+    A method counts as used when a line of ``src/`` outside its definition
+    or a bench script mentions it as ``.name``; a README mention does not
+    count.  Dunder methods are out of scope.
     """
     assert _unmentioned(_public_methods, lambda name: rf"\.{name}\b") == []
 

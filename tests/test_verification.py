@@ -26,14 +26,13 @@ def test_run_check_runs_afresh_on_every_call():
 
 
 def test_below_topological_counts_lengths_when_only_some_are_above(monkeypatch):
-    real = verification.entropy_report
+    real = verification.entropy_table
 
-    def fake(n, m=2):
-        rep = real(n, m)
+    def fake(n_max, m=2):
         # from n = 6 on, pretend h_n = log 2 < log 3
-        return rep if n < 6 else rep._replace(step=LogPair(Fraction(1), Fraction(0)))
+        return [rep if rep.n < 6 else rep._replace(step=LogPair(Fraction(1), Fraction(0))) for rep in real(n_max, m)]
 
-    monkeypatch.setattr(verification, "entropy_report", fake)
+    monkeypatch.setattr(verification, "entropy_table", fake)
     result = run_check("entropy-below-topological")
     assert not result.ok
     assert "every" not in result.observed
