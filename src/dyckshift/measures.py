@@ -5,6 +5,12 @@ Every quantity here is exact: cylinder masses are rationals of the shapes
 entropies of the tilde measure are kept as rational combinations
 ``p*log(2) + q*log(m)`` and only turned into floats at the reporting
 boundary.  Nothing in this module samples anything.
+
+The completion horizon is exact too.  By the reflection principle, the
+mass a word with ``k`` loose letters still misses after its completions of
+walk length ``L`` is the share ``2^-L Σ C(L, j)``, over ``(L-k)/2 < j <=
+(L+k)/2``, of its cylinder mass.  Floats locate the horizon; one binomial
+and ratio steps certify it in integers.
 """
 
 from __future__ import annotations
@@ -154,37 +160,107 @@ def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     return rows
 
 
+# Completion lengths past this raise BudgetExceeded; floats may rule out
+# the cap only when their horizon lies this many pairs beyond it.
+_MAX_TOTAL_LEN = 1 << 20
+_FLOAT_MARGIN = 8
+
+
+def _log_residual(walk: int, k: int) -> float:
+    """Float log of ``2^-walk Σ C(walk, j)`` over ``(walk-k)/2 < j <= (walk+k)/2``.
+
+    The peak term ``j = ceil(walk/2)`` lies in the range; it comes from
+    ``math.lgamma`` and the others from ratio steps outward, each at most 1,
+    so nothing overflows at any length.
+    """
+    peak = (walk + 1) // 2
+    total = term = 1.0
+    for j in range(peak, (walk + k) // 2):  # C(walk, j+1) / C(walk, j)
+        term *= (walk - j) / (j + 1)
+        total += term
+    term = 1.0
+    for j in range(peak, (walk - k) // 2 + 1, -1):  # C(walk, j-1) / C(walk, j)
+        term *= j / (walk - j + 1)
+        total += term
+    log_peak = math.lgamma(walk + 1) - math.lgamma(peak + 1) - math.lgamma(walk - peak + 1)
+    return log_peak + math.log(total) - walk * math.log(2)
+
+
 def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     """Smallest completion length whose residual drops below ``ratio`` of the target.
 
-    The length class with ``f`` added pairs carries ``C_k(f) 4^-f 2^-k`` of
+    The length class with ``f`` added pairs carries ``C_k(f) 2^-(k+2f)`` of
     the cylinder value for every ``m``, where ``k`` counts loose letters and
-    ``C_k`` is the ballot number of :func:`_ballot_ways`.  With ``ratio =
-    num/den``, the residual after class ``f`` is at most ``ratio`` of the
-    target exactly when the integer ``slack = den Σ_{g<=f} C_k(g) 4^(f-g) -
-    (den - num) 2^k 4^f`` is nonnegative.  One pass over ``f = 0, 1, ...``
-    keeps ``slack`` as its only accumulator, updated as ``4 slack + den
-    C_k(f)``, and steps ``den C_k(f)`` by the ratio recurrence of ``C_k``.
-    It returns the length ``|a| + k + 2f`` of the first class with ``slack
-    >= 0``, the row that :func:`minimal_extension_mass` would reach first.
+    ``C_k`` is the ballot number of :func:`_ballot_ways`: the chance that a
+    fair ±1 walk started at height ``k`` first hits 0 at step ``k + 2f``.
+    So the residual after walk length ``L = k + 2f`` is the chance that the
+    walk has not hit 0 by step ``L``, which the reflection principle gives
+    as ``R(L) = 2^-L Σ C(L, j)`` over the ``k`` values ``(L-k)/2 < j <=
+    (L+k)/2``.  ``R`` strictly decreases in ``L``.
+
+    Locate, in floats: gallop and bisect over ``f`` for the first ``L`` with
+    ``log R(L) <= log num - log den``, where ``ratio = num/den``.  Certify,
+    exactly: one ``math.comb`` gives the first binomial at that ``L``, ratio
+    steps give the other ``k - 1`` and move ``L`` by ±2, until ``den Σ C(L,
+    j) <= num 2^L`` holds at ``L`` and fails at ``L - 2`` (or ``L = k``).
+    The answer is exact whatever the float error.  It returns ``|a| + L``,
+    the row that :func:`minimal_extension_mass` would reach first, and
+    raises ``BudgetExceeded`` when that length passes ``2^20``.
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
     k = _loose_letters(a)
-    den = ratio.denominator
-    slack = -((den - ratio.numerator) << k)
-    share, f, total_len = den, 0, len(a) + k  # share = den * C_k(f)
+    base = len(a) + k
+    if k == 0:
+        return base
+    num, den = ratio.numerator, ratio.denominator
+    f_cap = max(0, (_MAX_TOTAL_LEN - base) // 2 + 1)  # pairs at the first length past the cap
+    budget = f"no convergence below {ratio} by length {base + 2 * f_cap}"
+    log_ratio = math.log(num) - math.log(den)
+
+    def located(f: int) -> bool:
+        return _log_residual(k + 2 * f, k) <= log_ratio
+
+    f_top = f_cap + _FLOAT_MARGIN
+    fail, f = -1, 0
+    while not located(f):
+        if f == f_top:
+            raise BudgetExceeded(budget)
+        fail, f = f, min(2 * f + 1, f_top)
+    while f - fail > 1:
+        mid = (fail + f) // 2
+        if located(mid):
+            f = mid
+        else:
+            fail = mid
+
+    f = min(f, f_cap)
+    walk = k + 2 * f
+    first = math.comb(walk, f + 1)  # j = (walk - k)/2 + 1
+
+    def within() -> bool:
+        total, term = 0, first
+        for j in range(f + 1, f + k + 1):
+            total += term
+            term = term * (walk - j) // (j + 1)
+        return den * total <= num << walk
+
+    if within():
+        while f:
+            # C(walk-2, j-1) = C(walk, j) j (walk-j) / (walk (walk-1))
+            first = first * (f + 1) * (walk - f - 1) // (walk * (walk - 1))
+            f, walk = f - 1, walk - 2
+            if not within():
+                return base + 2 * f + 2
+        return base
     while True:
-        slack += share
-        if slack >= 0:
-            return total_len
-        if total_len > 1 << 20:  # pragma: no cover - safety valve
-            break
-        slack <<= 2
-        share = share * ((2 * f + k) * (2 * f + k + 1)) // ((f + 1) * (f + k + 1))
-        f += 1
-        total_len += 2
-    raise BudgetExceeded(f"no convergence below {ratio} by length {total_len}")
+        if f >= f_cap:
+            raise BudgetExceeded(budget)
+        # C(walk+2, j+1) = C(walk, j) (walk+1) (walk+2) / ((j+1) (walk-j+1))
+        first = first * (walk + 1) * (walk + 2) // ((f + 2) * (walk - f))
+        f, walk = f + 1, walk + 2
+        if within():
+            return base + 2 * f
 
 
 class LogPair(NamedTuple):

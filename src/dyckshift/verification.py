@@ -643,8 +643,10 @@ def _check_extension_mass(seed: int) -> _Outcome:
 
     For each seed word the completion masses must increase strictly, conserve
     exactly (partial plus residual equals the cylinder mass at every row),
-    and the residual must fall to 5% of the mass within the precomputed
-    horizon.
+    and the residual must fall to 5% of the mass at the precomputed horizon
+    and not before it.  The horizon comes from the reflection count of
+    :func:`mass_length_for_residual` and the rows from the ballot numbers,
+    so this checks the horizon's minimality by an independent route.
     """
     del seed
     ratio = Fraction(1, 20)
@@ -681,11 +683,18 @@ def _check_extension_mass(seed: int) -> _Outcome:
                 "residual at most 5% of the cylinder mass by the computed horizon",
                 (),
             )
+        if len(rows) > 1 and rows[-2].residual <= ratio * target:
+            return (
+                False,
+                f"{text!r}: residual already within 5% at length {rows[-2].total_len}, before horizon {horizon}",
+                "the computed horizon is the smallest length with residual at most 5%",
+                (),
+            )
         rows_info.append(f"{text!r}: horizon {horizon}, residual {float(last.residual / target):.4%} of mass")
     return (
         True,
-        "mass conserved, strictly increasing, and within 5% residual for all three seed words",
-        "completion masses converge to each cylinder mass with residual <= 5%",
+        "mass conserved, strictly increasing, and first within 5% residual at the horizon for all three seed words",
+        "completion masses converge to each cylinder mass with residual <= 5% first at the horizon",
         tuple(rows_info),
     )
 

@@ -269,9 +269,12 @@ def power_sum_count(n: int, m: int) -> int:
 def stepped_horizon(a: Word, ratio: Fraction) -> int:
     """Oracle for ``mass_length_for_residual``: partial sum and ``4^f`` scale stepped side by side.
 
-    With ``k`` loose letters the residual after ``f`` added pairs is within
-    ``ratio`` of the target once ``den * Σ_{g<=f} C_k(g) 4^(f-g) >= (den -
-    num) 2^k 4^f``; both sides are kept as separate integers.
+    A different route from the product's, which counts the residual by the
+    reflection principle in one binomial window: this one walks the ballot
+    numbers class by class.  With ``k`` loose letters the residual after
+    ``f`` added pairs is within ``ratio`` of the target once ``den *
+    Σ_{g<=f} C_k(g) 4^(f-g) >= (den - num) 2^k 4^f``; both sides are kept
+    as separate integers.
     """
     found = residue(a.codes)
     k = len(found[0]) + len(found[1])

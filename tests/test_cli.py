@@ -411,6 +411,13 @@ def test_extensions_mass_horizon(capsys):
     assert "horizon" not in plain
 
 
+def test_extensions_mass_horizon_past_the_cap(capsys):
+    rc, out, err = run(capsys, "extensions", "a1 a2", "--mass", "--ratio", "1/1000000")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no convergence below 1/1000000 by length 1048578\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

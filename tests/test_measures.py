@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dyckshift import measures
 from dyckshift.measures import (
     LogPair,
     _ballot_ways,
@@ -19,6 +21,7 @@ from dyckshift.measures import (
     residue_exponents,
 )
 from dyckshift.words import (
+    BudgetExceeded,
     NotInLanguage,
     Word,
     enumerate_balanced,
@@ -344,6 +347,9 @@ def test_mass_rows_conserve_and_increase():
         ("a1", Fraction(1, 20), 256),
         ("b1", Fraction(1, 20), 256),
         ("a1 a2", Fraction(1, 20), 1020),
+        # values of the ballot-number walk, conftest's stepped_horizon
+        ("a1 a2", Fraction(1, 50), 6366),
+        ("a1 a2", Fraction(1, 200), 101860),
     ],
 )
 def test_residual_horizons(text, ratio, expected):
@@ -367,7 +373,7 @@ HORIZON_RATIOS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 20), Fraction(1, 5
     ids=["a1", "b1", "a1 a2", "b2 b1 a1", "a1 b1"],
 )
 def test_residual_horizon_is_the_first_row_within_ratio(text, ratios, m):
-    """The one-pass horizon equals the first qualifying row of the Fraction table."""
+    """The certified horizon equals the first qualifying row of the Fraction table."""
     a = Word.parse(text, m)
     target = cylinder_mass(a.codes, m)
     rows = minimal_extension_mass(a, mass_length_for_residual(a, min(ratios)))
@@ -383,11 +389,70 @@ WALK_RATIOS = tuple(map(Fraction, ("2", "1", "1/2", "1/3", "3/7", "1/20", "1/50"
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("k", range(6))
 def test_residual_horizon_walk_equals_stepped_loop(k, m):
-    """The one-accumulator walk returns the stepped loop's horizon for every ratio."""
+    """The reflection-count horizon returns the stepped ballot walk's for every ratio."""
     a = Word.parse(LOOSE_WORDS[k], m)
     assert sum(map(len, residue(a.codes))) == k
     for ratio in WALK_RATIOS:
         assert mass_length_for_residual(a, ratio) == stepped_horizon(a, ratio), ratio
+
+
+def reflection_residual(walk: int, k: int) -> Fraction:
+    """``R(walk) = 2^-walk Σ C(walk, j)`` over ``(walk-k)/2 < j <= (walk+k)/2``."""
+    return Fraction(sum(math.comb(walk, j) for j in range((walk - k) // 2 + 1, (walk + k) // 2 + 1)), 2**walk)
+
+
+@pytest.mark.parametrize("walk", [2, 10, 100, 1000])
+def test_residual_horizon_certificate_splits_ties(walk):
+    """Ratios 2^-(walk+60) either side of ``R(walk)`` land on neighbouring lengths.
+
+    Floats cannot tell the three apart; the exact certificate must.
+    """
+    a = Word.parse("a1 a2", 2)  # k = 2
+    exact = reflection_residual(walk, 2)
+    nudge = Fraction(1, 2 ** (walk + 60))
+    for ratio, expected in ((exact, walk), (exact - nudge, walk + 2), (exact + nudge, walk)):
+        assert stepped_horizon(a, ratio) - len(a) == expected
+        assert mass_length_for_residual(a, ratio) - len(a) == expected, (ratio, expected)
+
+
+def test_residual_horizon_with_many_loose_letters():
+    a = Word.parse(" ".join(["b1"] * 13 + ["a2"] * 12), 2)
+    assert sum(map(len, residue(a.codes))) == 25
+    assert mass_length_for_residual(a, Fraction(1, 2)) == stepped_horizon(a, Fraction(1, 2))
+
+
+def test_residual_horizon_takes_one_binomial_per_query(monkeypatch):
+    """One ``math.comb`` per certified query; everything else is ratio steps."""
+    calls = []
+    real = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, j: calls.append((n, j)) or real(n, j))
+    queries = [(text, ratio) for text in ("a1", "a1 a2", "b2 b1 a1") for ratio in HORIZON_RATIOS[:3]]
+    queries += [("a1 a2", Fraction(1, 50)), ("a1 a2", Fraction(3)), ("a1 b1", Fraction(1, 50))]
+    for text, ratio in queries:
+        mass_length_for_residual(Word.parse(text, 2), ratio)
+    assert len(calls) == len(queries) - 1  # "a1 b1" has no loose letter and needs no certificate
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 10**6), Fraction(1, 10**400)])
+def test_residual_horizon_past_the_cap_raises_from_floats(ratio, monkeypatch):
+    """Far past the 2^20 cap the float horizon decides alone: no binomial, no underflow."""
+    calls = []
+    monkeypatch.setattr(math, "comb", lambda n, j: calls.append((n, j)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"no convergence below 1/10+ by length 1048578$"):
+        mass_length_for_residual(Word.parse("a1 a2", 2), ratio)
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+
+def test_residual_horizon_near_the_cap_is_certified(monkeypatch):
+    """Within a few steps of the cap the exact certificate decides both ways."""
+    monkeypatch.setattr(measures, "_MAX_TOTAL_LEN", 1000)
+    a = Word.parse("a1 a2", 2)  # the first total length past 1000 is 1002, walk 1000
+    exact = reflection_residual(1000, 2)
+    assert mass_length_for_residual(a, exact) == 1002
+    with pytest.raises(BudgetExceeded, match=r"by length 1002$"):
+        mass_length_for_residual(a, exact - Fraction(1, 2**1060))
 
 
 def test_short_max_len_is_refused_by_both_completion_routes():

@@ -225,3 +225,13 @@ def test_overpriced_extension_fails_cylinder_consistency(monkeypatch):
     result = run_check("cylinder-consistency")
     assert _consistency_failures(result) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
     assert result.observed.count("extension 1 has m-exponent 6, outside 3..5") == 2
+
+
+@pytest.mark.parametrize("shift,fragment", [(2, "already within 5% at length 256, before horizon 258"), (-2, "above 5% of 1/4 at length 254")])
+def test_off_by_one_horizon_fails_extension_mass(monkeypatch, shift, fragment):
+    # a horizon one class late is within 5% but not the smallest; one class early is not within
+    real = verification.mass_length_for_residual
+    monkeypatch.setattr(verification, "mass_length_for_residual", lambda a, ratio: real(a, ratio) + shift)
+    result = run_check("extension-mass")
+    assert not result.ok
+    assert fragment in result.observed
