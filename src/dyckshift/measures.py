@@ -22,32 +22,22 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .words import (
     BudgetExceeded,
-    NotInLanguage,
     Word,
+    completion_needs,
     pattern_counts,
     residue,
 )
 
 
-def cylinder_exponents(codes: Sequence[int]) -> tuple[int, int] | None:
-    """Exponents ``(two_exp, m_exp)`` of the cylinder mass ``2^-two_exp * m^-m_exp``.
+def residue_m_exponent(found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int) -> int | None:
+    """The tilde pricing rule: the m-exponent of a word from its length and residue.
 
-    The word is reduced from scratch and priced by :func:`residue_exponents`.
-    Returns ``None`` for words that reduce to zero, whose cylinders are empty.
-    """
-    return residue_exponents(residue(codes), len(codes))
-
-
-def residue_exponents(
-    found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int
-) -> tuple[int, int] | None:
-    """The tilde pricing rule: exponents of a word from its length and residue.
-
-    ``found`` is the word's :func:`~dyckshift.words.residue`, however it was
-    scanned.  ``two_exp`` is the word length and ``m_exp`` counts matched
-    pairs plus loose letters; ``None`` (zero) prices to ``None``.  A residue
-    whose loose letters leave an odd number for the pairs belongs to no word
-    of that length, and raises ``ValueError``.
+    A language word of length ``n`` has tilde mass ``2^-n * m^-e``, where
+    ``e`` counts matched pairs plus loose letters.  ``found`` is the word's
+    :func:`~dyckshift.words.residue`, however it was scanned; ``None``
+    (zero) prices to ``None``.  A residue whose loose letters leave an odd
+    number for the pairs belongs to no word of that length, and raises
+    ``ValueError``.
     """
     if found is None:
         return None
@@ -56,7 +46,7 @@ def residue_exponents(
     paired = length + len(closers) + len(openers)
     if paired % 2:
         raise ValueError(f"a residue with {paired - length} loose letters fits no word of length {length}")
-    return length, paired // 2
+    return paired // 2
 
 
 def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fraction:
@@ -76,7 +66,7 @@ def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fract
         return Fraction(0)
     n = len(codes)
     if measure == "tilde":
-        return Fraction(1, 2**n * m ** residue_exponents(found, n)[1])
+        return Fraction(1, 2**n * m ** residue_m_exponent(found, n))
     closers, openers = found
     return Fraction(1, (m + 1) ** n * m ** len(closers if measure == "plus" else openers))
 
@@ -111,14 +101,6 @@ class ExtensionMassRow(NamedTuple):
     residual: Fraction
 
 
-def _loose_letters(a: Word) -> int:
-    """Letter count of ``a``'s residue; raises NotInLanguage for zero words."""
-    found = residue(a.codes)
-    if found is None:
-        raise NotInLanguage(f"{a.text()!r} reduces to zero")
-    return len(found[0]) + len(found[1])
-
-
 def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     """Partial sums of balanced-law mass over minimal completions of ``a``.
 
@@ -127,12 +109,9 @@ def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     thousands are cheap; the tests check it against a literal walk over the
     completions of :func:`~dyckshift.words.minimal_balanced_extensions`.
     Rows appear only for lengths that contribute, so partial sums strictly
-    increase.  Like :func:`~dyckshift.words.minimal_balanced_extensions`,
-    raises ``ValueError`` for a ``max_len`` shorter than ``a``.
+    increase.  :func:`~dyckshift.words.completion_needs` refuses the query.
     """
-    if max_len < len(a):
-        raise ValueError(f"max_len={max_len} is shorter than the word ({len(a)})")
-    k = _loose_letters(a)
+    k = sum(map(len, completion_needs(a, max_len)))
     base = len(a) + k
     classes = (max_len - base) // 2 + 1 if max_len >= base else 0
     # Class f holds C_k(f) completions per typing of its f added pairs and
@@ -209,7 +188,7 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    k = _loose_letters(a)
+    k = sum(map(len, completion_needs(a)))
     base = len(a) + k
     if k == 0:
         return base

@@ -340,6 +340,21 @@ def enumerate_balanced(pair_count: int, m: int) -> Iterator[Word]:
     return walk(0)
 
 
+def completion_needs(a: Word, max_len: int | None = None) -> _Residue:
+    """``a``'s :func:`residue`: the letters that its completions must match.
+
+    The one refusal of a completion query.  A ``max_len`` shorter than
+    ``a`` raises ``ValueError`` first; a word that reduces to zero raises
+    NotInLanguage.
+    """
+    if max_len is not None and max_len < len(a):
+        raise ValueError(f"max_len={max_len} is shorter than the word ({len(a)})")
+    found = residue(a.codes)
+    if found is None:
+        raise NotInLanguage(f"{a.text()!r} reduces to zero")
+    return found
+
+
 def minimal_balanced_extensions(
     a: Word, max_len: int
 ) -> Iterator[tuple[Word, Word]]:
@@ -351,18 +366,13 @@ def minimal_balanced_extensions(
     ``a`` (in reverse order of appearance, so they nest), ``r`` supplies one
     closer per unmatched opener likewise, and arbitrary balanced filler may
     sit after each supplied opener and before each supplied closer.  The
-    needs are the two halves of ``a``'s :func:`residue`.  Raises
-    NotInLanguage when ``a`` reduces to zero.
+    needs are the two halves of :func:`completion_needs`, which refuses
+    the query.
 
     Yields groups of increasing total length ``|l·a·r| <= max_len``; within a
     length group the order is lexicographic in ``(l, r)``.
     """
-    if max_len < len(a):
-        raise ValueError(f"max_len={max_len} is shorter than the word ({len(a)})")
-    found = residue(a.codes)
-    if found is None:
-        raise NotInLanguage(f"{a.text()!r} reduces to zero")
-    left_needs, right_needs = found
+    left_needs, right_needs = completion_needs(a, max_len)
     slots = len(left_needs) + len(right_needs)
     base = len(a) + slots
 

@@ -698,3 +698,9 @@ def golden_grid_windows() -> Iterator[PointWindow]:
 def exact_check_results() -> dict[str, CheckResult]:
     """Every exact check, run once per session at the default seed."""
     return {key: run_check(key, DEFAULT_SEED) for key in SUITES["exact"]}
+
+
+@pytest.fixture(scope="session")
+def sampling_check_results() -> dict[str, CheckResult]:
+    """Every sampling check, run once per session at the default seed."""
+    return {key: run_check(key, DEFAULT_SEED) for key in SUITES["sampling"]}

@@ -1,9 +1,9 @@
 """The acceptance gate: every verification criterion, one test each.
 
-Each test runs one named check at the default seed and prints a single
-PASS/FAIL line with the observed value; the exact checks are read from the
-session's single run of them.  Ten criteria are true and their tests assert
-that the check passed.
+Each test reads one named check at the default seed from the session's
+single run of its suite and prints a single PASS/FAIL line with the
+observed value.  Ten criteria are true and their tests assert that the
+check passed.
 
 The other three are finite-size readings of the entropy claims, and at the
 stated lengths they are false: the step entropy at n = 11 is 0.078182 nats
@@ -24,7 +24,7 @@ from itertools import count
 
 import pytest
 
-from dyckshift.verification import DEFAULT_SEED, SUITES, run_check
+from dyckshift.verification import SUITES
 
 from conftest import pattern_sum
 
@@ -110,10 +110,8 @@ def test_criteria_registry_is_complete():
 
 @pytest.mark.parametrize("key", CRITERIA)
 def test_criterion(key, request):
-    if key in SUITES["exact"]:
-        result = request.getfixturevalue("exact_check_results")[key]
-    else:
-        result = run_check(key, DEFAULT_SEED)
+    suite = "exact" if key in SUITES["exact"] else "sampling"
+    result = request.getfixturevalue(f"{suite}_check_results")[key]
     status = "PASS" if result.ok else "FAIL"
     print(f"{status} {key}: {result.observed}")
     finding = FINITE_SIZE_FINDINGS.get(key)

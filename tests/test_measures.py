@@ -12,13 +12,12 @@ from dyckshift.measures import (
     LogPair,
     _ballot_ways,
     _pattern_stats,
-    cylinder_exponents,
     cylinder_mass,
     entropy_report,
     entropy_table,
     mass_length_for_residual,
     minimal_extension_mass,
-    residue_exponents,
+    residue_m_exponent,
 )
 from dyckshift.words import (
     BudgetExceeded,
@@ -94,31 +93,31 @@ def test_unknown_measure_is_refused():
 
 def test_monomial_exponents_exposed():
     codes = Word.parse("a1 a2 b2", 2).codes
-    assert cylinder_exponents(codes) == (3, 2)  # one matched pair, one loose opener
+    assert residue_m_exponent(residue(codes), len(codes)) == 2  # one matched pair, one loose opener
     assert cylinder_mass(codes, 2) == Fraction(1, 32)
 
 
-def test_cylinder_exponents_agree_with_masses_exhaustively():
+def test_m_exponents_agree_with_masses_exhaustively():
     rng = random.Random(0)
     for n in range(7):
         for codes in itertools.product((1, 2, -1, -2), repeat=n):
-            exponents = cylinder_exponents(codes)
+            exponent = residue_m_exponent(residue(codes), n)
             value = cylinder_mass(codes, 2)
             found = rewrite_oracle(codes, rng)
-            assert (exponents is None) == (found is None)
-            if exponents is None:
+            assert (exponent is None) == (found is None)
+            if exponent is None:
                 assert value == 0
                 continue
             loose = len(found[0]) + len(found[1])
-            assert exponents == (n, (n - loose) // 2 + loose)
-            assert value == Fraction(1, 2**n * 2 ** exponents[1])
+            assert exponent == (n - loose) // 2 + loose
+            assert value == Fraction(1, 2**n * 2**exponent)
 
 
 def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
-    assert residue_exponents(((), (1, 1)), 4) == (4, 3)
+    assert residue_m_exponent(((), (1, 1)), 4) == 3
     for found, length in [(((), (1, 1, 1)), 4), (((2,), ()), 0), (((1,), (2, 2)), 6)]:
         with pytest.raises(ValueError, match="fits no word"):
-            residue_exponents(found, length)
+            residue_m_exponent(found, length)
 
 
 def assert_additive(w: Word) -> None:

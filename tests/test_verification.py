@@ -1,12 +1,13 @@
 """The verify runner, the wording of check results, and faults the checks must catch."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
 from dyckshift import verification
-from dyckshift.measures import LogPair, residue_exponents
+from dyckshift.measures import LogPair, residue_m_exponent
 from dyckshift.verification import run_check
 from dyckshift.words import advance, iter_language_stats, residue
 
@@ -23,6 +24,55 @@ def test_run_check_runs_afresh_on_every_call():
         second.expected,
         second.detail,
     )
+
+
+# Each check's claim, the ``expected`` of every result it gives.
+CLAIMS = {
+    "cylinder-consistency": "sum of one-letter extension masses equals each cylinder mass; levels sum to 1",
+    "balanced-law": "(1/(2*sqrt(m)))^|w| equals the general cylinder mass on balanced words",
+    "block-swap-exact": "swapping equivalent length-matched blocks preserves every cylinder mass",
+    "entropy-identity": "h_n = log 2 + ((1 + p_nonneg)/2) log m with exact rational coefficients for n <= 256",
+    "entropy-limit-gap": "within 0.03 nats of log(2) + (1/2) log(2) = 1.039721 nats",
+    "entropy-below-topological": "h_n < log 3 = 1.098612 nats for all n <= 11",
+    "balanced-counts": "Catalan(N) * m^N balanced words, by formula, enumeration, and language scan",
+    "growth-rate": "log|L(14)|/14 within 5% of log 3 = 1.098612",
+    "extension-mass": "completion masses converge to each cylinder mass with residual <= 5% first at the horizon",
+    "sampler-formula": "at most 2 of 18 events beyond 3 sigma; forbidden patterns absent",
+    "shift-invariance": "every length-2 cylinder frequency equal at coordinates 0 and 5 within 3 sigma",
+    "plus-invariance": "type-swapped cylinder pairs agree within 3 sigma and match their exact masses",
+    "index-coincidence": "matching-type coincidence probability equals 2^-|J| within 3 sigma",
+}
+
+
+def test_each_result_states_its_registry_claim(exact_check_results, sampling_check_results):
+    assert {key: claim for key, _, _, claim, _ in verification._CHECKS} == CLAIMS
+    for key, result in {**exact_check_results, **sampling_check_results}.items():
+        assert result.expected == CLAIMS[key], key
+
+
+def test_sampler_formula_claim_counts_its_cylinders(sampling_check_results):
+    # the claim's event count is a literal; the observed count is len(_language_words(2, 2))
+    result = sampling_check_results["sampler-formula"]
+    events = re.search(r"at most 2 of (\d+) events", result.expected).group(1)
+    cylinders = re.search(r"across (\d+) cylinders", result.observed).group(1)
+    assert events == cylinders == "18"
+
+
+def _results_digest(results):
+    h = hashlib.blake2b(digest_size=16)
+    for key, r in results.items():
+        h.update(repr((key, r.ok, r.observed, r.expected, r.detail)).encode())
+    return h.hexdigest()
+
+
+def test_exact_results_are_byte_stable(exact_check_results):
+    """Digest of every exact check's verdict and wording; a change means ``verify``'s output changed."""
+    assert _results_digest(exact_check_results) == "967eec9a293ebfb8df596d02c9ddc33f"
+
+
+def test_sampling_results_are_byte_stable(sampling_check_results):
+    """Digest of every sampling check's verdict and wording at the default seed."""
+    assert _results_digest(sampling_check_results) == "fb146dffbec6ff32d725b619fceb1105"
 
 
 def test_below_topological_counts_lengths_when_only_some_are_above(monkeypatch):
@@ -116,9 +166,9 @@ def _misreduce(codes):
 
 def _misprice(found, length):
     """The pricing rule, one power of m off for the one-letter extension a2 a1 a2 a1 + a1."""
-    priced = residue_exponents(found, length)
+    priced = residue_m_exponent(found, length)
     if length == 5 and found == ((), (2, 1, 2, 1, 1)):
-        return priced[0], priced[1] - 1
+        return priced - 1
     return priced
 
 
@@ -135,9 +185,9 @@ def _ignore_b2(states, code):
 
 def _overprice(found, length):
     """The pricing rule, one power of m too high for the one-letter extension a2 a1 a2 a1 + a1."""
-    priced = residue_exponents(found, length)
+    priced = residue_m_exponent(found, length)
     if length == 5 and found == ((), (2, 1, 2, 1, 1)):
-        return priced[0], priced[1] + 1
+        return priced + 1
     return priced
 
 
@@ -202,10 +252,10 @@ def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
 
 
 def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
-    # block-swap-exact's sweep (b) prices through this same residue_exponents, but
+    # block-swap-exact's sweep (b) prices through this same residue_m_exponent, but
     # equivalent blocks have equal residues and lengths, so it misprices both
     # sides of every comparison alike and still passes
-    monkeypatch.setattr(verification, "residue_exponents", _misprice)
+    monkeypatch.setattr(verification, "residue_m_exponent", _misprice)
     assert _consistency_failures(run_check("cylinder-consistency")) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
 
 
@@ -219,19 +269,21 @@ def test_step_that_ignores_a_closer_fails_cylinder_consistency(monkeypatch):
     assert "fits no word of length" in result.observed
 
 
-def test_overpriced_extension_fails_cylinder_consistency(monkeypatch):
+def test_overpriced_extension_fails_cylinder_consistency(monkeypatch, exact_check_results):
     # m-exponent 6 on a length-5 word would index m^(n+1-e) below m^0
-    monkeypatch.setattr(verification, "residue_exponents", _overprice)
+    monkeypatch.setattr(verification, "residue_m_exponent", _overprice)
     result = run_check("cylinder-consistency")
     assert _consistency_failures(result) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
     assert result.observed.count("extension 1 has m-exponent 6, outside 3..5") == 2
+    assert result.expected == exact_check_results["cylinder-consistency"].expected
 
 
 @pytest.mark.parametrize("shift,fragment", [(2, "already within 5% at length 256, before horizon 258"), (-2, "above 5% of 1/4 at length 254")])
-def test_off_by_one_horizon_fails_extension_mass(monkeypatch, shift, fragment):
+def test_off_by_one_horizon_fails_extension_mass(monkeypatch, exact_check_results, shift, fragment):
     # a horizon one class late is within 5% but not the smallest; one class early is not within
     real = verification.mass_length_for_residual
     monkeypatch.setattr(verification, "mass_length_for_residual", lambda a, ratio: real(a, ratio) + shift)
     result = run_check("extension-mass")
     assert not result.ok
     assert fragment in result.observed
+    assert result.expected == exact_check_results["extension-mass"].expected
