@@ -3,8 +3,8 @@
 Everything here consumes :class:`~dyckshift.coding.PointWindow` streams from
 the samplers (or hand-built windows) and stays deliberately finite: matching
 times that fall outside a window are reported as ``None`` rather than
-extended, truncated samples are excluded from estimates but counted, and the
-tail classifier is labeled as the finite-window heuristic it is.
+extended, events a window cannot resolve are excluded from it but counted,
+and the tail classifier is labeled as the finite-window heuristic it is.
 
 The estimators make one pass over a sample stream for any number of events:
 :func:`empirical_cylinders` tallies each window's block once per needed
@@ -89,12 +89,11 @@ class EmpiricalEstimate(NamedTuple):
     event: str
     hits: int
     trials: int
-    excluded_truncated: int = 0
     excluded_unresolved: int = 0
 
     @property
     def scanned(self) -> int:
-        return self.trials + self.excluded_truncated + self.excluded_unresolved
+        return self.trials + self.excluded_unresolved
 
     @property
     def estimate(self) -> Fraction:
@@ -124,31 +123,24 @@ class EmpiricalEstimate(NamedTuple):
 def empirical_cylinders(
     samples: Iterable[PointWindow], cylinders: Sequence[tuple[Word, int]]
 ) -> list[EmpiricalEstimate]:
-    """Fraction of non-truncated windows showing each ``w`` at its coordinate ``k``.
+    """Fraction of windows showing each ``w`` at its coordinate ``k``.
 
-    One pass: every usable window's block at each needed ``(k, |w|)`` is
-    tallied once, and each ``(w, k)`` reads its hits from the tally.
-    Truncated samples are excluded wholesale (and counted); a window that
+    One pass: every window's block at each needed ``(k, |w|)`` is tallied
+    once, and each ``(w, k)`` reads its hits from the tally.  A window that
     does not cover some ``[k, k+|w|)`` is a caller error and raises.
     """
     cylinders = list(cylinders)
     spans = sorted({(k, len(w)) for w, k in cylinders})
     tally: Counter[tuple[int, tuple[int, ...]]] = Counter()
-    trials = truncated = 0
+    trials = 0
     for x in samples:
-        if x.truncated:
-            truncated += 1
-            continue
         trials += 1
         codes, lo, hi = x.codes, x.lo, x.hi
         for k, n in spans:
             if k < lo or k + n - 1 > hi:
                 raise ValueError(f"cylinder [{k}, {k + n - 1}] outside window [{lo}, {hi}]")
             tally[k, codes[k - lo : k - lo + n]] += 1
-    return [
-        EmpiricalEstimate(f"[{w.text()}]_{k}", tally[k, w.codes], trials, excluded_truncated=truncated)
-        for w, k in cylinders
-    ]
+    return [EmpiricalEstimate(f"[{w.text()}]_{k}", tally[k, w.codes], trials) for w, k in cylinders]
 
 
 def match_index_coincidences(
@@ -158,10 +150,10 @@ def match_index_coincidences(
 
     Each event ``(offset, js)`` is that the letters at the backward times
     ``b_j`` and ``b_{j+offset}`` carry equal types for every ``j`` in ``js``.
-    Windows that are truncated, or too short to resolve every time an event
-    needs, are excluded from it and counted separately.  Each window's
-    matching times are scanned once, to the deepest depth any event needs;
-    the first dips to shallower depths are the same in that one scan.
+    Windows too short to resolve every time an event needs are excluded
+    from it and counted separately.  Each window's matching times are
+    scanned once, to the deepest depth any event needs; the first dips to
+    shallower depths are the same in that one scan.
     """
     events = [(offset, tuple(js)) for offset, js in events]
     for offset, js in events:
@@ -174,11 +166,7 @@ def match_index_coincidences(
     hits = [0] * len(events)
     trials = [0] * len(events)
     unresolved = [0] * len(events)
-    truncated = 0
     for x in samples:
-        if x.truncated:
-            truncated += 1
-            continue
         codes, lo = x.codes, x.lo
         types = [None if t is None else codes[t - lo] for t in matching_times(x, j_need).backward]
         for e, (offset, js) in enumerate(events):
@@ -195,7 +183,6 @@ def match_index_coincidences(
             "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js))),
             hits[e],
             trials[e],
-            truncated,
             unresolved[e],
         )
         for e, (offset, js) in enumerate(events)

@@ -171,10 +171,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     m = _alphabet(args)
     lo, hi = args.window
     sampler = SAMPLERS[args.measure]
-    samples = list(
-        sampler(m, lo, hi, seed=args.seed, count=args.count, max_extension=args.max_extension)
-    )
-    truncated = sum(1 for x in samples if x.truncated)
+    samples = list(sampler(m, lo, hi, seed=args.seed, count=args.count))
     if args.json:
         _emit_json(
             {
@@ -184,23 +181,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 "window": [lo, hi],
                 "seed": args.seed,
                 "count": args.count,
-                "max_extension": args.max_extension,
-                "truncated": truncated,
-                "samples": [
-                    {"lo": x.lo, "hi": x.hi, "word": x.text(), "truncated": x.truncated}
-                    for x in samples
-                ],
+                "samples": [{"lo": x.lo, "hi": x.hi, "word": x.text()} for x in samples],
             }
         )
     else:
-        print(
-            f"# sampler={args.measure} m={m} window={lo}:{hi} seed={args.seed} "
-            f"count={args.count} max-extension={args.max_extension}"
-        )
-        print(f"# truncated {truncated} of {args.count}")
+        print(f"# sampler={args.measure} m={m} window={lo}:{hi} seed={args.seed} count={args.count}")
         for x in samples:
-            line = f"{x.lo} {x.hi} {x.text()}"
-            print(line + " T" if x.truncated else line)
+            print(f"{x.lo} {x.hi} {x.text()}")
     return 0
 
 
@@ -375,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window, required=True, metavar="LO:HI")
     p.add_argument("--count", type=_nonnegative, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
-    p.add_argument("--max-extension", type=_nonnegative, default=10_000)
     _add_alphabet_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)

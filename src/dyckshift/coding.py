@@ -1,50 +1,37 @@
 """Windowed points of the bracket subshift and their seeded samplers.
 
 Bi-infinite points are handled through finite coordinate windows ``[lo, hi]``
-containing the origin, plus on-demand leftward extension where matching needs
-it.  Three seeded samplers emit such windows:
+containing the origin.  Three seeded samplers emit such windows:
 
 * ``sample_tilde`` — the bit/type coding map: fair coin bits choose
   opener/closer, a shared i.i.d. uniform type sequence (addressed through
   the signed running bit count) types every bracket, closers copying the
-  type of the opener they match.  ``tilde_law`` in ``tests/conftest.py``
-  enumerates that map over every bit string of a window, and the tests
-  check its law against :func:`~dyckshift.measures.cylinder_mass`.
+  type of the opener they match.
 * ``sample_plus`` — i.i.d. uniform letters over the m+1-letter collapsed
   alphabet (typed openers, one anonymous closer), closers re-typed from the
   opener they match.
 * ``sample_minus`` — the order-reversing mirror of ``sample_plus``.
 
-Matching may reach left of any finite window.  Samplers extend the hidden
-sequence leftward up to ``max_extension`` extra letters; windows that still
-have unresolved closers are emitted with their provenance flagged truncated
-(estimators exclude them and report the rate).  Unresolved letters keep
-their opener/closer kind but an unknown type, rendered ``a?``/``b?``.
-
-The leftward walks take many bits or letters per step.  The tilde walk's
-count of unmatched fresh closers is a walk reflected at 0 (a closer steps
-+1, an opener -1), and its matches with pending closers fall exactly at
-that walk's new minima.  Below 8 unmatched closers it steps by chunks of up
-to 8 bits that are already buffered, looking each up in two 512-entry
-tables (see :func:`_chunk_tables`) and drawing the types of a chunk's
-matches in one block; from 8 on, it applies that many bits at once by
-their popcount, since no match can fall among them, and fetches the words
-they span in one call.  The plus walk draws as many letters as it has
-needs in one block, since each letter cancels at most one need.  Either
-way the walk reads the same words and draws in the same order as one bit
-or letter at a time: a chunk's draws follow bits already buffered, a run's
-words are words that walk reads before its next draw, and a plus block
-holds letters that walk draws before it can stop.
+A window is drawn exactly, from draws inside it alone.  The lemma: under
+tilde and plus, a closer left unmatched inside the window (a loose closer)
+matches, almost surely, an opener left of the window, and distinct loose
+closers match distinct openers.  Such an opener sits at a fresh type slot:
+under tilde a slot of the shared sequence that no letter of the window
+reads, under plus an i.i.d. letter outside the window.  So the loose
+closers' types are i.i.d. uniform and independent of the window, and each
+is one fresh uniform draw; minus follows by the mirror.  Each window body is
+a pure function of its draws (:func:`_tilde_codes`, :func:`_plus_codes`),
+and the exact check ``sampler-law-exact`` enumerates every draw through
+them against :func:`~dyckshift.measures.cylinder_mass`.
 
 Type and letter draws are rejection-sampled from ``getrandbits`` exactly as
 CPython's ``randrange`` draws them (see :func:`_below`).  Inside a window
 they come in blocks (see :func:`_draws`): a tilde window's opener types and
 a plus window's letters are each read from whole-word blocks in one rule,
 which returns the same values and leaves the same generator state as one
-draw at a time, so every seeded stream and every generator state after a
-window is unchanged.  Sampled windows are built without re-validation,
-because the samplers emit language words (or flagged truncated windows) by
-construction.
+draw at a time.  The loose closers' types follow, one draw each.  Sampled
+windows are built without re-validation, because the samplers emit
+language words by construction.
 """
 
 from __future__ import annotations
@@ -52,20 +39,17 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .words import DyckError, NotInLanguage, Word, code_text, residue
+from .words import NotInLanguage, Word, code_text, residue
 
 
 class Provenance(NamedTuple):
-    """Which sampler produced a window, from which seed stream, and whether
-    the leftward extension cap was hit before every letter resolved.
-    """
+    """Which sampler produced a window, and from which seed stream."""
 
     sampler: str
     seed: int
     index: int
-    truncated: bool = False
 
 
 # The package's records are named tuples.  A record with checks declares its
@@ -83,14 +67,13 @@ class _PointWindowFields(NamedTuple):
 class PointWindow(_PointWindowFields):
     """Letters of one point on the coordinate window ``[lo, hi]`` (0 inside).
 
-    Codes are signed types as in :class:`~dyckshift.words.Word`; additionally
-    ``±(m+1)`` marks a letter of known kind but unresolved type, which only
-    truncated samples may contain.  A fully resolved window is checked to be
-    a language word on construction — and a window word is in the language
-    exactly when all its sub-blocks are, since annihilation is absorbing.
-    The samplers build their windows through a trusted constructor that
-    skips these checks; ``tests/test_coding.py`` re-validates every window
-    of the golden-digest grid through this public constructor.
+    Codes are signed types as in :class:`~dyckshift.words.Word`.  A window
+    is checked to be a language word on construction — and a window word is
+    in the language exactly when all its sub-blocks are, since annihilation
+    is absorbing.  The samplers build their windows through a trusted
+    constructor that skips these checks; ``tests/test_coding.py``
+    re-validates every window of the golden-digest grid through this public
+    constructor.
     """
 
     __slots__ = ()
@@ -102,35 +85,19 @@ class PointWindow(_PointWindowFields):
             raise ValueError(f"window [{lo}, {hi}] must contain the origin")
         if len(codes) != hi - lo + 1:
             raise ValueError("window length does not match its bounds")
-        unknown = False
         for c in codes:
-            if 1 <= abs(c) <= m:
-                continue
-            if abs(c) == m + 1:
-                unknown = True
-                continue
-            raise ValueError(f"letter code {c} out of range for m={m}")
-        if unknown and not (provenance is not None and provenance.truncated):
-            raise ValueError("only truncated samples may carry unresolved letters")
-        if not unknown and residue(codes) is None:
+            if not 1 <= abs(c) <= m:
+                raise ValueError(f"letter code {c} out of range for m={m}")
+        if residue(codes) is None:
             raise NotInLanguage("window letters annihilate; not a point of the subshift")
         return tuple.__new__(cls, (m, lo, hi, codes, provenance))
 
-    @property
-    def truncated(self) -> bool:
-        return self.provenance is not None and self.provenance.truncated
-
     def word(self) -> Word:
-        """The whole window as a Word; refuses windows with unresolved letters."""
-        if any(abs(c) > self.m for c in self.codes):
-            raise DyckError("truncated window has unresolved letters")
+        """The whole window as a Word."""
         return Word(self.m, self.codes)
 
     def text(self) -> str:
-        return " ".join(
-            ("a?" if c > 0 else "b?") if abs(c) == self.m + 1 else code_text(c)
-            for c in self.codes
-        )
+        return " ".join(map(code_text, self.codes))
 
 
 def _sample_rng(seed: int, index: int, rng: random.Random | None = None) -> random.Random:
@@ -191,7 +158,7 @@ def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0)
     order.  Every accepted draw takes at least one word, so no word is read
     that ``count`` calls of ``_below`` would not read: the values and the
     generator state afterwards are the same.  The last few draws, and draws
-    that a top byte cannot hold (``n > 255``), go through ``_below``;
+    that a top byte cannot hold (``n > 255``), go through ``_below``'s rule;
     ``base`` is 0 or 1, so every value of a round fits a byte.
     """
     drawn: list[int] = []
@@ -199,248 +166,148 @@ def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0)
         table, rejected = _draw_table(n, base)
         while (need := count - len(drawn)) > _ROUND_MIN:
             drawn += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
+    # ``_below``'s rule inlined, so a window's few draws pay no call set-up
+    k = n.bit_length()
     for _ in range(count - len(drawn)):
-        drawn.append(_below(getrandbits, n) + base)
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(r + base)
     return drawn
 
 
-@functools.cache
-def _chunk_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Net step and depth of every chunk of at most 8 leftward-walk bits.
-
-    Entry ``1 << k | bits`` describes ``k`` bits read least significant
-    first, where a closer (0) steps +1 and an opener (1) steps -1: ``net``
-    is the sum of the steps and ``depth`` is minus the least prefix sum,
-    the empty prefix included.  From ``anon`` unmatched closers the walk
-    reflected at 0 makes ``max(0, depth - anon)`` matches over the chunk,
-    one at each new minimum, and ends at ``net + max(anon, depth)``.
-    """
-    net = [0] * 512
-    depth = [0] * 512
-    for k in range(9):
-        for bits in range(1 << k):
-            h = low = 0
-            for i in range(k):
-                h += -1 if bits >> i & 1 else 1
-                low = min(low, h)
-            net[1 << k | bits] = h
-            depth[1 << k | bits] = -low
-    return tuple(net), tuple(depth)
-
-
-def _trusted_window(
-    m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance
-) -> PointWindow:
+def _trusted_window(m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance) -> PointWindow:
     """A sampler's window, built without ``PointWindow``'s validation.
 
-    The samplers match every resolved closer to an opener of its type, so
-    their windows are language words (or flagged truncated) by construction.
+    The samplers match every closer to an opener of its type, inside the
+    window or fresh left of it, so their windows are language words by
+    construction.
     """
     return tuple.__new__(PointWindow, (m, lo, hi, codes, provenance))
 
 
-def _check_window(m: int, lo: int, hi: int, max_extension: int) -> None:
+def _loose_types(getrandbits: Callable[[int], int], m: int) -> Iterator[int]:
+    """Fresh uniform types for loose closers, one :func:`_below` draw each as it is read.
+
+    A body reads them after its block of opener types or letters: the draws
+    of one ``_draws(getrandbits, m, loose, 1)`` after it, and none if it has
+    no loose closer.
+    """
+    while True:
+        yield _below(getrandbits, m) + 1
+
+
+def _tilde_codes(bits: str, types: Iterator[int], loose: Iterator[int]) -> list[int]:
+    """The codes of a tilde window, a pure function of its draws.
+
+    ``bits`` are the window's fair bits, "1" an opener; ``types`` gives the
+    openers' types in order of appearance, and ``loose`` the types of the
+    closers whose opener lies left of the window, leftmost first.  A closer
+    matched inside the window copies its opener's type.
+    """
+    codes: list[int] = []
+    append = codes.append
+    stack: list[int] = []  # types of openers still open, innermost last
+    for b in bits:
+        if b == "1":
+            t = next(types)
+            append(t)
+            stack.append(t)
+        elif stack:
+            append(-stack.pop())
+        else:
+            append(-next(loose))
+    return codes
+
+
+def _plus_codes(letters: Iterable[int], loose: Iterator[int]) -> list[int]:
+    """The codes of a plus window, a pure function of its draws.
+
+    ``letters`` are the window's collapsed letters, 0 the anonymous closer
+    and ``t`` the opener of type ``t``; ``loose`` is read as in
+    :func:`_tilde_codes`.
+    """
+    codes: list[int] = []
+    append = codes.append
+    stack: list[int] = []
+    for v in letters:
+        if v:
+            append(v)
+            stack.append(v)
+        elif stack:
+            append(-stack.pop())
+        else:
+            append(-next(loose))
+    return codes
+
+
+def _mirror(codes: Sequence[int]) -> tuple[int, ...]:
+    """The order-reversing mirror: coordinates reversed and kinds swapped."""
+    return tuple(map(operator.neg, reversed(codes)))
+
+
+def _tilde_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) -> list[int]:
+    # Fair bits, "1" = opener, are read LSB-first from whole 32-bit words in
+    # one call; the sentinel bit above the pool keeps its leading zeros.
+    words = (width + 31) // 32
+    bits = bin(getrandbits(32 * words) | 1 << 32 * words)[: -width - 1 : -1]
+    # Each opener owns a fresh slot of the shared type sequence (the signed
+    # running bit count never repeats), so the openers' types are i.i.d. and
+    # come in one block, in order of appearance; their closers copy them.
+    types = iter(_draws(getrandbits, m, bits.count("1"), 1))
+    return _tilde_codes(bits, types, _loose_types(getrandbits, m))
+
+
+def _plus_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) -> list[int]:
+    letters = _draws(getrandbits, m + 1, width)  # 0 = anonymous closer
+    return _plus_codes(letters, _loose_types(getrandbits, m))
+
+
+def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> Iterator[PointWindow]:
+    """The one sampler core: each sample's own stream, its window body, and minus's mirror."""
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
     if not lo <= 0 <= hi:
         raise ValueError(f"sampling window [{lo}, {hi}] must contain the origin")
-    if max_extension < 0:
-        raise ValueError(f"max_extension={max_extension} must be at least 0")
+    body = _tilde_window_codes if sampler == "tilde" else _plus_window_codes
+    finish = _mirror if sampler == "minus" else tuple
+    rng = random.Random()
+    for index in range(count):
+        codes = body(m, hi - lo + 1, _sample_rng(seed, index, rng).getrandbits)
+        yield _trusted_window(m, lo, hi, finish(codes), Provenance(sampler, seed, index))
 
 
-def _tilde_window(
-    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
-) -> PointWindow:
-    width = hi - lo + 1
-    getrandbits = rng.getrandbits
-    # Fair bits are read LSB-first from 32-bit words; one getrandbits call
-    # for whole words draws the same words in the same order.
-    words = (width + 31) // 32
-    pool = getrandbits(32 * words)
-    # LSB first, "1" = opener; the sentinel bit above the pool keeps its leading zeros
-    bits = bin(pool | 1 << 32 * words)[: -width - 1 : -1]
-    buf, left = pool >> width, 32 * words - width
-
-    # Every opener owns a fresh slot of the shared type sequence (the signed
-    # running bit count never repeats), so its type is drawn when it appears
-    # and its closer copies it.  No other draw falls between the openers'
-    # type draws, so they come in one block, in order of appearance.
-    types = iter(_draws(getrandbits, m, bits.count("1"), 1))
-    codes = [0] * width
-    stack: list[int] = []  # types of openers still open, innermost last
-    pending: list[int] = []  # offsets of closers whose opener is left of the window
-    for off, b in enumerate(bits):
-        if b == "1":
-            t = next(types)
-            codes[off] = t
-            stack.append(t)
-        elif stack:
-            codes[off] = -stack.pop()
-        else:
-            pending.append(off)
-
-    truncated = False
-    if pending:
-        # Walk leftward.  A fresh opener matches the closest unmatched closer
-        # to its right and every fresh closer becomes the new closest need,
-        # so the needs are ``anon`` anonymous out-of-window closers on top of
-        # the pending closers ``pending[j:]``.  ``anon`` is the walk that
-        # steps +1 per closer and -1 per opener, reflected at 0, and an
-        # opener matches a pending closer exactly when that walk would go
-        # below 0: at each of its new minima (see :func:`_chunk_tables`).
-        net, depth = _chunk_tables()
-        j = anon = 0
-        need = len(pending)
-        room = max_extension
-        while j < need and room:
-            if anon < 8:
-                # A chunk of at most 8 buffered bits: one table lookup.  Its
-                # matches' types are drawn together, capped at the pending
-                # closers still open; the chunk's bits are already buffered,
-                # so no word is read among these draws.
-                if not left:
-                    buf, left = getrandbits(32), 32
-                k = 8 if left > 8 else left
-                if k > room:
-                    k = room
-                chunk = buf & ((1 << k) - 1) | 1 << k
-                low = depth[chunk]
-                if low > anon:
-                    for t in _draws(getrandbits, m, min(low - anon, need - j), 1):
-                        codes[pending[j]] = -t
-                        j += 1
-                    anon = low
-                anon += net[chunk]
-            else:
-                # No match can fall among the next ``anon`` bits, so they are
-                # applied at once by their popcount.  The walk reads every
-                # word they span, and the missing ones come in one call.
-                k = anon if anon < room else room
-                if k > left:
-                    more = (k - left + 31) // 32
-                    buf |= getrandbits(32 * more) << left
-                    left += 32 * more
-                anon += k - 2 * (buf & ((1 << k) - 1)).bit_count()
-            buf >>= k
-            left -= k
-            room -= k
-        if j < need:
-            truncated = True
-            unknown = -(m + 1)
-            for off in pending[j:]:
-                codes[off] = unknown
-    return _trusted_window(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
-
-
-def _plus_codes(
-    m: int, width: int, getrandbits: Callable[[int], int], max_extension: int
-) -> tuple[list[int], bool]:
-    """The codes of a plus window of ``width`` letters, and whether it is truncated."""
-    letters = _draws(getrandbits, m + 1, width)  # 0 = anonymous closer
-    codes = [0] * width
-    stack: list[int] = []
-    pending: list[int] = []
-    for off, v in enumerate(letters):
-        if v:
-            codes[off] = v
-            stack.append(v)
-        elif stack:
-            codes[off] = -stack.pop()
-        else:
-            pending.append(off)
-    if not pending:
-        return codes, False
-    # Walk leftward: ``anon`` fresh out-of-window closers sit on top of the
-    # pending closers ``needs``, the earliest last.  Each letter cancels at
-    # most one need, so the walk draws at least as many more letters as
-    # there are needs, and they come in one block of that size.
-    needs = pending[::-1]
-    anon = 0
-    room = max_extension
-    while room and (block := anon + len(needs)):
-        if block > room:
-            block = room
-        room -= block
-        for v in _draws(getrandbits, m + 1, block):
-            if not v:
-                anon += 1
-            elif anon:
-                anon -= 1
-            else:
-                codes[needs.pop()] = -v
-    if not needs:
-        return codes, False
-    unknown = -(m + 1)
-    for off in needs:
-        codes[off] = unknown
-    return codes, True
-
-
-def _plus_window(
-    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
-) -> PointWindow:
-    codes, truncated = _plus_codes(m, hi - lo + 1, rng.getrandbits, max_extension)
-    return _trusted_window(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
-
-
-def sample_tilde(
-    m: int, lo: int, hi: int, *, seed: int, count: int, max_extension: int = 10_000
-) -> Iterator[PointWindow]:
+def sample_tilde(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator[PointWindow]:
     """Seeded stream of windows distributed as the coding measure.
 
     Fair bits pick kinds; types come from one shared i.i.d. uniform sequence
     addressed by the signed running bit count, so matched pairs agree by
-    construction.  Closer lookback has a heavy tail — samples whose matching
-    is still open after ``max_extension`` leftward letters come out flagged.
-    The leftward walk matches a pending closer at each new minimum of its
-    reflected walk: it steps by table lookups of 8-bit chunks below 8
-    unmatched closers and by popcount runs of that many bits, across words,
-    above; it reads the same words and makes the same draws in the same
-    order as a bit-at-a-time walk, so every seeded stream is unchanged.
-    Raises ``ValueError`` for ``m < 1``, a window without the origin or a
-    negative ``max_extension``.
+    construction, and each loose closer takes a fresh uniform type.
+    Raises ``ValueError`` for ``m < 1`` or a window without the origin.
     """
-    _check_window(m, lo, hi, max_extension)
-    rng = random.Random()
-    for index in range(count):
-        yield _tilde_window(m, lo, hi, _sample_rng(seed, index, rng), max_extension, seed, index)
+    return _windows("tilde", m, lo, hi, seed, count)
 
 
-def sample_plus(
-    m: int, lo: int, hi: int, *, seed: int, count: int, max_extension: int = 10_000
-) -> Iterator[PointWindow]:
+def sample_plus(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator[PointWindow]:
     """Seeded stream of windows from the typed-opener product construction.
 
-    Letters are i.i.d. uniform over the m+1 collapsed letters, so openers
-    outnumber closers and the leftward matching walk has positive drift —
-    truncation is essentially a non-event at the default cap.  Each letter
-    of that walk cancels at most one need, so it draws its letters in
-    blocks of as many as it has needs: letters a one-at-a-time walk would
-    draw too, which leaves every seeded stream unchanged.  Arguments are
-    checked as in :func:`sample_tilde`.
+    Letters are i.i.d. uniform over the m+1 collapsed letters; a closer
+    matched inside the window is re-typed from its opener, and each loose
+    closer takes a fresh uniform type.  Arguments are checked as in
+    :func:`sample_tilde`.
     """
-    _check_window(m, lo, hi, max_extension)
-    rng = random.Random()
-    for index in range(count):
-        yield _plus_window(m, lo, hi, _sample_rng(seed, index, rng), max_extension, seed, index)
+    return _windows("plus", m, lo, hi, seed, count)
 
 
-def sample_minus(
-    m: int, lo: int, hi: int, *, seed: int, count: int, max_extension: int = 10_000
-) -> Iterator[PointWindow]:
+def sample_minus(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator[PointWindow]:
     """Mirror twin of :func:`sample_plus`: typed closers, anonymous openers.
 
     Implemented by sampling the plus construction on the mirrored window and
-    reflecting each result, which swaps kinds and reverses coordinates; a
-    letterwise swap alone would not stay inside the language.
+    reflecting each result through :func:`_mirror`, which swaps kinds and
+    reverses coordinates; a letterwise swap alone would not stay inside the
+    language.
     """
-    _check_window(m, lo, hi, max_extension)
-    rng = random.Random()
-    for index in range(count):
-        getrandbits = _sample_rng(seed, index, rng).getrandbits
-        codes, truncated = _plus_codes(m, hi - lo + 1, getrandbits, max_extension)
-        mirrored = tuple(map(operator.neg, reversed(codes)))
-        yield _trusted_window(m, lo, hi, mirrored, Provenance("minus", seed, index, truncated))
+    return _windows("minus", m, lo, hi, seed, count)
 
 
 SAMPLERS: dict[str, Callable[..., Iterator[PointWindow]]] = {

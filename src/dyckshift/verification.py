@@ -1,6 +1,6 @@
 """The runnable verification suite behind ``dyckshift verify``.
 
-Thirteen named checks: nine exact (enumeration against closed forms, no
+Fourteen named checks: ten exact (enumeration against closed forms, no
 randomness) and four statistical (seeded sampler runs against exact values,
 gated at three binomial standard deviations).  Each check's claim lives
 once, in its row of ``_CHECKS``, and becomes the ``expected`` of every
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
-from .coding import sample_plus, sample_tilde
+from .coding import _mirror, _plus_codes, _tilde_codes, sample_plus, sample_tilde
 from .measures import (
     cylinder_mass,
     entropy_table,
@@ -487,12 +487,11 @@ def _check_sampler_formula(seed: int) -> _Outcome:
     must never occur at all.
     """
     count = 100_000
-    samples = sample_tilde(2, 0, 1, seed=seed, count=count, max_extension=100_000)
+    samples = sample_tilde(2, 0, 1, seed=seed, count=count)
     words = _language_words(2, 2)
     dead = [Word(2, (1, -2)), Word(2, (2, -1))]
     ests = empirical_cylinders(samples, [(w, 0) for w in words + dead])
     live, forbidden = ests[: len(words)], ests[len(words) :]
-    truncated = ests[0].excluded_truncated
     worst, over = _sigma_summary((est, cylinder_mass(w.codes, 2)) for w, est in zip(words, live))
     ghosts = [w.text() for w, est in zip(dead, forbidden) if est.hits]
     ok = len(over) <= 2 and not ghosts
@@ -501,7 +500,7 @@ def _check_sampler_formula(seed: int) -> _Outcome:
         f"{len(over)} above 3 sigma; out-of-language patterns seen: {len(ghosts)}"
     )
     detail = (
-        f"seed {seed}, {count} samples on window [0, 1], truncation rate {truncated / count:.4%}",
+        f"seed {seed}, {count} samples on window [0, 1]",
         *over,
         *(f"forbidden pattern observed: {g}" for g in ghosts),
     )
@@ -511,10 +510,9 @@ def _check_sampler_formula(seed: int) -> _Outcome:
 def _check_shift_invariance(seed: int) -> _Outcome:
     """The same cylinder at coordinates 0 and 5 must fill at the same rate."""
     count = 50_000
-    samples = sample_tilde(2, 0, 6, seed=seed + 1, count=count, max_extension=100_000)
+    samples = sample_tilde(2, 0, 6, seed=seed + 1, count=count)
     words = [w for w in _language_words(2, 2) if len(w) == 2]
     ests = empirical_cylinders(samples, [(w, k) for w in words for k in (0, 5)])
-    truncated = ests[0].excluded_truncated
     pairs = list(zip(words, ests[::2], ests[1::2]))
     gaps = [_gap_sigmas(at0, at5) for _, at0, at5 in pairs]
     over = [
@@ -525,19 +523,18 @@ def _check_shift_invariance(seed: int) -> _Outcome:
     return (
         not over,
         f"worst origin-vs-shift gap {max(gaps):.2f} sigma across {len(words)} two-letter cylinders",
-        (f"seed {seed + 1}, {count} samples on window [0, 6], truncation rate {truncated / count:.4%}", *over),
+        (f"seed {seed + 1}, {count} samples on window [0, 6]", *over),
     )
 
 
 def _check_plus_invariance(seed: int) -> _Outcome:
     """Type-exchange symmetry of the typed-opener sampler, plus exact marginals."""
     count = 100_000
-    samples = sample_plus(2, 0, 2, seed=seed + 2, count=count, max_extension=10_000)
+    samples = sample_plus(2, 0, 2, seed=seed + 2, count=count)
     # two type-swapped pairs: the length-2 pair, then the length-3 pair
     words = [Word.parse(text, 2) for text in ("a1 b1", "a2 b2", "a1 a1 b1", "a1 a2 b2")]
     exact = [cylinder_mass(w.codes, 2, "plus") for w in words]
     ests = empirical_cylinders(samples, [(w, 0) for w in words])
-    truncated = ests[0].excluded_truncated
     pairs = list(zip(ests[::2], ests[1::2]))
     gaps = [_gap_sigmas(e1, e2) for e1, e2 in pairs]
     over = [f"{e1.event} vs {e2.event}: {sd:.2f} sigma apart" for (e1, e2), sd in zip(pairs, gaps) if sd > 3.0]
@@ -546,7 +543,7 @@ def _check_plus_invariance(seed: int) -> _Outcome:
         not over and not abs_over,
         f"exchange gap {max(gaps):.2f} sigma; worst marginal {abs_worst:.2f} sigma vs exact",
         (
-            f"seed {seed + 2}, {count} samples on window [0, 2], truncation rate {truncated / count:.4%}",
+            f"seed {seed + 2}, {count} samples on window [0, 2]",
             f"exact masses: {exact[0]} for the length-2 pair, {exact[2]} for the length-3 pair",
             *over,
             *abs_over,
@@ -564,10 +561,9 @@ def _check_index_coincidence(seed: int) -> _Outcome:
     on the types under test) and the resolution rate is reported.
     """
     count = 20_000
-    samples = sample_tilde(2, -200, 0, seed=seed + 3, count=count, max_extension=4_000)
+    samples = sample_tilde(2, -200, 0, seed=seed + 3, count=count)
     events = [(offset, js) for offset in (1, 2) for js in ((1,), (1, 2), (1, 2, 3))]
     ests = match_index_coincidences(samples, events)
-    truncated = ests[0].excluded_truncated
     worst, over = _sigma_summary((est, Fraction(1, 2 ** len(js))) for (_, js), est in zip(events, ests))
     rates = [
         f"c={offset} J={{{','.join(map(str, js))}}}: resolution {est.resolution_rate:.3f}"
@@ -577,8 +573,7 @@ def _check_index_coincidence(seed: int) -> _Outcome:
         not over,
         f"worst coincidence deviation {worst:.2f} sigma across {len(events)} events",
         (
-            f"seed {seed + 3}, {count} samples on window [-200, 0], "
-            f"leftward cap 4000, truncation rate {truncated / count:.4%}",
+            f"seed {seed + 3}, {count} samples on window [-200, 0]",
             *rates,
             *over,
         ),
@@ -626,6 +621,68 @@ def _check_extension_mass(seed: int) -> _Outcome:
     )
 
 
+# (m, window width): every draw of a window body is enumerated at these sizes.
+_SAMPLER_LAW_SCOPES = ((2, 6), (3, 5))
+
+
+def _sampler_laws(m: int, width: int) -> dict[str, Counter[tuple[int, ...]]]:
+    """The law of each sampler's window body on ``width`` letters, from every draw tuple.
+
+    Tilde draws its bits, a type per opener and a type per loose closer
+    (counted by the residue of the kinds); plus draws its letters and a type
+    per loose closer.  Laws are scaled by the number of equally likely draw
+    sequences, ``2^w m^w`` for tilde and ``(m+1)^w m^w`` for plus, so a tuple
+    with ``d`` type draws weighs ``m^(w - d)``.  Minus is the plus law
+    through ``sample_minus``'s mirror.
+    """
+    types = [tuple(itertools.product(range(1, m + 1), repeat=k)) for k in range(width + 1)]
+    tilde: Counter[tuple[int, ...]] = Counter()
+    for bits in map("".join, itertools.product("01", repeat=width)):
+        openers, loose = bits.count("1"), len(residue([1 if b == "1" else -1 for b in bits])[0])
+        for opener_types, loose_types in itertools.product(types[openers], types[loose]):
+            tilde[tuple(_tilde_codes(bits, iter(opener_types), iter(loose_types)))] += m ** (width - openers - loose)
+    plus: Counter[tuple[int, ...]] = Counter()
+    for letters in itertools.product(range(m + 1), repeat=width):
+        loose = len(residue([1 if v else -1 for v in letters])[0])
+        for loose_types in types[loose]:
+            plus[tuple(_plus_codes(letters, iter(loose_types)))] += m ** (width - loose)
+    minus: Counter[tuple[int, ...]] = Counter({_mirror(codes): mass for codes, mass in plus.items()})
+    return {"tilde": tilde, "plus": plus, "minus": minus}
+
+
+def _check_sampler_law(seed: int) -> _Outcome:
+    """The samplers' window bodies, enumerated over every draw, give the exact cylinder laws.
+
+    Each law must total 1, equal :func:`cylinder_mass` on every language
+    word of the width and put no mass on any other word.  The bodies read
+    their draws left to right, so a window's law on its first letters is
+    the law of a shorter window: the widest window covers the shorter ones.
+    """
+    del seed
+    words = 0
+    for m, width in _SAMPLER_LAW_SCOPES:
+        language = [codes for codes, _, _ in iter_language_stats(width, m)]
+        words += len(language)
+        for measure, law in _sampler_laws(m, width).items():
+            scale = (2 if measure == "tilde" else m + 1) ** width * m**width
+            if sum(law.values()) != scale:
+                return False, f"{measure} m={m}: total mass {Fraction(sum(law.values()), scale)} != 1", ()
+            for codes in language:
+                got, mass = law.pop(codes, 0), cylinder_mass(codes, m, measure)
+                if got * mass.denominator != mass.numerator * scale:
+                    got = Fraction(got, scale)
+                    return False, f"{measure} m={m}: window {_codes_text(codes)} has law {got} != mass {mass}", ()
+            if law:
+                codes = min(law)
+                got = Fraction(law[codes], scale)
+                return False, f"{measure} m={m}: {_codes_text(codes)} is off the language with law {got}", ()
+    return (
+        True,
+        f"sampled window laws equal the cylinder masses on all {words} language windows, for tilde, plus and minus",
+        ("scopes: " + ", ".join(f"m={m} width {width}" for m, width in _SAMPLER_LAW_SCOPES),),
+    )
+
+
 # Each check's claim lives here, beside its title: it is the ``expected`` of every result the check gives.
 _CHECKS: tuple[tuple[str, str, str, str, Callable[[int], _Outcome]], ...] = (
     ("cylinder-consistency", "exact", "one-letter additivity and normalization",
@@ -648,6 +705,9 @@ _CHECKS: tuple[tuple[str, str, str, str, Callable[[int], _Outcome]], ...] = (
     ("extension-mass", "exact", "completion masses converge to cylinder mass",
      "completion masses converge to each cylinder mass with residual <= 5% first at the horizon",
      _check_extension_mass),
+    ("sampler-law-exact", "exact", "sampler window bodies induce the exact laws",
+     "every draw of the tilde and plus window bodies, and the minus mirror, gives each window its cylinder mass; "
+     "no mass off the language", _check_sampler_law),
     ("sampler-formula", "sampling", "coin-flip sampler matches exact masses",
      "at most 2 of 18 events beyond 3 sigma; forbidden patterns absent", _check_sampler_formula),
     ("shift-invariance", "sampling", "sampled frequencies are position independent",

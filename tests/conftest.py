@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
-from dyckshift.coding import SAMPLERS, PointWindow, Provenance
+from dyckshift.coding import SAMPLERS, PointWindow
 from dyckshift.measures import ExtensionMassRow, _ballot_ways, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
@@ -467,7 +467,6 @@ def height_cocycle(x: PointWindow) -> tuple[int, ...]:
 
     Each opener steps up one and each closer down one, and the walk is
     anchored at the origin, so behind the origin the signs read flipped.
-    Unresolved letters keep their kind, so truncated windows have heights.
     """
     profile = [0]
     for c in x.codes:
@@ -514,15 +513,12 @@ def cocycle_window_diagnostics(x: PointWindow) -> WindowDiagnostics:
 
 def rescan_empirical_cylinder(samples: Iterable[PointWindow], w: Word, k: int) -> EmpiricalEstimate:
     """Oracle for ``analysis.empirical_cylinders``: one pass over the samples per cylinder."""
-    hits = trials = truncated = 0
+    hits = trials = 0
     for x in samples:
-        if x.truncated:
-            truncated += 1
-            continue
         trials += 1
         if x.codes[k - x.lo : k - x.lo + len(w)] == w.codes:
             hits += 1
-    return EmpiricalEstimate(f"[{w.text()}]_{k}", hits, trials, excluded_truncated=truncated)
+    return EmpiricalEstimate(f"[{w.text()}]_{k}", hits, trials)
 
 
 def rescan_match_index_coincidence(
@@ -532,11 +528,8 @@ def rescan_match_index_coincidence(
     window's matching times scanned to that event's own depth."""
     js = tuple(js)
     j_need = max(js) + offset
-    hits = trials = truncated = unresolved = 0
+    hits = trials = unresolved = 0
     for x in samples:
-        if x.truncated:
-            truncated += 1
-            continue
         times = matching_times(x, j_need)
         needed = [(times.backward[j - 1], times.backward[j + offset - 1]) for j in js]
         if any(t is None or u is None for t, u in needed):
@@ -546,137 +539,7 @@ def rescan_match_index_coincidence(
         if all(x.codes[t - x.lo] == x.codes[u - x.lo] for t, u in needed):
             hits += 1
     event = "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js)))
-    return EmpiricalEstimate(event, hits, trials, truncated, unresolved)
-
-
-class _BitStream:
-    """Buffered fair bits from one RNG, read LSB-first from 32-bit words."""
-
-    __slots__ = ("_rng", "_buf", "_left")
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._buf = 0
-        self._left = 0
-
-    def take(self) -> int:
-        if not self._left:
-            self._buf = self._rng.getrandbits(32)
-            self._left = 32
-        bit = self._buf & 1
-        self._buf >>= 1
-        self._left -= 1
-        return bit
-
-
-def bitwise_tilde_window(
-    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
-) -> PointWindow:
-    """Oracle for ``coding._tilde_window``: the leftward walk one bit at a time.
-
-    Same arguments, same stream use and same window; it keeps the explicit
-    needs stack that the sampler summarises by two counters.
-    """
-    width = hi - lo + 1
-    stream = _BitStream(rng)
-    bits = [stream.take() for _ in range(width)]
-    ones = [0] * (width + 1)
-    for i, b in enumerate(bits):
-        ones[i + 1] = ones[i] + b
-    zero_off = -lo
-
-    slots: dict[int, int] = {}
-
-    def slot_type(slot: int) -> int:
-        v = slots.get(slot)
-        if v is None:
-            v = rng.randrange(m) + 1
-            slots[slot] = v
-        return v
-
-    codes = [0] * width
-    stack: list[int] = []  # slots of openers still open, innermost last
-    pending: list[int] = []  # offsets of closers whose opener is left of the window
-    for off, b in enumerate(bits):
-        if b:
-            p = off + lo
-            slot = ones[off + 1] - ones[zero_off] if p >= 0 else -(ones[zero_off] - ones[off])
-            codes[off] = slot_type(slot)
-            stack.append(slot)
-        elif stack:
-            codes[off] = -slot_type(stack.pop())
-        else:
-            pending.append(off)
-
-    truncated = False
-    if pending:
-        # The needs stack starts with the earliest pending closer on top: a
-        # fresh opener always matches the closest unmatched closer to its
-        # right, and every fresh closer becomes the new closest need.
-        # Out-of-window needs are anonymous (-1): they consume an opener but
-        # emit nothing.
-        needs = list(reversed(pending))
-        ones_seen = ones[zero_off]
-        walked = 0
-        while needs and walked < max_extension:
-            walked += 1
-            if stream.take():
-                ones_seen += 1
-                off = needs.pop()
-                if off >= 0:
-                    codes[off] = -slot_type(-ones_seen)
-            else:
-                needs.append(-1)
-        if needs:
-            truncated = True
-            unknown = -(m + 1)
-            for off in pending:
-                if codes[off] == 0:
-                    codes[off] = unknown
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index, truncated))
-
-
-def per_draw_plus_window(
-    m: int, lo: int, hi: int, rng: random.Random, max_extension: int, seed: int, index: int
-) -> PointWindow:
-    """Oracle for ``coding._plus_window``: one ``randrange`` call per letter.
-
-    Same arguments, same stream use and same window; the window's letters
-    and the leftward walk's letters are drawn one at a time.
-    """
-    width = hi - lo + 1
-    letters = [rng.randrange(m + 1) for _ in range(width)]  # 0 = anonymous closer
-    codes = [0] * width
-    stack: list[int] = []
-    pending: list[int] = []
-    for off, v in enumerate(letters):
-        if v:
-            codes[off] = v
-            stack.append(v)
-        elif stack:
-            codes[off] = -stack.pop()
-        else:
-            pending.append(off)
-    truncated = False
-    if pending:
-        needs = list(reversed(pending))
-        walked = 0
-        while needs and walked < max_extension:
-            walked += 1
-            v = rng.randrange(m + 1)
-            if v:
-                off = needs.pop()
-                if off >= 0:
-                    codes[off] = -v
-            else:
-                needs.append(-1)
-        if needs:
-            truncated = True
-            unknown = -(m + 1)
-            for off in pending:
-                if codes[off] == 0:
-                    codes[off] = unknown
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("plus", seed, index, truncated))
+    return EmpiricalEstimate(event, hits, trials, unresolved)
 
 
 GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))
@@ -684,14 +547,12 @@ GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0
 
 def golden_grid_windows() -> Iterator[PointWindow]:
     """The windows behind the golden stream digest: every sampler at m = 1, 2, 3
-    on each of ``GOLDEN_WINDOWS``, at caps 0, 33, 10^4 and 10^5 and seeds 0 and 1,
-    eight samples each."""
+    on each of ``GOLDEN_WINDOWS``, at seeds 0 and 1, eight samples each."""
     for name in sorted(SAMPLERS):
         for m in (1, 2, 3):
             for lo, hi in GOLDEN_WINDOWS:
-                for cap in (0, 33, 10_000, 100_000):
-                    for seed in (0, 1):
-                        yield from SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap)
+                for seed in (0, 1):
+                    yield from SAMPLERS[name](m, lo, hi, seed=seed, count=8)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Each test reads one named check at the default seed from the session's
 single run of its suite and prints a single PASS/FAIL line with the
-observed value.  Ten criteria are true and their tests assert that the
+observed value.  Eleven criteria are true and their tests assert that the
 check passed.
 
 The other three are finite-size readings of the entropy claims, and at the
@@ -38,6 +38,7 @@ CRITERIA = (
     "balanced-counts",
     "growth-rate",
     "extension-mass",
+    "sampler-law-exact",
     "sampler-formula",
     "shift-invariance",
     "plus-invariance",

@@ -69,16 +69,15 @@ def test_matching_times_validates_depth():
         matching_times(window_of("a1", 0), 0)
 
 
-def test_matching_times_work_on_truncated_windows():
-    # unknown letters keep their kind, which is all the walk needs
-    prov = Provenance("tilde", 0, 0, truncated=True)
-    x = PointWindow(2, 0, 1, (-3, -1), prov)
+def test_matching_times_read_loose_closers():
+    # closers whose openers lie left of the window are first dips forward
+    x = PointWindow(2, 0, 1, (-2, -1))
     t = matching_times(x, 2)
     assert t.forward == (0, 1)
 
 
 def test_backward_times_land_on_openers_and_forward_on_closers():
-    for x in sample_tilde(2, -25, 25, seed=23, count=80, max_extension=60):
+    for x in sample_tilde(2, -25, 25, seed=23, count=80):
         t = matching_times(x, 4)
         for b, a in zip(t.backward, t.forward):
             if b is not None:
@@ -90,22 +89,18 @@ def test_backward_times_land_on_openers_and_forward_on_closers():
 @pytest.mark.parametrize("window", [(-30, 30), (0, 40), (-40, 0), (0, 0), (-3, 9)])
 @pytest.mark.parametrize("sampler", [sample_tilde, sample_plus, sample_minus])
 def test_matching_times_equal_the_full_height_scan(sampler, window):
-    """Early-exit scans agree with the whole-walk scan, truncated windows included."""
+    """Early-exit scans agree with the whole-walk scan."""
     lo, hi = window
-    truncated = 0
-    for x in sampler(2, lo, hi, seed=31, count=60, max_extension=20):
-        truncated += x.truncated
+    for x in sampler(2, lo, hi, seed=31, count=60):
         for j_max in range(1, 13):
             assert matching_times(x, j_max) == scan_matching_times(x, j_max), (x.text(), j_max)
-    if sampler is sample_tilde and lo < hi:
-        assert truncated  # the low cap leaves unresolved windows in the mix
 
 
 # ------------------------------------------------------------------ estimates
 
 
 def test_estimate_requires_trials():
-    est = EmpiricalEstimate("e", 0, 0, excluded_truncated=3)
+    est = EmpiricalEstimate("e", 0, 0, excluded_unresolved=3)
     with pytest.raises(InsufficientData):
         est.estimate
     assert est.scanned == 3
@@ -118,7 +113,7 @@ def test_estimate_resolution_needs_scans():
 
 
 def test_estimate_statistics():
-    est = EmpiricalEstimate("e", 60, 100, excluded_truncated=7, excluded_unresolved=13)
+    est = EmpiricalEstimate("e", 60, 100, excluded_unresolved=20)
     assert est.estimate == Fraction(3, 5)
     assert est.scanned == 120
     assert est.resolution_rate == pytest.approx(100 / 120)
@@ -133,17 +128,12 @@ def test_sigma_distance_rejects_degenerate_targets():
             est.sigma_distance(bad)
 
 
-def test_empirical_cylinder_counts_and_excludes():
-    prov = Provenance("tilde", 0, 2, truncated=True)
-    samples = [
-        window_of("a1 b1", 0),
-        window_of("a2 b2", 0),
-        PointWindow(2, 0, 1, (-3, 1), prov),
-    ]
+def test_empirical_cylinder_counts_every_window():
+    samples = [window_of("a1 b1", 0), window_of("a2 b2", 0), window_of("b2 a1", 0)]
     (est,) = empirical_cylinders(samples, [(Word.parse("a1 b1", 2), 0)])
     assert est.event == "[a1 b1]_0"
-    assert (est.hits, est.trials, est.excluded_truncated) == (1, 2, 1)
-    assert est.estimate == Fraction(1, 2)
+    assert (est.hits, est.trials, est.excluded_unresolved) == (1, 3, 0)
+    assert est.estimate == Fraction(1, 3)
 
 
 def test_empirical_cylinder_rejects_uncovered_coordinates():
@@ -159,9 +149,7 @@ DEAD = (Word(2, (1, -2)), Word(2, (2, -1)))
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_empirical_cylinders_equal_the_rescan_oracle(sampler):
-    # A leftward cap of 1 leaves some windows of every sampler truncated.
-    samples = list(SAMPLERS[sampler](2, -1, 6, seed=4, count=3000, max_extension=1))
-    assert any(x.truncated for x in samples) and not all(x.truncated for x in samples)
+    samples = list(SAMPLERS[sampler](2, -1, 6, seed=4, count=3000))
     words = [Word(2, codes) for n in (1, 2) for codes, _, _ in iter_language_stats(n, 2)]
     cylinders = [(w, k) for w in words + list(DEAD) for k in (-1, 0, 5)]
     tallied = empirical_cylinders(samples, cylinders)
@@ -175,7 +163,7 @@ INDEX_EVENTS = [(offset, js) for offset in (1, 2) for js in ((1,), (1, 2), (1, 2
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_match_index_coincidences_equal_the_per_event_oracle(sampler):
-    samples = list(SAMPLERS[sampler](2, -40, 0, seed=6, count=1500, max_extension=20))
+    samples = list(SAMPLERS[sampler](2, -40, 0, seed=6, count=1500))
     tallied = match_index_coincidences(samples, INDEX_EVENTS)
     assert tallied == [rescan_match_index_coincidence(samples, c, js) for c, js in INDEX_EVENTS]
     assert all(est.trials > 0 for est in tallied)
@@ -185,7 +173,7 @@ def test_match_index_coincidences_equal_the_per_event_oracle(sampler):
 
 def test_estimators_accept_one_shot_generators():
     def stream():
-        return sample_tilde(2, -40, 5, seed=2, count=400, max_extension=20)
+        return sample_tilde(2, -40, 5, seed=2, count=400)
 
     samples = list(stream())
     cylinders = [(Word.parse("a1 b1", 2), 0), (Word.parse("b2", 2), 5)]
@@ -216,13 +204,13 @@ def test_match_index_coincidence_hand_examples():
 
 
 def test_match_index_coincidence_seeded_run():
-    samples = list(sample_tilde(2, -200, 0, seed=3, count=500, max_extension=4000))
+    samples = list(sample_tilde(2, -200, 0, seed=3, count=500))
     single, double = match_index_coincidences(samples, [(1, [1]), (2, [1, 2])])
     assert single.scanned == double.scanned == 500
     # under the coding measure the repeated-type events are fair coin flips
     assert single.sigma_distance(Fraction(1, 2)) < 4
     assert double.sigma_distance(Fraction(1, 4)) < 4
-    assert single.trials == 396  # resolution is well below 1 and reproducible
+    assert single.trials == 445  # resolution is well below 1 and reproducible
 
 
 # ------------------------------------------------------------ window read-out
@@ -242,7 +230,7 @@ def test_classifier_on_a_pure_opener_window():
 
 
 def test_classifier_equals_the_height_cocycle_route():
-    """On every golden-grid window, truncated ones included, one walk pass gives
+    """On every golden-grid window, one walk pass gives
     the same diagnostics as the re-anchored height tuple."""
     for x in golden_grid_windows():
         assert classify_window(x) == cocycle_window_diagnostics(x), x
@@ -280,12 +268,10 @@ def test_classifier_separates_the_drifting_samplers():
 
 
 def test_classifier_reads_the_neutral_sampler_as_recurrent():
-    usable = [x for x in sample_tilde(2, -300, 300, seed=1, count=200) if not x.truncated]
     both = sum(
         1
-        for x in usable
+        for x in sample_tilde(2, -300, 300, seed=1, count=200)
         for d in [classify_window(x)]
         if d.forward_label == d.backward_label == "minus-infinity-like"
     )
-    assert len(usable) >= 150
-    assert both / len(usable) >= 0.55
+    assert both / 200 >= 0.55

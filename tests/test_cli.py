@@ -7,9 +7,10 @@ import pytest
 
 from dyckshift import measures, verification
 from dyckshift.cli import main
+from dyckshift.coding import SAMPLERS, PointWindow
 from dyckshift.words import Word, count_language
 
-from conftest import walked_extension_rows
+from conftest import GOLDEN_WINDOWS, walked_extension_rows
 
 
 def run(capsys, *argv):
@@ -216,9 +217,8 @@ def test_sample_dump_format(capsys):
     rc, out, _ = run(capsys, "sample", "--window", "0:3", "--count", "5", "--seed", "3")
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0].startswith("# sampler=tilde m=2 window=0:3 seed=3 count=5")
-    assert lines[1].startswith("# truncated ")
-    body = lines[2:]
+    assert lines[0] == "# sampler=tilde m=2 window=0:3 seed=3 count=5"
+    body = lines[1:]
     assert len(body) == 5
     assert all(line.startswith("0 3 ") for line in body)
 
@@ -226,7 +226,7 @@ def test_sample_dump_format(capsys):
 def test_sample_accepts_negative_windows(capsys):
     rc, out, _ = run(capsys, "sample", "--window", "-3:3", "--count", "2")
     assert rc == 0
-    assert out.splitlines()[2].startswith("-3 3 ")
+    assert out.splitlines()[1].startswith("-3 3 ")
 
 
 def test_sample_is_reproducible(capsys):
@@ -237,19 +237,24 @@ def test_sample_is_reproducible(capsys):
     payload = json.loads(first[1])
     assert payload["seed"] == 11
     assert payload["count"] == len(payload["samples"]) == 8
+    assert set(payload) == {"command", "measure", "m", "window", "seed", "count", "samples"}
+    assert all(set(x) == {"lo", "hi", "word"} for x in payload["samples"])
 
 
-def test_sample_marks_truncated_lines(capsys):
-    # a zero budget leaves every pending closer unresolved
-    rc, out, _ = run(
-        capsys,
-        "sample", "--window", "-4:0", "--count", "20", "--seed", "3",
-        "--max-extension", "0",
-    )
-    assert rc == 0
-    flagged = [l for l in out.splitlines()[2:] if l.endswith(" T")]
-    assert flagged
-    assert any("b?" in l for l in flagged)
+def test_sample_prints_checked_windows_over_the_golden_grid(capsys):
+    """Every window that ``dyckshift sample`` prints, text and ``--json``, passes
+    ``PointWindow``'s public validation and is the sampler's window."""
+    for name in sorted(SAMPLERS):
+        for m in (1, 2, 3):
+            for lo, hi in GOLDEN_WINDOWS:
+                args = ("sample", "--measure", name, "--m", str(m), "--window", f"{lo}:{hi}", "--count", "8")
+                args += ("--allow-m1",) if m == 1 else ()
+                lines = [line.split(" ", 2) for line in run(capsys, *args, "--seed", "1")[1].splitlines()[1:]]
+                samples = run_json(capsys, *args, "--seed", "1", "--json")["samples"]
+                expected = SAMPLERS[name](m, lo, hi, seed=1, count=8)
+                for (a, b, text), x, want in zip(lines, samples, expected, strict=True):
+                    assert (int(a), int(b), text) == (x["lo"], x["hi"], x["word"]) == (lo, hi, want.text())
+                    assert PointWindow(m, lo, hi, Word.parse(text, m).codes).codes == want.codes
 
 
 def test_sample_window_syntax_errors(capsys):
@@ -272,10 +277,12 @@ def test_sample_rejects_negative_count(capsys):
 
 
 def test_sample_rejects_negative_max_extension(capsys):
-    rc, out, err = run(capsys, "sample", "--window", "0:1", "--max-extension", "-1")
-    assert rc == 2
-    assert out == ""
-    assert "--max-extension" in err
+    # windows are exact, so there is no extension budget to set, at any value
+    for value in ("-1", "5"):
+        rc, out, err = run(capsys, "sample", "--window", "0:1", "--max-extension", value)
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --max-extension" in err
 
 
 # ----------------------------------------------------------------- entropy
@@ -478,7 +485,7 @@ def test_verify_exact_suite_json(capsys):
     assert payload["failed"] == 3
     assert payload["suite"] == "exact"
     assert payload["seed"] == 7
-    assert len(payload["results"]) == 9
+    assert len(payload["results"]) == 10
     by_key = {r["key"]: r for r in payload["results"]}
     assert by_key["cylinder-consistency"]["ok"] is True
     failing = sorted(k for k, r in by_key.items() if not r["ok"])
@@ -493,10 +500,10 @@ def test_verify_tap_output(capsys):
     lines = out.splitlines()
     assert rc == 1
     assert lines[0] == "# suite=exact m=2 seed=7"
-    assert lines[1] == "1..9"
-    assert sum(l.startswith("ok ") for l in lines) == 6
+    assert lines[1] == "1..10"
+    assert sum(l.startswith("ok ") for l in lines) == 7
     assert sum(l.startswith("not ok ") for l in lines) == 3
-    assert lines[-1] == "# failed 3 of 9"
+    assert lines[-1] == "# failed 3 of 10"
 
 
 def test_verify_rejects_other_alphabets(capsys):

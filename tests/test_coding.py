@@ -12,25 +12,26 @@ from dyckshift.coding import (
     PointWindow,
     Provenance,
     _below,
-    _chunk_tables,
     _draws,
-    _plus_window,
+    _plus_codes,
+    _plus_window_codes,
     _sample_rng,
-    _tilde_window,
+    _tilde_codes,
+    _tilde_window_codes,
     sample_minus,
     sample_plus,
     sample_tilde,
 )
-from dyckshift.words import DyckError, NotInLanguage, Word
+from dyckshift.verification import _sampler_laws
+from dyckshift.words import NotInLanguage, Word
 
 from conftest import (
     GOLDEN_WINDOWS,
-    bitwise_tilde_window,
     coding_slots,
     golden_grid_windows,
     height_cocycle,
     match_left,
-    per_draw_plus_window,
+    plus_law,
     tilde_law,
 )
 
@@ -65,22 +66,11 @@ def test_window_rejects_annihilating_letters():
         PointWindow(2, 0, 1, (1, -2))  # a1 b2
 
 
-def test_unresolved_letters_need_truncated_provenance():
-    with pytest.raises(ValueError, match="truncated"):
-        PointWindow(2, 0, 1, (-3, 1))
-    prov = Provenance("tilde", 0, 0, truncated=True)
-    x = PointWindow(2, 0, 1, (-3, 1), prov)
-    assert x.truncated
-    assert x.text() == "b? a1"
-    with pytest.raises(DyckError):
-        x.word()
-
-
 def test_window_accessors():
     x = window_of("a1 b1 a2", -1)
     assert x.word() == Word(2, (1, -1, 2))
     assert x.text() == "a1 b1 a2"
-    assert not x.truncated
+    assert x.provenance is None
 
 
 # ----------------------------------------------- height walks and matching
@@ -142,9 +132,7 @@ def test_coding_nested_example():
 
 def test_sampled_pairs_agree_by_the_matching_relation():
     """A closer's type equals its opener's, read back independently."""
-    for x in sample_tilde(2, -6, 6, seed=19, count=150, max_extension=64):
-        if x.truncated:
-            continue
+    for x in sample_tilde(2, -6, 6, seed=19, count=150):
         bits = [1 if c > 0 else 0 for c in x.codes]
         for n, c in enumerate(x.codes):
             if c > 0:
@@ -169,15 +157,15 @@ def test_sampler_window_must_contain_origin():
 
 def test_samplers_are_deterministic():
     for name, sampler in SAMPLERS.items():
-        a = [x.codes for x in sampler(2, -4, 4, seed=5, count=20, max_extension=50)]
-        b = [x.codes for x in sampler(2, -4, 4, seed=5, count=20, max_extension=50)]
+        a = [x.codes for x in sampler(2, -4, 4, seed=5, count=20)]
+        b = [x.codes for x in sampler(2, -4, 4, seed=5, count=20)]
         assert a == b, name
 
 
 def test_sample_streams_are_indexed_not_sequential():
     """Sample i depends on (seed, i) only, not on how many precede it."""
-    long = [x.codes for x in sample_tilde(2, -3, 3, seed=9, count=12, max_extension=40)]
-    short = [x.codes for x in islice(sample_tilde(2, -3, 3, seed=9, count=100, max_extension=40), 12)]
+    long = [x.codes for x in sample_tilde(2, -3, 3, seed=9, count=12)]
+    short = [x.codes for x in islice(sample_tilde(2, -3, 3, seed=9, count=100), 12)]
     assert long == short
 
 
@@ -190,7 +178,7 @@ def test_seed_changes_the_stream():
 def test_first_tilde_sample_frozen():
     x = next(sample_tilde(2, -3, 3, seed=7, count=1))
     assert x.text() == "b2 b2 b2 a1 b1 a2 a2"
-    assert x.provenance == Provenance("tilde", 7, 0, False)
+    assert x.provenance == Provenance("tilde", 7, 0)
 
 
 def test_first_plus_sample_frozen():
@@ -201,111 +189,22 @@ def test_first_plus_sample_frozen():
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_samples_are_valid_windows(name, m):
-    for i, x in enumerate(SAMPLERS[name](m, -5, 5, seed=13, count=60, max_extension=80)):
+    for i, x in enumerate(SAMPLERS[name](m, -5, 5, seed=13, count=60)):
         assert (x.lo, x.hi, x.m) == (-5, 5, m)
         assert x.provenance.sampler == name
         assert x.provenance.seed == 13
         assert x.provenance.index == i
-        if not x.truncated:
-            x.word()  # membership was checked on construction; must not raise
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLERS))
-def test_truncation_flag_tracks_unresolved_letters(name):
-    """With no leftward budget, the flag and the unknown letters coincide."""
-    seen_truncated = 0
-    for x in SAMPLERS[name](2, -4, 4, seed=3, count=200, max_extension=0):
-        has_unknown = any(abs(c) == x.m + 1 for c in x.codes)
-        assert has_unknown == x.truncated
-        seen_truncated += x.truncated
-    assert seen_truncated > 0  # the zero cap makes truncation routine
-
-
-def test_truncation_rate_regression():
-    # Window [0, 1] forces a leftward walk whenever the origin letter is a
-    # closer; with a 10^4-letter budget the unresolved fraction is small and
-    # exactly reproducible.
-    stream = sample_tilde(2, 0, 1, seed=3, count=40_000, max_extension=10_000)
-    truncated = sum(1 for x in stream if x.truncated)
-    assert truncated == 276
-
-
-ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)
-
-
-@pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 40, 65, 257, 4000, 100_000])
-@pytest.mark.parametrize("m", [1, 2, 3, 255, 256])
-def test_tilde_walk_equals_the_bitwise_walk(m, cap):
-    """Window by window, and RNG state after it, the same as one bit at a time."""
-    for width in ORACLE_WIDTHS:
-        for lo, hi in ((0, width - 1), (1 - width, 0)):
-            for seed in (0, 5):
-                for index in range(6):
-                    fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
-                    fast = _tilde_window(m, lo, hi, fast_rng, cap, seed, index)
-                    slow = bitwise_tilde_window(m, lo, hi, slow_rng, cap, seed, index)
-                    assert fast.codes == slow.codes, (width, lo, seed, index)
-                    assert fast.provenance == slow.provenance
-                    assert fast_rng.getstate() == slow_rng.getstate()
-
-
-def test_chunk_tables_equal_the_bitwise_walk():
-    """Every chunk of at most 8 bits, from every start below 9 unmatched
-    closers: the table's matches and end state are the bit-by-bit walk's."""
-    net, depth = _chunk_tables()
-    entries = 0
-    for k in range(9):
-        for bits in range(1 << k):
-            chunk = 1 << k | bits
-            entries += 1
-            for anon in range(9):
-                walk, matches = anon, 0
-                for i in range(k):
-                    if not bits >> i & 1:
-                        walk += 1
-                    elif walk:
-                        walk -= 1
-                    else:
-                        matches += 1
-                assert (max(0, depth[chunk] - anon), net[chunk] + max(anon, depth[chunk])) == (
-                    matches,
-                    walk,
-                ), (k, bits, anon)
-    assert entries == 511
-
-
-PLUS_ORACLE_WIDTHS = (1, 2, 7, 33, 201, 1001)
-
-
-@pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 9, 33, 4000, 100_000])
-@pytest.mark.parametrize("m", [1, 2, 3, 254, 300])
-def test_plus_window_equals_the_per_draw_window(m, cap):
-    """Window by window, and RNG state after it, the same as one ``randrange`` per letter."""
-    for width in PLUS_ORACLE_WIDTHS:
-        for lo, hi in ((0, width - 1), (1 - width, 0)):
-            for seed in (0, 5):
-                for index in range(6):
-                    fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
-                    fast = _plus_window(m, lo, hi, fast_rng, cap, seed, index)
-                    slow = per_draw_plus_window(m, lo, hi, slow_rng, cap, seed, index)
-                    assert fast.codes == slow.codes, (width, lo, seed, index)
-                    assert fast.provenance == slow.provenance
-                    assert fast_rng.getstate() == slow_rng.getstate()
+        x.word()  # the samplers emit language words; must not raise
 
 
 def test_sampler_streams_are_byte_stable():
     """Digest of every sampler's windows and their matching times over a grid of
-    alphabets, windows, caps and seeds; a change means the streams changed."""
+    alphabets, windows and seeds; a change means the streams changed."""
     h = hashlib.blake2b(digest_size=16)
-    for name in sorted(SAMPLERS):
-        for m in (1, 2, 3):
-            for lo, hi in GOLDEN_WINDOWS:
-                for cap in (0, 33, 10_000, 100_000):
-                    for seed in (0, 1):
-                        for x in SAMPLERS[name](m, lo, hi, seed=seed, count=8, max_extension=cap):
-                            t = matching_times(x, 6)
-                            h.update(repr((x.codes, x.provenance, t.forward, t.backward)).encode())
-    assert h.hexdigest() == "bf9c88aa4385590bcee6d2be2d7586e6"
+    for x in golden_grid_windows():
+        t = matching_times(x, 6)
+        h.update(repr((x.codes, x.provenance, t.forward, t.backward)).encode())
+    assert h.hexdigest() == "3659112a3db0c75b790d6059498a76d0"
 
 
 def test_sampled_windows_pass_public_validation():
@@ -316,11 +215,51 @@ def test_sampled_windows_pass_public_validation():
         assert type(x) is PointWindow and checked == x
 
 
+def test_bodies_type_loose_closers_from_fresh_draws():
+    """A closer matched inside the window copies its opener; a loose one reads the next fresh type."""
+    assert _tilde_codes("0101", iter([2, 1]), iter([1])) == [-1, 2, -2, 1]
+    assert _tilde_codes("001", iter([2]), iter([2, 1])) == [-2, -1, 2]
+    assert _plus_codes([0, 1, 0, 0], iter([2, 1])) == [-2, 1, -1, -1]
+
+
+@pytest.mark.parametrize("m, width", [(1, 6), (2, 6), (3, 5)])
+def test_window_bodies_have_the_construction_laws(m, width):
+    """Every draw through the tilde and plus bodies gives the laws of the coding
+    map and of the plus construction, as their own oracles enumerate them."""
+    laws = _sampler_laws(m, width)
+    for name, oracle, draws in (("tilde", tilde_law, 2), ("plus", plus_law, m + 1)):
+        scale = draws**width * m**width
+        assert {codes: Fraction(mass, scale) for codes, mass in laws[name].items()} == oracle(width, m), name
+
+
+def randrange_window(name: str, m: int, width: int, rng: random.Random) -> list[int]:
+    """A window body fed one ``randrange`` call per draw, in the samplers' draw order:
+    tilde's bits from 32-bit words, then one type per opener; plus's letters;
+    then one type per loose closer."""
+    loose = iter(lambda: rng.randrange(m) + 1, None)
+    if name == "plus":
+        return _plus_codes([rng.randrange(m + 1) for _ in range(width)], loose)
+    words = [rng.getrandbits(32) for _ in range((width + 31) // 32)]
+    bits = "".join(str(words[i // 32] >> i % 32 & 1) for i in range(width))
+    return _tilde_codes(bits, iter([rng.randrange(m) + 1 for _ in range(bits.count("1"))]), loose)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 300])
+@pytest.mark.parametrize("name", ["tilde", "plus"])
+def test_windows_equal_their_bodies_fed_one_draw_at_a_time(name, m):
+    """Window by window, and generator state after it, the block draws equal one ``randrange`` per draw."""
+    for width in (1, 2, 7, 8, 9, 31, 32, 33, 201):
+        for seed in (0, 5):
+            for index in range(6):
+                fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                fast = (_tilde_window_codes if name == "tilde" else _plus_window_codes)(m, width, fast_rng.getrandbits)
+                assert fast == randrange_window(name, m, width, slow_rng), (width, seed, index)
+                assert fast_rng.getstate() == slow_rng.getstate()
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
-@pytest.mark.parametrize(
-    "m, lo, hi, cap", [(0, 0, 40, 10), (-1, 0, 40, 10), (0, 0, 1, 0), (2, 0, 1, -1), (2, -3, 0, -1)]
-)
-def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m, lo, hi, cap):
+@pytest.mark.parametrize("m, lo, hi", [(0, 0, 40), (-1, 0, 40), (0, 0, 1), (2, 1, 3), (2, -3, -1)])
+def test_samplers_reject_empty_alphabets_and_windows_without_the_origin(monkeypatch, name, m, lo, hi):
     """m < 1 would loop forever in ``_below`` or emit codes outside the
     alphabet; the arguments are refused before any stream is drawn."""
 
@@ -328,8 +267,8 @@ def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m,
         raise AssertionError("a window was drawn before the arguments were checked")
 
     monkeypatch.setattr("dyckshift.coding._sample_rng", no_stream)
-    with pytest.raises(ValueError, match="m=" if m < 1 else "max_extension"):
-        next(SAMPLERS[name](m, lo, hi, seed=0, count=1, max_extension=cap))
+    with pytest.raises(ValueError, match="m=" if m < 1 else "origin"):
+        next(SAMPLERS[name](m, lo, hi, seed=0, count=1))
 
 
 @pytest.mark.parametrize("seed", [-1, 0, 7])
@@ -376,8 +315,8 @@ def test_plus_letters_drift_upward():
 
 
 def test_minus_is_the_mirror_of_plus():
-    minus = [x.codes for x in sample_minus(2, -5, 2, seed=21, count=30, max_extension=40)]
-    plus = [x.codes for x in sample_plus(2, -2, 5, seed=21, count=30, max_extension=40)]
+    minus = [x.codes for x in sample_minus(2, -5, 2, seed=21, count=30)]
+    plus = [x.codes for x in sample_plus(2, -2, 5, seed=21, count=30)]
     mirrored = [tuple(-c for c in reversed(codes)) for codes in plus]
     assert minus == mirrored
     names = {x.provenance.sampler for x in sample_minus(2, 0, 0, seed=21, count=3)}

@@ -33,13 +33,13 @@ HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fract
 # (class, every field in order, the fields of an unequal record, literal repr)
 RECORDS = [
     (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
-    (Provenance, ("tilde", 7, 3, False), ("plus", 7, 3, False), "Provenance(sampler='tilde', seed=7, index=3, truncated=False)"),
+    (Provenance, ("tilde", 7, 3), ("plus", 7, 3), "Provenance(sampler='tilde', seed=7, index=3)"),
     (
         PointWindow,
         (2, -1, 1, (1, -1, 2), PROV),
         (2, -1, 1, (2, -2, 2), PROV),
         "PointWindow(m=2, lo=-1, hi=1, codes=(1, -1, 2), "
-        "provenance=Provenance(sampler='tilde', seed=7, index=3, truncated=False))",
+        "provenance=Provenance(sampler='tilde', seed=7, index=3))",
     ),
     (
         ExtensionMassRow,
@@ -69,9 +69,9 @@ RECORDS = [
     (MatchingTimes, ((0, None), (-1, None)), ((0, None), (-2, None)), "MatchingTimes(forward=(0, None), backward=(-1, None))"),
     (
         EmpiricalEstimate,
-        ("e", 3, 10, 1, 2),
-        ("e", 4, 10, 1, 2),
-        "EmpiricalEstimate(event='e', hits=3, trials=10, excluded_truncated=1, excluded_unresolved=2)",
+        ("e", 3, 10, 2),
+        ("e", 4, 10, 2),
+        "EmpiricalEstimate(event='e', hits=3, trials=10, excluded_unresolved=2)",
     ),
     (
         WindowDiagnostics,
@@ -122,12 +122,12 @@ def test_records_pickle_to_equal_values(cls, fields, other, text):
 
 def test_defaults_fill_the_trailing_fields():
     assert PointWindow(2, 0, 0, (1,)).provenance is None
-    assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0, 0)
+    assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0)
     assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
         "finite-window drift score; not a tail determination"
     )
     assert CheckResult("k", "t", True, "o", "e", 0.0).detail == ()
-    assert Provenance(sampler="plus", seed=1, index=2) == Provenance("plus", 1, 2, False)
+    assert Provenance(sampler="plus", seed=1, index=2) == Provenance("plus", 1, 2)
 
 
 def test_words_iterate_index_and_slice_their_letters():
@@ -143,7 +143,6 @@ def test_sampler_windows_equal_checked_windows():
     trusted, checked = _trusted_window(*fields), PointWindow(*fields)
     assert type(trusted) is PointWindow
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
-    assert trusted.truncated is False
 
 
 def _raises(exc_type, message, build):
@@ -160,11 +159,7 @@ CHECKS = [
     (ValueError, "window [1, 2] must contain the origin", lambda: PointWindow(2, 1, 2, (1, 1))),
     (ValueError, "window length does not match its bounds", lambda: PointWindow(2, 0, 1, (1,))),
     (ValueError, "letter code 4 out of range for m=2", lambda: PointWindow(2, 0, 1, (1, 4))),
-    (
-        ValueError,
-        "only truncated samples may carry unresolved letters",
-        lambda: PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0)),
-    ),
+    (ValueError, "letter code -3 out of range for m=2", lambda: PointWindow(2, 0, 1, (-3, 1), PROV)),
     (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
 ]
 
@@ -175,7 +170,7 @@ def test_construction_checks_keep_their_errors(exc_type, message, build):
 
 
 def test_valid_edge_records_construct():
-    assert PointWindow(2, 0, 1, (-3, 1), Provenance("tilde", 0, 0, True)).truncated
+    assert PointWindow(2, 0, 1, (-2, 1), PROV).codes == (-2, 1)  # a loose closer, then an opener
 
 
 def test_import_leaves_dataclasses_and_inspect_out():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from dyckshift import verification
-from dyckshift.measures import LogPair, residue_m_exponent
+from dyckshift import coding, verification
+from dyckshift.measures import LogPair, cylinder_mass, residue_m_exponent
 from dyckshift.verification import run_check
 from dyckshift.words import advance, iter_language_stats, residue
 
@@ -37,6 +37,8 @@ CLAIMS = {
     "balanced-counts": "Catalan(N) * m^N balanced words, by formula, enumeration, and language scan",
     "growth-rate": "log|L(14)|/14 within 5% of log 3 = 1.098612",
     "extension-mass": "completion masses converge to each cylinder mass with residual <= 5% first at the horizon",
+    "sampler-law-exact": "every draw of the tilde and plus window bodies, and the minus mirror, gives each window "
+    "its cylinder mass; no mass off the language",
     "sampler-formula": "at most 2 of 18 events beyond 3 sigma; forbidden patterns absent",
     "shift-invariance": "every length-2 cylinder frequency equal at coordinates 0 and 5 within 3 sigma",
     "plus-invariance": "type-swapped cylinder pairs agree within 3 sigma and match their exact masses",
@@ -67,12 +69,12 @@ def _results_digest(results):
 
 def test_exact_results_are_byte_stable(exact_check_results):
     """Digest of every exact check's verdict and wording; a change means ``verify``'s output changed."""
-    assert _results_digest(exact_check_results) == "967eec9a293ebfb8df596d02c9ddc33f"
+    assert _results_digest(exact_check_results) == "7af5182b8eb917840dcf86ea507bb114"
 
 
 def test_sampling_results_are_byte_stable(sampling_check_results):
     """Digest of every sampling check's verdict and wording at the default seed."""
-    assert _results_digest(sampling_check_results) == "fb146dffbec6ff32d725b619fceb1105"
+    assert _results_digest(sampling_check_results) == "ab243c70907ad30e7bc6d354ac6a0232"
 
 
 def test_below_topological_counts_lengths_when_only_some_are_above(monkeypatch):
@@ -287,3 +289,63 @@ def test_off_by_one_horizon_fails_extension_mass(monkeypatch, exact_check_result
     assert not result.ok
     assert fragment in result.observed
     assert result.expected == exact_check_results["extension-mass"].expected
+
+
+def _law_failure(result):
+    """The (measure, m, window codes, law) that a failed sampler-law-exact names."""
+    assert not result.ok
+    found = re.fullmatch(r"(\w+) m=(\d+): (?:window )?([-\d ]+?) (?:has law|is off the language with law) (\S+).*", result.observed)
+    assert found, result.observed
+    measure, m, codes, law = found.groups()
+    return measure, int(m), _codes(codes), Fraction(law)
+
+
+def test_sampler_law_keeps_its_scope(exact_check_results):
+    # A faster route must make the same comparisons; the check takes about
+    # 0.1 s, and a guard far above that catches a runaway enumeration.
+    result = exact_check_results["sampler-law-exact"]
+    assert result.ok
+    assert result.observed.startswith("sampled window laws equal the cylinder masses on all 4744 language windows")
+    assert result.detail == ("scopes: m=2 width 6, m=3 width 5",)
+    assert min(run_check("sampler-law-exact").elapsed for _ in range(3)) < 1.0
+
+
+def test_loose_closers_typed_over_too_few_types_fail_sampler_law(monkeypatch):
+    # loose closers drawn over m - 1 types: no loose closer of the top type
+    real = verification._tilde_codes
+    monkeypatch.setattr(
+        verification, "_tilde_codes", lambda bits, types, loose: real(bits, types, (min(t, 1) for t in loose))
+    )
+    measure, m, codes, law = _law_failure(run_check("sampler-law-exact"))
+    assert (measure, m) == ("tilde", 2)
+    assert law != cylinder_mass(codes, m, "tilde")
+    assert residue(codes)[0]  # the named window has loose closers
+
+
+def _outermost_plus_codes(letters, loose):
+    """The plus body with closers typed from the outermost open opener."""
+    codes, stack = [], []
+    for v in letters:
+        if v:
+            codes.append(v)
+            stack.append(v)
+        elif stack:
+            codes.append(-stack.pop(0))
+        else:
+            codes.append(-next(loose))
+    return codes
+
+
+def test_closers_matched_to_the_wrong_opener_fail_sampler_law(monkeypatch):
+    monkeypatch.setattr(verification, "_plus_codes", _outermost_plus_codes)
+    measure, m, codes, law = _law_failure(run_check("sampler-law-exact"))
+    assert (measure, m) == ("plus", 2)
+    assert law != cylinder_mass(codes, m, "plus")
+
+
+def test_minus_law_goes_through_the_samplers_mirror(monkeypatch):
+    assert verification._mirror is coding._mirror  # the reflection sample_minus applies
+    monkeypatch.setattr(verification, "_mirror", lambda codes: tuple(-c for c in codes))
+    measure, m, codes, law = _law_failure(run_check("sampler-law-exact"))
+    assert (measure, m) == ("minus", 2)
+    assert law != cylinder_mass(codes, m, "minus")
