@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
-from dyckshift.coding import SAMPLERS, PointWindow
+from dyckshift.coding import SAMPLERS, PointWindow, Provenance
 from dyckshift.measures import ExtensionMassRow, _ballot_ways, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
@@ -540,6 +540,78 @@ def rescan_match_index_coincidence(
             hits += 1
     event = "type match at b_{j},b_{j+%d} for j in {%s}" % (offset, ",".join(map(str, js)))
     return EmpiricalEstimate(event, hits, trials, unresolved)
+
+
+class _BitStream:
+    """Buffered fair bits from one RNG, read LSB-first from 32-bit words."""
+
+    __slots__ = ("_rng", "_buf", "_left")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._buf = 0
+        self._left = 0
+
+    def take(self) -> int:
+        if not self._left:
+            self._buf = self._rng.getrandbits(32)
+            self._left = 32
+        bit = self._buf & 1
+        self._buf >>= 1
+        self._left -= 1
+        return bit
+
+
+def _close_loose(m: int, codes: list[int], loose: list[int], rng: random.Random) -> None:
+    """Type each loose closer, leftmost first, with one ``randrange`` call."""
+    for off in loose:
+        codes[off] = -(rng.randrange(m) + 1)
+
+
+def bitwise_tilde_window(m: int, lo: int, hi: int, rng: random.Random, seed: int, index: int) -> PointWindow:
+    """Oracle for ``sample_tilde``'s window at ``(seed, index)``, drawn from ``rng``.
+
+    The height walk one bit at a time, then one ``randrange`` per opener, in
+    order of appearance, and one per loose closer; built through
+    ``PointWindow``'s validation.
+    """
+    stream = _BitStream(rng)
+    bits = [stream.take() for _ in range(hi - lo + 1)]
+    codes = [0] * len(bits)
+    stack: list[int] = []  # offsets of openers still open, innermost last
+    loose: list[int] = []  # offsets of closers whose opener is left of the window
+    for off, b in enumerate(bits):
+        if b:
+            codes[off] = rng.randrange(m) + 1
+            stack.append(off)
+        elif stack:
+            codes[off] = -codes[stack.pop()]
+        else:
+            loose.append(off)
+    _close_loose(m, codes, loose, rng)
+    return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index))
+
+
+def per_draw_plus_window(m: int, lo: int, hi: int, rng: random.Random, seed: int, index: int) -> PointWindow:
+    """Oracle for ``sample_plus``'s window at ``(seed, index)``, drawn from ``rng``.
+
+    One ``randrange`` per letter, then one per loose closer; built through
+    ``PointWindow``'s validation.
+    """
+    letters = [rng.randrange(m + 1) for _ in range(hi - lo + 1)]  # 0 = anonymous closer
+    codes = [0] * len(letters)
+    stack: list[int] = []
+    loose: list[int] = []
+    for off, v in enumerate(letters):
+        if v:
+            codes[off] = v
+            stack.append(v)
+        elif stack:
+            codes[off] = -stack.pop()
+        else:
+            loose.append(off)
+    _close_loose(m, codes, loose, rng)
+    return PointWindow(m, lo, hi, tuple(codes), Provenance("plus", seed, index))
 
 
 GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))

@@ -27,10 +27,12 @@ from dyckshift.words import NotInLanguage, Word
 
 from conftest import (
     GOLDEN_WINDOWS,
+    bitwise_tilde_window,
     coding_slots,
     golden_grid_windows,
     height_cocycle,
     match_left,
+    per_draw_plus_window,
     plus_law,
     tilde_law,
 )
@@ -232,43 +234,70 @@ def test_window_bodies_have_the_construction_laws(m, width):
         assert {codes: Fraction(mass, scale) for codes, mass in laws[name].items()} == oracle(width, m), name
 
 
-def randrange_window(name: str, m: int, width: int, rng: random.Random) -> list[int]:
-    """A window body fed one ``randrange`` call per draw, in the samplers' draw order:
-    tilde's bits from 32-bit words, then one type per opener; plus's letters;
-    then one type per loose closer."""
-    loose = iter(lambda: rng.randrange(m) + 1, None)
-    if name == "plus":
-        return _plus_codes([rng.randrange(m + 1) for _ in range(width)], loose)
-    words = [rng.getrandbits(32) for _ in range((width + 31) // 32)]
-    bits = "".join(str(words[i // 32] >> i % 32 & 1) for i in range(width))
-    return _tilde_codes(bits, iter([rng.randrange(m) + 1 for _ in range(bits.count("1"))]), loose)
+ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 300])
-@pytest.mark.parametrize("name", ["tilde", "plus"])
-def test_windows_equal_their_bodies_fed_one_draw_at_a_time(name, m):
-    """Window by window, and generator state after it, the block draws equal one ``randrange`` per draw."""
-    for width in (1, 2, 7, 8, 9, 31, 32, 33, 201):
-        for seed in (0, 5):
-            for index in range(6):
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 40, 65, 257, 4000, 100_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256])
+def test_tilde_walk_equals_the_bitwise_walk(m, seed):
+    """Window by window, and generator state after it, the same as one bit
+    and one ``randrange`` per type at a time."""
+    for width in ORACLE_WIDTHS:
+        for lo, hi in ((0, width - 1), (1 - width, 0)):
+            for index, x in enumerate(sample_tilde(m, lo, hi, seed=seed, count=6)):
                 fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
-                fast = (_tilde_window_codes if name == "tilde" else _plus_window_codes)(m, width, fast_rng.getrandbits)
-                assert fast == randrange_window(name, m, width, slow_rng), (width, seed, index)
+                fast = _tilde_window_codes(m, width, fast_rng.getrandbits)
+                slow = bitwise_tilde_window(m, lo, hi, slow_rng, seed, index)
+                assert x == slow and tuple(fast) == slow.codes, (width, lo, index)
                 assert fast_rng.getstate() == slow_rng.getstate()
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLERS))
-@pytest.mark.parametrize("m, lo, hi", [(0, 0, 40), (-1, 0, 40), (0, 0, 1), (2, 1, 3), (2, -3, -1)])
-def test_samplers_reject_empty_alphabets_and_windows_without_the_origin(monkeypatch, name, m, lo, hi):
-    """m < 1 would loop forever in ``_below`` or emit codes outside the
-    alphabet; the arguments are refused before any stream is drawn."""
+PLUS_ORACLE_WIDTHS = (1, 2, 7, 33, 201, 1001)
 
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 9, 33, 4000, 100_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 254, 300])
+def test_plus_window_equals_the_per_draw_window(m, seed):
+    """Window by window, and generator state after it, the same as one ``randrange`` per draw."""
+    for width in PLUS_ORACLE_WIDTHS:
+        for lo, hi in ((0, width - 1), (1 - width, 0)):
+            for index, x in enumerate(sample_plus(m, lo, hi, seed=seed, count=6)):
+                fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                fast = _plus_window_codes(m, width, fast_rng.getrandbits)
+                slow = per_draw_plus_window(m, lo, hi, slow_rng, seed, index)
+                assert x == slow and tuple(fast) == slow.codes, (width, lo, index)
+                assert fast_rng.getstate() == slow_rng.getstate()
+
+
+def _refuse_streams(monkeypatch) -> None:
     def no_stream(seed: int, index: int) -> random.Random:
         raise AssertionError("a window was drawn before the arguments were checked")
 
     monkeypatch.setattr("dyckshift.coding._sample_rng", no_stream)
-    with pytest.raises(ValueError, match="m=" if m < 1 else "origin"):
-        next(SAMPLERS[name](m, lo, hi, seed=0, count=1))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize(
+    "m, lo, hi, cap", [(0, 0, 40, 10), (-1, 0, 40, 10), (0, 0, 1, 0), (2, 0, 1, -1), (2, -3, 0, -1)]
+)
+def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m, lo, hi, cap):
+    """m < 1 would loop forever in ``_below`` or emit codes outside the
+    alphabet, and no sampler takes a leftward cap any more; both are refused
+    before any stream is drawn."""
+    _refuse_streams(monkeypatch)
+    with pytest.raises(TypeError, match="max_extension"):
+        SAMPLERS[name](m, lo, hi, seed=0, count=1, max_extension=cap)
+    if m < 1:
+        with pytest.raises(ValueError, match="m="):
+            next(SAMPLERS[name](m, lo, hi, seed=0, count=1))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("lo, hi", [(1, 3), (-3, -1)])
+def test_samplers_reject_windows_without_the_origin(monkeypatch, name, lo, hi):
+    _refuse_streams(monkeypatch)
+    with pytest.raises(ValueError, match="origin"):
+        next(SAMPLERS[name](2, lo, hi, seed=0, count=1))
 
 
 @pytest.mark.parametrize("seed", [-1, 0, 7])
