@@ -193,10 +193,10 @@ class WindowDiagnostics(NamedTuple):
     """Finite-window tail read-out.  Heuristic by construction.
 
     Each half-window gets a drift score ``H_end / sqrt(half length)``.  A
-    strongly positive score reads as an upward-transient direction; anything
-    at or below the lower threshold reads as recurrent-or-descending, which
-    in this family means the walk's liminf in that direction is ``-inf``;
-    between the thresholds the half-window is left undecided.
+    score of at least ``UP_THRESHOLD`` reads as an upward-transient direction;
+    one of at most ``DOWN_THRESHOLD`` as recurrent-or-descending, which in this
+    family means the walk's liminf in that direction is ``-inf``; in between
+    the half-window is left undecided.
     """
 
     forward_label: str
@@ -211,22 +211,17 @@ class WindowDiagnostics(NamedTuple):
     note: str = "finite-window drift score; not a tail determination"
 
 
-def _drift_label(score: float | None, up: float, down: float) -> str:
-    if score is None:
+UP_THRESHOLD, DOWN_THRESHOLD = 2.0, 1.0
+
+
+def _drift_label(score: float | None) -> str:
+    if score is None or DOWN_THRESHOLD < score < UP_THRESHOLD:
         return "undecided"
-    if score >= up:
-        return "plus-infinity-like"
-    if score <= down:
-        return "minus-infinity-like"
-    return "undecided"
+    return "plus-infinity-like" if score >= UP_THRESHOLD else "minus-infinity-like"
 
 
-def classify_window(
-    x: PointWindow, *, up_threshold: float = 2.0, down_threshold: float = 1.0
-) -> WindowDiagnostics:
+def classify_window(x: PointWindow) -> WindowDiagnostics:
     """Label each half of a window by where its depth walk seems headed."""
-    if up_threshold <= down_threshold:
-        raise ValueError("thresholds must satisfy down < up")
     # One pass of the unanchored walk over [lo, hi + 1]; H_i is its value
     # at i minus its value at the origin.
     walk = list(itertools.accumulate([1 if c > 0 else -1 for c in x.codes], initial=0))
@@ -237,8 +232,8 @@ def classify_window(
     f_score = f_end / math.sqrt(x.hi) if x.hi >= 1 else None
     b_score = b_end / math.sqrt(-x.lo) if x.lo <= -1 else None
     return WindowDiagnostics(
-        forward_label=_drift_label(f_score, up_threshold, down_threshold),
-        backward_label=_drift_label(b_score, up_threshold, down_threshold),
+        forward_label=_drift_label(f_score),
+        backward_label=_drift_label(b_score),
         forward_score=f_score,
         backward_score=b_score,
         forward_end=f_end,

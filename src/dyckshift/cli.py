@@ -312,8 +312,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         print(f"# suite={args.suite} m=2 seed={args.seed}")
-        for line in tap_report(results):
-            print(line)
+        print("\n".join(tap_report(results)))
     return 1 if failed else 0
 
 

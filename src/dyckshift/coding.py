@@ -1,7 +1,7 @@
 """Windowed points of the bracket subshift and their seeded samplers.
 
 Bi-infinite points are handled through finite coordinate windows ``[lo, hi]``
-containing the origin.  Three seeded samplers emit such windows:
+containing the origin, as ``(m, lo, hi, codes)``.  Three seeded samplers emit them:
 
 * ``sample_tilde`` — the bit/type coding map: fair coin bits choose
   opener/closer, a shared i.i.d. uniform type sequence (addressed through
@@ -44,14 +44,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .words import NotInLanguage, Word, code_text, residue
 
 
-class Provenance(NamedTuple):
-    """Which sampler produced a window, and from which seed stream."""
-
-    sampler: str
-    seed: int
-    index: int
-
-
 # The package's records are named tuples.  A record with checks declares its
 # fields in a private named tuple and checks them in a subclass's ``__new__``
 # (a named tuple's own body cannot define ``__new__``).  ``_replace`` and
@@ -61,7 +53,6 @@ class _PointWindowFields(NamedTuple):
     lo: int
     hi: int
     codes: tuple[int, ...]
-    provenance: Provenance | None
 
 
 class PointWindow(_PointWindowFields):
@@ -78,9 +69,7 @@ class PointWindow(_PointWindowFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls, m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance | None = None
-    ) -> "PointWindow":
+    def __new__(cls, m: int, lo: int, hi: int, codes: tuple[int, ...]) -> "PointWindow":
         if not lo <= 0 <= hi:
             raise ValueError(f"window [{lo}, {hi}] must contain the origin")
         if len(codes) != hi - lo + 1:
@@ -90,7 +79,7 @@ class PointWindow(_PointWindowFields):
                 raise ValueError(f"letter code {c} out of range for m={m}")
         if residue(codes) is None:
             raise NotInLanguage("window letters annihilate; not a point of the subshift")
-        return tuple.__new__(cls, (m, lo, hi, codes, provenance))
+        return tuple.__new__(cls, (m, lo, hi, codes))
 
     def word(self) -> Word:
         """The whole window as a Word."""
@@ -98,21 +87,6 @@ class PointWindow(_PointWindowFields):
 
     def text(self) -> str:
         return " ".join(map(code_text, self.codes))
-
-
-def _sample_rng(seed: int, index: int, rng: random.Random | None = None) -> random.Random:
-    """The generator of sample ``index`` of ``seed``: ``rng`` reseeded, or a new one.
-
-    One independent, platform-stable stream per sample: string seeding
-    hashes via sha512, so sample i of seed s never depends on how many
-    samples ran before it or on which worker drew it.  Reseeding a
-    generator in place leaves the same state as building a new one from
-    the same string, so each sampler keeps one generator for its stream.
-    """
-    if rng is None:
-        return random.Random(f"{seed}:{index}")
-    rng.seed(f"{seed}:{index}")
-    return rng
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -176,14 +150,14 @@ def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0)
     return drawn
 
 
-def _trusted_window(m: int, lo: int, hi: int, codes: tuple[int, ...], provenance: Provenance) -> PointWindow:
+def _trusted_window(m: int, lo: int, hi: int, codes: tuple[int, ...]) -> PointWindow:
     """A sampler's window, built without ``PointWindow``'s validation.
 
     The samplers match every closer to an opener of its type, inside the
     window or fresh left of it, so their windows are language words by
     construction.
     """
-    return tuple.__new__(PointWindow, (m, lo, hi, codes, provenance))
+    return tuple.__new__(PointWindow, (m, lo, hi, codes))
 
 
 def _loose_types(getrandbits: Callable[[int], int], m: int) -> Iterator[int]:
@@ -264,7 +238,12 @@ def _plus_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) ->
 
 
 def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> Iterator[PointWindow]:
-    """The one sampler core: each sample's own stream, its window body, and minus's mirror."""
+    """The one sampler core: each window's own stream, its body, and minus's mirror.
+
+    Window ``index`` of ``seed`` reads ``random.Random(f"{seed}:{index}")``'s
+    stream: platform-stable (string seeds hash via sha512), independent of
+    earlier windows, and the same when one generator is reseeded in place.
+    """
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
     if not lo <= 0 <= hi:
@@ -273,8 +252,8 @@ def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> I
     finish = _mirror if sampler == "minus" else tuple
     rng = random.Random()
     for index in range(count):
-        codes = body(m, hi - lo + 1, _sample_rng(seed, index, rng).getrandbits)
-        yield _trusted_window(m, lo, hi, finish(codes), Provenance(sampler, seed, index))
+        rng.seed(f"{seed}:{index}")
+        yield _trusted_window(m, lo, hi, finish(body(m, hi - lo + 1, rng.getrandbits)))
 
 
 def sample_tilde(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator[PointWindow]:

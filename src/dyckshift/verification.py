@@ -625,7 +625,7 @@ def _check_extension_mass(seed: int) -> _Outcome:
 _SAMPLER_LAW_SCOPES = ((2, 6), (3, 5))
 
 
-def _sampler_laws(m: int, width: int) -> dict[str, Counter[tuple[int, ...]]]:
+def _sampler_laws(m: int, width: int) -> Iterator[tuple[str, Counter[tuple[int, ...]]]]:
     """The law of each sampler's window body on ``width`` letters, from every draw tuple.
 
     Tilde draws its bits, a type per opener and a type per loose closer
@@ -633,21 +633,23 @@ def _sampler_laws(m: int, width: int) -> dict[str, Counter[tuple[int, ...]]]:
     per loose closer.  Laws are scaled by the number of equally likely draw
     sequences, ``2^w m^w`` for tilde and ``(m+1)^w m^w`` for plus, so a tuple
     with ``d`` type draws weighs ``m^(w - d)``.  Minus is the plus law
-    through ``sample_minus``'s mirror.
+    through ``sample_minus``'s mirror.  The laws come one at a time.
     """
     types = [tuple(itertools.product(range(1, m + 1), repeat=k)) for k in range(width + 1)]
-    tilde: Counter[tuple[int, ...]] = Counter()
+    law: Counter[tuple[int, ...]] = Counter()
     for bits in map("".join, itertools.product("01", repeat=width)):
         openers, loose = bits.count("1"), len(residue([1 if b == "1" else -1 for b in bits])[0])
         for opener_types, loose_types in itertools.product(types[openers], types[loose]):
-            tilde[tuple(_tilde_codes(bits, iter(opener_types), iter(loose_types)))] += m ** (width - openers - loose)
-    plus: Counter[tuple[int, ...]] = Counter()
+            law[tuple(_tilde_codes(bits, iter(opener_types), iter(loose_types)))] += m ** (width - openers - loose)
+    yield "tilde", law
+    law = Counter()
     for letters in itertools.product(range(m + 1), repeat=width):
         loose = len(residue([1 if v else -1 for v in letters])[0])
         for loose_types in types[loose]:
-            plus[tuple(_plus_codes(letters, iter(loose_types)))] += m ** (width - loose)
-    minus: Counter[tuple[int, ...]] = Counter({_mirror(codes): mass for codes, mass in plus.items()})
-    return {"tilde": tilde, "plus": plus, "minus": minus}
+            law[tuple(_plus_codes(letters, iter(loose_types)))] += m ** (width - loose)
+    minus = Counter({_mirror(codes): mass for codes, mass in law.items()})
+    yield "plus", law
+    yield "minus", minus
 
 
 def _check_sampler_law(seed: int) -> _Outcome:
@@ -663,7 +665,7 @@ def _check_sampler_law(seed: int) -> _Outcome:
     for m, width in _SAMPLER_LAW_SCOPES:
         language = [codes for codes, _, _ in iter_language_stats(width, m)]
         words += len(language)
-        for measure, law in _sampler_laws(m, width).items():
+        for measure, law in _sampler_laws(m, width):
             scale = (2 if measure == "tilde" else m + 1) ** width * m**width
             if sum(law.values()) != scale:
                 return False, f"{measure} m={m}: total mass {Fraction(sum(law.values()), scale)} != 1", ()
@@ -676,6 +678,7 @@ def _check_sampler_law(seed: int) -> _Outcome:
                 codes = min(law)
                 got = Fraction(law[codes], scale)
                 return False, f"{measure} m={m}: {_codes_text(codes)} is off the language with law {got}", ()
+            del law  # else its emptied table stays held while the next law is built
     return (
         True,
         f"sampled window laws equal the cylinder masses on all {words} language windows, for tilde, plus and minus",
@@ -748,14 +751,13 @@ def run_suite(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]
     return [run_check(key, seed) for key in keys]
 
 
-def tap_report(results: Sequence[CheckResult], *, verbose: bool = True) -> list[str]:
+def tap_report(results: Sequence[CheckResult]) -> list[str]:
     """Render results as TAP-style lines, detail as comments."""
     lines = [f"1..{len(results)}"]
     for i, r in enumerate(results, start=1):
         status = "ok" if r.ok else "not ok"
         lines.append(f"{status} {i} - {r.key}: {r.observed} (expected: {r.expected}) [{r.elapsed:.2f}s]")
-        if verbose:
-            lines.extend(f"# {d}" for d in r.detail)
+        lines.extend(f"# {d}" for d in r.detail)
     failed = sum(1 for r in results if not r.ok)
     lines.append(f"# failed {failed} of {len(results)}")
     return lines

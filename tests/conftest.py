@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
-from dyckshift.coding import SAMPLERS, PointWindow, Provenance
+from dyckshift.coding import SAMPLERS, PointWindow
 from dyckshift.measures import ExtensionMassRow, _ballot_ways, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
@@ -492,16 +492,16 @@ def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
 
 
 def cocycle_window_diagnostics(x: PointWindow) -> WindowDiagnostics:
-    """Oracle for ``analysis.classify_window`` at its default thresholds: ends
-    and minima read off the re-anchored ``height_cocycle`` tuple."""
+    """Oracle for ``analysis.classify_window``: ends and minima read off the
+    re-anchored ``height_cocycle`` tuple."""
     heights = height_cocycle(x)
     fwd = heights[-x.lo :]  # H_0 .. H_{hi+1}
     bwd = heights[: -x.lo + 1]  # H_lo .. H_0
     f_score = fwd[-1] / math.sqrt(x.hi) if x.hi >= 1 else None
     b_score = bwd[0] / math.sqrt(-x.lo) if x.lo <= -1 else None
     return WindowDiagnostics(
-        forward_label=_drift_label(f_score, 2.0, 1.0),
-        backward_label=_drift_label(b_score, 2.0, 1.0),
+        forward_label=_drift_label(f_score),
+        backward_label=_drift_label(b_score),
         forward_score=f_score,
         backward_score=b_score,
         forward_end=fwd[-1],
@@ -568,8 +568,8 @@ def _close_loose(m: int, codes: list[int], loose: list[int], rng: random.Random)
         codes[off] = -(rng.randrange(m) + 1)
 
 
-def bitwise_tilde_window(m: int, lo: int, hi: int, rng: random.Random, seed: int, index: int) -> PointWindow:
-    """Oracle for ``sample_tilde``'s window at ``(seed, index)``, drawn from ``rng``.
+def bitwise_tilde_window(m: int, lo: int, hi: int, rng: random.Random) -> PointWindow:
+    """Oracle for ``sample_tilde``'s window drawn from ``rng``.
 
     The height walk one bit at a time, then one ``randrange`` per opener, in
     order of appearance, and one per loose closer; built through
@@ -589,11 +589,11 @@ def bitwise_tilde_window(m: int, lo: int, hi: int, rng: random.Random, seed: int
         else:
             loose.append(off)
     _close_loose(m, codes, loose, rng)
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("tilde", seed, index))
+    return PointWindow(m, lo, hi, tuple(codes))
 
 
-def per_draw_plus_window(m: int, lo: int, hi: int, rng: random.Random, seed: int, index: int) -> PointWindow:
-    """Oracle for ``sample_plus``'s window at ``(seed, index)``, drawn from ``rng``.
+def per_draw_plus_window(m: int, lo: int, hi: int, rng: random.Random) -> PointWindow:
+    """Oracle for ``sample_plus``'s window drawn from ``rng``.
 
     One ``randrange`` per letter, then one per loose closer; built through
     ``PointWindow``'s validation.
@@ -611,7 +611,7 @@ def per_draw_plus_window(m: int, lo: int, hi: int, rng: random.Random, seed: int
         else:
             loose.append(off)
     _close_loose(m, codes, loose, rng)
-    return PointWindow(m, lo, hi, tuple(codes), Provenance("plus", seed, index))
+    return PointWindow(m, lo, hi, tuple(codes))
 
 
 GOLDEN_WINDOWS = ((0, 0), (0, 1), (-1, 0), (-7, 0), (0, 31), (-16, 16), (-200, 0), (0, 200))

@@ -12,7 +12,7 @@ from dyckshift.analysis import (
     match_index_coincidences,
     matching_times,
 )
-from dyckshift.coding import SAMPLERS, PointWindow, Provenance, sample_minus, sample_plus, sample_tilde
+from dyckshift.coding import SAMPLERS, PointWindow, sample_minus, sample_plus, sample_tilde
 from dyckshift.measures import cylinder_mass
 from dyckshift.words import Word, iter_language_stats
 
@@ -26,9 +26,9 @@ from conftest import (
 )
 
 
-def window_of(text: str, lo: int, m: int = 2, prov: Provenance | None = None) -> PointWindow:
+def window_of(text: str, lo: int, m: int = 2) -> PointWindow:
     w = Word.parse(text, m)
-    return PointWindow(m, lo, lo + len(w) - 1, w.codes, prov)
+    return PointWindow(m, lo, lo + len(w) - 1, w.codes)
 
 
 # ---------------------------------------------------------------- block swaps
@@ -240,12 +240,6 @@ def test_classifier_leaves_short_windows_undecided():
     d = classify_window(PointWindow(2, 0, 0, (1,)))
     assert d.forward_label == d.backward_label == "undecided"
     assert d.forward_score is None and d.backward_score is None
-
-
-def test_classifier_threshold_validation():
-    x = PointWindow(2, 0, 0, (1,))
-    with pytest.raises(ValueError):
-        classify_window(x, up_threshold=1.0, down_threshold=1.0)
 
 
 def test_classifier_separates_the_drifting_samplers():

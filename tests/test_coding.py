@@ -1,5 +1,6 @@
 import hashlib
 import random
+import types
 from fractions import Fraction
 from itertools import islice
 
@@ -10,12 +11,10 @@ from dyckshift.analysis import matching_times
 from dyckshift.coding import (
     SAMPLERS,
     PointWindow,
-    Provenance,
     _below,
     _draws,
     _plus_codes,
     _plus_window_codes,
-    _sample_rng,
     _tilde_codes,
     _tilde_window_codes,
     sample_minus,
@@ -72,7 +71,6 @@ def test_window_accessors():
     x = window_of("a1 b1 a2", -1)
     assert x.word() == Word(2, (1, -1, 2))
     assert x.text() == "a1 b1 a2"
-    assert x.provenance is None
 
 
 # ----------------------------------------------- height walks and matching
@@ -180,7 +178,6 @@ def test_seed_changes_the_stream():
 def test_first_tilde_sample_frozen():
     x = next(sample_tilde(2, -3, 3, seed=7, count=1))
     assert x.text() == "b2 b2 b2 a1 b1 a2 a2"
-    assert x.provenance == Provenance("tilde", 7, 0)
 
 
 def test_first_plus_sample_frozen():
@@ -191,11 +188,8 @@ def test_first_plus_sample_frozen():
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_samples_are_valid_windows(name, m):
-    for i, x in enumerate(SAMPLERS[name](m, -5, 5, seed=13, count=60)):
+    for x in SAMPLERS[name](m, -5, 5, seed=13, count=60):
         assert (x.lo, x.hi, x.m) == (-5, 5, m)
-        assert x.provenance.sampler == name
-        assert x.provenance.seed == 13
-        assert x.provenance.index == i
         x.word()  # the samplers emit language words; must not raise
 
 
@@ -205,15 +199,15 @@ def test_sampler_streams_are_byte_stable():
     h = hashlib.blake2b(digest_size=16)
     for x in golden_grid_windows():
         t = matching_times(x, 6)
-        h.update(repr((x.codes, x.provenance, t.forward, t.backward)).encode())
-    assert h.hexdigest() == "3659112a3db0c75b790d6059498a76d0"
+        h.update(repr((x.codes, t.forward, t.backward)).encode())
+    assert h.hexdigest() == "162e3030030f45ef7bf212bed5b11298"
 
 
 def test_sampled_windows_pass_public_validation():
     """The samplers skip ``PointWindow`` validation; every golden-grid window
     must pass it and come out equal."""
     for x in golden_grid_windows():
-        checked = PointWindow(x.m, x.lo, x.hi, x.codes, x.provenance)
+        checked = PointWindow(x.m, x.lo, x.hi, x.codes)
         assert type(x) is PointWindow and checked == x
 
 
@@ -228,7 +222,7 @@ def test_bodies_type_loose_closers_from_fresh_draws():
 def test_window_bodies_have_the_construction_laws(m, width):
     """Every draw through the tilde and plus bodies gives the laws of the coding
     map and of the plus construction, as their own oracles enumerate them."""
-    laws = _sampler_laws(m, width)
+    laws = dict(_sampler_laws(m, width))
     for name, oracle, draws in (("tilde", tilde_law, 2), ("plus", plus_law, m + 1)):
         scale = draws**width * m**width
         assert {codes: Fraction(mass, scale) for codes, mass in laws[name].items()} == oracle(width, m), name
@@ -245,9 +239,9 @@ def test_tilde_walk_equals_the_bitwise_walk(m, seed):
     for width in ORACLE_WIDTHS:
         for lo, hi in ((0, width - 1), (1 - width, 0)):
             for index, x in enumerate(sample_tilde(m, lo, hi, seed=seed, count=6)):
-                fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                fast_rng, slow_rng = random.Random(f"{seed}:{index}"), random.Random(f"{seed}:{index}")
                 fast = _tilde_window_codes(m, width, fast_rng.getrandbits)
-                slow = bitwise_tilde_window(m, lo, hi, slow_rng, seed, index)
+                slow = bitwise_tilde_window(m, lo, hi, slow_rng)
                 assert x == slow and tuple(fast) == slow.codes, (width, lo, index)
                 assert fast_rng.getstate() == slow_rng.getstate()
 
@@ -262,18 +256,18 @@ def test_plus_window_equals_the_per_draw_window(m, seed):
     for width in PLUS_ORACLE_WIDTHS:
         for lo, hi in ((0, width - 1), (1 - width, 0)):
             for index, x in enumerate(sample_plus(m, lo, hi, seed=seed, count=6)):
-                fast_rng, slow_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                fast_rng, slow_rng = random.Random(f"{seed}:{index}"), random.Random(f"{seed}:{index}")
                 fast = _plus_window_codes(m, width, fast_rng.getrandbits)
-                slow = per_draw_plus_window(m, lo, hi, slow_rng, seed, index)
+                slow = per_draw_plus_window(m, lo, hi, slow_rng)
                 assert x == slow and tuple(fast) == slow.codes, (width, lo, index)
                 assert fast_rng.getstate() == slow_rng.getstate()
 
 
 def _refuse_streams(monkeypatch) -> None:
-    def no_stream(seed: int, index: int) -> random.Random:
-        raise AssertionError("a window was drawn before the arguments were checked")
+    def no_stream(*args) -> random.Random:
+        raise AssertionError("a stream was made before the arguments were checked")
 
-    monkeypatch.setattr("dyckshift.coding._sample_rng", no_stream)
+    monkeypatch.setattr("dyckshift.coding.random", types.SimpleNamespace(Random=no_stream))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -302,15 +296,16 @@ def test_samplers_reject_windows_without_the_origin(monkeypatch, name, lo, hi):
 
 @pytest.mark.parametrize("seed", [-1, 0, 7])
 def test_reseeded_sample_streams_equal_fresh_ones(seed):
-    """A sampler reseeds one generator per sample; each state is a fresh generator's."""
+    """A sampler reseeds one generator per sample; each state, and each window, is a fresh generator's."""
     reused = random.Random()
     for index in range(301):
-        fresh = _sample_rng(seed, index)
-        assert fresh.getstate() == random.Random(f"{seed}:{index}").getstate()
-        assert _sample_rng(seed, index, reused) is reused
-        assert reused.getstate() == fresh.getstate(), index
+        reused.seed(f"{seed}:{index}")
+        assert reused.getstate() == random.Random(f"{seed}:{index}").getstate(), index
         reused.getrandbits(32 * (index % 5) + index % 3)  # the next reseed starts from a drawn state
         reused.gauss(0.0, 1.0)  # and from a cached second normal variate
+    for sampler, body in ((sample_tilde, _tilde_window_codes), (sample_plus, _plus_window_codes)):
+        for index, x in enumerate(sampler(2, -4, 4, seed=seed, count=301)):
+            assert x.codes == tuple(body(2, 9, random.Random(f"{seed}:{index}").getrandbits)), index
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -348,8 +343,6 @@ def test_minus_is_the_mirror_of_plus():
     plus = [x.codes for x in sample_plus(2, -2, 5, seed=21, count=30)]
     mirrored = [tuple(-c for c in reversed(codes)) for codes in plus]
     assert minus == mirrored
-    names = {x.provenance.sampler for x in sample_minus(2, 0, 0, seed=21, count=3)}
-    assert names == {"minus"}
 
 
 def test_minus_heights_climb_leftward():

@@ -22,25 +22,17 @@ import pytest
 import dyckshift
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics
-from dyckshift.coding import PointWindow, Provenance, _trusted_window
+from dyckshift.coding import PointWindow, _trusted_window
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
 from dyckshift.words import NotInLanguage, Word
 
-PROV = Provenance("tilde", 7, 3)
 HALF, QUARTER = LogPair(Fraction(1), Fraction(1, 2)), LogPair(Fraction(2), Fraction(1, 4))
 
 # (class, every field in order, the fields of an unequal record, literal repr)
 RECORDS = [
     (Word, (2, (1, -1)), (2, (1, -2)), "Word(m=2, codes=(1, -1))"),
-    (Provenance, ("tilde", 7, 3), ("plus", 7, 3), "Provenance(sampler='tilde', seed=7, index=3)"),
-    (
-        PointWindow,
-        (2, -1, 1, (1, -1, 2), PROV),
-        (2, -1, 1, (2, -2, 2), PROV),
-        "PointWindow(m=2, lo=-1, hi=1, codes=(1, -1, 2), "
-        "provenance=Provenance(sampler='tilde', seed=7, index=3))",
-    ),
+    (PointWindow, (2, -1, 1, (1, -1, 2)), (2, -1, 1, (2, -2, 2)), "PointWindow(m=2, lo=-1, hi=1, codes=(1, -1, 2))"),
     (
         ExtensionMassRow,
         (4, 2, Fraction(1, 8), Fraction(1, 4), Fraction(0)),
@@ -121,13 +113,11 @@ def test_records_pickle_to_equal_values(cls, fields, other, text):
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert PointWindow(2, 0, 0, (1,)).provenance is None
     assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0)
     assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
         "finite-window drift score; not a tail determination"
     )
     assert CheckResult("k", "t", True, "o", "e", 0.0).detail == ()
-    assert Provenance(sampler="plus", seed=1, index=2) == Provenance("plus", 1, 2)
 
 
 def test_words_iterate_index_and_slice_their_letters():
@@ -139,7 +129,7 @@ def test_words_iterate_index_and_slice_their_letters():
 
 
 def test_sampler_windows_equal_checked_windows():
-    fields = (2, -1, 1, (1, -1, 2), PROV)
+    fields = (2, -1, 1, (1, -1, 2))
     trusted, checked = _trusted_window(*fields), PointWindow(*fields)
     assert type(trusted) is PointWindow
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
@@ -159,7 +149,7 @@ CHECKS = [
     (ValueError, "window [1, 2] must contain the origin", lambda: PointWindow(2, 1, 2, (1, 1))),
     (ValueError, "window length does not match its bounds", lambda: PointWindow(2, 0, 1, (1,))),
     (ValueError, "letter code 4 out of range for m=2", lambda: PointWindow(2, 0, 1, (1, 4))),
-    (ValueError, "letter code -3 out of range for m=2", lambda: PointWindow(2, 0, 1, (-3, 1), PROV)),
+    (ValueError, "letter code -3 out of range for m=2", lambda: PointWindow(2, 0, 1, (-3, 1))),
     (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
 ]
 
@@ -170,7 +160,7 @@ def test_construction_checks_keep_their_errors(exc_type, message, build):
 
 
 def test_valid_edge_records_construct():
-    assert PointWindow(2, 0, 1, (-2, 1), PROV).codes == (-2, 1)  # a loose closer, then an opener
+    assert PointWindow(2, 0, 1, (-2, 1)).codes == (-2, 1)  # a loose closer, then an opener
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
@@ -292,3 +282,41 @@ def test_src_stays_within_its_line_budget():
     src = Path(__file__).resolve().parents[1] / "src" / "dyckshift"
     total = sum(len(path.read_text().splitlines()) for path in src.glob("*.py"))
     assert total <= 2900, total
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """Each parameter of ``fn`` with a default: ``(position, name)``, position None if keyword-only."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    found: list[tuple[int | None, str]] = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def test_every_default_is_set_by_some_caller():
+    """A defaulted parameter of a public top-level ``src/`` function that no call passes is an unused option.
+
+    A call counts when it names the function (``f(...)`` or ``x.f(...)``)
+    in ``src/`` or a bench script and passes the parameter by position or
+    keyword; ``*args`` passes every positional, ``**kwargs`` every keyword.
+    """
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "dyckshift").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in [*modules, *sorted((root / "perfbench").glob("*.py"))]}
+    passed: dict[str, set[int | str]] = {}
+    for tree in trees.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            seen = passed.setdefault(name, set())
+            star = any(isinstance(a, ast.Starred) for a in call.args)
+            seen.update(range(len(call.args)) if not star else ["*"])
+            seen.update(k.arg if k.arg is not None else "**" for k in call.keywords)
+    unset = [
+        f"{path.name}: {node.name}.{param}"
+        for path in modules
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for position, param in _defaulted_parameters(node)
+        if not ({param, "**"} | ({position, "*"} if position is not None else set())) & passed.get(node.name, set())
+    ]
+    assert unset == []
