@@ -14,7 +14,6 @@ window's matching times once, to the deepest depth any event needs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -190,25 +189,21 @@ def match_index_coincidences(
 
 
 class WindowDiagnostics(NamedTuple):
-    """Finite-window tail read-out.  Heuristic by construction.
+    """Finite-window tail read-out.  Heuristic by construction: a
+    finite-window drift score, not a tail determination.
 
-    Each half-window gets a drift score ``H_end / sqrt(half length)``.  A
-    score of at least ``UP_THRESHOLD`` reads as an upward-transient direction;
-    one of at most ``DOWN_THRESHOLD`` as recurrent-or-descending, which in this
-    family means the walk's liminf in that direction is ``-inf``; in between
-    the half-window is left undecided.
+    Each half-window gets a drift score ``H_end / sqrt(half length)``, so a
+    half's end height is its score times that root.  A score of at least
+    ``UP_THRESHOLD`` reads as an upward-transient direction; one of at most
+    ``DOWN_THRESHOLD`` as recurrent-or-descending, which in this family
+    means the walk's liminf in that direction is ``-inf``; in between the
+    half-window is left undecided.
     """
 
     forward_label: str
     backward_label: str
     forward_score: float | None
     backward_score: float | None
-    forward_end: int
-    backward_end: int
-    forward_min: int
-    backward_min: int
-    heuristic: bool = True
-    note: str = "finite-window drift score; not a tail determination"
 
 
 UP_THRESHOLD, DOWN_THRESHOLD = 2.0, 1.0
@@ -222,22 +217,11 @@ def _drift_label(score: float | None) -> str:
 
 def classify_window(x: PointWindow) -> WindowDiagnostics:
     """Label each half of a window by where its depth walk seems headed."""
-    # One pass of the unanchored walk over [lo, hi + 1]; H_i is its value
-    # at i minus its value at the origin.
-    walk = list(itertools.accumulate([1 if c > 0 else -1 for c in x.codes], initial=0))
     origin = -x.lo
-    h0 = walk[origin]
-    f_end, f_min = walk[-1] - h0, min(walk[origin:]) - h0
-    b_end, b_min = -h0, min(walk[: origin + 1]) - h0
+    # H_{hi+1} is the forward half's openers minus its closers; H_lo is
+    # minus the same count over the backward half.
+    f_end = sum(1 if c > 0 else -1 for c in x.codes[origin:])
+    b_end = -sum(1 if c > 0 else -1 for c in x.codes[:origin])
     f_score = f_end / math.sqrt(x.hi) if x.hi >= 1 else None
     b_score = b_end / math.sqrt(-x.lo) if x.lo <= -1 else None
-    return WindowDiagnostics(
-        forward_label=_drift_label(f_score),
-        backward_label=_drift_label(b_score),
-        forward_score=f_score,
-        backward_score=b_score,
-        forward_end=f_end,
-        backward_end=b_end,
-        forward_min=f_min,
-        backward_min=b_min,
-    )
+    return WindowDiagnostics(_drift_label(f_score), _drift_label(b_score), f_score, b_score)

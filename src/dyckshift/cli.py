@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .coding import SAMPLERS
@@ -75,13 +75,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _add_alphabet_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=int, default=2, help="number of bracket types (default 2)")
-    sub.add_argument(
-        "--allow-m1",
-        action="store_true",
-        help="permit the degenerate single-type alphabet",
-    )
+def _finish(p: argparse.ArgumentParser, func: Callable, alphabet: bool = True, json_help: str | None = None) -> None:
+    """Add the flags every subcommand ends with, then its handler."""
+    if alphabet:
+        p.add_argument("--m", type=int, default=2, help="number of bracket types (default 2)")
+        p.add_argument("--allow-m1", action="store_true", help="permit the degenerate single-type alphabet")
+    p.add_argument("--json", action="store_true", help=json_help)
+    p.set_defaults(func=func)
 
 
 def _alphabet(args: argparse.Namespace) -> int:
@@ -326,23 +326,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("reduce", help="reduce a word to its normal form")
     p.add_argument("word", nargs="?", default="", help="tokens like 'a1 b2' (empty allowed)")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
+    _finish(p, _cmd_reduce)
 
     p = commands.add_parser("member", help="test language membership")
     p.add_argument("word", nargs="?", default="")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_member)
+    _finish(p, _cmd_member)
 
     p = commands.add_parser("count", help="count language or balanced words")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--length", type=int, help="count language words of this length")
     group.add_argument("--balanced", type=int, help="count balanced words with this many pairs")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_count)
+    _finish(p, _cmd_count)
 
     p = commands.add_parser("measure", help="exact cylinder mass of a word")
     p.add_argument("word", nargs="?", default="")
@@ -352,25 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default="tilde",
         help="the measure that prices the cylinder (default tilde)",
     )
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_measure)
+    _finish(p, _cmd_measure)
 
     p = commands.add_parser("sample", help="draw seeded windows from a sampler")
     p.add_argument("--measure", choices=tuple(SAMPLERS), default="tilde")
     p.add_argument("--window", type=_window, required=True, metavar="LO:HI")
     p.add_argument("--count", type=_nonnegative, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sample)
+    _finish(p, _cmd_sample)
 
     p = commands.add_parser("entropy", help="exact block/step entropy table")
     p.add_argument("--n", type=_nonnegative, required=True, help="largest block length")
     p.add_argument("--csv", action="store_true", help="emit the table as CSV")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true", help="emit the single row for --n")
-    p.set_defaults(func=_cmd_entropy)
+    _finish(p, _cmd_entropy, json_help="emit the single row for --n")
 
     p = commands.add_parser("extensions", help="minimal balanced completions of a word")
     p.add_argument("word", nargs="?", default="")
@@ -383,15 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "fraction of the cylinder mass, e.g. 1/20",
     )
     p.add_argument("--limit", type=_nonnegative, default=50, help="cap on listed pairs")
-    _add_alphabet_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_extensions)
+    _finish(p, _cmd_extensions)
 
     p = commands.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    _finish(p, _cmd_verify, alphabet=False)
 
     return parser
 

@@ -248,6 +248,8 @@ def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> I
         raise ValueError(f"alphabet size m={m} must be at least 1")
     if not lo <= 0 <= hi:
         raise ValueError(f"sampling window [{lo}, {hi}] must contain the origin")
+    if count < 0:
+        raise ValueError(f"sample count {count} must be non-negative")
     body = _tilde_window_codes if sampler == "tilde" else _plus_window_codes
     finish = _mirror if sampler == "minus" else tuple
     rng = random.Random()
@@ -262,7 +264,8 @@ def sample_tilde(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator
     Fair bits pick kinds; types come from one shared i.i.d. uniform sequence
     addressed by the signed running bit count, so matched pairs agree by
     construction, and each loose closer takes a fresh uniform type.
-    Raises ``ValueError`` for ``m < 1`` or a window without the origin.
+    Raises ``ValueError`` for ``m < 1``, a window without the origin or a
+    negative count.
     """
     return _windows("tilde", m, lo, hi, seed, count)
 

@@ -1,12 +1,14 @@
 """The runnable verification suite behind ``dyckshift verify``.
 
-Fourteen named checks: ten exact (enumeration against closed forms, no
-randomness) and four statistical (seeded sampler runs against exact values,
-gated at three binomial standard deviations).  Each check's claim lives
-once, in its row of ``_CHECKS``, and becomes the ``expected`` of every
-:class:`CheckResult` it gives, pass or fail; the check itself returns its
-verdict, what it observed, and enough detail to audit a failure.  The suite
-never weakens a bound to pass.
+Fourteen named checks: ten exact (enumeration against closed forms) and
+four statistical (seeded sampler runs against exact values, gated at three
+binomial standard deviations).  One exact check reads the seed:
+block-swap-exact also compares, exactly, the masses of 20,000 triples drawn
+from ``random.Random(f"{seed}:block-swap")``, and its detail names the seed.
+Each check's claim lives once, in its row of ``_CHECKS``, and becomes the
+``expected`` of every :class:`CheckResult` it gives, pass or fail; the check
+itself returns its verdict, what it observed, and enough detail to audit a
+failure.  The suite never weakens a bound to pass.
 
 Three checks are expected to fail and are kept honest rather than tuned;
 each tests a finite-size reading that is exactly false at its stated length:
@@ -733,7 +735,7 @@ _BY_KEY = {key: (title, claim, fn) for key, _, title, claim, fn in _CHECKS}
 
 
 def run_check(key: str, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Run one named check afresh; ``elapsed`` is this call's time (exact checks ignore the seed)."""
+    """Run one named check afresh; ``elapsed`` is this call's time."""
     try:
         title, expected, fn = _BY_KEY[key]
     except KeyError:

@@ -492,22 +492,16 @@ def scan_matching_times(x: PointWindow, j_max: int) -> MatchingTimes:
 
 
 def cocycle_window_diagnostics(x: PointWindow) -> WindowDiagnostics:
-    """Oracle for ``analysis.classify_window``: ends and minima read off the
+    """Oracle for ``analysis.classify_window``: scores read off the
     re-anchored ``height_cocycle`` tuple."""
     heights = height_cocycle(x)
-    fwd = heights[-x.lo :]  # H_0 .. H_{hi+1}
-    bwd = heights[: -x.lo + 1]  # H_lo .. H_0
-    f_score = fwd[-1] / math.sqrt(x.hi) if x.hi >= 1 else None
-    b_score = bwd[0] / math.sqrt(-x.lo) if x.lo <= -1 else None
+    f_score = heights[-1] / math.sqrt(x.hi) if x.hi >= 1 else None  # H_{hi+1}
+    b_score = heights[0] / math.sqrt(-x.lo) if x.lo <= -1 else None  # H_lo
     return WindowDiagnostics(
         forward_label=_drift_label(f_score),
         backward_label=_drift_label(b_score),
         forward_score=f_score,
         backward_score=b_score,
-        forward_end=fwd[-1],
-        backward_end=bwd[0],
-        forward_min=min(fwd),
-        backward_min=min(bwd),
     )
 
 

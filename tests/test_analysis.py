@@ -223,14 +223,10 @@ def test_classifier_on_a_pure_opener_window():
     assert d.backward_label == "minus-infinity-like"
     assert d.forward_score == pytest.approx(3 / 2**0.5)
     assert d.backward_score == pytest.approx(-(2**0.5))
-    assert (d.forward_end, d.backward_end) == (3, -2)
-    assert (d.forward_min, d.backward_min) == (0, -2)
-    assert d.heuristic
-    assert "heuristic" in d.note or "not" in d.note
 
 
 def test_classifier_equals_the_height_cocycle_route():
-    """On every golden-grid window, one walk pass gives
+    """On every golden-grid window, each half's letter count gives
     the same diagnostics as the re-anchored height tuple."""
     for x in golden_grid_windows():
         assert classify_window(x) == cocycle_window_diagnostics(x), x

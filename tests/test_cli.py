@@ -472,7 +472,8 @@ def test_extensions_reject_zero_words(capsys):
 def cached_checks(monkeypatch, exact_check_results):
     """Serve the exact checks from the session's single run; the CLI around them stays real.
 
-    Exact checks ignore the seed, so one run stands for every seed.
+    That run is at the default seed 7, as is every test that uses this; of the
+    exact checks only block-swap-exact reads the seed.
     """
     monkeypatch.setattr(verification, "run_check", lambda key, seed: exact_check_results[key])
 

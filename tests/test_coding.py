@@ -294,6 +294,13 @@ def test_samplers_reject_windows_without_the_origin(monkeypatch, name, lo, hi):
         next(SAMPLERS[name](2, lo, hi, seed=0, count=1))
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_samplers_reject_negative_counts(monkeypatch, name):
+    _refuse_streams(monkeypatch)
+    with pytest.raises(ValueError, match="count -1"):
+        next(SAMPLERS[name](2, -1, 1, seed=0, count=-1))
+
+
 @pytest.mark.parametrize("seed", [-1, 0, 7])
 def test_reseeded_sample_streams_equal_fresh_ones(seed):
     """A sampler reseeds one generator per sample; each state, and each window, is a fresh generator's."""

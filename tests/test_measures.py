@@ -91,6 +91,15 @@ def test_unknown_measure_is_refused():
             cylinder_mass(codes, 2, "both")
 
 
+@pytest.mark.parametrize(
+    "codes, m, message",
+    [((3,), 2, "letter code 3 out of range for m=2"), ((0,), 2, "letter code 0"), ((1,), 0, "need m >= 1")],
+)
+def test_cylinder_mass_checks_letters_as_words_do(codes, m, message):
+    with pytest.raises(ValueError, match=message):
+        cylinder_mass(codes, m)
+
+
 def test_monomial_exponents_exposed():
     codes = Word.parse("a1 a2 b2", 2).codes
     assert residue_m_exponent(residue(codes), len(codes)) == 2  # one matched pair, one loose opener

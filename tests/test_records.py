@@ -67,10 +67,9 @@ RECORDS = [
     ),
     (
         WindowDiagnostics,
-        ("a", "b", 1.5, None, 1, -1, 0, -2, True, "n"),
-        ("a", "b", 1.5, None, 1, -1, 0, -3, True, "n"),
-        "WindowDiagnostics(forward_label='a', backward_label='b', forward_score=1.5, backward_score=None, "
-        "forward_end=1, backward_end=-1, forward_min=0, backward_min=-2, heuristic=True, note='n')",
+        ("a", "b", 1.5, None),
+        ("a", "b", 1.5, -0.5),
+        "WindowDiagnostics(forward_label='a', backward_label='b', forward_score=1.5, backward_score=None)",
     ),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
@@ -114,9 +113,6 @@ def test_records_pickle_to_equal_values(cls, fields, other, text):
 
 def test_defaults_fill_the_trailing_fields():
     assert EmpiricalEstimate("e", 1, 2) == EmpiricalEstimate("e", 1, 2, 0)
-    assert WindowDiagnostics("a", "b", None, None, 0, 0, 0, 0).note == (
-        "finite-window drift score; not a tail determination"
-    )
     assert CheckResult("k", "t", True, "o", "e", 0.0).detail == ()
 
 
