@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .words import (
     BudgetExceeded,
     Word,
+    _check_letters,
     completion_needs,
     pattern_counts,
     residue,
@@ -57,11 +58,12 @@ def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fract
     m^-(loose closers)`` and ``minus``, the mirror of plus, gives ``(m+1)^-n
     * m^-(loose openers)``.  Words that reduce to zero have empty cylinders
     and mass 0.  No measure depends on where the cylinder starts: all three
-    are shift invariant.  ``m`` and the codes are checked as in :class:`Word`.
+    are shift invariant.  ``m`` and the codes go through :class:`Word`'s own check.
     """
     if measure not in ("tilde", "plus", "minus"):
         raise ValueError(f"unknown measure {measure!r}; expected tilde, plus or minus")
-    found = residue(Word(m, tuple(codes)).codes)
+    _check_letters(m, codes)
+    found = residue(codes)
     if found is None:
         return Fraction(0)
     n = len(codes)

@@ -84,7 +84,8 @@ _Outcome = tuple[bool, str, tuple[str, ...]]
 
 
 _CYLINDER_SCOPES = ((2, 10), (3, 8))
-# Words of one length whose one-letter extensions are stepped together.
+# Words of one length whose distinct residues are stepped together (2,048 and
+# 8,192 were slower and held more).
 _WORD_BATCH = 512
 
 
@@ -118,15 +119,18 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
     The left side of each comparison comes from enumeration statistics (the
     depth-first walk tracks pairs/loose counts incrementally).  The right
     side reduces each walked word from scratch with ``residue``, never
-    reusing the walk's state, takes one ``advance`` step for each of the
-    ``2m`` extension letters (annihilating ones included, at mass 0) and
-    prices every other result by ``residue_m_exponent``; the words of one
-    length go through in batches of ``_WORD_BATCH``, one step per letter
-    and batch.  Both sides
-    are integers: masses at length ``n`` scaled by ``2^(n+1) m^(n+1)``.  The
-    two routes share no state, so agreement is meaningful.  An extension
-    whose residue does not fit its length, or whose m-exponent no language
-    word of its length has, is a mismatch that names the word.
+    reusing the walk's state.  The words of one length go through in
+    batches of ``_WORD_BATCH``; an extension's mass depends only on the
+    length and the residue, so each distinct residue of a batch takes one
+    ``advance`` step for each of the ``2m`` extension letters (annihilating
+    ones included, at mass 0), every other result is priced by
+    ``residue_m_exponent``, and the sums go back to every word of that
+    residue.  Both sides are integers: masses at length ``n`` scaled by
+    ``2^(n+1) m^(n+1)``.  The two routes share no state, so agreement is
+    meaningful.  A batch that disagrees anywhere is re-stepped word by word,
+    in walk order, and each disagreeing word is named.  An extension whose
+    residue does not fit its length, or whose m-exponent no language word
+    of its length has, is a mismatch that names the word.
     """
     del seed
     bad: list[str] = []
@@ -149,13 +153,18 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
                 level.update(exps)
                 lhs = [2 * m_pow[top - e] for e in exps]
                 found = [residue(codes) for codes, _, _ in batch]
+                # each distinct residue once: places[i] is word i's among them
+                distinct: dict = {}
+                places = [distinct.setdefault(s, len(distinct)) for s in found]
+                states = list(distinct)
                 try:
                     # one column per extension letter: the scaled extension masses
                     columns = [
-                        [0 if s is None else scaled[residue_m_exponent(s, top)] for s in advance(found, c)]
+                        [0 if s is None else scaled[residue_m_exponent(s, top)] for s in advance(states, c)]
                         for c in ext
                     ]
-                    rhs = list(map(sum, zip(*columns)))
+                    sums = list(map(sum, zip(*columns)))
+                    rhs = [sums[i] for i in places]
                 except (KeyError, ValueError):
                     rhs = None
                 checked += len(batch)
@@ -226,9 +235,12 @@ def _codes_text(codes: tuple[int, ...]) -> str:
     return " ".join(map(str, codes)) or "(empty)"
 
 
-# Contexts carried by one trie walk.  The representatives' scans held at once
-# grow with it; 46 walks the 227 contexts of length <= 4 in five even slices.
-_CONTEXT_SLICE = 46
+# Distinct context states carried by one trie walk.  The representatives'
+# scans held at once grow with it; 33 walks the 129 residues of the 227
+# contexts of length <= 4 in four slices.
+_CONTEXT_SLICE = 33
+# A group's representative scan when its contexts' scans differ: equal to no state.
+_SPLIT = object()
 
 
 def _swap_sweep(
@@ -237,27 +249,38 @@ def _swap_sweep(
     """Every block of length <= ``n_max`` against its class representative, in every context.
 
     A block's class is its ``(length, *residue)`` key; only the ``shared``
-    classes, those with two or more blocks, are compared.  One preorder walk
-    over the trie of language blocks per slice of ``_CONTEXT_SLICE``
-    contexts advances every context's scan state by one letter along each
-    trie edge, so the states at block ``w`` are ``residue(s + w)`` for each
-    context ``s``.  A class's representative is its first block in
-    preorder, the lexicographically first; its scans ``residue(s + rep)``
-    are reduced from scratch, and each later member's states are compared
-    with them as one list.  Blocks are keyed and pruned by their own
-    ``residue``, also from scratch.
+    classes, those with two or more blocks, are compared.  Contexts are
+    grouped by their own ``residue``, reduced from scratch: the scan of
+    ``s + w`` depends on ``s`` only through it.  One preorder walk over the
+    trie of language blocks per slice of ``_CONTEXT_SLICE`` groups advances
+    one state per group by one letter along each trie edge, so the states
+    at block ``w`` are ``residue(s + w)`` for the contexts ``s`` of each
+    group.  A class's representative is its first block in preorder, the
+    lexicographically first; its scans ``residue(s + rep)`` are reduced
+    from scratch for every context, and each later member's states are
+    compared with them as one list (a group whose contexts' scans differ
+    matches no state).  Comparisons are counted per context.  A block that
+    fails is compared again in every context, in context order, by
+    ``advance`` from ``residue(s)``, and the first context that tells it
+    from its representative is named.  Blocks are keyed and pruned by their
+    own ``residue``, also from scratch.
 
     Returns the number of (block, context) comparisons and, at the first
     mismatch, a message naming the context and both blocks (else ``None``).
     """
     # Pushed in reverse, so the walk pops a1 < .. < am < b1 < .. < bm.
     letters = tuple(range(-m, 0)) + tuple(range(m, 0, -1))
+    groups: dict = {}
+    for s in contexts:
+        groups.setdefault(residue(s), []).append(s)
+    grouped = list(groups.items())
     comparisons = 0
-    for start in range(0, len(contexts), _CONTEXT_SLICE):
-        part = contexts[start : start + _CONTEXT_SLICE]
+    for start in range(0, len(grouped), _CONTEXT_SLICE):
+        part = grouped[start : start + _CONTEXT_SLICE]
+        seen = sum(len(members) for _, members in part)
         reps: dict[tuple, tuple[tuple[int, ...], list]] = {}
         interned: dict = {}
-        pending: list[tuple[tuple[int, ...], int, list]] = [((), 0, [residue(s) for s in part])]
+        pending: list[tuple[tuple[int, ...], int, list]] = [((), 0, [state for state, _ in part])]
         while pending:
             w, code, states = pending.pop()
             found = residue(w)
@@ -269,18 +292,30 @@ def _swap_sweep(
             if key in shared:
                 rep = reps.get(key)
                 if rep is None:
-                    reps[key] = (w, [interned.setdefault(r, r) for r in (residue(s + w) for s in part)])
+                    scans = []
+                    for _, members in part:
+                        one = {residue(s + w) for s in members}
+                        scan = one.pop() if len(one) == 1 else _SPLIT
+                        scans.append(interned.setdefault(scan, scan))
+                    reps[key] = (w, scans)
                 else:
-                    comparisons += len(part)
+                    comparisons += seen
                     if states != rep[1]:
-                        i = next(i for i, (a, b) in enumerate(zip(states, rep[1])) if a != b)
-                        return comparisons, (
-                            f"context {_codes_text(part[i])} sees "
-                            f"{_codes_text(w)} != {_codes_text(rep[0])}"
-                        )
+                        return comparisons, _first_swap_difference(contexts, w, rep[0])
             if len(w) < n_max:
                 pending.extend((w + (c,), c, states) for c in letters)
     return comparisons, None
+
+
+def _first_swap_difference(contexts: Sequence[tuple[int, ...]], w: tuple[int, ...], rep: tuple[int, ...]) -> str:
+    """Block ``w`` against ``rep`` in each context in turn: the message for the first context that tells them apart."""
+    for s in contexts:
+        state = [residue(s)]
+        for c in w:
+            state = advance(state, c)
+        if state != [residue(s + rep)]:
+            return f"context {_codes_text(s)} sees {_codes_text(w)} != {_codes_text(rep)}"
+    return f"the grouped walk sees {_codes_text(w)} != {_codes_text(rep)}, though no single context does"
 
 
 def _check_block_swap(seed: int) -> _Outcome:
@@ -289,8 +324,9 @@ def _check_block_swap(seed: int) -> _Outcome:
     Three sweeps: (a) every word of length <= 8 against its equivalence-class
     representative under every left context of length <= 4, compared by
     stack reduction (:func:`_swap_sweep`): the representative's scans are
-    reduced from scratch, every other block's are advanced one letter per
-    edge of the block trie; (b) exhaustive two-sided contexts of length <= 2
+    reduced from scratch in every context, every other block's are advanced
+    one letter per edge of the block trie, one state per group of contexts
+    with equal residues; (b) exhaustive two-sided contexts of length <= 2
     around every word of length <= 6, compared by mass: for each left
     context ``s`` every block's ``residue(s + w)`` is reduced from scratch
     once, stepped through each right context ``t`` by :func:`advance`

@@ -86,11 +86,7 @@ class Word:
     codes: tuple[int, ...]
 
     def __init__(self, m: int, codes: tuple[int, ...]) -> None:
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        for c in codes:
-            if c == 0 or abs(c) > m:
-                raise ValueError(f"letter code {c} out of range for m={m}")
+        _check_letters(m, codes)
         _set_word_m(self, m)
         _set_word_codes(self, codes)
 
@@ -131,6 +127,15 @@ class Word:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text() or "(empty)"
+
+
+def _check_letters(m: int, codes: Sequence[int]) -> None:
+    """Refuse ``m < 1`` and any letter code outside ``±1 .. ±m``, naming the first bad one."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    for c in codes:
+        if c == 0 or abs(c) > m:
+            raise ValueError(f"letter code {c} out of range for m={m}")
 
 
 # The slots' own setters: ``Word.__init__`` fills the slots through them,
@@ -217,44 +222,73 @@ def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, 
     Yields ``(codes, pairs, loose)`` where ``pairs`` counts matched opener
     positions and ``loose`` counts unmatched letters.  Dead prefixes are
     pruned exactly: a prefix only dies by annihilation, which the open-type
-    stack detects locally, and zero is absorbing.
+    stack detects locally, and zero is absorbing.  A word's last
+    ``_TAIL`` letters depend only on the top ``_TAIL`` or fewer open types
+    of its prefix, so each walk lists those endings once per such top and
+    reuses them (:func:`_walk_language`).
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     return _walk_language(n, m)
 
 
+# Letters that the language walk takes from its table of endings.
+_TAIL = 3
+
+
+def _steps(opens: tuple[int, ...], m: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The walk's one-letter rule: ``(letter, open types after it, pairs it closes)``, in letter order.
+
+    Every opener pushes its type.  Only the closer of the innermost open
+    type survives, and pops it (every other closer annihilates); when
+    nothing is open, every closer is loose.
+    """
+    for i in range(1, m + 1):
+        yield i, opens + (i,), 0
+    if opens:
+        yield -opens[-1], opens[:-1], 1
+    else:
+        for j in range(1, m + 1):
+            yield -j, opens, 0
+
+
+def _endings(opens: tuple[int, ...], k: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every ``k``-letter ending after open types ``opens``, with the pairs it closes, in letter order."""
+    if k == 0:
+        return [((), 0)]
+    return [
+        ((c, *end), closed + more)
+        for c, after, closed in _steps(opens, m)
+        for end, more in _endings(after, k - 1, m)
+    ]
+
+
 def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    if n == 0:
-        yield (), 0, 0
-        return
-    openers = tuple((i,) for i in range(1, m + 1))
-    loose_closers = tuple((-j,) for j in range(1, m + 1))
-    last = n - 1
+    """Depth-first by :func:`_steps` to ``n - _TAIL`` letters, then the endings of the prefix's top open types.
+
+    The table of endings is keyed by the top ``_TAIL`` open types (all of
+    them when fewer are open), since an ending pops no deeper; it is built
+    by the walk's own rule as tops turn up and lives as long as the walk.
+    """
+    tail = min(n, _TAIL)
+    head = n - tail
+    endings: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     # Prefixes still to extend, as (codes, open opener types innermost last,
-    # matched pairs), the lexicographically next one on top.  A prefix one
-    # letter short yields its extensions instead of pushing them.
+    # matched pairs), the lexicographically next one on top.
     pending: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
-    pop, push = pending.pop, pending.append
+    pop, extend = pending.pop, pending.extend
     while pending:
         codes, opens, pairs = pop()
-        if len(codes) < last:
-            if opens:
-                push((codes + (-opens[-1],), opens[:-1], pairs + 1))
-            else:
-                for c in reversed(loose_closers):
-                    push((codes + c, opens, pairs))
-            for i in reversed(openers):
-                push((codes + i, opens + i, pairs))
+        if len(codes) < head:
+            extend(reversed([(codes + (c,), after, pairs + closed) for c, after, closed in _steps(opens, m)]))
             continue
+        top = opens[-tail:]
+        ends = endings.get(top)
+        if ends is None:
+            ends = endings[top] = _endings(top, tail, m)
         loose = n - 2 * pairs
-        for i in openers:
-            yield codes + i, pairs, loose
-        if opens:
-            yield codes + (-opens[-1],), pairs + 1, loose - 2
-        else:
-            for c in loose_closers:
-                yield codes + c, pairs, loose
+        for end, more in ends:
+            yield codes + end, pairs + more, loose - 2 * more
 
 
 def pattern_counts(n: int) -> Iterator[int]:

@@ -1,0 +1,68 @@
+"""The bench recorder's parsing and aggregation, on canned benchmark output; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+BETTER = {"wall_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"}
+
+
+def _stdout(wall, rss, correct=True, failed=0):
+    """A benchmark run's standard output: report lines, then the JSON result line."""
+    result = {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "setup_s": {"value": 0.015, "unit": "s"},
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+    return f"workload verify-exact: seed 7, 1 pass(es)\n  wall_s = {wall} s\n{json.dumps(result)}\n"
+
+
+def test_parse_result_reads_the_last_line():
+    parsed = bench_record.parse_result(_stdout(4.0, 24.5))
+    assert parsed["metrics"]["wall_s"] == {"value": 4.0, "unit": "s"}
+    assert parsed["correct"] is True
+
+
+def test_summary_gives_inclusive_quartiles():
+    assert bench_record.summary([4.0, 1.0, 3.0, 2.0]) == {
+        "median": 2.5,
+        "q1": 1.75,
+        "q3": 3.25,
+        "values": [4.0, 1.0, 3.0, 2.0],
+    }
+    assert bench_record.summary([5.0]) == {"median": 5.0, "q1": 5.0, "q3": 5.0, "values": [5.0]}
+
+
+def test_aggregate_pairs_the_runs_by_position():
+    tree = [bench_record.parse_result(_stdout(w, r)) for w, r in ((3.2, 25.0), (3.4, 24.0), (3.3, 24.9), (4.5, 24.8))]
+    against = [bench_record.parse_result(_stdout(w, r)) for w, r in ((4.0, 24.8), (4.2, 24.8), (4.1, 24.8), (4.1, 24.8))]
+    record = bench_record.aggregate({"tree": tree, "against": against}, BETTER)
+    wall = record["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["better"] == "lower"
+    assert wall["tree"]["median"] == pytest.approx(3.35)
+    assert wall["against"]["median"] == pytest.approx(4.1)
+    assert (wall["against"]["q1"], wall["against"]["q3"]) == pytest.approx((4.075, 4.125))
+    assert wall["wins"] == 3
+    # equal values are no win
+    assert record["metrics"]["peak_rss_mb"]["wins"] == 1
+    assert record["metrics"]["setup_s"]["wins"] == 0
+    assert (record["correct"], record["attempted"], record["failed"]) == (True, 80, 0)
+
+
+def test_aggregate_of_one_side_has_no_wins_and_reports_failures():
+    runs = [bench_record.parse_result(_stdout(4.0, 24.5)), bench_record.parse_result(_stdout(4.2, 24.5, False, 1))]
+    record = bench_record.aggregate({"tree": runs}, BETTER)
+    assert set(record["metrics"]["wall_s"]) == {"unit", "tree"}
+    assert (record["correct"], record["failed"]) == (False, 1)

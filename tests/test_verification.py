@@ -140,6 +140,20 @@ def test_swap_sweep_compares_in_every_context(monkeypatch):
         assert failure == f"context {' '.join(map(str, context))} sees 2 -2 != 1 -1"
 
 
+@pytest.mark.parametrize("context_slice", [1, 2, 64])
+def test_swap_sweep_names_the_first_failing_context_in_context_order(monkeypatch, context_slice):
+    # The representative 1 -1 misreduces after 2 1 and after 2 -2.  The
+    # residue group of 2 -2 is led by 1 -1, so its walk comes no later than
+    # that of 2 1, which stands alone; 2 1 comes first in context order.
+    monkeypatch.setattr(verification, "_CONTEXT_SLICE", context_slice)
+    contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
+    shared = verification._shared_keys(2, 2)
+    assert contexts.index((1, -1)) < contexts.index((2, 1)) < contexts.index((2, -2))
+    faulty = {(2, 1, 1, -1), (2, -2, 1, -1)}
+    monkeypatch.setattr(verification, "residue", lambda codes: None if codes in faulty else residue(codes))
+    assert verification._swap_sweep(contexts, 2, 2, shared)[1] == "context 2 1 sees 2 -2 != 1 -1"
+
+
 # Planted faults.  Each is patched into ``verification`` alone, so it reaches
 # exactly the routes that the checks take there.
 
@@ -225,6 +239,30 @@ def test_faulty_step_fails_both_checks(monkeypatch):
     for m, word in _consistency_failures(run_check("cylinder-consistency")):
         letters = [*range(1, m + 1), *range(-m, 0)]
         assert any(_misstep([residue(word)], c) != [residue(word + (c,))] for c in letters)
+
+
+# A residue that many words of the first m = 2, n = 10 batch of
+# cylinder-consistency share; before that batch, only the word a1^8 has it.
+PLANTED = ((), (1,) * 8)
+
+
+def _misstep_planted(states, code):
+    """``advance``, except that ``b1`` annihilates the eight open ``a1`` of ``PLANTED``."""
+    stepped = advance(states, code)
+    return [None if code == -1 and state == PLANTED else out for state, out in zip(states, stepped)]
+
+
+def test_stepping_each_residue_once_still_names_every_faulty_word(monkeypatch):
+    # Each distinct residue is stepped once per batch, yet every word that
+    # shares the faulty state is named, in walk order, as a word-by-word
+    # route names them: a1^8, then the first four words of length 10.
+    monkeypatch.setattr(verification, "advance", _misstep_planted)
+    walk = [codes for n in range(11) for codes, _, _ in iter_language_stats(n, 2)]
+    expected = [codes for codes in walk if residue(codes) == PLANTED][:5]
+    assert _consistency_failures(run_check("cylinder-consistency")) == [(2, codes) for codes in expected]
+    tens = [codes for codes, _, _ in iter_language_stats(10, 2)]
+    assert [len(codes) for codes in expected] == [8, 10, 10, 10, 10]
+    assert {tens.index(codes) // verification._WORD_BATCH for codes in expected[1:]} == {0}
 
 
 def test_misreduced_word_fails_both_checks(monkeypatch):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dyckshift import words
 from dyckshift.words import (
     advance,
     NotInLanguage,
@@ -199,7 +200,18 @@ def test_pattern_counts_equal_brute_force_tally(n):
     assert pattern_tally(n) == expected
 
 
-@pytest.mark.parametrize("n,m", [(n, 2) for n in range(9)] + [(n, 3) for n in range(6)])
+# Every m reaches lengths past the walk's table of endings, so some words
+# take their endings under a non-empty prefix.
+WALK_SCOPES = [(n, 1) for n in range(11)] + [(n, 2) for n in range(9)] + [(n, 3) for n in range(7)] + [
+    (n, 4) for n in range(6)
+]
+
+
+def test_walk_scopes_reach_past_the_table_of_endings():
+    assert all(max(n for n, k in WALK_SCOPES if k == m) > words._TAIL for m in range(1, 5))
+
+
+@pytest.mark.parametrize("n,m", WALK_SCOPES)
 def test_enumeration_matches_count(n, m):
     assert sum(1 for _ in iter_language_stats(n, m)) == count_language(n, m)
 
@@ -234,7 +246,7 @@ def language_stats_oracle(n: int, m: int) -> list[tuple[tuple[int, ...], int, in
     return out
 
 
-@pytest.mark.parametrize("n,m", [(n, 2) for n in range(8)] + [(n, 3) for n in range(6)])
+@pytest.mark.parametrize("n,m", WALK_SCOPES)
 def test_iter_language_stats_equals_brute_force(n, m):
     # pins completeness, lexicographic order and the pair/loose statistics
     assert list(iter_language_stats(n, m)) == language_stats_oracle(n, m)
