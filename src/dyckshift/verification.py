@@ -315,7 +315,7 @@ def _first_swap_difference(contexts: Sequence[tuple[int, ...]], w: tuple[int, ..
             state = advance(state, c)
         if state != [residue(s + rep)]:
             return f"context {_codes_text(s)} sees {_codes_text(w)} != {_codes_text(rep)}"
-    return f"the grouped walk sees {_codes_text(w)} != {_codes_text(rep)}, though no single context does"
+    raise AssertionError("the grouped walk stepped each context's own residue, so some context differs")
 
 
 def _check_block_swap(seed: int) -> _Outcome:

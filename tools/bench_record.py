@@ -7,7 +7,7 @@ Stdlib only.  Run from the root of a checkout:
 
 Each run is one call of the unchanged ``perfbench/run.py --workload W --seed S
 --seconds 0 --trace 0`` (one pass, end-to-end metrics) on its own seed,
-``--first-seed`` upwards.  With ``--against REV``, revision REV is exported
+``FIRST_SEED`` upwards.  With ``--against REV``, revision REV is exported
 with ``git archive`` into a temporary directory and run there, in pairs with
 the working tree on the same seed; the order within a pair alternates, so that
 a drift in machine speed favours neither side.  The directory is removed at
@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIRST_SEED = 921
 
 
 def run_once(tree: Path, workload: str, seed: int) -> str:
@@ -105,12 +106,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10, help="seeds, one run (or pair) each")
-    parser.add_argument("--first-seed", type=int, default=921)
     parser.add_argument("--against", metavar="REV", help="also run this revision, in alternating pairs")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
+    seeds = list(range(FIRST_SEED, FIRST_SEED + args.runs))
     head = _git("rev-parse", "HEAD")
     revisions = {"tree": head + ("+dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")}
     sides: dict[str, list[dict]] = {"tree": []}
