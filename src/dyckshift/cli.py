@@ -10,7 +10,6 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -72,6 +71,8 @@ def _ratio(text: str) -> Fraction:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 

@@ -41,7 +41,7 @@ import operator
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .words import NotInLanguage, Word, code_text, residue
+from .words import NotInLanguage, Word, _check_letters, code_text, residue
 
 
 # The package's records are named tuples.  A record with checks declares its
@@ -74,9 +74,7 @@ class PointWindow(_PointWindowFields):
             raise ValueError(f"window [{lo}, {hi}] must contain the origin")
         if len(codes) != hi - lo + 1:
             raise ValueError("window length does not match its bounds")
-        for c in codes:
-            if not 1 <= abs(c) <= m:
-                raise ValueError(f"letter code {c} out of range for m={m}")
+        _check_letters(m, codes)
         if residue(codes) is None:
             raise NotInLanguage("window letters annihilate; not a point of the subshift")
         return tuple.__new__(cls, (m, lo, hi, codes))

@@ -332,6 +332,7 @@ def entropy_report(n: int, m: int = 2) -> EntropyReport:
     The one-length route: two pattern passes, at lengths ``n`` and ``n + 1``.
     For several lengths use :func:`entropy_table`, which counts each once.
     """
+    _check_letters(m, ())
     here, p_nonneg = _block_and_p_nonneg(n)
     after = _block_and_p_nonneg(n + 1)[0]
     return EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)
@@ -346,6 +347,7 @@ def entropy_table(n_max: int, m: int = 2) -> list[EntropyReport]:
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
+    _check_letters(m, ())
     stats = [_block_and_p_nonneg(n) for n in range(n_max + 2)]
     return [
         EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)

@@ -54,6 +54,7 @@ from .words import (
     count_language,
     enumerate_balanced,
     iter_language_stats,
+    loose_counts,
     residue,
 )
 
@@ -454,16 +455,20 @@ def _check_entropy_below_topological(seed: int) -> _Outcome:
 
 
 def _check_balanced_counts(seed: int) -> _Outcome:
-    """Catalan-times-types counting against two enumerations."""
+    """Catalan-times-types counting against two enumerations.
+
+    The scan route walks the whole language of each length by the head
+    walk of :func:`~dyckshift.words.iter_language_stats`, but tallies the
+    words per head (:func:`~dyckshift.words.loose_counts`) instead of
+    building each one, and reads the count with no loose letter.
+    """
     del seed
     checked = []
     for m, max_pairs in ((2, 6), (3, 4)):
         for pairs in range(max_pairs + 1):
             formula = count_balanced(pairs, m)
             listed = sum(1 for _ in enumerate_balanced(pairs, m))
-            scanned = sum(
-                1 for _, _, loose in iter_language_stats(2 * pairs, m) if loose == 0
-            )
+            scanned = loose_counts(2 * pairs, m).get(0, 0)
             if not formula == listed == scanned:
                 return False, f"m={m} pairs={pairs}: formula {formula}, enumerated {listed}, scanned {scanned}", ()
             checked.append(formula)

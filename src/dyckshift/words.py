@@ -19,6 +19,13 @@ each prefix once.  The rewrite system is confluent, so the scan order cannot
 change the outcome (the tests check this against an order-free rewriting
 oracle).  A word's residue — loose closers then loose openers, or ``None``
 for zero — is its normal form, and :func:`residue_text` renders it.
+
+The language of one length is walked once, head by head, by a letter rule
+of its own (:func:`_heads`): a word's last few letters depend only on the
+innermost open types of its head, so their endings are listed once per such
+top.  That one head walk serves two views: :func:`iter_language_stats`
+yields every word with its statistics, and :func:`loose_counts` only
+tallies them, building no word.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from typing import Iterator, Sequence
 
 
@@ -225,11 +233,34 @@ def iter_language_stats(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, 
     stack detects locally, and zero is absorbing.  A word's last
     ``_TAIL`` letters depend only on the top ``_TAIL`` or fewer open types
     of its prefix, so each walk lists those endings once per such top and
-    reuses them (:func:`_walk_language`).
+    appends them to every head of :func:`_heads` with that top.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
+    _check_letters(m, ())
     return _walk_language(n, m)
+
+
+def loose_counts(n: int, m: int) -> dict[int, int]:
+    """How many length-``n`` language words have each number of loose letters.
+
+    The tally of :func:`iter_language_stats`' ``loose`` statistic, by the
+    same walk, without building a word: the heads of :func:`_heads` are
+    counted by matched pairs and top open types, and each top's endings by
+    the pairs they close.  Keys run upwards; absent keys count no word.
+    """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    _check_letters(m, ())
+    tail = min(n, _TAIL)
+    closes: dict[tuple[int, ...], Counter[int]] = {}
+    tally: Counter[int] = Counter()
+    for (pairs, top), heads in Counter((pairs, top) for _, pairs, top in _heads(n, m)).items():
+        if top not in closes:
+            closes[top] = Counter(more for _, more in _endings(top, tail, m))
+        for more, ends in closes[top].items():
+            tally[n - 2 * (pairs + more)] += heads * ends
+    return dict(sorted(tally.items()))
 
 
 # Letters that the language walk takes from its table of endings.
@@ -263,16 +294,16 @@ def _endings(opens: tuple[int, ...], k: int, m: int) -> list[tuple[tuple[int, ..
     ]
 
 
-def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Depth-first by :func:`_steps` to ``n - _TAIL`` letters, then the endings of the prefix's top open types.
+def _heads(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The one head walk of the language: depth-first by :func:`_steps` to ``n - _TAIL`` letters.
 
-    The table of endings is keyed by the top ``_TAIL`` open types (all of
-    them when fewer are open), since an ending pops no deeper; it is built
-    by the walk's own rule as tops turn up and lives as long as the walk.
+    Yields each head's ``(codes, matched pairs, top open types)`` in letter
+    order.  The top is the innermost ``_TAIL`` open types (all of them when
+    fewer are open): an ending of ``_TAIL`` letters pops no deeper, so the
+    top alone fixes which endings follow and what they close.
     """
     tail = min(n, _TAIL)
     head = n - tail
-    endings: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     # Prefixes still to extend, as (codes, open opener types innermost last,
     # matched pairs), the lexicographically next one on top.
     pending: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
@@ -281,8 +312,15 @@ def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]
         codes, opens, pairs = pop()
         if len(codes) < head:
             extend(reversed([(codes + (c,), after, pairs + closed) for c, after, closed in _steps(opens, m)]))
-            continue
-        top = opens[-tail:]
+        else:
+            yield codes, pairs, opens[-tail:]
+
+
+def _walk_language(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each head of :func:`_heads` followed by every ending of its top, from a table built as tops turn up."""
+    tail = min(n, _TAIL)
+    endings: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for codes, pairs, top in _heads(n, m):
         ends = endings.get(top)
         if ends is None:
             ends = endings[top] = _endings(top, tail, m)
@@ -327,6 +365,7 @@ def count_language(n: int, m: int) -> int:
     Horner's rule folds each term in with one multiply by ``m`` as it is
     stepped, and one power finishes.
     """
+    _check_letters(m, ())
     folded = 0
     for p, count in enumerate(pattern_counts(n)):
         folded = folded * m + (n - 2 * p + 1) * count
@@ -340,6 +379,7 @@ def count_balanced(pair_count: int, m: int) -> int:
     """
     if pair_count < 0:
         raise ValueError("pair count must be >= 0")
+    _check_letters(m, ())
     catalan = math.comb(2 * pair_count, pair_count) // (pair_count + 1)
     return catalan * m**pair_count
 
@@ -348,6 +388,7 @@ def enumerate_balanced(pair_count: int, m: int) -> Iterator[Word]:
     """All balanced words of length ``2 * pair_count``, lexicographic."""
     if pair_count < 0:
         raise ValueError("pair count must be >= 0")
+    _check_letters(m, ())
     n = 2 * pair_count
     word: list[int] = []
     stack: list[int] = []

@@ -146,11 +146,22 @@ CHECKS = [
     (ValueError, "window length does not match its bounds", lambda: PointWindow(2, 0, 1, (1,))),
     (ValueError, "letter code 4 out of range for m=2", lambda: PointWindow(2, 0, 1, (1, 4))),
     (ValueError, "letter code -3 out of range for m=2", lambda: PointWindow(2, 0, 1, (-3, 1))),
+    (ValueError, "need m >= 1, got 0", lambda: PointWindow(0, 0, 0, (1,))),
     (NotInLanguage, "window letters annihilate; not a point of the subshift", lambda: PointWindow(2, 0, 1, (1, -2))),
 ]
 
 
-@pytest.mark.parametrize("exc_type, message, build", CHECKS, ids=[m for _, m, _ in CHECKS])
+
+
+def _check_ids() -> list[str]:
+    """Each row's message, and the record it builds where an earlier row has the same message."""
+    ids: list[str] = []
+    for _, message, build in CHECKS:
+        ids.append(f"{message} ({build.__code__.co_names[0]})" if message in ids else message)
+    return ids
+
+
+@pytest.mark.parametrize("exc_type, message, build", CHECKS, ids=_check_ids())
 def test_construction_checks_keep_their_errors(exc_type, message, build):
     _raises(exc_type, message, build)
 
@@ -159,13 +170,14 @@ def test_valid_edge_records_construct():
     assert PointWindow(2, 0, 1, (-2, 1)).codes == (-2, 1)  # a loose closer, then an opener
 
 
-def test_import_leaves_dataclasses_and_inspect_out():
+def test_import_leaves_dataclasses_inspect_and_json_out():
     # -S: no site packages, so only the package's own imports are seen.
+    # json loads only when a command emits --json output.
     src = Path(dyckshift.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dyckshift, dyckshift.cli; "
         "print(dyckshift.__file__); "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
     imported_from, heavy = done.stdout.splitlines()

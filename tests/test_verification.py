@@ -291,6 +291,23 @@ def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
     assert result.observed == "mass of s+2 -2+t differs from the representative's"
 
 
+def test_dropped_balanced_word_fails_balanced_counts(monkeypatch):
+    # The scan route's tally loses one balanced word of length 6 at m = 3;
+    # formula and enumeration still agree, so the failure names that scope.
+    real = verification.loose_counts
+
+    def drop_one(n, m):
+        tally = real(n, m)
+        if (n, m) == (6, 3):
+            tally[0] -= 1
+        return tally
+
+    monkeypatch.setattr(verification, "loose_counts", drop_one)
+    result = run_check("balanced-counts")
+    assert not result.ok
+    assert result.observed == "m=3 pairs=3: formula 135, enumerated 135, scanned 134"
+
+
 def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
     # block-swap-exact's sweep (b) prices through this same residue_m_exponent, but
     # equivalent blocks have equal residues and lengths, so it misprices both

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyckshift import words
+from dyckshift.measures import entropy_report, entropy_table
 from dyckshift.words import (
     advance,
     NotInLanguage,
@@ -17,6 +18,7 @@ from dyckshift.words import (
     is_in_language,
     iter_language_stats,
     lex_key,
+    loose_counts,
     minimal_balanced_extensions,
     parse_codes,
     pattern_counts,
@@ -255,6 +257,41 @@ def test_iter_language_stats_equals_brute_force(n, m):
 def test_iter_language_stats_rejects_negative_length():
     with pytest.raises(ValueError):
         iter_language_stats(-1, 2)
+
+
+@pytest.mark.parametrize("n,m", WALK_SCOPES)
+def test_loose_counts_tally_the_brute_force_walk(n, m):
+    tally = loose_counts(n, m)
+    expected: dict[int, int] = {}
+    for _, _, loose in language_stats_oracle(n, m):
+        expected[loose] = expected.get(loose, 0) + 1
+    assert tally == expected
+    assert sum(tally.values()) == count_language(n, m)
+
+
+def test_loose_counts_rejects_negative_length():
+    with pytest.raises(ValueError, match="word length must be >= 0"):
+        loose_counts(-1, 2)
+
+
+# Every counting route, called (not iterated) at a valid size.
+COUNTING_ROUTES = {
+    "count_language": lambda m: count_language(3, m),
+    "count_balanced": lambda m: count_balanced(3, m),
+    "enumerate_balanced": lambda m: enumerate_balanced(1, m),
+    "iter_language_stats": lambda m: iter_language_stats(2, m),
+    "loose_counts": lambda m: loose_counts(2, m),
+    "entropy_report": lambda m: entropy_report(4, m),
+    "entropy_table": lambda m: entropy_table(4, m),
+}
+
+
+@pytest.mark.parametrize("m", [0, -2])
+@pytest.mark.parametrize("route", COUNTING_ROUTES)
+def test_counting_routes_refuse_an_empty_alphabet(route, m):
+    with pytest.raises(ValueError) as info:
+        COUNTING_ROUTES[route](m)
+    assert str(info.value) == f"need m >= 1, got {m}"
 
 
 def test_residue_agrees_with_reducers_exhaustively():
