@@ -194,6 +194,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     m = _alphabet(args)
+    if args.json and args.csv:
+        raise DyckError("--csv and --json exclude each other")
     if args.json:
         _emit_json(entropy_report(args.n, m).json_dict())
         return 0

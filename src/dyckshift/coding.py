@@ -242,8 +242,7 @@ def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> I
     stream: platform-stable (string seeds hash via sha512), independent of
     earlier windows, and the same when one generator is reseeded in place.
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m={m} must be at least 1")
+    _check_letters(m, ())
     if not lo <= 0 <= hi:
         raise ValueError(f"sampling window [{lo}, {hi}] must contain the origin")
     if count < 0:

@@ -236,10 +236,6 @@ def _codes_text(codes: tuple[int, ...]) -> str:
     return " ".join(map(str, codes)) or "(empty)"
 
 
-# Distinct context states carried by one trie walk.  The representatives'
-# scans held at once grow with it; 33 walks the 129 residues of the 227
-# contexts of length <= 4 in four slices.
-_CONTEXT_SLICE = 33
 # A group's representative scan when its contexts' scans differ: equal to no state.
 _SPLIT = object()
 
@@ -253,18 +249,18 @@ def _swap_sweep(
     classes, those with two or more blocks, are compared.  Contexts are
     grouped by their own ``residue``, reduced from scratch: the scan of
     ``s + w`` depends on ``s`` only through it.  One preorder walk over the
-    trie of language blocks per slice of ``_CONTEXT_SLICE`` groups advances
-    one state per group by one letter along each trie edge, so the states
-    at block ``w`` are ``residue(s + w)`` for the contexts ``s`` of each
-    group.  A class's representative is its first block in preorder, the
-    lexicographically first; its scans ``residue(s + rep)`` are reduced
-    from scratch for every context, and each later member's states are
-    compared with them as one list (a group whose contexts' scans differ
-    matches no state).  Comparisons are counted per context.  A block that
-    fails is compared again in every context, in context order, by
-    ``advance`` from ``residue(s)``, and the first context that tells it
-    from its representative is named.  Blocks are keyed and pruned by their
-    own ``residue``, also from scratch.
+    trie of language blocks advances one state per group by one letter
+    along each trie edge, so the states at block ``w`` are
+    ``residue(s + w)`` for the contexts ``s`` of each group.  A class's
+    representative is its first block in preorder, the lexicographically
+    first; its scans ``residue(s + rep)`` are reduced from scratch for
+    every context, and each later member's states are compared with them as
+    one list (a group whose contexts' scans differ matches no state).
+    Comparisons are counted per context.  When a block fails, the first
+    context in context order whose scan of the representative differs from
+    its group's state at the block is named; one always does, since the
+    state is that context's own scan of the block.  Blocks are keyed and
+    pruned by their own ``residue``, also from scratch.
 
     Returns the number of (block, context) comparisons and, at the first
     mismatch, a message naming the context and both blocks (else ``None``).
@@ -274,49 +270,36 @@ def _swap_sweep(
     groups: dict = {}
     for s in contexts:
         groups.setdefault(residue(s), []).append(s)
-    grouped = list(groups.items())
     comparisons = 0
-    for start in range(0, len(grouped), _CONTEXT_SLICE):
-        part = grouped[start : start + _CONTEXT_SLICE]
-        seen = sum(len(members) for _, members in part)
-        reps: dict[tuple, tuple[tuple[int, ...], list]] = {}
-        interned: dict = {}
-        pending: list[tuple[tuple[int, ...], int, list]] = [((), 0, [state for state, _ in part])]
-        while pending:
-            w, code, states = pending.pop()
-            found = residue(w)
-            if found is None:
-                continue
-            if code:
-                states = advance(states, code)
-            key = (len(w), *found)
-            if key in shared:
-                rep = reps.get(key)
-                if rep is None:
-                    scans = []
-                    for _, members in part:
-                        one = {residue(s + w) for s in members}
-                        scan = one.pop() if len(one) == 1 else _SPLIT
-                        scans.append(interned.setdefault(scan, scan))
-                    reps[key] = (w, scans)
-                else:
-                    comparisons += seen
-                    if states != rep[1]:
-                        return comparisons, _first_swap_difference(contexts, w, rep[0])
-            if len(w) < n_max:
-                pending.extend((w + (c,), c, states) for c in letters)
+    reps: dict[tuple, tuple[tuple[int, ...], list]] = {}
+    interned: dict = {}
+    pending: list[tuple[tuple[int, ...], int, list]] = [((), 0, list(groups))]
+    while pending:
+        w, code, states = pending.pop()
+        found = residue(w)
+        if found is None:
+            continue
+        if code:
+            states = advance(states, code)
+        key = (len(w), *found)
+        if key in shared:
+            rep = reps.get(key)
+            if rep is None:
+                scans = []
+                for members in groups.values():
+                    one = {residue(s + w) for s in members}
+                    scan = one.pop() if len(one) == 1 else _SPLIT
+                    scans.append(interned.setdefault(scan, scan))
+                reps[key] = (w, scans)
+            else:
+                comparisons += len(contexts)
+                if states != rep[1]:
+                    state_of = {s: state for state, members in zip(states, groups.values()) for s in members}
+                    s = next(s for s in contexts if residue(s + rep[0]) != state_of[s])
+                    return comparisons, f"context {_codes_text(s)} sees {_codes_text(w)} != {_codes_text(rep[0])}"
+        if len(w) < n_max:
+            pending.extend((w + (c,), c, states) for c in letters)
     return comparisons, None
-
-
-def _first_swap_difference(contexts: Sequence[tuple[int, ...]], w: tuple[int, ...], rep: tuple[int, ...]) -> str:
-    """Block ``w`` against ``rep`` in each context in turn: the message for the first context that tells them apart."""
-    for s in contexts:
-        state = [residue(s)]
-        for c in w:
-            state = advance(state, c)
-        if state != [residue(s + rep)]:
-            return f"context {_codes_text(s)} sees {_codes_text(w)} != {_codes_text(rep)}"
-    raise AssertionError("the grouped walk stepped each context's own residue, so some context differs")
 
 
 def _check_block_swap(seed: int) -> _Outcome:
@@ -326,7 +309,7 @@ def _check_block_swap(seed: int) -> _Outcome:
     representative under every left context of length <= 4, compared by
     stack reduction (:func:`_swap_sweep`): the representative's scans are
     reduced from scratch in every context, every other block's are advanced
-    one letter per edge of the block trie, one state per group of contexts
+    one letter per edge of a single trie walk, one state per group of contexts
     with equal residues; (b) exhaustive two-sided contexts of length <= 2
     around every word of length <= 6, compared by mass: for each left
     context ``s`` every block's ``residue(s + w)`` is reduced from scratch

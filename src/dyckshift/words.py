@@ -389,30 +389,42 @@ def enumerate_balanced(pair_count: int, m: int) -> Iterator[Word]:
     if pair_count < 0:
         raise ValueError("pair count must be >= 0")
     _check_letters(m, ())
-    n = 2 * pair_count
-    word: list[int] = []
-    stack: list[int] = []
+    return _walk_balanced(2 * pair_count, m)
 
-    def walk(depth: int) -> Iterator[Word]:
+
+def _walk_balanced(n: int, m: int) -> Iterator[Word]:
+    """Depth-first over one shared word, by an explicit stack rather than a generator per letter.
+
+    Its own rule: an opener while the letters left can still close it and
+    all that is open, and the closer of the innermost open type.
+    """
+    word: list[int] = []
+    opens: list[int] = []
+    # (word length before the letter, letter), the lexicographically next on top.
+    pending: list[tuple[int, int]] = []
+    while True:
+        depth = len(word)
         if depth == n:
             yield Word(m, tuple(word))
+        else:
+            if opens:
+                pending.append((depth, -opens[-1]))
+            if n - depth >= len(opens) + 2:
+                pending.extend((depth, i) for i in range(m, 0, -1))
+        if not pending:
             return
-        remaining = n - depth
-        if remaining >= len(stack) + 2:
-            for i in range(1, m + 1):
-                word.append(i)
-                stack.append(i)
-                yield from walk(depth + 1)
-                stack.pop()
-                word.pop()
-        if stack:
-            top = stack.pop()
-            word.append(-top)
-            yield from walk(depth + 1)
-            word.pop()
-            stack.append(top)
-
-    return walk(0)
+        depth, code = pending.pop()
+        while len(word) > depth:
+            dropped = word.pop()
+            if dropped > 0:
+                opens.pop()
+            else:
+                opens.append(-dropped)
+        word.append(code)
+        if code > 0:
+            opens.append(code)
+        else:
+            opens.pop()
 
 
 def completion_needs(a: Word, max_len: int | None = None) -> _Residue:

@@ -333,6 +333,13 @@ def test_entropy_csv(capsys):
     assert lines[1].startswith("0,0,0,1,")
 
 
+def test_entropy_refuses_csv_with_json(capsys):
+    rc, out, err = run(capsys, "entropy", "--n", "3", "--json", "--csv")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --csv and --json exclude each other\n"
+
+
 def test_entropy_table_counts_each_length_once(capsys, monkeypatch):
     """Row n needs the patterns of n and n + 1; neighbouring rows share them."""
     seen = []

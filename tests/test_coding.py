@@ -282,7 +282,7 @@ def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m,
     with pytest.raises(TypeError, match="max_extension"):
         SAMPLERS[name](m, lo, hi, seed=0, count=1, max_extension=cap)
     if m < 1:
-        with pytest.raises(ValueError, match="m="):
+        with pytest.raises(ValueError, match=f"need m >= 1, got {m}"):
             next(SAMPLERS[name](m, lo, hi, seed=0, count=1))
 
 

@@ -113,9 +113,8 @@ def test_exact_sweeps_keep_their_scope(exact_check_results):
     )
 
 
-@pytest.mark.parametrize("m,n_max,context_len,context_slice", [(2, 6, 3, 5), (2, 6, 3, 64), (3, 5, 2, 7)])
-def test_swap_sweep_makes_the_pairwise_comparisons(monkeypatch, m, n_max, context_len, context_slice):
-    monkeypatch.setattr(verification, "_CONTEXT_SLICE", context_slice)
+@pytest.mark.parametrize("m,n_max,context_len", [(2, 6, 3), (3, 5, 2)])
+def test_swap_sweep_makes_the_pairwise_comparisons(m, n_max, context_len):
     contexts = [codes for n in range(context_len + 1) for codes, _, _ in iter_language_stats(n, m)]
     expected = pairwise_swap_comparisons(contexts, n_max, m)
     assert expected
@@ -126,8 +125,7 @@ def test_swap_sweep_makes_the_pairwise_comparisons(monkeypatch, m, n_max, contex
 def test_swap_sweep_compares_in_every_context(monkeypatch):
     # Blocks to length 2 at m = 2 form one shared class, a1 b1 ~ a2 b2, so a
     # misreduced context + a1 b1 is seen in exactly that context, whichever
-    # slice and place in it the context takes.
-    monkeypatch.setattr(verification, "_CONTEXT_SLICE", 5)
+    # place in its group the context takes.
     contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
     shared = verification._shared_keys(2, 2)
     assert shared == {(2, (), ())}
@@ -140,18 +138,29 @@ def test_swap_sweep_compares_in_every_context(monkeypatch):
         assert failure == f"context {' '.join(map(str, context))} sees 2 -2 != 1 -1"
 
 
-@pytest.mark.parametrize("context_slice", [1, 2, 64])
-def test_swap_sweep_names_the_first_failing_context_in_context_order(monkeypatch, context_slice):
+def test_swap_sweep_names_the_first_failing_context_in_context_order(monkeypatch):
     # The representative 1 -1 misreduces after 2 1 and after 2 -2.  The
-    # residue group of 2 -2 is led by 1 -1, so its walk comes no later than
-    # that of 2 1, which stands alone; 2 1 comes first in context order.
-    monkeypatch.setattr(verification, "_CONTEXT_SLICE", context_slice)
+    # residue group of 2 -2 is led by 1 -1, so it comes before the group of
+    # 2 1, which stands alone; 2 1 comes first in context order.
     contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
     shared = verification._shared_keys(2, 2)
     assert contexts.index((1, -1)) < contexts.index((2, 1)) < contexts.index((2, -2))
     faulty = {(2, 1, 1, -1), (2, -2, 1, -1)}
     monkeypatch.setattr(verification, "residue", lambda codes: None if codes in faulty else residue(codes))
     assert verification._swap_sweep(contexts, 2, 2, shared)[1] == "context 2 1 sees 2 -2 != 1 -1"
+
+
+def test_swap_sweep_walks_the_block_trie_once(monkeypatch):
+    # 227 context keys, one key per trie node (25,931 blocks and 6,242 dead
+    # children pruned) and 227 scans for each of the 916 shared classes:
+    # each node is reduced from scratch once.
+    m = 2
+    contexts = [codes for n in range(5) for codes, _, _ in iter_language_stats(n, m)]
+    shared = verification._shared_keys(8, m)
+    calls = []
+    monkeypatch.setattr(verification, "residue", lambda codes: calls.append(None) or residue(codes))
+    assert verification._swap_sweep(contexts, 8, m, shared) == (4748386, None)
+    assert len(calls) == 240332
 
 
 # Planted faults.  Each is patched into ``verification`` alone, so it reaches

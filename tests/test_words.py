@@ -349,6 +349,12 @@ def test_balanced_enumeration_matches_formula(pairs, m):
     assert len(listed) == count_balanced(pairs, m)
     assert all(is_balanced(w) for w in listed)
     assert len(set(w.codes for w in listed)) == len(listed)
+    assert listed == sorted(listed, key=lex_key)
+
+
+def test_balanced_enumeration_walks_long_words():
+    # One letter per step of an explicit stack, not one nested generator per letter.
+    assert next(enumerate_balanced(600, 2)).codes == (1,) * 600 + (-1,) * 600
 
 
 @given(balanced_words(m=3))
