@@ -66,3 +66,49 @@ def test_aggregate_of_one_side_has_no_wins_and_reports_failures():
     record = bench_record.aggregate({"tree": runs}, BETTER)
     assert set(record["metrics"]["wall_s"]) == {"unit", "tree"}
     assert (record["correct"], record["failed"]) == (False, 1)
+
+
+def _runs(walls):
+    return [bench_record.parse_result(_stdout(wall, 24.5)) for wall in walls]
+
+
+def _paired(tree_walls, against_walls):
+    return bench_record.aggregate({"tree": _runs(tree_walls), "against": _runs(against_walls)}, BETTER)
+
+
+def test_aggregate_resolves_a_gain_won_in_nine_of_ten_pairs_beyond_the_spread():
+    against = [3.0, 3.1, 3.2, 3.0, 3.1, 3.2, 3.0, 3.1, 3.2, 3.1]
+    tree = [2.5, 2.6, 2.7, 2.5, 2.6, 2.7, 2.5, 2.6, 2.7, 3.3]
+    wall = _paired(tree, against)["metrics"]["wall_s"]
+    assert wall["wins"] == 9
+    assert wall["ratio"] == pytest.approx(2.6 / 3.1)
+    assert wall["resolved"] is True
+
+
+def test_aggregate_leaves_a_gain_inside_the_spread_unresolved():
+    # Won in every pair, but the medians differ by 0.2 and the against side's
+    # quartiles lie 0.6 apart.
+    against = [4.0, 5.5, 4.2, 5.3, 4.4, 5.1, 4.6, 4.9, 4.8, 4.7]
+    tree = [value - 0.2 for value in against]
+    wall = _paired(tree, against)["metrics"]["wall_s"]
+    assert wall["wins"] == 10
+    assert wall["against"]["q3"] - wall["against"]["q1"] == pytest.approx(0.6)
+    assert wall["resolved"] is False
+
+
+def test_aggregate_leaves_a_gain_won_in_eight_of_ten_pairs_unresolved():
+    against = [3.0] * 10
+    tree = [2.0] * 8 + [3.5, 3.0]
+    record = _paired(tree, against)
+    wall = record["metrics"]["wall_s"]
+    assert (wall["wins"], wall["ratio"], wall["resolved"]) == (8, pytest.approx(2.0 / 3.0), False)
+    # equal runs: no win, a ratio of 1, unresolved
+    rss = record["metrics"]["peak_rss_mb"]
+    assert (rss["wins"], rss["ratio"], rss["resolved"]) == (0, 1.0, False)
+
+
+def test_aggregate_resolves_a_higher_is_better_gain():
+    record = bench_record.aggregate({"tree": _runs([2.0] * 10), "against": _runs([1.0] * 10)}, {"wall_s": "higher"})
+    wall = record["metrics"]["wall_s"]
+    assert (wall["wins"], wall["ratio"], wall["resolved"]) == (10, 2.0, True)
+    assert "ratio" not in record["metrics"]["peak_rss_mb"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,40 @@ def test_swap_sweep_walks_the_block_trie_once(monkeypatch):
     monkeypatch.setattr(verification, "residue", lambda codes: calls.append(None) or residue(codes))
     assert verification._swap_sweep(contexts, 8, m, shared) == (4748386, None)
     assert len(calls) == 240332
+
+
+def test_interned_scans_share_one_object_and_their_tuples():
+    # Scans built afresh by residue, as the sweep builds them: b2 a1 a1 in
+    # the class of length 3, and again as b2 a1 a2 b2 a1 in that of length 5.
+    table: dict = {}
+    first = verification._interned(residue((-2, 1)), table)
+    assert first == ((2,), (1,))
+    again = verification._interned(residue((-2, 1, 1)), table)
+    later = verification._interned(residue((-2, 1, 2, -2, 1)), table)
+    assert later == again == ((2,), (1, 1))
+    assert later is again
+    assert later[0] is again[0] is first[0]
+    assert later[1] is again[1]
+    # an inner tuple met in the other place of a scan is shared there too
+    swapped = verification._interned(residue((-1, 2)), table)
+    assert swapped[0] is first[1] and swapped[1] is first[0]
+    for passing in (None, verification._SPLIT):
+        assert verification._interned(passing, table) is passing
+    assert None not in table and verification._SPLIT not in table
+
+
+def test_swap_sweep_holds_its_scans_hash_consed():
+    # The parent's scans, each of its own tuples, peaked at 2.44 MiB here.
+    m = 2
+    contexts = [codes for n in range(5) for codes, _, _ in iter_language_stats(n, m)]
+    shared = verification._shared_keys(7, m)
+    tracemalloc.start()
+    try:
+        assert verification._swap_sweep(contexts, 7, m, shared)[1] is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * 2**20
 
 
 # Planted faults.  Each is patched into ``verification`` alone, so it reaches

@@ -15,8 +15,11 @@ the end.
 
 The file holds, for each end-to-end metric and each side, the median and the
 quartiles over the runs, the raw values, and (with ``--against``) in how many
-pairs the working tree was better; plus the number of runs, the seeds, both
-revisions, the Python version and the platform.
+pairs the working tree was better, the ratio of the two medians (tree over
+against) and whether the gain is resolved: won in at least nine tenths of the
+pairs, with medians further apart than the against side's quartiles; plus the
+number of runs, the seeds, both revisions, the Python version and the
+platform.
 """
 
 from __future__ import annotations
@@ -62,7 +65,11 @@ def aggregate(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
 
     ``sides`` maps a side's name to its results, run by run; with two sides
     the runs pair up by position, and ``wins`` counts the pairs where the
-    first side is better by each metric's direction in ``better``.
+    first side is better by each metric's direction in ``better``.  ``ratio``
+    is the first side's median over the second's, and ``resolved`` says
+    whether the first side won at least nine tenths of the pairs and its
+    median lies further from the second's than the second's quartiles lie
+    from each other.
     """
     metrics = {}
     for name, first in next(iter(sides.values()))[0]["metrics"].items():
@@ -75,6 +82,12 @@ def aggregate(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
             mine, theirs = values.values()
             sign = 1 if better[name] == "lower" else -1
             entry["wins"] = sum(sign * (b - a) > 0 for a, b in zip(mine, theirs))
+            ours, base = (entry[side] for side in values)
+            entry["ratio"] = ours["median"] / base["median"]
+            entry["resolved"] = (
+                10 * entry["wins"] >= 9 * len(mine)
+                and abs(ours["median"] - base["median"]) > base["q3"] - base["q1"]
+            )
         metrics[name] = entry
     runs = [r for results in sides.values() for r in results]
     return {
