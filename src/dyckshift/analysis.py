@@ -220,8 +220,9 @@ def classify_window(x: PointWindow) -> WindowDiagnostics:
     origin = -x.lo
     # H_{hi+1} is the forward half's openers minus its closers; H_lo is
     # minus the same count over the backward half.
-    f_end = sum(1 if c > 0 else -1 for c in x.codes[origin:])
-    b_end = -sum(1 if c > 0 else -1 for c in x.codes[:origin])
+    forward, backward = x.codes[origin:], x.codes[:origin]
+    f_end = 2 * len([c for c in forward if c > 0]) - len(forward)
+    b_end = len(backward) - 2 * len([c for c in backward if c > 0])
     f_score = f_end / math.sqrt(x.hi) if x.hi >= 1 else None
     b_score = b_end / math.sqrt(-x.lo) if x.lo <= -1 else None
     return WindowDiagnostics(_drift_label(f_score), _drift_label(b_score), f_score, b_score)

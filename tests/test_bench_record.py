@@ -112,3 +112,14 @@ def test_aggregate_resolves_a_higher_is_better_gain():
     wall = record["metrics"]["wall_s"]
     assert (wall["wins"], wall["ratio"], wall["resolved"]) == (10, 2.0, True)
     assert "ratio" not in record["metrics"]["peak_rss_mb"]
+
+
+def test_only_root_bench_files_leave_the_tree_clean():
+    # ``git status --porcelain`` lines, as the recorder reads them after ``strip``
+    assert not bench_record.is_dirty("")
+    assert not bench_record.is_dirty("M BENCH_verify-exact.json\n M BENCH_layers.json")
+    assert not bench_record.is_dirty("R  BENCH_old.json -> BENCH_new.json")
+    assert bench_record.is_dirty("M BENCH_verify-exact.json\n M src/dyckshift/verification.py")
+    assert bench_record.is_dirty("M  tools/bench_record.py")
+    assert bench_record.is_dirty(" M perfbench/BENCH_notes.json")
+    assert bench_record.is_dirty("R  BENCH_old.json -> notes.json")

@@ -4,10 +4,15 @@ Stdlib only.  Run from the root of a checkout:
 
     python3 tools/bench_record.py --workload verify-exact --runs 10
     python3 tools/bench_record.py --workload verify-exact --runs 10 --against HEAD~1
+    python3 tools/bench_record.py --source layers --runs 10 --against HEAD~1
 
 Each run is one call of the unchanged ``perfbench/run.py --workload W --seed S
 --seconds 0 --trace 0`` (one pass, end-to-end metrics) on its own seed,
-``FIRST_SEED`` upwards.  With ``--against REV``, revision REV is exported
+``FIRST_SEED`` upwards.  With ``--source layers`` it is instead one call of
+this working tree's ``tools/layer_bench.py --seed S`` with the side's
+``src/`` on ``PYTHONPATH`` (an older revision may lack the script), and the
+file is ``BENCH_layers.json``; every layer time is better lower.  With
+``--against REV``, revision REV is exported
 with ``git archive`` into a temporary directory and run there, in pairs with
 the working tree on the same seed; the order within a pair alternates, so that
 a drift in machine speed favours neither side.  The directory is removed at
@@ -19,7 +24,8 @@ pairs the working tree was better, the ratio of the two medians (tree over
 against) and whether the gain is resolved: won in at least nine tenths of the
 pairs, with medians further apart than the against side's quartiles; plus the
 number of runs, the seeds, both revisions, the Python version and the
-platform.
+platform.  The tree side is named ``<commit>+dirty`` when a tracked file
+other than a ``BENCH_*.json`` at the root differs from the commit.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,10 +47,18 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 921
 
 
+LAYERS = "layers"
+
+
 def run_once(tree: Path, workload: str, seed: int) -> str:
-    """Standard output of one benchmark run in ``tree``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+    """Standard output of one run in ``tree``: of the bench's ``workload``, or of the layer script."""
+    if workload == LAYERS:
+        cmd = [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--seed", str(seed)]
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    else:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
+        env = None
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return done.stdout
 
 
@@ -102,6 +118,16 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
 
 
+def is_dirty(porcelain: str) -> bool:
+    """Whether ``git status --porcelain`` output names a file other than a ``BENCH_*.json`` at the root.
+
+    A re-recorded bench file is itself a tracked change, so it alone leaves
+    the tree clean.  A rename counts by its new path.
+    """
+    paths = (line.split(maxsplit=1)[1].split(" -> ")[-1] for line in porcelain.splitlines() if line.strip())
+    return any(not re.fullmatch(r"BENCH_[^/]*\.json", path) for path in paths)
+
+
 def _export(rev: str, into: Path) -> None:
     """The files of revision ``rev`` under ``into``, as ``git archive`` gives them."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True)
@@ -117,15 +143,19 @@ def _better_directions() -> dict[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="a workload of perfbench/run.py")
+    parser.add_argument("--source", choices=("bench", LAYERS), default="bench", help="what each run runs")
     parser.add_argument("--runs", type=int, default=10, help="seeds, one run (or pair) each")
     parser.add_argument("--against", metavar="REV", help="also run this revision, in alternating pairs")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if (args.source == LAYERS) == (args.workload is not None):
+        parser.error("give --workload with --source bench, and not with --source layers")
+    workload = args.workload or LAYERS
     seeds = list(range(FIRST_SEED, FIRST_SEED + args.runs))
     head = _git("rev-parse", "HEAD")
-    revisions = {"tree": head + ("+dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")}
+    revisions = {"tree": head + ("+dirty" if is_dirty(_git("status", "--porcelain", "--untracked-files=no")) else "")}
     sides: dict[str, list[dict]] = {"tree": []}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
         trees = {"tree": ROOT}
@@ -137,21 +167,27 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(seeds):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for side in order:
-                result = parse_result(run_once(trees[side], args.workload, seed))
+                result = parse_result(run_once(trees[side], workload, seed))
                 sides[side].append(result)
                 shown = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
                 print(f"seed {seed} {side}: correct={result['correct']} {shown}", file=sys.stderr)
+    if workload == LAYERS:
+        command = "PYTHONPATH=<side>/src tools/layer_bench.py --seed S (the working tree's script on every side)"
+        better = {name: "lower" for name in sides["tree"][0]["metrics"]}
+    else:
+        command = "perfbench/run.py --workload W --seed S --seconds 0 --trace 0"
+        better = _better_directions()
     record = {
-        "workload": args.workload,
+        "workload": workload,
         "runs": args.runs,
         "seeds": seeds,
         "revisions": revisions,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "command": "perfbench/run.py --workload W --seed S --seconds 0 --trace 0",
-        **aggregate(sides, _better_directions()),
+        "command": command,
+        **aggregate(sides, better),
     }
-    out = ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
     return 0
