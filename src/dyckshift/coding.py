@@ -235,6 +235,10 @@ def _plus_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) ->
     return _plus_codes(letters, _loose_types(getrandbits, m))
 
 
+# The seed of ``sample`` and ``verify`` when none is given.
+DEFAULT_SEED = 7
+
+
 def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> Iterator[PointWindow]:
     """The one sampler core: each window's own stream, its body, and minus's mirror.
 

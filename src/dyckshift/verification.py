@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analysis import EmpiricalEstimate, empirical_cylinders, match_index_coincidences
-from .coding import _mirror, _plus_codes, _tilde_codes, sample_plus, sample_tilde
+from .coding import DEFAULT_SEED, _mirror, _plus_codes, _tilde_codes, sample_plus, sample_tilde
 from .measures import (
     cylinder_mass,
     entropy_table,
@@ -278,14 +278,9 @@ def _swap_sweep(
     its input values.  So each ``(P, c)`` step is advanced at most twice:
     once if its first child is a member, twice if that child was ``K``'s
     representative.  Every other block is advanced from its parent's
-    states.  At m = 2, length 8 and 227 contexts, that is 8,046 ``advance``
-    batches in place of 25,930, one per trie edge, for the same
-    comparisons.  The scans of every class are held until the walk ends,
-    hash-consed by :func:`_interned`: at m = 2, length 8 and 227 contexts in 129 groups,
-    the 118,164 slots of the 916 shared classes point to 20,481 distinct
-    scans built from 2,047 distinct tuples.  That keeps the sweep's traced
-    peak at 4.2 MiB, against 5.6 MiB with a fresh scan in every slot that
-    holds one.  Comparisons are counted per context.  When a block fails,
+    states.  The scans of every class are held until the walk ends,
+    hash-consed by :func:`_interned`, since most slots repeat a few
+    distinct scans.  Comparisons are counted per context.  When a block fails,
     the first context in context order whose scan of the representative
     differs from its group's state at the block is named; one always does,
     since the state is that context's own scan of the block.  Blocks are keyed and
@@ -790,8 +785,6 @@ SUITES: dict[str, tuple[str, ...]] = {
     "sampling": tuple(k for k, s, *_ in _CHECKS if s == "sampling"),
     "all": tuple(k for k, *_ in _CHECKS),
 }
-
-DEFAULT_SEED = 7
 
 _BY_KEY = {key: (title, claim, fn) for key, _, title, claim, fn in _CHECKS}
 

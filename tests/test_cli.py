@@ -1,11 +1,13 @@
 import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dyckshift import measures, verification
+from dyckshift import cli, measures, verification
 from dyckshift.cli import main
 from dyckshift.coding import SAMPLERS, PointWindow
 from dyckshift.words import Word, count_language
@@ -524,6 +526,29 @@ def test_verify_rejects_other_alphabets(capsys):
 def test_verify_rejects_unknown_suites(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "everything")
     assert rc == 2
+
+
+def test_cli_names_the_suites_of_the_verification_module():
+    assert cli._SUITES == tuple(verification.SUITES)
+
+
+def test_unknown_suite_refusal_names_every_suite(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "everything")
+    assert rc == 2 and out == ""
+    assert all(f"'{name}'" in err for name in ("exact", "sampling", "all")), err
+
+
+def test_only_verify_loads_the_suite():
+    # -S: no site packages, so only the package's own imports are seen.
+    src = Path(verification.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dyckshift, dyckshift.cli; "
+        "print(dyckshift.__file__); print('dyckshift.verification' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    imported_from, loaded = done.stdout.splitlines()
+    assert Path(imported_from).resolve().is_relative_to(src)
+    assert loaded == "False"
 
 
 # ------------------------------------------------------------------- misc

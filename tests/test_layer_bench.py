@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from dyckshift import verification
@@ -34,3 +35,36 @@ def test_reduction_layers_time_a_small_language():
     for layer in (layer_bench.residue_layer, layer_bench.advance_layer):
         seconds, ok = layer(5, 3)
         assert ok and seconds >= 0
+
+
+def test_counting_entropy_and_horizon_layers_time_small_inputs():
+    for seconds, ok in (
+        layer_bench.count_layer(range(0, 31, 10), (2, 3)),
+        layer_bench.entropy_layer(8, 3),
+        layer_bench.horizon_layer("a1 a2", Fraction(1, 20)),
+    ):
+        assert ok and seconds >= 0
+
+
+def _fake_layer(outcomes):
+    """A layer that gives the next of ``outcomes`` at each call, counting its calls."""
+    calls = []
+
+    def run():
+        calls.append(None)
+        return outcomes[len(calls) - 1]
+
+    return run, calls
+
+
+def test_each_layer_reports_the_least_of_its_repetitions():
+    assert layer_bench.REPEATS == 3
+    run, calls = _fake_layer([(0.3, True), (0.1, True), (0.2, True)])
+    assert layer_bench.best_of(run) == (0.1, True)
+    assert len(calls) == 3
+
+
+def test_a_layer_fails_when_any_repetition_fails():
+    run, calls = _fake_layer([(0.3, True), (0.1, True), (0.2, False)])
+    assert layer_bench.best_of(run) == (0.1, False)
+    assert len(calls) == 3

@@ -5,7 +5,8 @@ Stdlib only.  Run from the root of a checkout, with the ``src/`` to time on
 
     PYTHONPATH=src python3 tools/layer_bench.py --seed 7
 
-One run is one pass in a fresh interpreter.  Times are raw wall-clock
+One run is one pass in a fresh interpreter, which times each layer
+``REPEATS`` times in a row and reports the least.  Times are raw wall-clock
 seconds, not rescaled to a reference machine as ``perfbench/run.py``
 rescales its own.  The layers:
 
@@ -16,13 +17,20 @@ rescales its own.  The layers:
 * ``words.residue.s``: ``residue`` of every word of the m = 2 language to
   length 10, the walk that lists them not timed;
 * ``words.advance.s``: ``advance`` of that language's distinct
-  ``(length, residue)`` classes by each letter.
+  ``(length, residue)`` classes by each letter;
+* ``words.count_language.s``: ``count_language`` at the ``exact-scale``
+  workload's lengths, 0 to 1500 in steps of 300, at m = 2 and 3;
+* ``measures.entropy_table.s``: ``entropy_table(256, 2)``;
+* ``measures.mass_length_for_residual.s``: the completion horizon of
+  ``a1 a2`` at 1/50.
 
 The last line of standard output is one JSON object shaped like
 ``perfbench/run.py``'s: ``correct``, ``attempted``, ``failed`` and
-``metrics``.  Each layer is one attempt.  It fails when it raises, when a
-check's verdict is not the stated one (three exact checks fail on purpose),
-when the sweep finds a mismatch, or when a language word reduces to zero.
+``metrics``.  Each layer is one attempt.  It fails when any repetition
+raises, or gives a wrong outcome: a check's verdict other than the stated
+one (three exact checks fail on purpose), a mismatch in the sweep, a
+language word that reduces to zero, a count below 1, an entropy row off
+the two-branch mixture, or a horizon no longer than the word.
 """
 
 from __future__ import annotations
@@ -33,13 +41,17 @@ import json
 import sys
 import time
 import traceback
+from fractions import Fraction
+from typing import Callable
 
-from dyckshift import verification, words
+from dyckshift import measures, verification, words
 
 # The exact checks that fail on purpose.
 EXPECTED_FAILURES = frozenset({"entropy-limit-gap", "entropy-below-topological", "growth-rate"})
 # Words reduced between two clock reads by the ``words.residue`` layer.
 _BATCH = 4096
+# Timings of each layer within one run; the least is reported.
+REPEATS = 3
 
 
 def _check(key: str, seed: int) -> tuple[float, bool]:
@@ -82,12 +94,41 @@ def advance_layer(n_max: int = 10, m: int = 2) -> tuple[float, bool]:
     return time.perf_counter() - start, None not in states
 
 
+def count_layer(lengths: range = range(0, 1501, 300), alphabets: tuple[int, ...] = (2, 3)) -> tuple[float, bool]:
+    start = time.perf_counter()
+    found = [words.count_language(n, m) for m in alphabets for n in lengths]
+    return time.perf_counter() - start, min(found) >= 1
+
+
+def entropy_layer(n_max: int = 256, m: int = 2) -> tuple[float, bool]:
+    start = time.perf_counter()
+    table = measures.entropy_table(n_max, m)
+    seconds = time.perf_counter() - start
+    return seconds, len(table) == n_max + 1 and all(r.step == r.decomposition_step() for r in table)
+
+
+def horizon_layer(text: str = "a1 a2", ratio: Fraction = Fraction(1, 50)) -> tuple[float, bool]:
+    word = words.Word.parse(text, 2)
+    start = time.perf_counter()
+    horizon = measures.mass_length_for_residual(word, ratio)
+    return time.perf_counter() - start, horizon > len(word)
+
+
+def best_of(run: Callable[[], tuple[float, bool]]) -> tuple[float, bool]:
+    """The least of ``REPEATS`` timings of ``run``, and whether every repetition's outcome was right."""
+    results = [run() for _ in range(REPEATS)]
+    return min(seconds for seconds, _ in results), all(ok for _, ok in results)
+
+
 def layers(seed: int) -> dict:
     """Each layer's name, with a callable giving its seconds and whether its outcome is right."""
     timed = {f"verification.{key}.s": (lambda key=key: _check(key, seed)) for key in verification.SUITES["exact"]}
     timed["verification._swap_sweep.s"] = _sweep
     timed["words.residue.s"] = residue_layer
     timed["words.advance.s"] = advance_layer
+    timed["words.count_language.s"] = count_layer
+    timed["measures.entropy_table.s"] = entropy_layer
+    timed["measures.mass_length_for_residual.s"] = horizon_layer
     return timed
 
 
@@ -98,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics, failed = {}, 0
     for name, run in layers(args.seed).items():
         try:
-            seconds, ok = run()
+            seconds, ok = best_of(run)
         except Exception:
             traceback.print_exc()
             seconds, ok = float("nan"), False
