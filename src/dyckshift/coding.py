@@ -24,14 +24,14 @@ a pure function of its draws (:func:`_tilde_codes`, :func:`_plus_codes`),
 and the exact check ``sampler-law-exact`` enumerates every draw through
 them against :func:`~dyckshift.measures.cylinder_mass`.
 
-Type and letter draws are rejection-sampled from ``getrandbits`` exactly as
-CPython's ``randrange`` draws them (see :func:`_below`).  Inside a window
-they come in blocks (see :func:`_draws`): a tilde window's opener types and
-a plus window's letters are each read from whole-word blocks in one rule,
-which returns the same values and leaves the same generator state as one
-draw at a time.  The loose closers' types follow, one draw each.  Sampled
-windows are built without re-validation, because the samplers emit
-language words by construction.
+Every type and letter draw comes from one rule, :func:`_draws`, which
+rejection-samples ``getrandbits`` exactly as CPython's ``randrange`` draws
+one value at a time, in whole-word blocks that return the same values and
+leave the same generator state.  A window takes its opener types or its
+letters in one block, then, after its walk, its loose closers' types in a
+second.  Sampled windows are built without re-validation, because the
+samplers match every closer to an opener of its type, inside the window or
+fresh left of it, and so emit language words by construction.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class PointWindow(_PointWindowFields):
     Codes are signed types as in :class:`~dyckshift.words.Word`.  A window
     is checked to be a language word on construction — and a window word is
     in the language exactly when all its sub-blocks are, since annihilation
-    is absorbing.  The samplers build their windows through a trusted
-    constructor that skips these checks; ``tests/test_coding.py``
+    is absorbing.  The samplers build their windows with ``tuple.__new__``,
+    which skips these checks; ``tests/test_coding.py``
     re-validates every window of the golden-digest grid through this public
     constructor.
     """
@@ -87,22 +87,6 @@ class PointWindow(_PointWindowFields):
         return " ".join(map(code_text, self.codes))
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform draw from ``range(n)``, consuming the stream as ``randrange(n)`` does.
-
-    CPython's ``Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
-    and redraws while the value is at least ``n``; calling that rule
-    directly skips ``randrange``'s argument handling and leaves the same
-    generator state.  Draws inside a window come in blocks from
-    :func:`_draws`, which returns the same values and leaves the same state.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 @functools.cache
 def _draw_table(n: int, base: int) -> tuple[bytes, bytes]:
     """``bytes.translate`` arguments that read one draw from a word's top byte.
@@ -117,28 +101,30 @@ def _draw_table(n: int, base: int) -> tuple[bytes, bytes]:
     return table, rejected
 
 
-# Below this many draws still needed, one ``_below`` call per draw is
-# cheaper than another round of ``_draws``; the two read the same words.
+# Below this many draws still needed, one draw at a time is cheaper than
+# another round of whole-word blocks; the two read the same words.
 _ROUND_MIN = 8
 
 
 def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0) -> list[int]:
-    """``count`` draws of :func:`_below` plus ``base``, read in whole-word blocks.
+    """``count`` uniform draws from ``range(n)``, each plus ``base``, as ``randrange(n)`` draws them.
 
-    Each round asks ``getrandbits`` for one 32-bit word per draw still
-    needed, in one call whose words come least significant first, in stream
-    order.  Every accepted draw takes at least one word, so no word is read
-    that ``count`` calls of ``_below`` would not read: the values and the
+    CPython's ``Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
+    and redraws while the value is at least ``n``.  Here each round asks
+    ``getrandbits`` for one 32-bit word per draw still needed, in one call
+    whose words come least significant first, in stream order.  Every
+    accepted draw takes at least one word, so no word is read that
+    ``count`` calls of ``randrange`` would not read: the values and the
     generator state afterwards are the same.  The last few draws, and draws
-    that a top byte cannot hold (``n > 255``), go through ``_below``'s rule;
-    ``base`` is 0 or 1, so every value of a round fits a byte.
+    that a top byte cannot hold (``n > 255``), follow ``randrange``'s rule
+    one at a time; ``base`` is 0 or 1, so every value of a round fits a byte.
     """
     drawn: list[int] = []
     if n <= 255 and count > _ROUND_MIN:
         table, rejected = _draw_table(n, base)
         while (need := count - len(drawn)) > _ROUND_MIN:
             drawn += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
-    # ``_below``'s rule inlined, so a window's few draws pay no call set-up
+    # one draw at a time, as ``randrange`` reads them
     k = n.bit_length()
     for _ in range(count - len(drawn)):
         r = getrandbits(k)
@@ -148,38 +134,19 @@ def _draws(getrandbits: Callable[[int], int], n: int, count: int, base: int = 0)
     return drawn
 
 
-def _trusted_window(m: int, lo: int, hi: int, codes: tuple[int, ...]) -> PointWindow:
-    """A sampler's window, built without ``PointWindow``'s validation.
-
-    The samplers match every closer to an opener of its type, inside the
-    window or fresh left of it, so their windows are language words by
-    construction.
-    """
-    return tuple.__new__(PointWindow, (m, lo, hi, codes))
-
-
-def _loose_types(getrandbits: Callable[[int], int], m: int) -> Iterator[int]:
-    """Fresh uniform types for loose closers, one :func:`_below` draw each as it is read.
-
-    A body reads them after its block of opener types or letters: the draws
-    of one ``_draws(getrandbits, m, loose, 1)`` after it, and none if it has
-    no loose closer.
-    """
-    while True:
-        yield _below(getrandbits, m) + 1
-
-
-def _tilde_codes(bits: str, types: Iterator[int], loose: Iterator[int]) -> list[int]:
+def _tilde_codes(bits: str, types: Iterator[int], loose: Callable[[int], Sequence[int]]) -> list[int]:
     """The codes of a tilde window, a pure function of its draws.
 
     ``bits`` are the window's fair bits, "1" an opener; ``types`` gives the
-    openers' types in order of appearance, and ``loose`` the types of the
-    closers whose opener lies left of the window, leftmost first.  A closer
-    matched inside the window copies its opener's type.
+    openers' types in order of appearance.  A closer matched inside the
+    window copies its opener's type.  The ``k`` closers whose opener lies
+    left of the window take, leftmost first, the types of one ``loose(k)``
+    call after the walk, made only when ``k > 0``.
     """
     codes: list[int] = []
     append = codes.append
     stack: list[int] = []  # types of openers still open, innermost last
+    holes: list[int] = []  # where the loose closers stand
     for b in bits:
         if b == "1":
             t = next(types)
@@ -188,20 +155,25 @@ def _tilde_codes(bits: str, types: Iterator[int], loose: Iterator[int]) -> list[
         elif stack:
             append(-stack.pop())
         else:
-            append(-next(loose))
+            holes.append(len(codes))
+            append(0)
+    if holes:
+        for i, t in zip(holes, loose(len(holes))):
+            codes[i] = -t
     return codes
 
 
-def _plus_codes(letters: Iterable[int], loose: Iterator[int]) -> list[int]:
+def _plus_codes(letters: Iterable[int], loose: Callable[[int], Sequence[int]]) -> list[int]:
     """The codes of a plus window, a pure function of its draws.
 
     ``letters`` are the window's collapsed letters, 0 the anonymous closer
-    and ``t`` the opener of type ``t``; ``loose`` is read as in
-    :func:`_tilde_codes`.
+    and ``t`` the opener of type ``t``; loose closers are typed from
+    ``loose`` as in :func:`_tilde_codes`.
     """
     codes: list[int] = []
     append = codes.append
     stack: list[int] = []
+    holes: list[int] = []
     for v in letters:
         if v:
             append(v)
@@ -209,7 +181,11 @@ def _plus_codes(letters: Iterable[int], loose: Iterator[int]) -> list[int]:
         elif stack:
             append(-stack.pop())
         else:
-            append(-next(loose))
+            holes.append(len(codes))
+            append(0)
+    if holes:
+        for i, t in zip(holes, loose(len(holes))):
+            codes[i] = -t
     return codes
 
 
@@ -227,12 +203,12 @@ def _tilde_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) -
     # running bit count never repeats), so the openers' types are i.i.d. and
     # come in one block, in order of appearance; their closers copy them.
     types = iter(_draws(getrandbits, m, bits.count("1"), 1))
-    return _tilde_codes(bits, types, _loose_types(getrandbits, m))
+    return _tilde_codes(bits, types, lambda k: _draws(getrandbits, m, k, 1))
 
 
 def _plus_window_codes(m: int, width: int, getrandbits: Callable[[int], int]) -> list[int]:
     letters = _draws(getrandbits, m + 1, width)  # 0 = anonymous closer
-    return _plus_codes(letters, _loose_types(getrandbits, m))
+    return _plus_codes(letters, lambda k: _draws(getrandbits, m, k, 1))
 
 
 # The seed of ``sample`` and ``verify`` when none is given.
@@ -254,9 +230,11 @@ def _windows(sampler: str, m: int, lo: int, hi: int, seed: int, count: int) -> I
     body = _tilde_window_codes if sampler == "tilde" else _plus_window_codes
     finish = _mirror if sampler == "minus" else tuple
     rng = random.Random()
+    getrandbits, width = rng.getrandbits, hi - lo + 1
     for index in range(count):
         rng.seed(f"{seed}:{index}")
-        yield _trusted_window(m, lo, hi, finish(body(m, hi - lo + 1, rng.getrandbits)))
+        # built without validation: sampled windows are language words
+        yield tuple.__new__(PointWindow, (m, lo, hi, finish(body(m, width, getrandbits))))
 
 
 def sample_tilde(m: int, lo: int, hi: int, *, seed: int, count: int) -> Iterator[PointWindow]:

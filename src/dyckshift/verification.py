@@ -699,13 +699,13 @@ def _sampler_laws(m: int, width: int) -> Iterator[tuple[str, Counter[tuple[int, 
     for bits in map("".join, itertools.product("01", repeat=width)):
         openers, loose = bits.count("1"), len(residue([1 if b == "1" else -1 for b in bits])[0])
         for opener_types, loose_types in itertools.product(types[openers], types[loose]):
-            law[tuple(_tilde_codes(bits, iter(opener_types), iter(loose_types)))] += m ** (width - openers - loose)
+            law[tuple(_tilde_codes(bits, iter(opener_types), lambda k: loose_types))] += m ** (width - openers - loose)
     yield "tilde", law
     law = Counter()
     for letters in itertools.product(range(m + 1), repeat=width):
         loose = len(residue([1 if v else -1 for v in letters])[0])
         for loose_types in types[loose]:
-            law[tuple(_plus_codes(letters, iter(loose_types)))] += m ** (width - loose)
+            law[tuple(_plus_codes(letters, lambda k: loose_types))] += m ** (width - loose)
     minus = Counter({_mirror(codes): mass for codes, mass in law.items()})
     yield "plus", law
     yield "minus", minus

@@ -481,23 +481,14 @@ def minimal_balanced_extensions(
                 yield Word(a.m, ()), Word(a.m, ())
             continue
         group: list[tuple[Word, Word]] = []
-        for split in _compositions(budget, slots):
+        # stars and bars: each split of the budget over the slots is the gaps
+        # between slots - 1 bars among budget + slots - 1 places
+        places = budget + slots - 1
+        for bars in itertools.combinations(range(places), slots - 1):
+            split = [j - i - 1 for i, j in zip((-1, *bars), (*bars, places))]
             parts = [list(enumerate_balanced(q, a.m)) for q in split]
             for fillers in itertools.product(*parts):
                 group.append(assemble(fillers))
         group.sort(key=lambda pair: (lex_key(pair[0]), lex_key(pair[1])))
         yield from group
 
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered splits of ``total`` into ``parts`` nonnegative integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import types
 from fractions import Fraction
@@ -11,7 +12,6 @@ from dyckshift.analysis import matching_times
 from dyckshift.coding import (
     SAMPLERS,
     PointWindow,
-    _below,
     _draws,
     _plus_codes,
     _plus_window_codes,
@@ -22,7 +22,7 @@ from dyckshift.coding import (
     sample_tilde,
 )
 from dyckshift.verification import _sampler_laws
-from dyckshift.words import NotInLanguage, Word
+from dyckshift.words import NotInLanguage, Word, residue
 
 from conftest import (
     GOLDEN_WINDOWS,
@@ -212,10 +212,30 @@ def test_sampled_windows_pass_public_validation():
 
 
 def test_bodies_type_loose_closers_from_fresh_draws():
-    """A closer matched inside the window copies its opener; a loose one reads the next fresh type."""
-    assert _tilde_codes("0101", iter([2, 1]), iter([1])) == [-1, 2, -2, 1]
-    assert _tilde_codes("001", iter([2]), iter([2, 1])) == [-2, -1, 2]
-    assert _plus_codes([0, 1, 0, 0], iter([2, 1])) == [-2, 1, -1, -1]
+    """A closer matched inside the window copies its opener; loose ones take the fresh types, leftmost first."""
+    assert _tilde_codes("0101", iter([2, 1]), lambda k: [1]) == [-1, 2, -2, 1]
+    assert _tilde_codes("001", iter([2]), lambda k: [2, 1]) == [-2, -1, 2]
+    assert _plus_codes([0, 1, 0, 0], lambda k: [2, 1]) == [-2, 1, -1, -1]
+
+
+def _logged(draws, log):
+    """``draws`` one at a time, noting each read and the end in ``log``."""
+    for d in draws:
+        log.append("draw")
+        yield d
+    log.append("end")
+
+
+@pytest.mark.parametrize("width", range(8))
+def test_each_body_asks_loose_once_after_its_walk(width):
+    """Each body calls ``loose`` once, after its walk, with its number of loose closers, and never without one."""
+    for bits in itertools.product("01", repeat=width):
+        k = len(residue([1 if b == "1" else -1 for b in bits])[0])
+        tilde_log, plus_log = [], []
+        _tilde_codes(_logged(bits, tilde_log), iter([2] * width), lambda n: tilde_log.append(("loose", n)) or [1] * n)
+        _plus_codes(_logged(map(int, bits), plus_log), lambda n: plus_log.append(("loose", n)) or [1] * n)
+        for log in (tilde_log, plus_log):
+            assert log == ["draw"] * width + ["end"] + ([("loose", k)] if k else []), bits
 
 
 @pytest.mark.parametrize("m, width", [(1, 6), (2, 6), (3, 5)])
@@ -275,7 +295,7 @@ def _refuse_streams(monkeypatch) -> None:
     "m, lo, hi, cap", [(0, 0, 40, 10), (-1, 0, 40, 10), (0, 0, 1, 0), (2, 0, 1, -1), (2, -3, 0, -1)]
 )
 def test_samplers_reject_empty_alphabets_and_negative_caps(monkeypatch, name, m, lo, hi, cap):
-    """m < 1 would loop forever in ``_below`` or emit codes outside the
+    """m < 1 would loop forever in ``_draws`` or emit codes outside the
     alphabet, and no sampler takes a leftward cap any more; both are refused
     before any stream is drawn."""
     _refuse_streams(monkeypatch)
@@ -315,23 +335,15 @@ def test_reseeded_sample_streams_equal_fresh_ones(seed):
             assert x.codes == tuple(body(2, 9, random.Random(f"{seed}:{index}").getrandbits)), index
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_draws_consume_the_stream_as_randrange(n):
-    for seed in (0, 1, 2024):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert [_below(ours.getrandbits, n) for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
-        assert ours.getstate() == theirs.getstate()
-
-
 @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 254, 255, 256, 300])
 def test_block_draws_equal_per_draw_calls(n):
-    """Values and generator state, block by block on one stream, as ``_below`` one draw at a time."""
+    """Values and generator state, block by block on one stream, as ``randrange`` one draw at a time."""
     for seed in (0, 1, 2024):
         for base in (0, 1):
             ours, theirs = random.Random(seed), random.Random(seed)
-            for count in (0, 1, 2, 31, 1000):
+            for count in (0, 1, 2, 8, 9, 31, 300, 1000):
                 drawn = _draws(ours.getrandbits, n, count, base)
-                assert drawn == [_below(theirs.getrandbits, n) + base for _ in range(count)], count
+                assert drawn == [theirs.randrange(n) + base for _ in range(count)], count
                 assert ours.getstate() == theirs.getstate()
 
 

@@ -5,7 +5,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from dyckshift import verification
+from dyckshift import coding, verification
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 _SPEC = importlib.util.spec_from_file_location("layer_bench", _PATH)
@@ -44,6 +44,14 @@ def test_counting_entropy_and_horizon_layers_time_small_inputs():
         layer_bench.horizon_layer("a1 a2", Fraction(1, 20)),
     ):
         assert ok and seconds >= 0
+
+
+def test_window_body_layers_time_a_few_windows():
+    assert {"coding._tilde_window_codes.s", "coding._plus_window_codes.s"} <= set(layer_bench.layers(7))
+    for body in (coding._tilde_window_codes, coding._plus_window_codes):
+        seconds, ok = layer_bench.window_layer(body, 7, ((3, 41), (20, 2)))
+        assert ok and seconds >= 0
+    assert not layer_bench.window_layer(lambda m, width, getrandbits: [1, -2], 7, ((1, 2),))[1]
 
 
 def _fake_layer(outcomes):

@@ -22,7 +22,7 @@ import pytest
 import dyckshift
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics
-from dyckshift.coding import PointWindow, _trusted_window
+from dyckshift.coding import PointWindow, sample_tilde
 from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair
 from dyckshift.verification import CheckResult
 from dyckshift.words import NotInLanguage, Word
@@ -125,8 +125,8 @@ def test_words_iterate_index_and_slice_their_letters():
 
 
 def test_sampler_windows_equal_checked_windows():
-    fields = (2, -1, 1, (1, -1, 2))
-    trusted, checked = _trusted_window(*fields), PointWindow(*fields)
+    trusted = next(sample_tilde(2, -1, 1, seed=7, count=1))
+    checked = PointWindow(*trusted)
     assert type(trusted) is PointWindow
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
 

@@ -443,7 +443,9 @@ def test_loose_closers_typed_over_too_few_types_fail_sampler_law(monkeypatch):
     # loose closers drawn over m - 1 types: no loose closer of the top type
     real = verification._tilde_codes
     monkeypatch.setattr(
-        verification, "_tilde_codes", lambda bits, types, loose: real(bits, types, (min(t, 1) for t in loose))
+        verification,
+        "_tilde_codes",
+        lambda bits, types, loose: real(bits, types, lambda k: [min(t, 1) for t in loose(k)]),
     )
     measure, m, codes, law = _law_failure(run_check("sampler-law-exact"))
     assert (measure, m) == ("tilde", 2)
@@ -453,7 +455,7 @@ def test_loose_closers_typed_over_too_few_types_fail_sampler_law(monkeypatch):
 
 def _outermost_plus_codes(letters, loose):
     """The plus body with closers typed from the outermost open opener."""
-    codes, stack = [], []
+    codes, stack, holes = [], [], []
     for v in letters:
         if v:
             codes.append(v)
@@ -461,7 +463,10 @@ def _outermost_plus_codes(letters, loose):
         elif stack:
             codes.append(-stack.pop(0))
         else:
-            codes.append(-next(loose))
+            holes.append(len(codes))
+            codes.append(0)
+    for i, t in zip(holes, loose(len(holes)) if holes else ()):
+        codes[i] = -t
     return codes
 
 

@@ -22,7 +22,11 @@ rescales its own.  The layers:
   workload's lengths, 0 to 1500 in steps of 300, at m = 2 and 3;
 * ``measures.entropy_table.s``: ``entropy_table(256, 2)``;
 * ``measures.mass_length_for_residual.s``: the completion horizon of
-  ``a1 a2`` at 1/50.
+  ``a1 a2`` at 1/50;
+* ``coding._tilde_window_codes.s`` and ``coding._plus_window_codes.s``:
+  each sampler's window body at m = 2 over 2,000 windows of 1,001 letters
+  and 50,000 windows of 2 letters, the clock read around each body call,
+  so that seeding the window's stream is not timed.
 
 The last line of standard output is one JSON object shaped like
 ``perfbench/run.py``'s: ``correct``, ``attempted``, ``failed`` and
@@ -30,7 +34,8 @@ The last line of standard output is one JSON object shaped like
 raises, or gives a wrong outcome: a check's verdict other than the stated
 one (three exact checks fail on purpose), a mismatch in the sweep, a
 language word that reduces to zero, a count below 1, an entropy row off
-the two-branch mixture, or a horizon no longer than the word.
+the two-branch mixture, a horizon no longer than the word, or a sampled
+window that is not a language word.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 import time
 import traceback
 from fractions import Fraction
 from typing import Callable
 
-from dyckshift import measures, verification, words
+from dyckshift import coding, measures, verification, words
 
 # The exact checks that fail on purpose.
 EXPECTED_FAILURES = frozenset({"entropy-limit-gap", "entropy-below-topological", "growth-rate"})
@@ -114,6 +120,22 @@ def horizon_layer(text: str = "a1 a2", ratio: Fraction = Fraction(1, 50)) -> tup
     return time.perf_counter() - start, horizon > len(word)
 
 
+def window_layer(
+    body: Callable, seed: int, sizes: tuple[tuple[int, int], ...] = ((2000, 1001), (50000, 2))
+) -> tuple[float, bool]:
+    """``body`` at m = 2 on ``count`` windows of ``width`` letters, each ``(count, width)`` of ``sizes``."""
+    rng = random.Random()
+    seconds, ok = 0.0, True
+    for count, width in sizes:
+        for index in range(count):
+            rng.seed(f"{seed}:{index}")
+            start = time.perf_counter()
+            codes = body(2, width, rng.getrandbits)
+            seconds += time.perf_counter() - start
+            ok = ok and words.residue(codes) is not None
+    return seconds, ok
+
+
 def best_of(run: Callable[[], tuple[float, bool]]) -> tuple[float, bool]:
     """The least of ``REPEATS`` timings of ``run``, and whether every repetition's outcome was right."""
     results = [run() for _ in range(REPEATS)]
@@ -129,6 +151,8 @@ def layers(seed: int) -> dict:
     timed["words.count_language.s"] = count_layer
     timed["measures.entropy_table.s"] = entropy_layer
     timed["measures.mass_length_for_residual.s"] = horizon_layer
+    for body in (coding._tilde_window_codes, coding._plus_window_codes):
+        timed[f"coding.{body.__name__}.s"] = lambda body=body: window_layer(body, seed)
     return timed
 
 
