@@ -335,6 +335,15 @@ def test_reseeded_sample_streams_equal_fresh_ones(seed):
             assert x.codes == tuple(body(2, 9, random.Random(f"{seed}:{index}").getrandbits)), index
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_draws_consume_the_stream_as_randrange(n):
+    """One draw per call, 300 calls: values and generator state as ``randrange``."""
+    for seed in (0, 1, 2024):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [_draws(ours.getrandbits, n, 1, 0)[0] for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
+
+
 @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 254, 255, 256, 300])
 def test_block_draws_equal_per_draw_calls(n):
     """Values and generator state, block by block on one stream, as ``randrange`` one draw at a time."""
