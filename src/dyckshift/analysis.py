@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .coding import PointWindow
 from .words import DyckError, Word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InsufficientData(DyckError):
@@ -98,6 +100,8 @@ class EmpiricalEstimate(NamedTuple):
     def estimate(self) -> Fraction:
         if self.trials == 0:
             raise InsufficientData(f"no usable samples for {self.event}")
+        from fractions import Fraction
+
         return Fraction(self.hits, self.trials)
 
     @property

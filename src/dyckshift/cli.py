@@ -1,18 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when ``verify`` finds failing checks, 2 on
-usage, parse, or domain errors.  Reports that involve randomness print the
-seed they used (default seed: 7).  With ``--json``, output is a single JSON
-document with sorted keys — byte-identical across runs for identical
-arguments and seed.
+usage, parse, or domain errors, 141 (128 + SIGPIPE) with nothing on stderr
+when standard output closes early, as under ``| head``.  Reports that
+involve randomness print the seed they used (default seed: 7).  With
+``--json``, output is a single JSON document with sorted keys —
+byte-identical across runs for identical arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .coding import DEFAULT_SEED, SAMPLERS
@@ -34,6 +35,9 @@ from .words import (
     residue,
     residue_text,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -60,6 +64,8 @@ def _nonnegative(text: str) -> int:
 
 
 def _ratio(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -211,6 +217,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
             )
         return 0
     # h_n's limit is log 2 + (1/2) log m; the gap to it is (p_nonneg/2) log m
+    from fractions import Fraction
+
     limit = LogPair(Fraction(1), Fraction(1, 2))
     print(f"# m={m}  H_n and h_n exact as p*log2 + q*log{m}; nats rounded")
     print(f"{'n':>3} {'H_n (nats)':>12} {'h_n (nats)':>12} {'p_nonneg':>12} {'gap to limit':>14}")
@@ -421,7 +429,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_cap:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: standard output now points at devnull, so the
+        # interpreter's final flush finds no pipe and stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DyckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,14 +11,17 @@ mass a word with ``k`` loose letters still misses after its completions of
 walk length ``L`` is the share ``2^-L Σ C(L, j)``, over ``(L-k)/2 < j <=
 (L+k)/2``, of its cylinder mass.  Floats locate the horizon; one binomial
 and ratio steps certify it in integers.
+
+``fractions`` loads with the first rational, not at import: every rational
+here comes from :func:`_fraction`, which imports ``Fraction`` on its first
+call and rebinds itself to it, so later calls reach the class directly.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .words import (
     BudgetExceeded,
@@ -28,6 +31,17 @@ from .words import (
     pattern_counts,
     residue,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def _fraction(*args) -> Fraction:
+    """``Fraction(*args)``; the first call imports the class and rebinds this name to it."""
+    global _fraction
+    from fractions import Fraction as _fraction
+
+    return _fraction(*args)
 
 
 def residue_m_exponent(found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int) -> int | None:
@@ -65,12 +79,12 @@ def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fract
     _check_letters(m, codes)
     found = residue(codes)
     if found is None:
-        return Fraction(0)
+        return _fraction(0)
     n = len(codes)
     if measure == "tilde":
-        return Fraction(1, 2**n * m ** residue_m_exponent(found, n))
+        return _fraction(1, 2**n * m ** residue_m_exponent(found, n))
     closers, openers = found
-    return Fraction(1, (m + 1) ** n * m ** len(closers if measure == "plus" else openers))
+    return _fraction(1, (m + 1) ** n * m ** len(closers if measure == "plus" else openers))
 
 
 def _ballot_ways(k: int) -> Iterator[int]:
@@ -130,9 +144,9 @@ def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
                 ExtensionMassRow(
                     base + 2 * f,
                     count * types,
-                    Fraction(count, den),
-                    Fraction(reached, den),
-                    Fraction(whole_mass - reached, den),
+                    _fraction(count, den),
+                    _fraction(reached, den),
+                    _fraction(whole_mass - reached, den),
                 )
             )
         den *= 4
@@ -294,7 +308,7 @@ def _block_and_p_nonneg(n: int) -> tuple[LogPair, Fraction]:
     if n < 0:
         raise ValueError("block length must be >= 0")
     total_pairs, nonneg = _pattern_stats(n)
-    return LogPair(Fraction(n), n - Fraction(total_pairs, 2**n)), Fraction(nonneg, 2**n)
+    return LogPair(_fraction(n), n - _fraction(total_pairs, 2**n)), _fraction(nonneg, 2**n)
 
 
 class EntropyReport(NamedTuple):
@@ -314,7 +328,7 @@ class EntropyReport(NamedTuple):
 
     def decomposition_step(self) -> LogPair:
         """The step entropy predicted by the two-branch mixture, exactly."""
-        return LogPair(Fraction(1), (1 + self.p_nonneg) / 2)
+        return LogPair(_fraction(1), (1 + self.p_nonneg) / 2)
 
     def json_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -549,6 +550,60 @@ def test_only_verify_loads_the_suite():
     imported_from, loaded = done.stdout.splitlines()
     assert Path(imported_from).resolve().is_relative_to(src)
     assert loaded == "False"
+
+
+# Subcommands that build no rational, then the two that do.
+_FRACTION_FREE = [
+    ("reduce", "a1 a2 b2"),
+    ("member", "b2 a1"),
+    ("count", "--length", "14"),
+    ("count", "--balanced", "3"),
+    ("sample", "--window", "-4:4", "--count", "3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(argv, loaded, id=" ".join(argv) or "import")
+        for argv, loaded in [
+            ((), "[]"),
+            *((argv + flag, "[]") for argv in _FRACTION_FREE for flag in ((), ("--json",))),
+            (("measure", "a1 b1"), "['decimal', 'fractions']"),
+            (("entropy", "--n", "5"), "['decimal', 'fractions']"),
+        ]
+    ],
+)
+def test_only_exact_commands_load_fractions(argv, loaded):
+    # -S as above; argv () is the bare import, the others run through cli.main.
+    src = Path(verification.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import contextlib, io, dyckshift, dyckshift.cli\n"
+        "if sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert dyckshift.cli.main(sys.argv[2:]) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src), *argv], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == loaded
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_closed_output_pipe_ends_quietly_with_141(json_flag):
+    # About 1 MB of windows, far more than a pipe buffers, so the reader's close meets a pending write.
+    src = Path(verification.__file__).resolve().parents[1]
+    argv = ["sample", "--measure", "tilde", "--window", "-50:50", "--count", "3000", *json_flag]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyckshift.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 # ------------------------------------------------------------------- misc

@@ -37,6 +37,12 @@ def test_reduction_layers_time_a_small_language():
         assert ok and seconds >= 0
 
 
+def test_mass_layer_prices_a_small_language():
+    assert "measures.cylinder_mass.s" in layer_bench.layers(7)
+    seconds, ok = layer_bench.mass_layer(4, 3)
+    assert ok and seconds >= 0
+
+
 def test_counting_entropy_and_horizon_layers_time_small_inputs():
     for seconds, ok in (
         layer_bench.count_layer(range(0, 31, 10), (2, 3)),

@@ -100,6 +100,16 @@ def test_cylinder_mass_checks_letters_as_words_do(codes, m, message):
         cylinder_mass(codes, m)
 
 
+def test_rationals_come_from_fraction_itself_after_the_first_call():
+    # The first call rebinds the helper to the class, so the hot path pays no import.
+    assert cylinder_mass((1, -1), 2) == Fraction(1, 8)
+    assert measures._fraction is Fraction
+    for measure in ("tilde", "plus", "minus"):
+        assert type(cylinder_mass((1, -2), 2, measure)) is Fraction  # annihilates: mass 0
+        assert type(cylinder_mass((-1, 2), 2, measure)) is Fraction
+    assert type(entropy_report(5, 2).p_nonneg) is Fraction
+
+
 def test_monomial_exponents_exposed():
     codes = Word.parse("a1 a2 b2", 2).codes
     assert residue_m_exponent(residue(codes), len(codes)) == 2  # one matched pair, one loose opener

@@ -20,6 +20,9 @@ rescales its own.  The layers:
   ``(length, residue)`` classes by each letter;
 * ``words.count_language.s``: ``count_language`` at the ``exact-scale``
   workload's lengths, 0 to 1500 in steps of 300, at m = 2 and 3;
+* ``measures.cylinder_mass.s``: ``cylinder_mass`` of every word of the
+  m = 2 language to length 8 under each of the three measures, the walk
+  that lists them not timed;
 * ``measures.entropy_table.s``: ``entropy_table(256, 2)``;
 * ``measures.mass_length_for_residual.s``: the completion horizon of
   ``a1 a2`` at 1/50;
@@ -33,9 +36,9 @@ The last line of standard output is one JSON object shaped like
 ``metrics``.  Each layer is one attempt.  It fails when any repetition
 raises, or gives a wrong outcome: a check's verdict other than the stated
 one (three exact checks fail on purpose), a mismatch in the sweep, a
-language word that reduces to zero, a count below 1, an entropy row off
-the two-branch mixture, a horizon no longer than the word, or a sampled
-window that is not a language word.
+language word that reduces to zero or has no mass, a count below 1, an
+entropy row off the two-branch mixture, a horizon no longer than the word,
+or a sampled window that is not a language word.
 """
 
 from __future__ import annotations
@@ -106,6 +109,16 @@ def count_layer(lengths: range = range(0, 1501, 300), alphabets: tuple[int, ...]
     return time.perf_counter() - start, min(found) >= 1
 
 
+def mass_layer(n_max: int = 8, m: int = 2) -> tuple[float, bool]:
+    seconds, ok = 0.0, True
+    for batch in _language(n_max, m):
+        start = time.perf_counter()
+        masses = [measures.cylinder_mass(codes, m, measure) for measure in ("tilde", "plus", "minus") for codes in batch]
+        seconds += time.perf_counter() - start
+        ok = ok and min(masses) > 0
+    return seconds, ok
+
+
 def entropy_layer(n_max: int = 256, m: int = 2) -> tuple[float, bool]:
     start = time.perf_counter()
     table = measures.entropy_table(n_max, m)
@@ -149,6 +162,7 @@ def layers(seed: int) -> dict:
     timed["words.residue.s"] = residue_layer
     timed["words.advance.s"] = advance_layer
     timed["words.count_language.s"] = count_layer
+    timed["measures.cylinder_mass.s"] = mass_layer
     timed["measures.entropy_table.s"] = entropy_layer
     timed["measures.mass_length_for_residual.s"] = horizon_layer
     for body in (coding._tilde_window_codes, coding._plus_window_codes):
