@@ -1,7 +1,9 @@
 """Exact cylinder masses for the tilde, plus and minus measures, and entropy.
 
 Every quantity here is exact: cylinder masses are rationals of the shapes
-``2^-a * m^-c`` (tilde) and ``(m+1)^-a * m^-c`` (plus and minus), block
+``2^-a * m^-c`` (tilde) and ``(m+1)^-a * m^-c`` (plus and minus), and
+one rule, :func:`mass_denominator`, prices every measure from a word's
+length and its residue's counts of loose closers and openers.  Block
 entropies of the tilde measure are kept as rational combinations
 ``p*log(2) + q*log(m)`` and only turned into floats at the reporting
 boundary.  Nothing in this module samples anything.
@@ -44,35 +46,31 @@ def _fraction(*args) -> Fraction:
     return _fraction(*args)
 
 
-def residue_m_exponent(found: tuple[tuple[int, ...], tuple[int, ...]] | None, length: int) -> int | None:
-    """The tilde pricing rule: the m-exponent of a word from its length and residue.
+def mass_denominator(measure: str, m: int, n: int, closers: int, openers: int) -> int:
+    """The pricing rule: ``1/mass`` of a language word of length ``n`` under ``measure``.
 
-    A language word of length ``n`` has tilde mass ``2^-n * m^-e``, where
-    ``e`` counts matched pairs plus loose letters.  ``found`` is the word's
-    :func:`~dyckshift.words.residue`, however it was scanned; ``None``
-    (zero) prices to ``None``.  A residue whose loose letters leave an odd
-    number for the pairs belongs to no word of that length, and raises
-    ``ValueError``.
+    ``closers`` and ``openers`` count the loose letters of the word's
+    residue, and must fit a word of length ``n``.  ``tilde`` gives ``2^n *
+    m^(pairs + loose)``, that is ``2^n * m^((n + closers + openers)/2)``;
+    ``plus`` ``(m+1)^n * m^closers``; ``minus``, its mirror, ``(m+1)^n * m^openers``.
     """
-    if found is None:
-        return None
-    closers, openers = found
-    # pairs + loose, with pairs = (length - loose) / 2
-    paired = length + len(closers) + len(openers)
-    if paired % 2:
-        raise ValueError(f"a residue with {paired - length} loose letters fits no word of length {length}")
-    return paired // 2
+    if measure == "tilde":
+        return 2**n * m ** ((n + closers + openers) // 2)
+    if measure == "plus":
+        return (m + 1) ** n * m**closers
+    if measure == "minus":
+        return (m + 1) ** n * m**openers
+    raise ValueError(f"unknown measure {measure!r}; expected tilde, plus or minus")
 
 
 def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fraction:
     """Exact mass of the cylinder fixing the letters ``codes``, under ``measure``.
 
-    A language word of length ``n`` is priced from its residue: ``tilde``
-    gives ``2^-n * m^-(pairs + loose)``, ``plus`` gives ``(m+1)^-n *
-    m^-(loose closers)`` and ``minus``, the mirror of plus, gives ``(m+1)^-n
-    * m^-(loose openers)``.  Words that reduce to zero have empty cylinders
-    and mass 0.  No measure depends on where the cylinder starts: all three
-    are shift invariant.  ``m`` and the codes go through :class:`Word`'s own check.
+    A language word is priced from its length and its residue's shape by
+    :func:`mass_denominator`.  Words that reduce to zero have empty
+    cylinders and mass 0.  No measure depends on where the cylinder starts:
+    all three are shift invariant.  ``m`` and the codes go through
+    :class:`Word`'s own check.
     """
     if measure not in ("tilde", "plus", "minus"):
         raise ValueError(f"unknown measure {measure!r}; expected tilde, plus or minus")
@@ -80,11 +78,8 @@ def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fract
     found = residue(codes)
     if found is None:
         return _fraction(0)
-    n = len(codes)
-    if measure == "tilde":
-        return _fraction(1, 2**n * m ** residue_m_exponent(found, n))
     closers, openers = found
-    return _fraction(1, (m + 1) ** n * m ** len(closers if measure == "plus" else openers))
+    return _fraction(1, mass_denominator(measure, m, len(codes), len(closers), len(openers)))
 
 
 def _ballot_ways(k: int) -> Iterator[int]:

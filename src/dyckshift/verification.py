@@ -43,9 +43,9 @@ from .coding import DEFAULT_SEED, _mirror, _plus_codes, _tilde_codes, sample_plu
 from .measures import (
     cylinder_mass,
     entropy_table,
+    mass_denominator,
     mass_length_for_residual,
     minimal_extension_mass,
-    residue_m_exponent,
 )
 from .words import (
     Word,
@@ -90,30 +90,6 @@ _CYLINDER_SCOPES = ((2, 10), (3, 8))
 _WORD_BATCH = 512
 
 
-def _extension_side(
-    state: tuple | None, top: int, ext: Sequence[int], scaled: dict[int, int]
-) -> int | str:
-    """One word's scaled one-letter extension masses summed, one letter at a time.
-
-    Returns why an extension cannot be priced instead: its residue fits no
-    word of length ``top``, or its m-exponent is one that no language word
-    of that length has.
-    """
-    total = 0
-    for c in ext:
-        (extended,) = advance([state], c)
-        if extended is None:
-            continue
-        try:
-            e = residue_m_exponent(extended, top)
-        except ValueError as err:
-            return f"extension {c}: {err}"
-        if e not in scaled:
-            return f"extension {c} has m-exponent {e}, outside {min(scaled)}..{top}"
-        total += scaled[e]
-    return total
-
-
 def _check_cylinder_consistency(seed: int) -> _Outcome:
     """One-letter extension additivity plus per-length normalization.
 
@@ -122,16 +98,15 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
     side reduces each walked word from scratch with ``residue``, never
     reusing the walk's state.  The words of one length go through in
     batches of ``_WORD_BATCH``; an extension's mass depends only on the
-    length and the residue, so each distinct residue of a batch takes one
-    ``advance`` step for each of the ``2m`` extension letters (annihilating
-    ones included, at mass 0), every other result is priced by
-    ``residue_m_exponent``, and the sums go back to every word of that
-    residue.  Both sides are integers: masses at length ``n`` scaled by
-    ``2^(n+1) m^(n+1)``.  The two routes share no state, so agreement is
-    meaningful.  A batch that disagrees anywhere is re-stepped word by word,
-    in walk order, and each disagreeing word is named.  An extension whose
-    residue does not fit its length, or whose m-exponent no language word
-    of its length has, is a mismatch that names the word.
+    length and the residue's shape, so each distinct residue of a batch
+    takes one ``advance`` step for each of the ``2m`` extension letters
+    (annihilating ones included, at mass 0), every other result is priced
+    from a per-length table that :func:`mass_denominator` fills, and the
+    sums go back to every word of that residue.  Both sides are masses at
+    length ``n`` scaled by ``2^(n+1) m^(n+1)``.  The two routes share no
+    state, so agreement is meaningful.  Every disagreeing word is named, in
+    walk order and at most five, from its own residue's prices; an extension
+    whose shape no word of its length has prices to ``None``.
     """
     del seed
     bad: list[str] = []
@@ -141,45 +116,46 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
         for n in range(n_max + 1):
             pow2 = 2**n
             top = n + 1
-            # m_pow[k] = m^k; a length-n cylinder with m-exponent e scales to
-            # 2 m^(n+1-e), a length-(n+1) extension with m-exponent e' to
-            # scaled[e'] = m^(n+1-e'), where e' = pairs + loose lies in
-            # ceil((n+1)/2) .. n+1.
             m_pow = [m**k for k in range(n + 2)]
-            scaled = {e: m_pow[top - e] for e in range((top + 1) // 2, top + 1)}
+            scale = 2 * pow2 * m_pow[top]  # masses at lengths n and top scale by 2^top m^top
+            prices = {}  # the scaled mass of each (loose closers, loose openers) of a length-top word, kept exact
+            for loose in range(top % 2, top + 1, 2):
+                for closers in range(loose + 1):
+                    price = Fraction(scale, mass_denominator("tilde", m, top, closers, loose - closers))
+                    prices[closers, loose - closers] = price if price.denominator > 1 else price.numerator
             level: Counter[int] = Counter()
             stats = iter_language_stats(n, m)
             while batch := list(itertools.islice(stats, _WORD_BATCH)):
                 exps = [pairs + loose for _, pairs, loose in batch]
                 level.update(exps)
-                lhs = [2 * m_pow[top - e] for e in exps]
+                lhs = [2 * m_pow[top - e] for e in exps]  # m-exponent e = pairs + loose
                 found = [residue(codes) for codes, _, _ in batch]
                 # each distinct residue once: places[i] is word i's among them
                 distinct: dict = {}
                 places = [distinct.setdefault(s, len(distinct)) for s in found]
                 states = list(distinct)
-                try:
-                    # one column per extension letter: the scaled extension masses
-                    columns = [
-                        [0 if s is None else scaled[residue_m_exponent(s, top)] for s in advance(states, c)]
-                        for c in ext
-                    ]
+                columns = [
+                    [0 if s is None else prices.get((len(s[0]), len(s[1]))) for s in advance(states, c)] for c in ext
+                ]
+                if any(None in col for col in columns):
+                    sums = [None if None in row else sum(row) for row in zip(*columns)]
+                else:
                     sums = list(map(sum, zip(*columns)))
-                    rhs = [sums[i] for i in places]
-                except (KeyError, ValueError):
-                    rhs = None
+                rhs = [sums[i] for i in places]
                 checked += len(batch)
                 if rhs == lhs:
                     continue
-                scale = 2 * pow2 * m_pow[top]
-                for (codes, _, _), state, left in zip(batch, found, lhs):
+                for (codes, _, _), place, left, right in zip(batch, places, lhs, rhs):
+                    if right == left:
+                        continue
                     if len(bad) >= 5:
                         break
-                    right = _extension_side(state, top, ext, scaled)
-                    if right != left:
-                        if not isinstance(right, str):
-                            right = f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
-                        bad.append(f"m={m} word={' '.join(map(str, codes))}: {right}")
+                    if right is None:
+                        i = [col[place] for col in columns].index(None)
+                        why = f"extension {ext[i]}: its residue's shape fits no word of length {top}"
+                    else:
+                        why = f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
+                    bad.append(f"m={m} word={' '.join(map(str, codes))}: {why}")
             total = sum(Fraction(c, pow2 * m**e) for e, c in level.items())
             if total != 1:
                 bad.append(f"m={m} n={n}: level mass {total} != 1")
@@ -232,6 +208,11 @@ def _shared_classes(n_max: int, m: int, shared: set[tuple]) -> dict[tuple, list[
         if key in shared:
             classes.setdefault(key, []).append(codes)
     return classes
+
+
+def _shape(found) -> tuple[int, int] | None:
+    """A residue's ``(loose closers, loose openers)``, or ``None`` for zero."""
+    return None if found is None else (len(found[0]), len(found[1]))
 
 
 def _codes_text(codes: tuple[int, ...]) -> str:
@@ -347,15 +328,15 @@ def _check_block_swap(seed: int) -> _Outcome:
     (b) exhaustive two-sided contexts of length <= 2 around every word of
     length <= 6, compared by mass: for each left context ``s`` every block's ``residue(s + w)`` is reduced from scratch
     once, stepped through each right context ``t`` by :func:`advance`
-    (``t``'s one-letter prefix stepped first and shared), and each
-    ``s + w + t`` is priced by :func:`residue_m_exponent`; (c) seeded random
+    (``t``'s one-letter prefix stepped first and shared); (c) seeded random
     two-sided triples at the full stated sizes, each reduced by
-    :func:`residue` and priced from scratch.  Masses are compared by their
-    m-exponents: the words compared have equal lengths, so equal
-    m-exponents mean equal masses.  Checking members against one
-    representative covers all pairs, since equality of masses is transitive.
-    Sweep (a) compares whole residues, and a residue fixes every later one,
-    so it covers each measure that prices a word by its length and residue.
+    :func:`residue` from scratch.  Sweeps (b) and (c) compare masses by
+    residue shape: the words compared have equal lengths, and by
+    :func:`mass_denominator` length and shape fix the mass under every
+    measure.  Checking members against one representative covers all pairs,
+    since equality of masses is transitive.  Sweep (a) compares whole
+    residues, and a residue fixes every later one, so it covers each
+    measure that prices a word by its length and residue.
     """
     m = 2
     contexts4: list[tuple[int, ...]] = []
@@ -380,11 +361,10 @@ def _check_block_swap(seed: int) -> _Outcome:
                 if t:
                     stepped[t] = advance(stepped[t[:-1]], t[-1])
                 states = stepped[t]
-                top = len(s) + key[0] + len(t)
-                expect = residue_m_exponent(states[0], top)
+                expect = _shape(states[0])
                 for i in range(1, len(members)):
                     mass_comparisons += 1
-                    if residue_m_exponent(states[i], top) != expect:
+                    if _shape(states[i]) != expect:
                         return False, f"mass of s+{_codes_text(members[i])}+t differs from the representative's", ()
 
     rng = random.Random(f"{seed}:block-swap")
@@ -396,8 +376,7 @@ def _check_block_swap(seed: int) -> _Outcome:
         members = rng.choice(rich)
         w = rng.choice(members)
         w2 = rng.choice(members)
-        top = len(s) + len(w) + len(t)
-        if residue_m_exponent(residue(s + w + t), top) != residue_m_exponent(residue(s + w2 + t), top):
+        if _shape(residue(s + w + t)) != _shape(residue(s + w2 + t)):
             return False, f"random triple separated {_codes_text(w)} from {_codes_text(w2)}", ()
     return (
         True,

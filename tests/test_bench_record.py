@@ -123,3 +123,27 @@ def test_only_root_bench_files_leave_the_tree_clean():
     assert bench_record.is_dirty("M  tools/bench_record.py")
     assert bench_record.is_dirty(" M perfbench/BENCH_notes.json")
     assert bench_record.is_dirty("R  BENCH_old.json -> notes.json")
+
+
+def test_raw_times_come_from_the_run_report(tmp_path):
+    # The report ``perfbench/run.py`` writes holds the raw times beside the rescaled ones.
+    report = {
+        "metrics": {
+            "wall_s": {"value": 2.5, "unit": "s"},
+            "wall_raw_s": {"value": 2.1, "unit": "s"},
+            "setup_raw_s": {"value": 0.006, "unit": "s"},
+            "machine_speed": {"value": 0.84, "unit": "ratio"},
+        }
+    }
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "verify-exact-seed921-trace0.json").write_text(json.dumps(report))
+    raw = bench_record.raw_times(tmp_path, "verify-exact", 921)
+    assert raw == {"wall_raw_s": {"value": 2.1, "unit": "s"}, "setup_raw_s": {"value": 0.006, "unit": "s"}}
+    result = bench_record.parse_result(_stdout(2.5, 24.5))
+    result["metrics"].update(raw)
+    record = bench_record.aggregate(
+        {"tree": [result], "against": [result]}, {**BETTER, **dict.fromkeys(bench_record.RAW_TIMES, "lower")}
+    )
+    assert record["metrics"]["wall_raw_s"]["better"] == "lower"
+    assert record["metrics"]["setup_raw_s"]["tree"]["median"] == 0.006

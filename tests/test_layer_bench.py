@@ -82,3 +82,15 @@ def test_a_layer_fails_when_any_repetition_fails():
     run, calls = _fake_layer([(0.3, True), (0.1, True), (0.2, False)])
     assert layer_bench.best_of(run) == (0.1, False)
     assert len(calls) == 3
+
+
+def test_garbage_is_collected_before_each_repetition(monkeypatch):
+    events = []
+    monkeypatch.setattr(layer_bench.gc, "collect", lambda: events.append("collect"))
+
+    def run():
+        events.append("run")
+        return 0.1, True
+
+    layer_bench.best_of(run)
+    assert events == ["collect", "run"] * layer_bench.REPEATS

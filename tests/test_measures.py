@@ -15,9 +15,9 @@ from dyckshift.measures import (
     cylinder_mass,
     entropy_report,
     entropy_table,
+    mass_denominator,
     mass_length_for_residual,
     minimal_extension_mass,
-    residue_m_exponent,
 )
 from dyckshift.words import (
     BudgetExceeded,
@@ -110,33 +110,21 @@ def test_rationals_come_from_fraction_itself_after_the_first_call():
     assert type(entropy_report(5, 2).p_nonneg) is Fraction
 
 
-def test_monomial_exponents_exposed():
-    codes = Word.parse("a1 a2 b2", 2).codes
-    assert residue_m_exponent(residue(codes), len(codes)) == 2  # one matched pair, one loose opener
-    assert cylinder_mass(codes, 2) == Fraction(1, 32)
-
-
-def test_m_exponents_agree_with_masses_exhaustively():
+def test_one_rule_prices_every_measure():
+    # a1 a2 b2: one matched pair and one loose opener
+    assert [mass_denominator(measure, 2, 3, 0, 1) for measure in MEASURES] == [32, 27, 54]
+    with pytest.raises(ValueError, match="unknown measure 'both'"):
+        mass_denominator("both", 2, 3, 0, 1)
     rng = random.Random(0)
     for n in range(7):
         for codes in itertools.product((1, 2, -1, -2), repeat=n):
-            exponent = residue_m_exponent(residue(codes), n)
-            value = cylinder_mass(codes, 2)
             found = rewrite_oracle(codes, rng)
-            assert (exponent is None) == (found is None)
-            if exponent is None:
-                assert value == 0
-                continue
-            loose = len(found[0]) + len(found[1])
-            assert exponent == (n - loose) // 2 + loose
-            assert value == Fraction(1, 2**n * 2**exponent)
-
-
-def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
-    assert residue_m_exponent(((), (1, 1)), 4) == 3
-    for found, length in [(((), (1, 1, 1)), 4), (((2,), ()), 0), (((1,), (2, 2)), 6)]:
-        with pytest.raises(ValueError, match="fits no word"):
-            residue_m_exponent(found, length)
+            for measure in MEASURES:
+                value = cylinder_mass(codes, 2, measure)
+                if found is None:
+                    assert value == 0
+                else:
+                    assert value == Fraction(1, mass_denominator(measure, 2, n, len(found[0]), len(found[1])))
 
 
 def assert_additive(w: Word) -> None:

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from dyckshift import coding, verification
-from dyckshift.measures import LogPair, cylinder_mass, residue_m_exponent
+from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
-from dyckshift.words import advance, iter_language_stats, residue
+from dyckshift.words import advance, count_language, iter_language_stats, residue
 
 from conftest import pairwise_swap_comparisons
 
@@ -237,12 +237,14 @@ def _misreduce(codes):
     return ((), (1, 1, 1)) if codes == MISREDUCED else residue(codes)
 
 
-def _misprice(found, length):
-    """The pricing rule, one power of m off for the one-letter extension a2 a1 a2 a1 + a1."""
-    priced = residue_m_exponent(found, length)
-    if length == 5 and found == ((), (2, 1, 2, 1, 1)):
-        return priced - 1
-    return priced
+def _misprice(fault):
+    """The pricing rule, with tilde's denominator of five loose openers at length 5 passed through ``fault``."""
+
+    def rule(measure, m, n, closers, openers):
+        priced = mass_denominator(measure, m, n, closers, openers)
+        return fault(priced, m) if (measure, n, closers, openers) == ("tilde", 5, 0, 5) else priced
+
+    return rule
 
 
 def _ignore_b2(states, code):
@@ -254,14 +256,6 @@ def _ignore_b2(states, code):
         state if state is not None and len(state[1]) == 3 and state[1][-1] == 2 else out
         for state, out in zip(states, stepped)
     ]
-
-
-def _overprice(found, length):
-    """The pricing rule, one power of m too high for the one-letter extension a2 a1 a2 a1 + a1."""
-    priced = residue_m_exponent(found, length)
-    if length == 5 and found == ((), (2, 1, 2, 1, 1)):
-        return priced + 1
-    return priced
 
 
 def _codes(text):
@@ -320,6 +314,27 @@ def test_stepping_each_residue_once_still_names_every_faulty_word(monkeypatch):
     tens = [codes for codes, _, _ in iter_language_stats(10, 2)]
     assert [len(codes) for codes in expected] == [8, 10, 10, 10, 10]
     assert {tens.index(codes) // verification._WORD_BATCH for codes in expected[1:]} == {0}
+
+
+def test_a_failing_batch_is_named_from_its_own_prices(monkeypatch):
+    # No word is stepped again to name it: 2m steps per batch of each length,
+    # and the only single-state steps are those of the empty word's batch.
+    calls = []
+
+    def counted(states, code):
+        calls.append(states[0] if len(states) == 1 else len(states))
+        return _misstep_planted(states, code)
+
+    monkeypatch.setattr(verification, "advance", counted)
+    named = _consistency_failures(run_check("cylinder-consistency"))
+    walk = [codes for n in range(11) for codes, _, _ in iter_language_stats(n, 2)]
+    assert named == [(2, codes) for codes in walk if residue(codes) == PLANTED][:5]
+    batches = {
+        m: sum(-(-count_language(n, m) // verification._WORD_BATCH) for n in range(n_max + 1))
+        for m, n_max in verification._CYLINDER_SCOPES
+    }
+    assert len(calls) == sum(2 * m * count for m, count in batches.items())
+    assert [c for c in calls if not isinstance(c, int)] == [((), ())] * (2 * 2 + 2 * 3)
 
 
 # What block-swap-exact says under each planted fault when every trie edge
@@ -382,12 +397,17 @@ def test_dropped_balanced_word_fails_balanced_counts(monkeypatch):
     assert result.observed == "m=3 pairs=3: formula 135, enumerated 135, scanned 134"
 
 
-def test_mispriced_extension_fails_cylinder_consistency(monkeypatch):
-    # block-swap-exact's sweep (b) prices through this same residue_m_exponent, but
-    # equivalent blocks have equal residues and lengths, so it misprices both
-    # sides of every comparison alike and still passes
-    monkeypatch.setattr(verification, "residue_m_exponent", _misprice)
-    assert _consistency_failures(run_check("cylinder-consistency")) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
+def test_mispriced_extension_fails_cylinder_consistency(monkeypatch, exact_check_results):
+    # A price goes by shape, so the fault reaches every length-4 word of
+    # shape (0, 4), named in walk order.  One power of m too high leaves a
+    # price that the scale does not divide; it stays exact, not rounded down.
+    fours = [codes for codes, _, _ in iter_language_stats(4, 2) if residue(codes) == ((), codes)]
+    for fault, sum_ in ((lambda den, m: den // m, "3/512"), (lambda den, m: den * m, "3/1024")):
+        monkeypatch.setattr(verification, "mass_denominator", _misprice(fault))
+        result = run_check("cylinder-consistency")
+        assert _consistency_failures(result) == [(2, codes) for codes in fours[:5]]
+        assert result.observed.startswith(f"m=2 word=1 1 1 1: 1/256 != sum {sum_}; m=2 word=1 1 1 2:")
+        assert result.expected == exact_check_results["cylinder-consistency"].expected
 
 
 def test_step_that_ignores_a_closer_fails_cylinder_consistency(monkeypatch):
@@ -398,15 +418,6 @@ def test_step_that_ignores_a_closer_fails_cylinder_consistency(monkeypatch):
     for m, word in _consistency_failures(result):
         assert _ignore_b2([residue(word)], -2) != [residue(word + (-2,))], (m, word)
     assert "fits no word of length" in result.observed
-
-
-def test_overpriced_extension_fails_cylinder_consistency(monkeypatch, exact_check_results):
-    # m-exponent 6 on a length-5 word would index m^(n+1-e) below m^0
-    monkeypatch.setattr(verification, "residue_m_exponent", _overprice)
-    result = run_check("cylinder-consistency")
-    assert _consistency_failures(result) == [(2, (2, 1, 2, 1)), (3, (2, 1, 2, 1))]
-    assert result.observed.count("extension 1 has m-exponent 6, outside 3..5") == 2
-    assert result.expected == exact_check_results["cylinder-consistency"].expected
 
 
 @pytest.mark.parametrize("shift,fragment", [(2, "already within 5% at length 256, before horizon 258"), (-2, "above 5% of 1/4 at length 254")])

@@ -4,15 +4,17 @@ Stdlib only.  Run from the root of a checkout:
 
     python3 tools/bench_record.py --workload verify-exact --runs 10
     python3 tools/bench_record.py --workload verify-exact --runs 10 --against HEAD~1
-    python3 tools/bench_record.py --source layers --runs 10 --against HEAD~1
+    python3 tools/bench_record.py --workload layers --runs 10 --against HEAD~1
 
 Each run is one call of the unchanged ``perfbench/run.py --workload W --seed S
 --seconds 0 --trace 0`` (one pass, end-to-end metrics) on its own seed,
-``FIRST_SEED`` upwards.  With ``--source layers`` it is instead one call of
-this working tree's ``tools/layer_bench.py --seed S`` with the side's
-``src/`` on ``PYTHONPATH`` (an older revision may lack the script), and the
-file is ``BENCH_layers.json``; every layer time is better lower.  With
-``--against REV``, revision REV is exported
+``FIRST_SEED`` upwards.  Beside ``BENCHMARK.json``'s end-to-end metrics it
+keeps ``wall_raw_s`` and ``setup_raw_s``, the times before rescaling, from
+the report that run writes to ``perfbench/out/``; both are better lower.
+The workload ``layers`` is instead one call of this working tree's
+``tools/layer_bench.py --seed S`` with the side's ``src/`` on ``PYTHONPATH``
+(an older revision may lack the script); every layer time is better lower.
+With ``--against REV``, revision REV is exported
 with ``git archive`` into a temporary directory and run there, in pairs with
 the working tree on the same seed; the order within a pair alternates, so that
 a drift in machine speed favours neither side.  The directory is removed at
@@ -48,6 +50,8 @@ FIRST_SEED = 921
 
 
 LAYERS = "layers"
+# Bench metrics that the run's last line leaves out; its report file holds them.
+RAW_TIMES = ("wall_raw_s", "setup_raw_s")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> str:
@@ -65,6 +69,12 @@ def run_once(tree: Path, workload: str, seed: int) -> str:
 def parse_result(stdout: str) -> dict:
     """The JSON result that ends a benchmark run's standard output."""
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def raw_times(tree: Path, workload: str, seed: int) -> dict:
+    """``RAW_TIMES`` as the report of the bench run of ``workload`` at ``seed`` in ``tree`` gives them."""
+    report = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {name: report["metrics"][name] for name in RAW_TIMES}
 
 
 def summary(values: list[float]) -> dict:
@@ -143,16 +153,12 @@ def _better_directions() -> dict[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", help="a workload of perfbench/run.py")
-    parser.add_argument("--source", choices=("bench", LAYERS), default="bench", help="what each run runs")
+    parser.add_argument("--workload", required=True, help=f"a workload of perfbench/run.py, or {LAYERS}")
     parser.add_argument("--runs", type=int, default=10, help="seeds, one run (or pair) each")
     parser.add_argument("--against", metavar="REV", help="also run this revision, in alternating pairs")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    if (args.source == LAYERS) == (args.workload is not None):
-        parser.error("give --workload with --source bench, and not with --source layers")
-    workload = args.workload or LAYERS
     seeds = list(range(FIRST_SEED, FIRST_SEED + args.runs))
     head = _git("rev-parse", "HEAD")
     revisions = {"tree": head + ("+dirty" if is_dirty(_git("status", "--porcelain", "--untracked-files=no")) else "")}
@@ -167,18 +173,20 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(seeds):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for side in order:
-                result = parse_result(run_once(trees[side], workload, seed))
+                result = parse_result(run_once(trees[side], args.workload, seed))
+                if args.workload != LAYERS:
+                    result["metrics"].update(raw_times(trees[side], args.workload, seed))
                 sides[side].append(result)
                 shown = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
                 print(f"seed {seed} {side}: correct={result['correct']} {shown}", file=sys.stderr)
-    if workload == LAYERS:
+    if args.workload == LAYERS:
         command = "PYTHONPATH=<side>/src tools/layer_bench.py --seed S (the working tree's script on every side)"
         better = {name: "lower" for name in sides["tree"][0]["metrics"]}
     else:
         command = "perfbench/run.py --workload W --seed S --seconds 0 --trace 0"
-        better = _better_directions()
+        better = {**_better_directions(), **dict.fromkeys(RAW_TIMES, "lower")}
     record = {
-        "workload": workload,
+        "workload": args.workload,
         "runs": args.runs,
         "seeds": seeds,
         "revisions": revisions,
@@ -187,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": command,
         **aggregate(sides, better),
     }
-    out = ROOT / f"BENCH_{workload}.json"
+    out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
     return 0

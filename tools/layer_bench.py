@@ -6,9 +6,10 @@ Stdlib only.  Run from the root of a checkout, with the ``src/`` to time on
     PYTHONPATH=src python3 tools/layer_bench.py --seed 7
 
 One run is one pass in a fresh interpreter, which times each layer
-``REPEATS`` times in a row and reports the least.  Times are raw wall-clock
-seconds, not rescaled to a reference machine as ``perfbench/run.py``
-rescales its own.  The layers:
+``REPEATS`` times in a row, collecting garbage before each, and reports the
+least, so that no layer pays for what the ones before it left behind.
+Times are raw wall-clock seconds, not rescaled to a reference machine as
+``perfbench/run.py`` rescales its own.  The layers:
 
 * ``verification.<key>.s``: each exact check, through ``run_check``;
 * ``verification._swap_sweep.s``: block-swap-exact's sweep (a) alone, at
@@ -44,6 +45,7 @@ or a sampled window that is not a language word.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import random
@@ -150,8 +152,11 @@ def window_layer(
 
 
 def best_of(run: Callable[[], tuple[float, bool]]) -> tuple[float, bool]:
-    """The least of ``REPEATS`` timings of ``run``, and whether every repetition's outcome was right."""
-    results = [run() for _ in range(REPEATS)]
+    """The least of ``REPEATS`` timings of ``run``, each after a garbage collection, and whether every outcome was right."""
+    results = []
+    for _ in range(REPEATS):
+        gc.collect()
+        results.append(run())
     return min(seconds for seconds, _ in results), all(ok for _, ok in results)
 
 
