@@ -49,11 +49,13 @@ def _fraction(*args) -> Fraction:
 def mass_denominator(measure: str, m: int, n: int, closers: int, openers: int) -> int:
     """The pricing rule: ``1/mass`` of a language word of length ``n`` under ``measure``.
 
-    ``closers`` and ``openers`` count the loose letters of the word's
-    residue, and must fit a word of length ``n``.  ``tilde`` gives ``2^n *
-    m^(pairs + loose)``, that is ``2^n * m^((n + closers + openers)/2)``;
-    ``plus`` ``(m+1)^n * m^closers``; ``minus``, its mirror, ``(m+1)^n * m^openers``.
+    ``closers`` and ``openers`` count the loose letters of the word's residue; a shape
+    that fits no word of length ``n`` raises ``ValueError``.  ``tilde`` gives ``2^n *
+    m^(pairs + loose)`` = ``2^n * m^((n + closers + openers)/2)``; ``plus`` ``(m+1)^n *
+    m^closers``; ``minus``, its mirror, ``(m+1)^n * m^openers``.
     """
+    if (n + closers + openers) % 2:
+        raise ValueError(f"a residue with {closers + openers} loose letters fits no word of length {n}")
     if measure == "tilde":
         return 2**n * m ** ((n + closers + openers) // 2)
     if measure == "plus":
@@ -67,10 +69,9 @@ def cylinder_mass(codes: Sequence[int], m: int, measure: str = "tilde") -> Fract
     """Exact mass of the cylinder fixing the letters ``codes``, under ``measure``.
 
     A language word is priced from its length and its residue's shape by
-    :func:`mass_denominator`.  Words that reduce to zero have empty
-    cylinders and mass 0.  No measure depends on where the cylinder starts:
-    all three are shift invariant.  ``m`` and the codes go through
-    :class:`Word`'s own check.
+    :func:`mass_denominator`.  Words that reduce to zero have empty cylinders and
+    mass 0.  No measure depends on where the cylinder starts: all three are shift
+    invariant.  ``m`` and the codes go through :class:`Word`'s own check.
     """
     if measure not in ("tilde", "plus", "minus"):
         raise ValueError(f"unknown measure {measure!r}; expected tilde, plus or minus")

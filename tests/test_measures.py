@@ -110,11 +110,18 @@ def test_rationals_come_from_fraction_itself_after_the_first_call():
     assert type(entropy_report(5, 2).p_nonneg) is Fraction
 
 
-def test_one_rule_prices_every_measure():
-    # a1 a2 b2: one matched pair and one loose opener
+def test_monomial_exponents_exposed():
+    codes = Word.parse("a1 a2 b2", 2).codes
+    # one matched pair and one loose opener: m-exponent 2 under tilde
+    assert mass_denominator("tilde", 2, len(codes), 0, 1) == 2**3 * 2**2
+    assert cylinder_mass(codes, 2) == Fraction(1, 32)
     assert [mass_denominator(measure, 2, 3, 0, 1) for measure in MEASURES] == [32, 27, 54]
     with pytest.raises(ValueError, match="unknown measure 'both'"):
         mass_denominator("both", 2, 3, 0, 1)
+
+
+def test_m_exponents_agree_with_masses_exhaustively():
+    # one rule prices every measure: each m = 2 word to length 6, shape from the oracle
     rng = random.Random(0)
     for n in range(7):
         for codes in itertools.product((1, 2, -1, -2), repeat=n):
@@ -123,8 +130,20 @@ def test_one_rule_prices_every_measure():
                 value = cylinder_mass(codes, 2, measure)
                 if found is None:
                     assert value == 0
-                else:
-                    assert value == Fraction(1, mass_denominator(measure, 2, n, len(found[0]), len(found[1])))
+                    continue
+                closers, openers = len(found[0]), len(found[1])
+                assert value == Fraction(1, mass_denominator(measure, 2, n, closers, openers))
+                if measure == "tilde":
+                    exponent = (n - closers - openers) // 2 + closers + openers
+                    assert value == Fraction(1, 2**n * 2**exponent)
+
+
+def test_pricing_refuses_a_residue_that_fits_no_word_of_its_length():
+    assert mass_denominator("tilde", 2, 4, 0, 2) == 2**4 * 2**3
+    for (closers, openers), length in [((0, 3), 4), ((1, 0), 0), ((1, 2), 6)]:
+        for measure in MEASURES:
+            with pytest.raises(ValueError, match="fits no word"):
+                mass_denominator(measure, 2, length, closers, openers)
 
 
 def assert_additive(w: Word) -> None:
