@@ -137,10 +137,7 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
                 columns = [
                     [0 if s is None else prices.get((len(s[0]), len(s[1]))) for s in advance(states, c)] for c in ext
                 ]
-                if any(None in col for col in columns):
-                    sums = [None if None in row else sum(row) for row in zip(*columns)]
-                else:
-                    sums = list(map(sum, zip(*columns)))
+                sums = [None if None in row else sum(row) for row in zip(*columns)]
                 rhs = [sums[i] for i in places]
                 checked += len(batch)
                 if rhs == lhs:

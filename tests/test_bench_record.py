@@ -147,3 +147,22 @@ def test_raw_times_come_from_the_run_report(tmp_path):
     )
     assert record["metrics"]["wall_raw_s"]["better"] == "lower"
     assert record["metrics"]["setup_raw_s"]["tree"]["median"] == 0.006
+
+
+def test_only_layer_runs_get_the_shared_bytecode_prefix(monkeypatch, tmp_path):
+    # A prefix set by hand would reach the bench's run.py alone; the layer runs share the recorder's own.
+    seen = []
+
+    def fake_run(cmd, cwd, env, stdout, text, check):
+        seen.append(env)
+        return type("Done", (), {"stdout": _stdout(2.5, 24.5)})()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    pycache = tmp_path / "pycache"
+    bench_record.run_once(tmp_path, "verify-exact", 921, pycache)
+    bench_record.run_once(tmp_path, bench_record.LAYERS, 921, pycache)
+    bench, layers = seen
+    assert "PYTHONPYCACHEPREFIX" not in bench
+    assert layers["PYTHONPYCACHEPREFIX"] == str(pycache)
+    assert layers["PYTHONPATH"] == str(tmp_path / "src")

@@ -14,6 +14,9 @@ the report that run writes to ``perfbench/out/``; both are better lower.
 The workload ``layers`` is instead one call of this working tree's
 ``tools/layer_bench.py --seed S`` with the side's ``src/`` on ``PYTHONPATH``
 (an older revision may lack the script); every layer time is better lower.
+Bytecode is kept alike on both sides: no run inherits
+``PYTHONPYCACHEPREFIX``, and the layer runs of both sides share one fresh,
+empty one (see :func:`run_once`); the file's ``command`` says which.
 With ``--against REV``, revision REV is exported
 with ``git archive`` into a temporary directory and run there, in pairs with
 the working tree on the same seed; the order within a pair alternates, so that
@@ -54,14 +57,23 @@ LAYERS = "layers"
 RAW_TIMES = ("wall_raw_s", "setup_raw_s")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> str:
-    """Standard output of one run in ``tree``: of the bench's ``workload``, or of the layer script."""
+def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> str:
+    """Standard output of one run in ``tree``: of the bench's ``workload``, or of the layer script.
+
+    The bench's ``run.py`` gives its passes no ``PYTHON*`` variable, so each side's
+    passes write bytecode beside its source on their first, untimed import.  A
+    prefix would reach ``run.py`` alone and make it compile its own imports, and a
+    pass's ``peak_rss_mb`` starts from ``run.py``'s footprint, since a process's
+    high-water mark survives ``exec``; so the bench runs get none.  The layer script
+    imports the package itself, so every layer run takes ``pycache`` as its prefix:
+    neither side reads the working tree's ``__pycache__``.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
     if workload == LAYERS:
         cmd = [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--seed", str(seed)]
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
     else:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
-        env = None
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return done.stdout
 
@@ -165,25 +177,30 @@ def main(argv: list[str] | None = None) -> int:
     sides: dict[str, list[dict]] = {"tree": []}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
         trees = {"tree": ROOT}
+        pycache = Path(scratch, "pycache")
+        pycache.mkdir()
         if args.against:
             revisions["against"] = _git("rev-parse", args.against)
-            trees["against"] = Path(scratch)
+            trees["against"] = Path(scratch, "against")
             _export(revisions["against"], trees["against"])
             sides["against"] = []
         for i, seed in enumerate(seeds):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for side in order:
-                result = parse_result(run_once(trees[side], args.workload, seed))
+                result = parse_result(run_once(trees[side], args.workload, seed, pycache))
                 if args.workload != LAYERS:
                     result["metrics"].update(raw_times(trees[side], args.workload, seed))
                 sides[side].append(result)
                 shown = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
                 print(f"seed {seed} {side}: correct={result['correct']} {shown}", file=sys.stderr)
     if args.workload == LAYERS:
-        command = "PYTHONPATH=<side>/src tools/layer_bench.py --seed S (the working tree's script on every side)"
+        command = (
+            "PYTHONPATH=<side>/src PYTHONPYCACHEPREFIX=<one fresh directory> tools/layer_bench.py --seed S"
+            " (the working tree's script on every side)"
+        )
         better = {name: "lower" for name in sides["tree"][0]["metrics"]}
     else:
-        command = "perfbench/run.py --workload W --seed S --seconds 0 --trace 0"
+        command = "perfbench/run.py --workload W --seed S --seconds 0 --trace 0 (PYTHONPYCACHEPREFIX unset)"
         better = {**_better_directions(), **dict.fromkeys(RAW_TIMES, "lower")}
     record = {
         "workload": args.workload,
