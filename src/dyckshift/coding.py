@@ -69,7 +69,8 @@ class PointWindow(_PointWindowFields):
 
     __slots__ = ()
 
-    def __new__(cls, m: int, lo: int, hi: int, codes: tuple[int, ...]) -> "PointWindow":
+    def __new__(cls, m: int, lo: int, hi: int, codes: Sequence[int]) -> "PointWindow":
+        codes = tuple(codes)  # checked and stored as one immutable value, as in Word
         if not lo <= 0 <= hi:
             raise ValueError(f"window [{lo}, {hi}] must contain the origin")
         if len(codes) != hi - lo + 1:

@@ -181,29 +181,13 @@ def _check_balanced_law(seed: int) -> _Outcome:
     return True, f"{checked} balanced words agree exactly", ("scopes: m in {2,3}, up to 5 matched pairs",)
 
 
-def _residue_keys(n_max: int, m: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Every language block of length <= ``n_max`` with its ``(length, *residue)`` key.
-
-    Blocks come by length, then lexicographically, so each class's first
-    block is its lexicographically first.
-    """
-    for n in range(n_max + 1):
-        for codes, _, _ in iter_language_stats(n, m):
-            yield codes, (n, *residue(codes))
-
-
-def _shared_keys(n_max: int, m: int) -> set[tuple]:
-    """Keys of the residue classes that hold two or more blocks of length <= ``n_max``."""
-    sizes = Counter(key for _, key in _residue_keys(n_max, m))
-    return {key for key, size in sizes.items() if size > 1}
-
-
-def _shared_classes(n_max: int, m: int, shared: set[tuple]) -> dict[tuple, list[tuple[int, ...]]]:
-    """The blocks of each shared class, in :func:`_residue_keys` order."""
+def _shared_classes(n_max: int, m: int) -> dict[tuple, list[tuple[int, ...]]]:
+    """The classes that :func:`_swap_sweep` compares, each with its blocks by length, then lexicographically."""
     classes: dict[tuple, list[tuple[int, ...]]] = {}
-    for codes, key in _residue_keys(n_max, m):
-        if key in shared:
-            classes.setdefault(key, []).append(codes)
+    for n in range(n_max + 1):
+        for codes, pairs, _ in iter_language_stats(n, m):
+            if pairs:
+                classes.setdefault((n, *residue(codes)), []).append(codes)
     return classes
 
 
@@ -232,36 +216,33 @@ def _interned(scan, table: dict):
     return table.setdefault(pair, pair)
 
 
-def _swap_sweep(
-    contexts: Sequence[tuple[int, ...]], n_max: int, m: int, shared: set[tuple]
-) -> tuple[int, str | None]:
+def _swap_sweep(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> tuple[int, str | None]:
     """Every block of length <= ``n_max`` against its class representative, in every context.
 
-    A block's class is its ``(length, *residue)`` key; only the ``shared``
-    classes, those with two or more blocks, are compared.  Contexts are
-    grouped by their own ``residue``, reduced from scratch: the scan of
-    ``s + w`` depends on ``s`` only through it.  One preorder walk over the
-    trie of language blocks advances one state per group by one letter
-    along each trie edge, so the states at block ``w`` are
-    ``residue(s + w)`` for the contexts ``s`` of each group.  A class's
-    representative is its first block in preorder, the lexicographically
-    first; its scans ``residue(s + rep)`` are reduced from scratch for
-    every context, and each later member's states are compared with them as
-    one list (a group whose contexts' scans differ matches no state).  A
-    member whose states equal its class's scans is verified and passes those
-    scans on to its children.  A child of a verified member of class ``P``
-    along letter ``c`` that is itself verified, as class ``K``, records the
-    step ``(P, c) -> K``; a later such child whose own key is ``K`` takes
-    ``K``'s scans without an ``advance``, since ``advance`` is a function of
-    its input values.  So each ``(P, c)`` step is advanced at most twice:
-    once if its first child is a member, twice if that child was ``K``'s
-    representative.  Every other block is advanced from its parent's
+    A block's class is its ``(length, *residue)`` key; only the classes of
+    blocks with a matched pair are compared.  Contexts are grouped by their
+    own ``residue``, reduced from scratch: the scan of ``s + w`` depends on
+    ``s`` only through it.  One preorder walk over the trie of language blocks
+    advances one state per group by one letter along each trie edge, so the
+    states at block ``w`` are ``residue(s + w)`` for the contexts ``s`` of
+    each group.  A class's representative is its first block in preorder, the
+    lexicographically first; its scans ``residue(s + rep)`` are reduced from
+    scratch for every context, and each later member's states are compared
+    with them as one list (a group whose contexts' scans differ matches no
+    state).  A member whose states equal its class's scans is verified and
+    passes those scans on to its children.  A child of a verified member of
+    class ``P`` along letter ``c`` that is itself verified, as class ``K``,
+    records the step ``(P, c) -> K``; a later such child whose own key is
+    ``K`` takes ``K``'s scans without an ``advance``, since ``advance`` is a
+    function of its input values.  So each ``(P, c)`` step is advanced at most
+    twice: once if its first child is a member, twice if that child was
+    ``K``'s representative.  Every other block is advanced from its parent's
     states.  The scans of every class are held until the walk ends,
-    hash-consed by :func:`_interned`, since most slots repeat a few
-    distinct scans.  Comparisons are counted per context.  When a block fails,
-    the first context in context order whose scan of the representative
-    differs from its group's state at the block is named; one always does,
-    since the state is that context's own scan of the block.  Blocks are keyed and
+    hash-consed by :func:`_interned`, since most slots repeat a few distinct
+    scans.  Comparisons are counted per context.  When a block fails, the
+    first context in context order whose scan of the representative differs
+    from its group's state at the block is named; one always does, since the
+    state is that context's own scan of the block.  Blocks are keyed and
     pruned by their own ``residue``, also from scratch.
 
     Returns the number of (block, context) comparisons and, at the first
@@ -290,7 +271,8 @@ def _swap_sweep(
         elif code:
             states = advance(states, code)
         verified = None
-        if key in shared:
+        # p >= 1 matched pairs retype to m^p >= 2 blocks of w's key (at m >= 2); a pairless w is alone
+        if len(w) > len(found[0]) + len(found[1]):
             rep = reps.get(key)
             if rep is None:
                 scans = [
@@ -339,12 +321,11 @@ def _check_block_swap(seed: int) -> _Outcome:
     contexts4: list[tuple[int, ...]] = []
     for n in range(5):
         contexts4.extend(codes for codes, _, _ in iter_language_stats(n, m))
-    shared = _shared_keys(8, m)
-    stack_comparisons, failure = _swap_sweep(contexts4, 8, m, shared)
+    stack_comparisons, failure = _swap_sweep(contexts4, 8, m)
     if failure is not None:
         return False, failure, ()
-    # Collected after sweep (a), which needs only the keys, so the two never coexist.
-    classes8 = _shared_classes(8, m, shared)
+    # Collected after sweep (a), so the two never coexist.
+    classes8 = _shared_classes(8, m)
 
     # Right contexts come shortest first, so each one's prefix is stepped before it.
     contexts2 = [c for c in contexts4 if len(c) <= 2]

@@ -93,7 +93,8 @@ class Word:
     m: int
     codes: tuple[int, ...]
 
-    def __init__(self, m: int, codes: tuple[int, ...]) -> None:
+    def __init__(self, m: int, codes: Sequence[int]) -> None:
+        codes = tuple(codes)  # checked and stored as one immutable value; a tuple passes through
         _check_letters(m, codes)
         _set_word_m(self, m)
         _set_word_codes(self, codes)

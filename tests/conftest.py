@@ -154,6 +154,15 @@ def rewrite_oracle(
     return tuple(-c for c in work[:split]), tuple(work[split:])
 
 
+def residue_classes(n_max: int, m: int) -> dict[tuple, list[tuple[int, ...]]]:
+    """Every block of length <= ``n_max`` by its ``(length, *residue)`` class, by length, then lexicographically."""
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for n in range(n_max + 1):
+        for codes, _, _ in iter_language_stats(n, m):
+            classes.setdefault((n, *residue(codes)), []).append(codes)
+    return classes
+
+
 def pairwise_swap_comparisons(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> int | None:
     """Sweep (a) of block-swap-exact one (block, context) pair at a time.
 
@@ -162,12 +171,8 @@ def pairwise_swap_comparisons(contexts: Sequence[tuple[int, ...]], n_max: int, m
     under every context and compared with the class's first block.  Returns
     the number of comparisons, or ``None`` at the first mismatch.
     """
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    for n in range(n_max + 1):
-        for codes, _, _ in iter_language_stats(n, m):
-            buckets.setdefault((n, *residue(codes)), []).append(codes)
     comparisons = 0
-    for rep, *others in buckets.values():
+    for rep, *others in residue_classes(n_max, m).values():
         base = [residue(s + rep) for s in contexts]
         for w in others:
             for s, expect in zip(contexts, base):

@@ -37,6 +37,12 @@ def test_reduction_layers_time_a_small_language():
         assert ok and seconds >= 0
 
 
+def test_sweep_layer_times_a_small_sweep():
+    assert layer_bench.layers(7)["verification._swap_sweep.s"] is layer_bench._sweep
+    seconds, ok = layer_bench._sweep(4, 2)
+    assert ok and seconds >= 0
+
+
 def test_mass_layer_prices_a_small_language():
     assert "measures.cylinder_mass.s" in layer_bench.layers(7)
     seconds, ok = layer_bench.mass_layer(4, 3)

@@ -170,6 +170,19 @@ def test_valid_edge_records_construct():
     assert PointWindow(2, 0, 1, (-2, 1)).codes == (-2, 1)  # a loose closer, then an opener
 
 
+@pytest.mark.parametrize(
+    "build", [lambda codes: Word(2, codes), lambda codes: PointWindow(2, 0, 1, codes)], ids=["Word", "PointWindow"]
+)
+def test_records_copy_a_callers_list_of_letters(build):
+    letters = [1, -1]
+    record = build(letters)
+    assert record == build((1, -1)) and hash(record) == hash(build((1, -1)))
+    letters.append(5)  # out of range at m = 2, so it must not reach the checked record
+    assert record.codes == (1, -1) and repr(record) == repr(build((1, -1)))
+    codes = (1, -1)
+    assert build(codes).codes is codes  # a tuple is stored as it is
+
+
 def test_import_leaves_dataclasses_inspect_and_json_out():
     # -S: no site packages, so only the package's own imports are seen.
     # json loads only when a command emits --json output.

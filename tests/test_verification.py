@@ -12,7 +12,7 @@ from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
 from dyckshift.words import advance, count_language, iter_language_stats, residue
 
-from conftest import pairwise_swap_comparisons
+from conftest import pairwise_swap_comparisons, residue_classes
 
 
 def test_run_check_runs_afresh_on_every_call():
@@ -114,13 +114,32 @@ def test_exact_sweeps_keep_their_scope(exact_check_results):
     )
 
 
-@pytest.mark.parametrize("m,n_max,context_len", [(2, 6, 3), (3, 5, 2)])
+@pytest.mark.parametrize("m,n_max,context_len", [(2, 6, 3), (3, 5, 2), (1, 10, 4)])
 def test_swap_sweep_makes_the_pairwise_comparisons(m, n_max, context_len):
     contexts = [codes for n in range(context_len + 1) for codes, _, _ in iter_language_stats(n, m)]
     expected = pairwise_swap_comparisons(contexts, n_max, m)
     assert expected
-    shared = verification._shared_keys(n_max, m)
-    assert verification._swap_sweep(contexts, n_max, m, shared) == (expected, None)
+    assert verification._swap_sweep(contexts, n_max, m) == (expected, None)
+
+
+@pytest.mark.parametrize("n_max,m", [(8, 2), (6, 3)])
+def test_blocks_with_a_matched_pair_are_the_shared_classes(n_max, m):
+    # The counting route: group every block by class and keep the classes of
+    # two or more.  Retyping a matched pair keeps a block's class, so at
+    # m >= 2 the pair rule finds the same keys, members and order.
+    shared = {key: blocks for key, blocks in residue_classes(n_max, m).items() if len(blocks) > 1}
+    assert list(verification._shared_classes(n_max, m).items()) == list(shared.items())
+
+
+def test_at_one_type_the_pair_rule_adds_only_the_lone_pair():
+    # At m = 1 a matched pair has no other type, so a1 b1 is alone in its
+    # class; the sweep scans that class but compares nothing in it.
+    shared = {key: blocks for key, blocks in residue_classes(10, 1).items() if len(blocks) > 1}
+    found = verification._shared_classes(10, 1)
+    assert found.pop((2, (), ())) == [(1, -1)]
+    assert list(found.items()) == list(shared.items())
+    # At m = 2 that class is a1 b1 ~ a2 b2, the one shared class of blocks to length 2.
+    assert {key for key, blocks in residue_classes(2, 2).items() if len(blocks) > 1} == {(2, (), ())}
 
 
 def test_swap_sweep_compares_in_every_context(monkeypatch):
@@ -128,14 +147,12 @@ def test_swap_sweep_compares_in_every_context(monkeypatch):
     # misreduced context + a1 b1 is seen in exactly that context, whichever
     # place in its group the context takes.
     contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
-    shared = verification._shared_keys(2, 2)
-    assert shared == {(2, (), ())}
     for context in contexts:
         target = context + (1, -1)
         monkeypatch.setattr(
             verification, "residue", lambda codes, target=target: None if codes == target else residue(codes)
         )
-        failure = verification._swap_sweep(contexts, 2, 2, shared)[1]
+        failure = verification._swap_sweep(contexts, 2, 2)[1]
         assert failure == f"context {' '.join(map(str, context))} sees 2 -2 != 1 -1"
 
 
@@ -144,11 +161,10 @@ def test_swap_sweep_names_the_first_failing_context_in_context_order(monkeypatch
     # residue group of 2 -2 is led by 1 -1, so it comes before the group of
     # 2 1, which stands alone; 2 1 comes first in context order.
     contexts = [codes for n in (1, 2, 3) for codes, _, _ in iter_language_stats(n, 2)]
-    shared = verification._shared_keys(2, 2)
     assert contexts.index((1, -1)) < contexts.index((2, 1)) < contexts.index((2, -2))
     faulty = {(2, 1, 1, -1), (2, -2, 1, -1)}
     monkeypatch.setattr(verification, "residue", lambda codes: None if codes in faulty else residue(codes))
-    assert verification._swap_sweep(contexts, 2, 2, shared)[1] == "context 2 1 sees 2 -2 != 1 -1"
+    assert verification._swap_sweep(contexts, 2, 2)[1] == "context 2 1 sees 2 -2 != 1 -1"
 
 
 def test_swap_sweep_walks_the_block_trie_once(monkeypatch):
@@ -157,10 +173,9 @@ def test_swap_sweep_walks_the_block_trie_once(monkeypatch):
     # each node is reduced from scratch once.
     m = 2
     contexts = [codes for n in range(5) for codes, _, _ in iter_language_stats(n, m)]
-    shared = verification._shared_keys(8, m)
     calls = []
     monkeypatch.setattr(verification, "residue", lambda codes: calls.append(None) or residue(codes))
-    assert verification._swap_sweep(contexts, 8, m, shared) == (4748386, None)
+    assert verification._swap_sweep(contexts, 8, m) == (4748386, None)
     assert len(calls) == 240332
 
 
@@ -170,10 +185,9 @@ def test_swap_sweep_steps_each_verified_class_once(monkeypatch):
     # 25,930 when every trie edge is advanced, for the same comparisons.
     m = 2
     contexts = [codes for n in range(5) for codes, _, _ in iter_language_stats(n, m)]
-    shared = verification._shared_keys(8, m)
     calls = []
     monkeypatch.setattr(verification, "advance", lambda states, code: calls.append(None) or advance(states, code))
-    assert verification._swap_sweep(contexts, 8, m, shared) == (4748386, None)
+    assert verification._swap_sweep(contexts, 8, m) == (4748386, None)
     assert len(calls) == 8046
 
 
@@ -201,10 +215,9 @@ def test_swap_sweep_holds_its_scans_hash_consed():
     # The parent's scans, each of its own tuples, peaked at 2.44 MiB here.
     m = 2
     contexts = [codes for n in range(5) for codes, _, _ in iter_language_stats(n, m)]
-    shared = verification._shared_keys(7, m)
     tracemalloc.start()
     try:
-        assert verification._swap_sweep(contexts, 7, m, shared)[1] is None
+        assert verification._swap_sweep(contexts, 7, m)[1] is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,8 +13,8 @@ Times are raw wall-clock seconds, not rescaled to a reference machine as
 
 * ``verification.<key>.s``: each exact check, through ``run_check``;
 * ``verification._swap_sweep.s``: block-swap-exact's sweep (a) alone, at
-  its scope (m = 2, blocks to length 8, contexts to length 4), its shared
-  class keys collected beforehand and not timed;
+  its scope (m = 2, blocks to length 8, contexts to length 4), the walk
+  that lists the contexts not timed;
 * ``words.residue.s``: ``residue`` of every word of the m = 2 language to
   length 10, the walk that lists them not timed;
 * ``words.advance.s``: ``advance`` of that language's distinct
@@ -70,12 +70,10 @@ def _check(key: str, seed: int) -> tuple[float, bool]:
     return result.elapsed, result.ok == (key not in EXPECTED_FAILURES)
 
 
-def _sweep() -> tuple[float, bool]:
-    m, n_max = 2, 8
+def _sweep(n_max: int = 8, m: int = 2) -> tuple[float, bool]:
     contexts = [codes for n in range(5) for codes, _, _ in words.iter_language_stats(n, m)]
-    shared = verification._shared_keys(n_max, m)
     start = time.perf_counter()
-    failure = verification._swap_sweep(contexts, n_max, m, shared)[1]
+    failure = verification._swap_sweep(contexts, n_max, m)[1]
     return time.perf_counter() - start, failure is None
 
 
