@@ -219,30 +219,31 @@ def _interned(scan, table: dict):
 def _swap_sweep(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> tuple[int, str | None]:
     """Every block of length <= ``n_max`` against its class representative, in every context.
 
-    A block's class is its ``(length, *residue)`` key; only the classes of
-    blocks with a matched pair are compared.  Contexts are grouped by their
-    own ``residue``, reduced from scratch: the scan of ``s + w`` depends on
-    ``s`` only through it.  One preorder walk over the trie of language blocks
-    advances one state per group by one letter along each trie edge, so the
-    states at block ``w`` are ``residue(s + w)`` for the contexts ``s`` of
-    each group.  A class's representative is its first block in preorder, the
-    lexicographically first; its scans ``residue(s + rep)`` are reduced from
-    scratch for every context, and each later member's states are compared
-    with them as one list (a group whose contexts' scans differ matches no
-    state).  A member whose states equal its class's scans is verified and
-    passes those scans on to its children.  A child of a verified member of
-    class ``P`` along letter ``c`` that is itself verified, as class ``K``,
-    records the step ``(P, c) -> K``; a later such child whose own key is
-    ``K`` takes ``K``'s scans without an ``advance``, since ``advance`` is a
-    function of its input values.  So each ``(P, c)`` step is advanced at most
-    twice: once if its first child is a member, twice if that child was
-    ``K``'s representative.  Every other block is advanced from its parent's
+    A block's class is its ``(length, *residue)`` key; only classes whose
+    blocks have a matched pair are compared.  Contexts are
+    grouped by their own ``residue``, reduced from scratch: the scan of
+    ``s + w`` depends on ``s`` only through it.  One preorder walk over the
+    trie of language blocks advances one state per group by one letter
+    along each trie edge, so the states at block ``w`` are
+    ``residue(s + w)`` for the contexts ``s`` of each group.  A class's
+    representative is its first block in preorder, the lexicographically
+    first; its scans ``residue(s + rep)`` are reduced from scratch for
+    every context, and each later member's states are compared with them as
+    one list (a group whose contexts' scans differ matches no state).  A
+    member whose states equal its class's scans is verified and passes those
+    scans on to its children.  A child of a verified member of class ``P``
+    along letter ``c`` that is itself verified, as class ``K``, records the
+    step ``(P, c) -> K``; a later such child whose own key is ``K`` takes
+    ``K``'s scans without an ``advance``, since ``advance`` is a function of
+    its input values.  So each ``(P, c)`` step is advanced at most twice:
+    once if its first child is a member, twice if that child was ``K``'s
+    representative.  Every other block is advanced from its parent's
     states.  The scans of every class are held until the walk ends,
-    hash-consed by :func:`_interned`, since most slots repeat a few distinct
-    scans.  Comparisons are counted per context.  When a block fails, the
-    first context in context order whose scan of the representative differs
-    from its group's state at the block is named; one always does, since the
-    state is that context's own scan of the block.  Blocks are keyed and
+    hash-consed by :func:`_interned`, since most slots repeat a few
+    distinct scans.  Comparisons are counted per context.  When a block fails,
+    the first context in context order whose scan of the representative
+    differs from its group's state at the block is named; one always does,
+    since the state is that context's own scan of the block.  Blocks are keyed and
     pruned by their own ``residue``, also from scratch.
 
     Returns the number of (block, context) comparisons and, at the first
