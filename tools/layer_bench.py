@@ -72,10 +72,8 @@ def _check(key: str, seed: int) -> tuple[float, bool]:
 
 def _sweep(n_max: int = 8, m: int = 2) -> tuple[float, bool]:
     contexts = [codes for n in range(5) for codes, _, _ in words.iter_language_stats(n, m)]
-    # Recording only: a revision before the pair rule takes its compared class keys, collected untimed.
-    keys = (verification._shared_keys(n_max, m),) if hasattr(verification, "_shared_keys") else ()
     start = time.perf_counter()
-    failure = verification._swap_sweep(contexts, n_max, m, *keys)[1]
+    failure = verification._swap_sweep(contexts, n_max, m)[1]
     return time.perf_counter() - start, failure is None
 
 
