@@ -402,14 +402,9 @@ def _fuse_window_flag(argv: Sequence[str]) -> list[str]:
     # argparse reads "-3:3" as an option flag; fold the window value into
     # --window=... so negative bounds work the obvious way.
     out: list[str] = []
-    fuse_next = False
     for token in argv:
-        if fuse_next:
+        if out[-1:] == ["--window"]:
             out[-1] = f"--window={token}"
-            fuse_next = False
-        elif token == "--window":
-            out.append(token)
-            fuse_next = True
         else:
             out.append(token)
     return out

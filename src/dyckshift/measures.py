@@ -21,6 +21,7 @@ call and rebinds itself to it, so later calls reach the class directly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -160,21 +161,13 @@ _FLOAT_MARGIN = 8
 def _log_residual(walk: int, k: int) -> float:
     """Float log of ``2^-walk Σ C(walk, j)`` over ``(walk-k)/2 < j <= (walk+k)/2``.
 
-    The peak term ``j = ceil(walk/2)`` lies in the range; it comes from
-    ``math.lgamma`` and the others from ratio steps outward, each at most 1,
-    so nothing overflows at any length.
+    Each term comes straight from ``math.lgamma``.  The range holds the peak
+    term ``j = ceil(walk/2)``, the largest of ``walk + 1`` terms that sum to
+    1, so it is at least ``1/(walk+1)``: the sum never underflows to 0.
     """
-    peak = (walk + 1) // 2
-    total = term = 1.0
-    for j in range(peak, (walk + k) // 2):  # C(walk, j+1) / C(walk, j)
-        term *= (walk - j) / (j + 1)
-        total += term
-    term = 1.0
-    for j in range(peak, (walk - k) // 2 + 1, -1):  # C(walk, j-1) / C(walk, j)
-        term *= j / (walk - j + 1)
-        total += term
-    log_peak = math.lgamma(walk + 1) - math.lgamma(peak + 1) - math.lgamma(walk - peak + 1)
-    return log_peak + math.log(total) - walk * math.log(2)
+    log_top = math.lgamma(walk + 1) - walk * math.log(2)
+    terms = range((walk - k) // 2 + 1, (walk + k) // 2 + 1)
+    return math.log(math.fsum(math.exp(log_top - math.lgamma(j + 1) - math.lgamma(walk - j + 1)) for j in terms))
 
 
 def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
@@ -189,8 +182,8 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     as ``R(L) = 2^-L Σ C(L, j)`` over the ``k`` values ``(L-k)/2 < j <=
     (L+k)/2``.  ``R`` strictly decreases in ``L``.
 
-    Locate, in floats: gallop and bisect over ``f`` for the first ``L`` with
-    ``log R(L) <= log num - log den``, where ``ratio = num/den``.  Certify,
+    Locate, in floats: ``bisect`` over ``f`` for the first ``L`` with ``log
+    R(L) <= log num - log den``, where ``ratio = num/den``.  Certify,
     exactly: one ``math.comb`` gives the first binomial at that ``L``, ratio
     steps give the other ``k - 1`` and move ``L`` by ±2, until ``den Σ C(L,
     j) <= num 2^L`` holds at ``L`` and fails at ``L - 2`` (or ``L = k``).
@@ -212,19 +205,9 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
     def located(f: int) -> bool:
         return _log_residual(k + 2 * f, k) <= log_ratio
 
-    f_top = f_cap + _FLOAT_MARGIN
-    fail, f = -1, 0
-    while not located(f):
-        if f == f_top:
-            raise BudgetExceeded(budget)
-        fail, f = f, min(2 * f + 1, f_top)
-    while f - fail > 1:
-        mid = (fail + f) // 2
-        if located(mid):
-            f = mid
-        else:
-            fail = mid
-
+    f = bisect.bisect_left(range(f_cap + _FLOAT_MARGIN + 1), True, key=located)
+    if f > f_cap + _FLOAT_MARGIN:
+        raise BudgetExceeded(budget)
     f = min(f, f_cap)
     walk = k + 2 * f
     first = math.comb(walk, f + 1)  # j = (walk - k)/2 + 1

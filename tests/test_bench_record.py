@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +170,34 @@ def test_only_layer_runs_get_the_shared_bytecode_prefix(monkeypatch, tmp_path):
     assert "PYTHONPYCACHEPREFIX" not in bench
     assert layers["PYTHONPYCACHEPREFIX"] == str(pycache)
     assert layers["PYTHONPATH"] == str(tmp_path / "src")
+
+
+# A recording of HEAD whose runs hang: it says when its export is in place, then sleeps.
+_HANGING_RECORDING = """
+import importlib.util, sys, time
+spec = importlib.util.spec_from_file_location("bench_record", sys.argv[1])
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+def run_once(*args):
+    print("running", flush=True)
+    time.sleep(60)
+
+bench_record.run_once = run_once
+bench_record.main(["--workload", "verify-exact", "--runs", "1", "--against", "HEAD"])
+"""
+
+
+def test_sigterm_removes_the_export(tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    argv = [sys.executable, "-c", _HANGING_RECORDING, str(_PATH)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True) as child:
+        try:
+            assert child.stdout.readline() == "running\n"
+            (export,) = tmp_path.glob("bench-record-*")
+            assert (export / "against" / "pyproject.toml").is_file()
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=30) == 128 + signal.SIGTERM == 143
+        finally:
+            child.kill()
+    assert list(tmp_path.glob("bench-record-*")) == []

@@ -260,6 +260,20 @@ def test_sample_prints_checked_windows_over_the_golden_grid(capsys):
                     assert PointWindow(m, lo, hi, Word.parse(text, m).codes).codes == want.codes
 
 
+@pytest.mark.parametrize(
+    "argv,fused",
+    [
+        (["sample", "--window"], ["sample", "--window"]),
+        (["--window", "--window"], ["--window=--window"]),
+        (["--window=1:2", "-4:4"], ["--window=1:2", "-4:4"]),
+        (["--seed", "--window", "-4:4"], ["--seed", "--window=-4:4"]),
+    ],
+    ids=["trailing", "twice", "already-fused", "after-seed"],
+)
+def test_window_value_is_fused_to_its_flag(argv, fused):
+    assert cli._fuse_window_flag(argv) == fused
+
+
 def test_sample_window_syntax_errors(capsys):
     for bad in ("3", "1:", "4:1", "a:b"):
         rc, _, err = run(capsys, "sample", "--window", bad)

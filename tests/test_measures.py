@@ -426,6 +426,21 @@ def reflection_residual(walk: int, k: int) -> Fraction:
     return Fraction(sum(math.comb(walk, j) for j in range((walk - k) // 2 + 1, (walk + k) // 2 + 1)), 2**walk)
 
 
+def test_log_residual_equals_the_exact_residual():
+    """The float residual that locates the horizon is ``log R(walk)`` to 1e-9."""
+    for k in range(1, 31):
+        for walk in range(k, 3001, 106):  # k's parity
+            exact = math.log(reflection_residual(walk, k))
+            assert measures._log_residual(walk, k) == pytest.approx(exact, abs=1e-9), (walk, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 25])
+def test_log_residual_is_finite_at_the_cap(k):
+    """Just past the 2^20 cap the peak term keeps the sum from underflowing."""
+    value = measures._log_residual(measures._MAX_TOTAL_LEN + 2 - k % 2, k)
+    assert math.isfinite(value) and value < 0
+
+
 @pytest.mark.parametrize("walk", [2, 10, 100, 1000])
 def test_residual_horizon_certificate_splits_ties(walk):
     """Ratios 2^-(walk+60) either side of ``R(walk)`` land on neighbouring lengths.

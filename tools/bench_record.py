@@ -21,7 +21,7 @@ With ``--against REV``, revision REV is exported
 with ``git archive`` into a temporary directory and run there, in pairs with
 the working tree on the same seed; the order within a pair alternates, so that
 a drift in machine speed favours neither side.  The directory is removed at
-the end.
+the end, also when the recorder is stopped by SIGTERM (exit code 143).
 
 The file holds, for each end-to-end metric and each side, the median and the
 quartiles over the runs, the raw values, and (with ``--against``) in how many
@@ -41,6 +41,7 @@ import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -175,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     head = _git("rev-parse", "HEAD")
     revisions = {"tree": head + ("+dirty" if is_dirty(_git("status", "--porcelain", "--untracked-files=no")) else "")}
     sides: dict[str, list[dict]] = {"tree": []}
+    # SIGTERM unwinds like an exit: the running child is killed and the directory removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
         trees = {"tree": ROOT}
         pycache = Path(scratch, "pycache")
