@@ -11,6 +11,7 @@ byte-identical across runs for identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -275,13 +276,9 @@ def _cmd_extensions(args: argparse.Namespace) -> int:
                     f"at length {horizon}"
                 )
         return 0
-    pairs = []
-    truncated_listing = False
-    for left, right in minimal_balanced_extensions(w, max_len):
-        if len(pairs) >= args.limit:
-            truncated_listing = True
-            break
-        pairs.append((left, right))
+    pairs = list(itertools.islice(minimal_balanced_extensions(w, max_len), args.limit + 1))
+    truncated_listing = len(pairs) > args.limit
+    del pairs[args.limit:]
     if args.json:
         _emit_json(
             {

@@ -128,11 +128,11 @@ def minimal_extension_mass(a: Word, max_len: int) -> list[ExtensionMassRow]:
     base = len(a) + k
     classes = (max_len - base) // 2 + 1 if max_len >= base else 0
     # Class f holds C_k(f) completions per typing of its f added pairs and
-    # adds C_k(f) / (unit 4^f) with unit = 2^base m^(base/2); the target is
-    # 2^k / unit.  Partial sums stay integers over unit 4^f, and Fractions
-    # are built only for the rows.
+    # adds C_k(f) / (unit 4^f), with unit the tilde price of a balanced word
+    # of length base; the target is 2^k / unit.  Partial sums stay integers
+    # over unit 4^f, and Fractions are built only for the rows.
     rows: list[ExtensionMassRow] = []
-    den = 2**base * a.m ** (base // 2)
+    den = mass_denominator("tilde", a.m, base, 0, 0)
     reached, whole_mass, types = 0, 1 << k, 1
     for f, count in enumerate(islice(_ballot_ways(k), classes)):
         reached = 4 * reached + count
@@ -274,22 +274,6 @@ def _pattern_stats(length: int) -> tuple[int, int]:
     return total_pairs, nonneg
 
 
-def _block_and_p_nonneg(n: int) -> tuple[LogPair, Fraction]:
-    """Exact block entropy and ``p_nonneg`` at length ``n``, from one pass of pattern counts.
-
-    The block entropy is that of the length-``n`` block distribution, in
-    the two-log form.  A length-``n`` pattern is hit with probability
-    ``2^-n`` regardless of ``m`` (the type choices integrate out), so the
-    ``log(m)`` coefficient is a pure pattern statistic and the ``log(2)``
-    coefficient is ``n``.  The pattern statistic is a sum of ``n/2 + 1``
-    terms, so any length is exact and cheap.
-    """
-    if n < 0:
-        raise ValueError("block length must be >= 0")
-    total_pairs, nonneg = _pattern_stats(n)
-    return LogPair(_fraction(n), n - _fraction(total_pairs, 2**n)), _fraction(nonneg, 2**n)
-
-
 class EntropyReport(NamedTuple):
     """Exact block and step entropy at one length, plus the branch weight.
 
@@ -319,30 +303,38 @@ class EntropyReport(NamedTuple):
         }
 
 
+def _entropy_rows(first: int, last: int, m: int) -> list[EntropyReport]:
+    """Exact entropy rows for ``n = first .. last``, one pattern pass per length.
+
+    Row ``n``'s block entropy is that of the length-``n`` block distribution,
+    in the two-log form.  A length-``n`` pattern is hit with probability
+    ``2^-n`` regardless of ``m`` (the type choices integrate out), so the
+    ``log(m)`` coefficient is a pure pattern statistic and the ``log(2)``
+    coefficient is ``n``.  The pattern statistic is a sum of ``n/2 + 1``
+    terms, so any length is exact and cheap.  Row ``n``'s step entropy needs
+    the block entropy of length ``n + 1``, which is row ``n + 1``'s own, so
+    each length's pattern statistics are computed once.
+    """
+    if min(first, last) < 0:
+        raise ValueError("block length must be >= 0")
+    _check_letters(m, ())
+    stats = [(n, *_pattern_stats(n)) for n in range(first, last + 2)]
+    blocks = [LogPair(_fraction(n), n - _fraction(total_pairs, 2**n)) for n, total_pairs, _ in stats]
+    return [
+        EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=_fraction(nonneg, 2**n))
+        for (n, _, nonneg), here, after in zip(stats, blocks, blocks[1:])
+    ]
+
+
 def entropy_report(n: int, m: int = 2) -> EntropyReport:
     """Exact entropy data at the one block length ``n``.
 
     The one-length route: two pattern passes, at lengths ``n`` and ``n + 1``.
     For several lengths use :func:`entropy_table`, which counts each once.
     """
-    _check_letters(m, ())
-    here, p_nonneg = _block_and_p_nonneg(n)
-    after = _block_and_p_nonneg(n + 1)[0]
-    return EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)
+    return _entropy_rows(n, n, m)[0]
 
 
 def entropy_table(n_max: int, m: int = 2) -> list[EntropyReport]:
-    """:func:`entropy_report` for ``n = 0 .. n_max``, one pattern pass per length.
-
-    The only multi-length route.  Row ``n`` needs the block entropy of
-    length ``n + 1``, which is row ``n + 1``'s own, so each length's
-    pattern statistics are computed once.
-    """
-    if n_max < 0:
-        raise ValueError("block length must be >= 0")
-    _check_letters(m, ())
-    stats = [_block_and_p_nonneg(n) for n in range(n_max + 2)]
-    return [
-        EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=p_nonneg)
-        for n, ((here, p_nonneg), (after, _)) in enumerate(zip(stats, stats[1:]))
-    ]
+    """:func:`entropy_report` for ``n = 0 .. n_max``, one pattern pass per length."""
+    return _entropy_rows(0, n_max, m)

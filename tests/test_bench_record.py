@@ -72,6 +72,19 @@ def test_aggregate_of_one_side_has_no_wins_and_reports_failures():
     assert (record["correct"], record["failed"]) == (False, 1)
 
 
+def test_aggregate_summarizes_a_one_sided_metric_for_its_side_alone():
+    # Each side runs its own layer script, so a layer may exist on one side only.
+    tree, against = _runs([3.0, 3.2]), _runs([3.1, 3.3])
+    for result in tree:
+        result["metrics"]["new_s"] = {"value": 0.5, "unit": "s"}
+    for result in against:
+        del result["metrics"]["setup_s"]
+    record = bench_record.aggregate({"tree": tree, "against": against}, {**BETTER, "new_s": "lower"})
+    assert record["metrics"]["new_s"] == {"unit": "s", "tree": bench_record.summary([0.5, 0.5])}
+    assert record["metrics"]["setup_s"] == {"unit": "s", "tree": bench_record.summary([0.015, 0.015])}
+    assert record["metrics"]["wall_s"]["wins"] == 2
+
+
 def _runs(walls):
     return [bench_record.parse_result(_stdout(wall, 24.5)) for wall in walls]
 
@@ -170,6 +183,25 @@ def test_only_layer_runs_get_the_shared_bytecode_prefix(monkeypatch, tmp_path):
     assert "PYTHONPYCACHEPREFIX" not in bench
     assert layers["PYTHONPYCACHEPREFIX"] == str(pycache)
     assert layers["PYTHONPATH"] == str(tmp_path / "src")
+
+
+def test_each_side_runs_its_own_layer_script(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, env, stdout, text, check):
+        seen.append(cmd)
+        return type("Done", (), {"stdout": _stdout(2.5, 24.5)})()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    against, bare = tmp_path / "against", tmp_path / "bare"
+    (against / "tools").mkdir(parents=True)
+    (against / "tools" / "layer_bench.py").write_text("")
+    bench_record.run_once(against, bench_record.LAYERS, 921, tmp_path / "pycache")
+    bench_record.run_once(bare, bench_record.LAYERS, 921, tmp_path / "pycache")
+    assert [cmd[1] for cmd in seen] == [
+        str(against / "tools" / "layer_bench.py"),
+        str(bench_record.ROOT / "tools" / "layer_bench.py"),
+    ]
 
 
 # A recording of HEAD whose runs hang: it says when its export is in place, then sleeps.

@@ -399,6 +399,11 @@ def test_extensions_listing_cap(capsys):
     assert rc == 0
     assert sum(" | " in l for l in lines) == 4
     assert lines[-1].startswith("# listing capped at 4")
+    # --limit 0: a completion, if there is one, marks the listing truncated
+    capped = run_json(capsys, "extensions", "a1", "--limit", "0", "--json")
+    assert (capped["listing_truncated"], capped["pairs"]) == (True, [])
+    none = run_json(capsys, "extensions", "a1 a2", "--max-len", "3", "--limit", "0", "--json")
+    assert (none["listing_truncated"], none["pairs"]) == (False, [])
 
 
 def test_extensions_mass_table(capsys):

@@ -543,6 +543,13 @@ def test_entropy_table_rows_equal_single_reports(m):
         entropy_table(-1, m)
 
 
+@pytest.mark.parametrize("route", [entropy_report, entropy_table])
+def test_entropy_routes_check_the_length_before_the_alphabet(route):
+    with pytest.raises(ValueError) as info:
+        route(-1, 0)
+    assert str(info.value) == "block length must be >= 0"
+
+
 @pytest.mark.parametrize("length", range(17))
 def test_pattern_stats_equal_enumeration(length):
     assert _pattern_stats(length) == enumerated_pattern_stats(length)

@@ -11,9 +11,11 @@ Each run is one call of the unchanged ``perfbench/run.py --workload W --seed S
 ``FIRST_SEED`` upwards.  Beside ``BENCHMARK.json``'s end-to-end metrics it
 keeps ``wall_raw_s`` and ``setup_raw_s``, the times before rescaling, from
 the report that run writes to ``perfbench/out/``; both are better lower.
-The workload ``layers`` is instead one call of this working tree's
-``tools/layer_bench.py --seed S`` with the side's ``src/`` on ``PYTHONPATH``
-(an older revision may lack the script); every layer time is better lower.
+The workload ``layers`` is instead one call of the side's own
+``tools/layer_bench.py --seed S`` with its ``src/`` on ``PYTHONPATH``, so that
+no side's layers call another side's private names; a side without the script
+runs this working tree's.  Every layer time is better lower, and a layer that
+only one side reports is summarized for that side alone.
 Bytecode is kept alike on both sides: no run inherits
 ``PYTHONPYCACHEPREFIX``, and the layer runs of both sides share one fresh,
 empty one (see :func:`run_once`); the file's ``command`` says which.
@@ -71,7 +73,8 @@ def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> str:
     """
     env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
     if workload == LAYERS:
-        cmd = [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--seed", str(seed)]
+        own = tree / "tools" / "layer_bench.py"
+        cmd = [sys.executable, str(own if own.is_file() else ROOT / "tools" / "layer_bench.py"), "--seed", str(seed)]
         env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
     else:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
@@ -102,7 +105,8 @@ def summary(values: list[float]) -> dict:
 def aggregate(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
     """Per-metric summaries of each side's parsed results.
 
-    ``sides`` maps a side's name to its results, run by run; with two sides
+    ``sides`` maps a side's name to its results, run by run; a metric is
+    summarized for each side that reports it.  With two sides reporting it
     the runs pair up by position, and ``wins`` counts the pairs where the
     first side is better by each metric's direction in ``better``.  ``ratio``
     is the first side's median over the second's, and ``resolved`` says
@@ -110,10 +114,15 @@ def aggregate(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
     median lies further from the second's than the second's quartiles lie
     from each other.
     """
+    units = {name: m["unit"] for results in sides.values() for name, m in results[0]["metrics"].items()}
     metrics = {}
-    for name, first in next(iter(sides.values()))[0]["metrics"].items():
-        entry: dict = {"unit": first["unit"]}
-        values = {side: [r["metrics"][name]["value"] for r in results] for side, results in sides.items()}
+    for name, unit in units.items():
+        entry: dict = {"unit": unit}
+        values = {
+            side: [r["metrics"][name]["value"] for r in results]
+            for side, results in sides.items()
+            if name in results[0]["metrics"]
+        }
         for side, vals in values.items():
             entry[side] = summary(vals)
         if len(values) == 2 and name in better:
@@ -199,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload == LAYERS:
         command = (
             "PYTHONPATH=<side>/src PYTHONPYCACHEPREFIX=<one fresh directory> tools/layer_bench.py --seed S"
-            " (the working tree's script on every side)"
+            " (each side's own script; the working tree's where a side has none)"
         )
         better = {name: "lower" for name in sides["tree"][0]["metrics"]}
     else:
