@@ -339,12 +339,11 @@ def _check_block_swap(seed: int) -> _Outcome:
             for t in contexts2:
                 if t:
                     stepped[t] = advance(stepped[t[:-1]], t[-1])
-                states = stepped[t]
-                expect = _shape(states[0])
-                for i in range(1, len(members)):
-                    mass_comparisons += 1
-                    if _shape(states[i]) != expect:
-                        return False, f"mass of s+{_codes_text(members[i])}+t differs from the representative's", ()
+                shapes = list(map(_shape, stepped[t]))
+                mass_comparisons += len(shapes) - 1
+                if shapes.count(shapes[0]) != len(shapes):
+                    odd = next(w for w, shape in zip(members, shapes) if shape != shapes[0])
+                    return False, f"mass of s+{_codes_text(odd)}+t differs from the representative's", ()
 
     rng = random.Random(f"{seed}:block-swap")
     rich = list(classes8.values())

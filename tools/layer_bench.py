@@ -9,9 +9,9 @@ One run is one pass in a fresh interpreter, which times each layer
 ``REPEATS`` times in a row, collecting garbage before each, and reports the
 least, so that no layer pays for what the ones before it left behind.
 Times are raw wall-clock seconds, not rescaled to a reference machine as
-``perfbench/run.py`` rescales its own.  The layers:
+``perfbench/run.py`` rescales its own; the checks' times come from the
+bench's verify passes (see ``tools/bench_record.py``).  The layers:
 
-* ``verification.<key>.s``: each exact check, through ``run_check``;
 * ``verification._swap_sweep.s``: block-swap-exact's sweep (a) alone, at
   its scope (m = 2, blocks to length 8, contexts to length 4), the walk
   that lists the contexts not timed;
@@ -35,11 +35,10 @@ Times are raw wall-clock seconds, not rescaled to a reference machine as
 The last line of standard output is one JSON object shaped like
 ``perfbench/run.py``'s: ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  Each layer is one attempt.  It fails when any repetition
-raises, or gives a wrong outcome: a check's verdict other than the stated
-one (three exact checks fail on purpose), a mismatch in the sweep, a
-language word that reduces to zero or has no mass, a count below 1, an
-entropy row off the two-branch mixture, a horizon no longer than the word,
-or a sampled window that is not a language word.
+raises, or gives a wrong outcome: a mismatch in the sweep, a language
+word that reduces to zero or has no mass, a count below 1, an entropy row
+off the two-branch mixture, a horizon no longer than the word, or a
+sampled window that is not a language word.
 """
 
 from __future__ import annotations
@@ -57,17 +56,10 @@ from typing import Callable
 
 from dyckshift import coding, measures, verification, words
 
-# The exact checks that fail on purpose.
-EXPECTED_FAILURES = frozenset({"entropy-limit-gap", "entropy-below-topological", "growth-rate"})
 # Words reduced between two clock reads by the ``words.residue`` layer.
 _BATCH = 4096
 # Timings of each layer within one run; the least is reported.
 REPEATS = 3
-
-
-def _check(key: str, seed: int) -> tuple[float, bool]:
-    result = verification.run_check(key, seed)
-    return result.elapsed, result.ok == (key not in EXPECTED_FAILURES)
 
 
 def _sweep(n_max: int = 8, m: int = 2) -> tuple[float, bool]:
@@ -160,8 +152,7 @@ def best_of(run: Callable[[], tuple[float, bool]]) -> tuple[float, bool]:
 
 def layers(seed: int) -> dict:
     """Each layer's name, with a callable giving its seconds and whether its outcome is right."""
-    timed = {f"verification.{key}.s": (lambda key=key: _check(key, seed)) for key in verification.SUITES["exact"]}
-    timed["verification._swap_sweep.s"] = _sweep
+    timed = {"verification._swap_sweep.s": _sweep}
     timed["words.residue.s"] = residue_layer
     timed["words.advance.s"] = advance_layer
     timed["words.count_language.s"] = count_layer
