@@ -203,7 +203,16 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     if args.json and args.csv:
         raise DyckError("--csv and --json exclude each other")
     if args.json:
-        _emit_json(entropy_report(args.n, m).json_dict())
+        r = entropy_report(args.n, m)
+        _emit_json(
+            {
+                "n": r.n,
+                "H_n": {"log2": str(r.block.log2_coeff), "logm": str(r.block.logm_coeff)},
+                "h_n": {"log2": str(r.step.log2_coeff), "logm": str(r.step.logm_coeff)},
+                "p_nonneg": str(r.p_nonneg),
+                "h_n_nats": r.step.nats(m),
+            }
+        )
         return 0
     reports = entropy_table(args.n, m)
     if args.csv:
@@ -308,10 +317,10 @@ _SUITES = ("exact", "sampling", "all")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verification import run_suite, tap_report
+    from .verification import SUITES, run_check
 
-    # The suite pins m=2 (with m=3 sub-checks where stated).
-    results = run_suite(args.suite, args.seed)
+    # The suite pins m=2 (with m=3 sub-checks where stated); the text form is TAP.
+    results = [run_check(key, args.seed) for key in SUITES[args.suite]]
     failed = sum(1 for r in results if not r.ok)
     if args.json:
         _emit_json(
@@ -321,12 +330,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "m": 2,
                 "seed": args.seed,
                 "failed": failed,
-                "results": [r.json_dict() for r in results],
+                "results": [
+                    {
+                        "key": r.key,
+                        "title": r.title,
+                        "ok": r.ok,
+                        "observed": r.observed,
+                        "expected": r.expected,
+                        "elapsed_s": round(r.elapsed, 3),
+                        "detail": list(r.detail),
+                    }
+                    for r in results
+                ],
             }
         )
     else:
         print(f"# suite={args.suite} m=2 seed={args.seed}")
-        print("\n".join(tap_report(results)))
+        print(f"1..{len(results)}")
+        for i, r in enumerate(results, start=1):
+            status = "ok" if r.ok else "not ok"
+            print(f"{status} {i} - {r.key}: {r.observed} (expected: {r.expected}) [{r.elapsed:.2f}s]")
+            for d in r.detail:
+                print(f"# {d}")
+        print(f"# failed {failed} of {len(results)}")
     return 1 if failed else 0
 
 

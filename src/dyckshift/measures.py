@@ -249,9 +249,6 @@ class LogPair(NamedTuple):
     def nats(self, m: int) -> float:
         return float(self.log2_coeff) * math.log(2) + float(self.logm_coeff) * math.log(m)
 
-    def json_dict(self) -> dict[str, str]:
-        return {"log2": str(self.log2_coeff), "logm": str(self.logm_coeff)}
-
 
 def _pattern_stats(length: int) -> tuple[int, int]:
     """Aggregate over all opener/closer patterns of the given length.
@@ -292,15 +289,6 @@ class EntropyReport(NamedTuple):
     def decomposition_step(self) -> LogPair:
         """The step entropy predicted by the two-branch mixture, exactly."""
         return LogPair(_fraction(1), (1 + self.p_nonneg) / 2)
-
-    def json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "H_n": self.block.json_dict(),
-            "h_n": self.step.json_dict(),
-            "p_nonneg": str(self.p_nonneg),
-            "h_n_nats": self.step.nats(self.m),
-        }
 
 
 def _entropy_rows(first: int, last: int, m: int) -> list[EntropyReport]:

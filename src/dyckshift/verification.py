@@ -68,17 +68,6 @@ class CheckResult(NamedTuple):
     elapsed: float
     detail: tuple[str, ...] = ()
 
-    def json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "title": self.title,
-            "ok": self.ok,
-            "observed": self.observed,
-            "expected": self.expected,
-            "elapsed_s": round(self.elapsed, 3),
-            "detail": list(self.detail),
-        }
-
 
 # A check's verdict, what it observed, and its detail lines.
 _Outcome = tuple[bool, str, tuple[str, ...]]
@@ -755,23 +744,3 @@ def run_check(key: str, seed: int = DEFAULT_SEED) -> CheckResult:
     start = time.perf_counter()
     ok, observed, detail = fn(seed)
     return CheckResult(key, title, ok, observed, expected, time.perf_counter() - start, detail)
-
-
-def run_suite(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    try:
-        keys = SUITES[suite]
-    except KeyError:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}") from None
-    return [run_check(key, seed) for key in keys]
-
-
-def tap_report(results: Sequence[CheckResult]) -> list[str]:
-    """Render results as TAP-style lines, detail as comments."""
-    lines = [f"1..{len(results)}"]
-    for i, r in enumerate(results, start=1):
-        status = "ok" if r.ok else "not ok"
-        lines.append(f"{status} {i} - {r.key}: {r.observed} (expected: {r.expected}) [{r.elapsed:.2f}s]")
-        lines.extend(f"# {d}" for d in r.detail)
-    failed = sum(1 for r in results if not r.ok)
-    lines.append(f"# failed {failed} of {len(results)}")
-    return lines

@@ -341,6 +341,15 @@ def test_entropy_json_row(capsys):
     assert abs(payload["h_n_nats"] - 1.117903) < 1e-6
 
 
+def test_entropy_json_fields(capsys):
+    payload = run_json(capsys, "entropy", "--n", "3", "--json")
+    assert payload["n"] == 3
+    assert payload["H_n"] == {"log2": "3", "logm": "5/2"}
+    assert payload["h_n"] == {"log2": "1", "logm": "11/16"}
+    assert payload["p_nonneg"] == "3/8"
+    assert payload["h_n_nats"] == pytest.approx((1 + Fraction(11, 16)) * math.log(2))
+
+
 def test_entropy_csv(capsys):
     rc, out, _ = run(capsys, "entropy", "--n", "3", "--csv")
     lines = out.splitlines()
@@ -508,7 +517,7 @@ def cached_checks(monkeypatch, exact_check_results):
 
 
 @pytest.mark.usefixtures("cached_checks")
-def test_verify_exact_suite_json(capsys):
+def test_verify_exact_suite_json(capsys, exact_check_results):
     rc, out, _ = run(capsys, "verify", "--suite", "exact", "--json")
     payload = json.loads(out)
     assert rc == 1  # three checks fail honestly; see the acceptance tests
@@ -520,8 +529,18 @@ def test_verify_exact_suite_json(capsys):
     assert by_key["cylinder-consistency"]["ok"] is True
     failing = sorted(k for k, r in by_key.items() if not r["ok"])
     assert failing == ["entropy-below-topological", "entropy-limit-gap", "growth-rate"]
+    assert [r["key"] for r in payload["results"]] == list(verification.SUITES["exact"])
     for r in payload["results"]:
-        assert set(r) == {"key", "title", "ok", "observed", "expected", "elapsed_s", "detail"}
+        record = exact_check_results[r["key"]]
+        assert r == {
+            "key": record.key,
+            "title": record.title,
+            "ok": record.ok,
+            "observed": record.observed,
+            "expected": record.expected,
+            "elapsed_s": round(record.elapsed, 3),
+            "detail": list(record.detail),
+        }
 
 
 @pytest.mark.usefixtures("cached_checks")
@@ -533,6 +552,17 @@ def test_verify_tap_output(capsys):
     assert lines[1] == "1..10"
     assert sum(l.startswith("ok ") for l in lines) == 7
     assert sum(l.startswith("not ok ") for l in lines) == 3
+    gap = next(i for i, l in enumerate(lines) if l.startswith("not ok 5 - "))
+    assert lines[gap].startswith(
+        "not ok 5 - entropy-limit-gap: |h_11 - limit| = 0.078182 nats "
+        "(expected: within 0.03 nats of log(2) + (1/2) log(2) = 1.039721 nats) ["
+    )
+    assert lines[gap + 1 : gap + 4] == [
+        "# h_11 = (3303/2048) log 2 = 1.117903 nats exactly",
+        "# the gap decays like 1/sqrt(n) and first reaches 0.03 nats at n = 85",
+        "# p_nonneg(11) = 231/1024 is still 0.2256, far from its slow power-law tail",
+    ]
+    assert lines[gap + 4].startswith("not ok 6 - ")
     assert lines[-1] == "# failed 3 of 10"
 
 

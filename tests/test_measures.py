@@ -600,15 +600,6 @@ def test_step_entropy_nonincreasing():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_entropy_json_fields():
-    payload = entropy_report(3, 2).json_dict()
-    assert payload["n"] == 3
-    assert payload["H_n"] == {"log2": "3", "logm": "5/2"}
-    assert payload["h_n"] == {"log2": "1", "logm": "11/16"}
-    assert payload["p_nonneg"] == "3/8"
-    assert payload["h_n_nats"] == pytest.approx((1 + Fraction(11, 16)) * math.log(2))
-
-
 def test_log_pair_arithmetic():
     a = LogPair(Fraction(1), Fraction(1, 2))
     b = LogPair(Fraction(2), Fraction(1, 4))
