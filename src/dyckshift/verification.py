@@ -103,21 +103,19 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
     for m, n_max in _CYLINDER_SCOPES:
         ext = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
         for n in range(n_max + 1):
-            pow2 = 2**n
             top = n + 1
             m_pow = [m**k for k in range(n + 2)]
-            scale = 2 * pow2 * m_pow[top]  # masses at lengths n and top scale by 2^top m^top
+            scale = 2**top * m_pow[top]  # masses at lengths n and top scale by 2^top m^top
             prices = {}  # the scaled mass of each (loose closers, loose openers) of a length-top word, kept exact
             for loose in range(top % 2, top + 1, 2):
                 for closers in range(loose + 1):
                     price = Fraction(scale, mass_denominator("tilde", m, top, closers, loose - closers))
                     prices[closers, loose - closers] = price if price.denominator > 1 else price.numerator
-            level: Counter[int] = Counter()
+            level = 0  # the sum of the left sides: the level's mass at the scale
             stats = iter_language_stats(n, m)
             while batch := list(itertools.islice(stats, _WORD_BATCH)):
-                exps = [pairs + loose for _, pairs, loose in batch]
-                level.update(exps)
-                lhs = [2 * m_pow[top - e] for e in exps]  # m-exponent e = pairs + loose
+                lhs = [2 * m_pow[top - pairs - loose] for _, pairs, loose in batch]  # m-exponent pairs + loose
+                level += sum(lhs)
                 found = [residue(codes) for codes, _, _ in batch]
                 # each distinct residue once: places[i] is word i's among them
                 distinct: dict = {}
@@ -142,9 +140,8 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
                     else:
                         why = f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
                     bad.append(f"m={m} word={' '.join(map(str, codes))}: {why}")
-            total = sum(Fraction(c, pow2 * m**e) for e, c in level.items())
-            if total != 1:
-                bad.append(f"m={m} n={n}: level mass {total} != 1")
+            if level != scale:
+                bad.append(f"m={m} n={n}: level mass {Fraction(level, scale)} != 1")
     if bad:
         return False, "; ".join(bad), ()
     levels = sum(n_max + 1 for _, n_max in _CYLINDER_SCOPES)
@@ -630,15 +627,15 @@ def _check_extension_mass(seed: int) -> _Outcome:
 _SAMPLER_LAW_SCOPES = ((2, 6), (3, 5))
 
 
-def _sampler_laws(m: int, width: int) -> Iterator[tuple[str, Counter[tuple[int, ...]]]]:
+def _sampler_laws(m: int, width: int) -> Iterator[tuple[str, int, Counter[tuple[int, ...]]]]:
     """The law of each sampler's window body on ``width`` letters, from every draw tuple.
 
     Tilde draws its bits, a type per opener and a type per loose closer
     (counted by the residue of the kinds); plus draws its letters and a type
-    per loose closer.  Laws are scaled by the number of equally likely draw
-    sequences, ``2^w m^w`` for tilde and ``(m+1)^w m^w`` for plus, so a tuple
-    with ``d`` type draws weighs ``m^(w - d)``.  Minus is the plus law
-    through ``sample_minus``'s mirror.  The laws come one at a time.
+    per loose closer.  Each law comes with its scale, the number of equally
+    likely draw sequences: ``2^w m^w`` for tilde and ``(m+1)^w m^w`` for plus,
+    so a tuple with ``d`` type draws weighs ``m^(w - d)``.  Minus is the plus
+    law through ``sample_minus``'s mirror.  The laws come one at a time.
     """
     types = [tuple(itertools.product(range(1, m + 1), repeat=k)) for k in range(width + 1)]
     law: Counter[tuple[int, ...]] = Counter()
@@ -646,38 +643,38 @@ def _sampler_laws(m: int, width: int) -> Iterator[tuple[str, Counter[tuple[int, 
         openers, loose = bits.count("1"), len(residue([1 if b == "1" else -1 for b in bits])[0])
         for opener_types, loose_types in itertools.product(types[openers], types[loose]):
             law[tuple(_tilde_codes(bits, iter(opener_types), lambda k: loose_types))] += m ** (width - openers - loose)
-    yield "tilde", law
+    yield "tilde", 2**width * m**width, law
     law = Counter()
     for letters in itertools.product(range(m + 1), repeat=width):
         loose = len(residue([1 if v else -1 for v in letters])[0])
         for loose_types in types[loose]:
             law[tuple(_plus_codes(letters, lambda k: loose_types))] += m ** (width - loose)
     minus = Counter({_mirror(codes): mass for codes, mass in law.items()})
-    yield "plus", law
-    yield "minus", minus
+    scale = (m + 1) ** width * m**width
+    yield "plus", scale, law
+    yield "minus", scale, minus
 
 
 def _check_sampler_law(seed: int) -> _Outcome:
     """The samplers' window bodies, enumerated over every draw, give the exact cylinder laws.
 
-    Each law must total 1, equal :func:`cylinder_mass` on every language
-    word of the width and put no mass on any other word.  The bodies read
-    their draws left to right, so a window's law on its first letters is
-    the law of a shorter window: the widest window covers the shorter ones.
+    Each law must total its scale, give each language word of the width the
+    scale over its shape's :func:`mass_denominator` and nothing to any other
+    word.  The bodies read their draws left to right, so a window's law on
+    its first letters is the law of a shorter window: the widest covers them.
     """
     del seed
     words = 0
     for m, width in _SAMPLER_LAW_SCOPES:
-        language = [codes for codes, _, _ in iter_language_stats(width, m)]
+        language = [(codes, _shape(residue(codes))) for codes, _, _ in iter_language_stats(width, m)]
         words += len(language)
-        for measure, law in _sampler_laws(m, width):
-            scale = (2 if measure == "tilde" else m + 1) ** width * m**width
+        for measure, scale, law in _sampler_laws(m, width):
             if sum(law.values()) != scale:
                 return False, f"{measure} m={m}: total mass {Fraction(sum(law.values()), scale)} != 1", ()
-            for codes in language:
-                got, mass = law.pop(codes, 0), cylinder_mass(codes, m, measure)
-                if got * mass.denominator != mass.numerator * scale:
-                    got = Fraction(got, scale)
+            for codes, shape in language:
+                got, den = law.pop(codes, 0), mass_denominator(measure, m, width, *shape)
+                if got * den != scale:
+                    got, mass = Fraction(got, scale), Fraction(1, den)
                     return False, f"{measure} m={m}: window {_codes_text(codes)} has law {got} != mass {mass}", ()
             if law:
                 codes = min(law)

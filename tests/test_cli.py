@@ -127,6 +127,12 @@ def test_count_balanced(capsys):
     assert (rc, out.strip()) == (0, "40")
 
 
+def test_count_rejects_a_negative_pair_count(capsys):
+    rc, out, err = run(capsys, "count", "--balanced", "-2")
+    assert (rc, out) == (2, "")
+    assert "pair count must be >= 0" in err
+
+
 def test_count_json(capsys):
     payload = run_json(capsys, "count", "--length", "4", "--m", "3", "--json")
     assert payload == {"command": "count", "m": 3, "count": 666, "length": 4}
@@ -291,6 +297,12 @@ def test_sample_rejects_negative_count(capsys):
     assert rc == 2
     assert out == ""
     assert "--count" in err
+
+
+def test_sample_rejects_a_count_that_is_no_integer(capsys):
+    rc, out, err = run(capsys, "sample", "--window", "0:1", "--count", "x")
+    assert (rc, out) == (2, "")
+    assert "argument --count: expected an integer, got 'x'" in err
 
 
 def test_sample_rejects_negative_max_extension(capsys):

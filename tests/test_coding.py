@@ -242,10 +242,12 @@ def test_each_body_asks_loose_once_after_its_walk(width):
 def test_window_bodies_have_the_construction_laws(m, width):
     """Every draw through the tilde and plus bodies gives the laws of the coding
     map and of the plus construction, as their own oracles enumerate them."""
-    laws = dict(_sampler_laws(m, width))
+    laws = {name: (scale, law) for name, scale, law in _sampler_laws(m, width)}
+    assert laws["minus"][0] == laws["plus"][0]
     for name, oracle, draws in (("tilde", tilde_law, 2), ("plus", plus_law, m + 1)):
-        scale = draws**width * m**width
-        assert {codes: Fraction(mass, scale) for codes, mass in laws[name].items()} == oracle(width, m), name
+        scale, law = laws[name]
+        assert scale == draws**width * m**width, name  # the number of equally likely draw sequences
+        assert {codes: Fraction(mass, scale) for codes, mass in law.items()} == oracle(width, m), name
 
 
 ORACLE_WIDTHS = (1, 2, 7, 8, 31, 32, 33, 201)

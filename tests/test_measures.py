@@ -511,6 +511,12 @@ def test_residual_horizon_rejects_zero_words():
         mass_length_for_residual(Word.parse("a1 b2", 2), Fraction(1, 20))
 
 
+@pytest.mark.parametrize("ratio", [Fraction(0), Fraction(-1, 20)])
+def test_residual_horizon_rejects_a_ratio_that_is_not_positive(ratio):
+    with pytest.raises(ValueError, match="ratio must be positive"):
+        mass_length_for_residual(Word.parse("a1", 2), ratio)
+
+
 # ----------------------------------------------------------------- entropy
 
 

@@ -10,7 +10,7 @@ import pytest
 from dyckshift import coding, verification
 from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
-from dyckshift.words import advance, count_language, iter_language_stats, residue
+from dyckshift.words import Word, advance, count_language, iter_language_stats, residue
 
 from conftest import pairwise_swap_comparisons, residue_classes
 
@@ -507,3 +507,109 @@ def test_minus_law_goes_through_the_samplers_mirror(monkeypatch):
     measure, m, codes, law = _law_failure(run_check("sampler-law-exact"))
     assert (measure, m) == ("minus", 2)
     assert law != cylinder_mass(codes, m, "minus")
+
+
+def _drop_first_word(real):
+    """``iter_language_stats``, except that the first word of length 3 and of length 6 at m = 2 is lost."""
+
+    def stats(n, m):
+        walk = real(n, m)
+        if (n, m) in ((3, 2), (6, 2)):
+            next(walk)
+        return walk
+
+    return stats
+
+
+@pytest.mark.parametrize(
+    "key,observed",
+    [
+        # each level sums its compared left sides, so it misses the lost word's mass
+        ("cylinder-consistency", "m=2 n=3: level mass 63/64 != 1; m=2 n=6: level mass 4095/4096 != 1"),
+        # the law still gives a1^6 its mass, which no language window now claims
+        ("sampler-law-exact", "tilde m=2: 1 1 1 1 1 1 is off the language with law 1/4096"),
+    ],
+    ids=["cylinder-consistency", "sampler-law-exact"],
+)
+def test_a_lost_language_word_fails_the_level_and_the_law(monkeypatch, exact_check_results, key, observed):
+    monkeypatch.setattr(verification, "iter_language_stats", _drop_first_word(verification.iter_language_stats))
+    result = run_check(key)
+    assert (result.ok, result.observed, result.detail) == (False, observed, ())
+    assert result.expected == exact_check_results[key].expected
+
+
+def _cut_long_words_at_a2_b2(codes):
+    """``residue``, except that a word of more than 12 letters holding ``a2 b2`` reduces to zero."""
+    if len(codes) > 12 and any(codes[i : i + 2] == (2, -2) for i in range(len(codes) - 1)):
+        return None
+    return residue(codes)
+
+
+def test_a_fault_only_long_words_meet_fails_the_random_sweep(monkeypatch):
+    # Sweeps (a) and (b) reduce at most 12 letters, so only sweep (c)'s triples meet it.
+    monkeypatch.setattr(verification, "residue", _cut_long_words_at_a2_b2)
+    result = run_check("block-swap-exact", 7)
+    assert (result.ok, result.detail) == (False, ())
+    assert result.observed == "random triple separated -2 -2 -2 2 1 1 -1 2 from -2 -2 -2 2 2 -2 1 2"
+
+
+def test_a_misweighted_entropy_row_fails_entropy_identity(monkeypatch):
+    real = verification.entropy_table
+
+    def raised(n_max, m=2):
+        return [rep._replace(p_nonneg=rep.p_nonneg + 1) if rep.n == 5 else rep for rep in real(n_max, m)]
+
+    monkeypatch.setattr(verification, "entropy_table", raised)
+    result = run_check("entropy-identity")
+    rep = raised(5)[5]
+    assert (result.ok, result.detail) == (False, ())
+    assert result.observed == f"n=5: step {rep.step} but mixture predicts {rep.decomposition_step()}"
+    assert rep.step != rep.decomposition_step()
+
+
+def test_the_plus_sampler_fails_sampler_formula(monkeypatch):
+    # plus puts 1/3 on each opener where tilde puts 1/4: every cylinder is off
+    monkeypatch.setattr(verification, "sample_tilde", coding.sample_plus)
+    result = run_check("sampler-formula")
+    assert not result.ok
+    assert "; 18 above 3 sigma; out-of-language patterns seen: 0" in result.observed
+    assert len(result.detail) == 1 + 18
+    assert result.detail[1].startswith("[a1]_0: 0.33218 vs 0.25000 (")
+
+
+def test_an_unbalanced_word_fails_balanced_law(monkeypatch):
+    real = verification.enumerate_balanced
+
+    def with_a_stranger(pairs, m):
+        if (pairs, m) == (1, 2):
+            yield Word.parse("a1 a1", 2)
+        yield from real(pairs, m)
+
+    monkeypatch.setattr(verification, "enumerate_balanced", with_a_stranger)
+    result = run_check("balanced-law")
+    assert (result.ok, result.observed, result.detail) == (False, "'a1 a1' prices differently under the two forms", ())
+
+
+@pytest.mark.parametrize(
+    "edit,observed",
+    [
+        (
+            lambda rows: [rows[0]._replace(residual=rows[0].residual + 1), *rows[1:]],
+            "'a1': length 2 books 1/8 + 9/8 != 1/4",
+        ),
+        (lambda rows: [rows[0], *rows], "'a1': partial mass not strictly increasing at length 2"),
+        (lambda rows: [], "'a1': no completions found"),
+    ],
+    ids=["residual-off", "flat-row", "no-rows"],
+)
+def test_broken_completion_rows_fail_extension_mass(monkeypatch, edit, observed):
+    real = verification.minimal_extension_mass
+    monkeypatch.setattr(verification, "minimal_extension_mass", lambda a, max_len: edit(real(a, max_len)))
+    result = run_check("extension-mass")
+    assert (result.ok, result.observed, result.detail) == (False, observed, ())
+
+
+def test_an_unknown_check_is_refused_with_the_known_ones():
+    with pytest.raises(ValueError) as refused:
+        run_check("nope")
+    assert str(refused.value) == f"unknown check 'nope'; known: {', '.join(verification.SUITES['all'])}"

@@ -357,6 +357,11 @@ def test_balanced_enumeration_walks_long_words():
     assert next(enumerate_balanced(600, 2)).codes == (1,) * 600 + (-1,) * 600
 
 
+def test_balanced_enumeration_refuses_a_negative_pair_count_at_the_call():
+    with pytest.raises(ValueError, match=r"^pair count must be >= 0$"):
+        enumerate_balanced(-1, 2)
+
+
 @given(balanced_words(m=3))
 def test_generated_balanced_words_balance(w):
     assert is_balanced(w)
