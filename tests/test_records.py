@@ -308,7 +308,7 @@ def test_every_public_method_has_a_user_outside_the_tests():
 
 
 def test_src_stays_within_its_line_budget():
-    """``src/dyckshift/*.py`` holds at most 2,900 lines, the budget ROADMAP item 6 sets."""
+    """``src/dyckshift/*.py`` holds at most 2,900 lines, the budget ROADMAP's standing rules set."""
     src = Path(__file__).resolve().parents[1] / "src" / "dyckshift"
     total = sum(len(path.read_text().splitlines()) for path in src.glob("*.py"))
     assert total <= 2900, total
