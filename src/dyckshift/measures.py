@@ -11,8 +11,9 @@ boundary.  Nothing in this module samples anything.
 The completion horizon is exact too.  By the reflection principle, the
 mass a word with ``k`` loose letters still misses after its completions of
 walk length ``L`` is the share ``2^-L Σ C(L, j)``, over ``(L-k)/2 < j <=
-(L+k)/2``, of its cylinder mass.  Floats locate the horizon; one binomial
-and ratio steps certify it in integers.
+(L+k)/2``, of its cylinder mass.  Floats locate the horizon; one binomial,
+a product of prime powers by Legendre's formula, and ratio steps certify it
+in integers.
 
 ``fractions`` loads with the first rational, not at import: every rational
 here comes from :func:`_fraction`, which imports ``Fraction`` on its first
@@ -29,6 +30,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from .words import (
     BudgetExceeded,
     Word,
+    _binomial,
     _check_letters,
     completion_needs,
     pattern_counts,
@@ -184,9 +186,10 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
 
     Locate, in floats: ``bisect`` over ``f`` for the first ``L`` with ``log
     R(L) <= log num - log den``, where ``ratio = num/den``.  Certify,
-    exactly: one ``math.comb`` gives the first binomial at that ``L``, ratio
-    steps give the other ``k - 1`` and move ``L`` by ±2, until ``den Σ C(L,
-    j) <= num 2^L`` holds at ``L`` and fails at ``L - 2`` (or ``L = k``).
+    exactly: one :func:`~dyckshift.words._binomial`, a product of prime
+    powers, gives the first binomial at that ``L``; ratio steps give the
+    other ``k - 1`` and move ``L`` by ±2, until ``den Σ C(L, j) <= num 2^L``
+    holds at ``L`` and fails at ``L - 2`` (or ``L = k``).
     The answer is exact whatever the float error.  It returns ``|a| + L``,
     the row that :func:`minimal_extension_mass` would reach first, and
     raises ``BudgetExceeded`` when that length passes ``2^20``.
@@ -210,7 +213,7 @@ def mass_length_for_residual(a: Word, ratio: Fraction) -> int:
         raise BudgetExceeded(budget)
     f = min(f, f_cap)
     walk = k + 2 * f
-    first = math.comb(walk, f + 1)  # j = (walk - k)/2 + 1
+    first = _binomial(walk, f + 1)  # j = (walk - k)/2 + 1
 
     def within() -> bool:
         total, term = 0, first

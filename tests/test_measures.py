@@ -462,10 +462,10 @@ def test_residual_horizon_with_many_loose_letters():
 
 
 def test_residual_horizon_takes_one_binomial_per_query(monkeypatch):
-    """One ``math.comb`` per certified query; everything else is ratio steps."""
+    """One ``_binomial`` per certified query; everything else is ratio steps."""
     calls = []
-    real = math.comb
-    monkeypatch.setattr(math, "comb", lambda n, j: calls.append((n, j)) or real(n, j))
+    real = measures._binomial
+    monkeypatch.setattr(measures, "_binomial", lambda n, j: calls.append((n, j)) or real(n, j))
     queries = [(text, ratio) for text in ("a1", "a1 a2", "b2 b1 a1") for ratio in HORIZON_RATIOS[:3]]
     queries += [("a1 a2", Fraction(1, 50)), ("a1 a2", Fraction(3)), ("a1 b1", Fraction(1, 50))]
     for text, ratio in queries:
@@ -477,12 +477,17 @@ def test_residual_horizon_takes_one_binomial_per_query(monkeypatch):
 def test_residual_horizon_past_the_cap_raises_from_floats(ratio, monkeypatch):
     """Far past the 2^20 cap the float horizon decides alone: no binomial, no underflow."""
     calls = []
-    monkeypatch.setattr(math, "comb", lambda n, j: calls.append((n, j)))
+    monkeypatch.setattr(measures, "_binomial", lambda n, j: calls.append((n, j)))
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match=r"no convergence below 1/10+ by length 1048578$"):
         mass_length_for_residual(Word.parse("a1 a2", 2), ratio)
     assert time.perf_counter() - start < 1.0
     assert calls == []
+
+
+def test_residual_horizon_at_one_in_640_is_near_the_real_cap():
+    """The one exact check near the 2^20 cap itself: a walk of 1,043,036 letters, certified."""
+    assert mass_length_for_residual(Word.parse("a1 a2", 2), Fraction(1, 640)) == 1043038
 
 
 def test_residual_horizon_near_the_cap_is_certified(monkeypatch):

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from dyckshift import coding, verification
+from dyckshift import coding, measures, verification, words
 from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
 from dyckshift.words import Word, advance, count_language, iter_language_stats, residue
 
-from conftest import pairwise_swap_comparisons, residue_classes
+from conftest import pairwise_swap_comparisons, pattern_sum, residue_classes
 
 
 def test_run_check_runs_afresh_on_every_call():
@@ -442,6 +442,51 @@ def test_off_by_one_horizon_fails_extension_mass(monkeypatch, exact_check_result
     assert not result.ok
     assert fragment in result.observed
     assert result.expected == exact_check_results["extension-mass"].expected
+
+
+def _without_a_prime(prime):
+    """``words._binomial`` with the whole power of ``prime`` left out of its product."""
+
+    def binomial(n, k):
+        value = words._binomial(n, k)
+        while value % prime == 0:
+            value //= prime
+        return value
+
+    return binomial
+
+
+@pytest.mark.parametrize("prime,word", [(2, "a1 a2"), (3, "a1")])
+def test_binomial_that_drops_a_prime_fails_extension_mass(monkeypatch, exact_check_results, prime, word):
+    # the certificate's one binomial comes out too small, so the horizon comes early
+    monkeypatch.setattr(measures, "_binomial", _without_a_prime(prime))
+    result = run_check("extension-mass")
+    assert not result.ok
+    assert re.fullmatch(rf"'{word}': residual \S+ above 5% of \S+ at length \d+", result.observed), result.observed
+    assert result.expected == exact_check_results["extension-mass"].expected
+
+
+_split_count = words._split_count
+
+
+def _split_without_the_power(n, m, a, b):
+    """``words._split_count`` in leaves of two terms, whose joins forget the low half's ``m^(b - c)``."""
+    if b - a <= 2:
+        return _split_count(n, m, a, b)
+    c = (a + b) // 2
+    falling, rising, low = _split_without_the_power(n, m, a, c)
+    high_falling, high_rising, high = _split_without_the_power(n, m, c, b)
+    return falling * high_falling, rising * high_rising, low * high_rising + falling * high
+
+
+def test_split_count_that_drops_a_power_misreports_growth_rate(monkeypatch, exact_check_results):
+    # growth-rate fails on purpose; its figures must still be |L(14)|'s, which the acceptance gate compares
+    monkeypatch.setattr(words, "_split_count", _split_without_the_power)
+    result = run_check("growth-rate")
+    assert exact_check_results["growth-rate"].detail[0] == f"|L(14)| = {pattern_sum(14, 2)} exactly (by pattern counts; enumeration cross-checked in tests)"
+    assert result.detail[0] != exact_check_results["growth-rate"].detail[0]
+    assert result.observed != exact_check_results["growth-rate"].observed
+    assert result.expected == exact_check_results["growth-rate"].expected
 
 
 def _law_failure(result):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -182,13 +183,29 @@ def test_language_counts_equal_depth_dp(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("n", [151, 777, 1500, 2001])
 def test_language_counts_equal_power_sum(n, m):
-    """Horner's fold in m gives the sum of one power per pattern term, at real-load lengths."""
+    """The split sum by parts gives the sum of one power per pattern term, at real-load lengths."""
     assert count_language(n, m) == power_sum_count(n, m)
 
 
 def test_count_language_rejects_negative_length():
-    with pytest.raises(ValueError):
-        count_language(-1, 2)
+    for m in (1, 2, 3):
+        with pytest.raises(ValueError, match="word length must be >= 0"):
+            count_language(-1, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_language_counts_equal_power_sum_across_leaves(m):
+    """Every length from one leaf of the split to several, so each join and each odd half is summed."""
+    assert [count_language(n, m) for n in range(300)] == [power_sum_count(n, m) for n in range(300)]
+
+
+def test_binomial_equals_math_comb_on_a_grid():
+    """``math.comb`` is the oracle: every ``k`` to ``n = 300``, then central and off-central ``k`` far out."""
+    for n in range(301):
+        assert [words._binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)], n
+    for n in (6364, 20000, 101860):
+        for k in (0, 1, 2, 17, n // 3, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n):
+            assert words._binomial(n, k) == math.comb(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n", range(13))
