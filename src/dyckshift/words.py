@@ -339,9 +339,8 @@ def pattern_counts(n: int) -> Iterator[int]:
     loose openers.  Every one of the ``n - 2p + 1`` splits has this same
     count, so the entries with their split counts tally all ``2^n``
     patterns.  The binomials come from their ratio recurrence, stepped
-    lazily, so a caller that folds the entries as they come, as
-    :func:`~dyckshift.measures._pattern_stats` does, holds no list of
-    ``n / 2`` big integers.
+    lazily, so a caller that folds the entries as they come holds no list
+    of ``n / 2`` big integers.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
@@ -356,49 +355,22 @@ def _step_pattern_counts(n: int) -> Iterator[int]:
 
 
 def count_language(n: int, m: int) -> int:
-    """|L(n)|: the pattern sum of :func:`pattern_counts`, summed by parts and split in halves.
+    """|L(n)| as a sum over the pattern counts of :func:`pattern_counts`.
 
     Types integrate out pattern by pattern: a pattern with ``p`` matched
     pairs and ``n - 2p`` loose letters carries ``m^(n - p)`` words (one free
     type per pair and per loose letter), and ``n - 2p + 1`` loose splits
-    share each count ``S(n, p) = C(n, p) - C(n, p - 1)``.  Summed by parts,
-    with ``P = n // 2``, the sum ``Σ_p (n - 2p + 1) S(n, p) m^(n - p)`` is
-    ``m^(n - P) [Σ_{p<P} C(n, p) ((n - 2p)(m - 1) + m + 1) m^(P-1-p) + (n -
-    2P + 1) C(n, P)]``.  :func:`_split_count` sums the bracket over halves
-    of ``p``'s range, so that its big products meet operands of like size,
-    and one exact division by ``P!`` ends it.
+    share each count ``S(n, p)``.  The sum ``Σ_p (n - 2p + 1) S(n, p)
+    m^(n - p)`` is ``m^(n - n // 2)`` times a polynomial in ``m`` whose
+    coefficients come in the order :func:`pattern_counts` steps them, so
+    Horner's rule folds each term in with one multiply by ``m`` as it is
+    stepped, and one power finishes.
     """
     _check_letters(m, ())
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    half = n // 2
-    falling, factorial, total = _split_count(n, m, 0, half)
-    return (total + (n - 2 * half + 1) * falling) // factorial * m ** (n - half)
-
-
-# Terms that one leaf of the split sums by a plain loop.
-_LEAF = 32
-
-
-def _split_count(n: int, m: int, a: int, b: int) -> tuple[int, int, int]:
-    """Binary splitting of the bracket of :func:`count_language` over ``a <= p < b``.
-
-    Returns ``(Π (n - i), Π (i + 1), T)`` over ``a <= i < b``, where ``T /
-    Π (i + 1)`` is ``Σ_p ((n - 2p)(m - 1) + m + 1) m^(b-1-p) C(n, p) / C(n,
-    a)``.  Two halves join as ``T = T_1 Π_2 (i + 1) m^(b-c) + Π_1 (n - i)
-    T_2``; a leaf steps its terms from the bottom, each with small factors.
-    """
-    if b - a <= _LEAF:
-        falling, total = 1, 0
-        weights = itertools.count((n - 2 * a) * (m - 1) + m + 1, -2 * (m - 1))
-        for p, weight in zip(range(a, b), weights):
-            total = (total * m + falling * weight) * (p + 1)
-            falling *= n - p
-        return falling, math.prod(range(a + 1, b + 1)), total
-    c = (a + b) // 2
-    falling, rising, low = _split_count(n, m, a, c)
-    high_falling, high_rising, high = _split_count(n, m, c, b)
-    return falling * high_falling, rising * high_rising, low * high_rising * m ** (b - c) + falling * high
+    folded = 0
+    for p, count in enumerate(pattern_counts(n)):
+        folded = folded * m + (n - 2 * p + 1) * count
+    return folded * m ** (n - n // 2)
 
 
 def _binomial(n: int, k: int) -> int:

@@ -12,7 +12,7 @@ from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
 from dyckshift.words import Word, advance, count_language, iter_language_stats, residue
 
-from conftest import pairwise_swap_comparisons, pattern_sum, residue_classes
+from conftest import pairwise_swap_comparisons, residue_classes
 
 
 def test_run_check_runs_afresh_on_every_call():
@@ -464,29 +464,6 @@ def test_binomial_that_drops_a_prime_fails_extension_mass(monkeypatch, exact_che
     assert not result.ok
     assert re.fullmatch(rf"'{word}': residual \S+ above 5% of \S+ at length \d+", result.observed), result.observed
     assert result.expected == exact_check_results["extension-mass"].expected
-
-
-_split_count = words._split_count
-
-
-def _split_without_the_power(n, m, a, b):
-    """``words._split_count`` in leaves of two terms, whose joins forget the low half's ``m^(b - c)``."""
-    if b - a <= 2:
-        return _split_count(n, m, a, b)
-    c = (a + b) // 2
-    falling, rising, low = _split_without_the_power(n, m, a, c)
-    high_falling, high_rising, high = _split_without_the_power(n, m, c, b)
-    return falling * high_falling, rising * high_rising, low * high_rising + falling * high
-
-
-def test_split_count_that_drops_a_power_misreports_growth_rate(monkeypatch, exact_check_results):
-    # growth-rate fails on purpose; the acceptance gate holds its figures to a count that shares no code
-    monkeypatch.setattr(words, "_split_count", _split_without_the_power)
-    result = run_check("growth-rate")
-    figure = f"|L(14)| = {pattern_sum(14, 2)} exactly"
-    assert figure in exact_check_results["growth-rate"].detail[0]
-    assert figure not in result.detail[0]
-    assert result.expected == exact_check_results["growth-rate"].expected
 
 
 def _law_failure(result):
