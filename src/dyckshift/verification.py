@@ -56,6 +56,7 @@ from .words import (
     iter_language_stats,
     loose_counts,
     residue,
+    residue_text,
 )
 
 
@@ -74,27 +75,44 @@ _Outcome = tuple[bool, str, tuple[str, ...]]
 
 
 _CYLINDER_SCOPES = ((2, 10), (3, 8))
-# Words of one length whose distinct residues are stepped together (2,048 and
-# 8,192 were slower and held more).
+# Residues, and then words, of one length that are stepped or compared
+# together (slices of 2,048 and 8,192 words were slower and held more).
 _WORD_BATCH = 512
+
+
+def _residues(n: int, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every residue a length-``n`` word can have, each once.
+
+    ``c`` loose closers, then ``o`` loose openers, each typed ``1..m``, with
+    ``c + o <= n`` of ``n``'s parity: the rest of the word is matched pairs.
+    """
+    types = range(1, m + 1)
+    for loose in range(n % 2, n + 1, 2):
+        for c in range(loose + 1):
+            for closers in itertools.product(types, repeat=c):
+                for openers in itertools.product(types, repeat=loose - c):
+                    yield closers, openers
 
 
 def _check_cylinder_consistency(seed: int) -> _Outcome:
     """One-letter extension additivity plus per-length normalization.
 
-    The left side of each comparison comes from enumeration statistics (the
-    depth-first walk tracks pairs/loose counts incrementally).  The right
-    side reduces each walked word from scratch with ``residue``, never
-    reusing the walk's state.  The words of one length go through in
-    batches of ``_WORD_BATCH``; an extension's mass depends only on the
-    length and the residue's shape, so each distinct residue of a batch
-    takes one ``advance`` step for each of the ``2m`` extension letters
-    (annihilating ones included, at mass 0), every other result is priced
-    from a per-length table that :func:`mass_denominator` fills, and the
-    sums go back to every word of that residue.  Both sides are masses at
-    length ``n`` scaled by ``2^(n+1) m^(n+1)``.  The two routes share no
-    state, so agreement is meaningful.  Every disagreeing word is named, in
-    walk order and at most five, from its own residue's prices; an extension
+    A tilde mass depends only on a word's length and residue, so each length
+    ``n`` takes two passes.  The residue pass steps every residue of
+    :func:`_residues` once, in slices of ``_WORD_BATCH``: one ``advance``
+    for each of the ``2m`` extension letters (annihilating ones included, at
+    mass 0), each result priced from a per-length table that
+    :func:`mass_denominator` fills, and the sum must equal the residue's own
+    mass by the tilde formula ``2^-n m^-((n + loose)/2)``.  The word pass
+    walks the language with :func:`iter_language_stats`, which tracks pairs
+    and loose counts incrementally: every word's ``2(pairs + loose) - n``
+    must equal the loose count of its ``residue``, reduced from scratch,
+    whose top opener type (the only type ``advance`` reads) must lie in
+    ``1..m``, so the word's residue is one the residue pass stepped.  Each
+    level sums the walk's masses.  Masses at length ``n`` are scaled by
+    ``2^(n+1) m^(n+1)``.  The two sides share no state, so agreement is
+    meaningful.  Every disagreeing word is named, in walk order and at most
+    five: by its loose counts, or from its residue's prices; an extension
     whose shape no word of its length has prices to ``None``.
     """
     del seed
@@ -104,41 +122,49 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
         ext = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
         for n in range(n_max + 1):
             top = n + 1
-            m_pow = [m**k for k in range(n + 2)]
-            scale = 2**top * m_pow[top]  # masses at lengths n and top scale by 2^top m^top
+            scale = 2**top * m**top  # masses at lengths n and top scale by 2^top m^top
             prices = {}  # the scaled mass of each (loose closers, loose openers) of a length-top word, kept exact
             for loose in range(top % 2, top + 1, 2):
                 for closers in range(loose + 1):
                     price = Fraction(scale, mass_denominator("tilde", m, top, closers, loose - closers))
                     prices[closers, loose - closers] = price if price.denominator > 1 else price.numerator
-            level = 0  # the sum of the left sides: the level's mass at the scale
-            stats = iter_language_stats(n, m)
-            while batch := list(itertools.islice(stats, _WORD_BATCH)):
-                lhs = [2 * m_pow[top - pairs - loose] for _, pairs, loose in batch]  # m-exponent pairs + loose
-                level += sum(lhs)
-                found = [residue(codes) for codes, _, _ in batch]
-                # each distinct residue once: places[i] is word i's among them
-                distinct: dict = {}
-                places = [distinct.setdefault(s, len(distinct)) for s in found]
-                states = list(distinct)
+            # the scaled mass of a length-n word by its loose letters (only those of n's parity are read)
+            masses = [2 * m ** (top - (n + loose) // 2) for loose in range(n + 1)]
+            failed = {}  # why each residue whose extensions miss its mass fails
+            residues = _residues(n, m)
+            while states := list(itertools.islice(residues, _WORD_BATCH)):
+                own = [masses[len(s[0]) + len(s[1])] for s in states]
                 columns = [
                     [0 if s is None else prices.get((len(s[0]), len(s[1]))) for s in advance(states, c)] for c in ext
                 ]
                 sums = [None if None in row else sum(row) for row in zip(*columns)]
-                rhs = [sums[i] for i in places]
-                checked += len(batch)
-                if rhs == lhs:
+                if sums == own:
                     continue
-                for (codes, _, _), place, left, right in zip(batch, places, lhs, rhs):
-                    if right == left:
+                for i, (state, mass, total) in enumerate(zip(states, own, sums)):
+                    if total is None:
+                        c = ext[[col[i] for col in columns].index(None)]
+                        failed[state] = f"extension {c}: its residue's shape fits no word of length {top}"
+                    elif total != mass:
+                        failed[state] = f"{Fraction(mass, scale)} != sum {Fraction(total, scale)}"
+            level = 0  # the sum of the walk's masses at the scale
+            stats = iter_language_stats(n, m)
+            while batch := list(itertools.islice(stats, _WORD_BATCH)):
+                walked = [2 * (pairs + loose) - n for _, pairs, loose in batch]  # loose letters, by the walk
+                level += sum(map(masses.__getitem__, walked))
+                found = [residue(codes) for codes, _, _ in batch]
+                counted = [len(s[0]) + len(s[1]) if s and (not s[1] or 0 < s[1][-1] <= m) else None for s in found]
+                checked += len(batch)
+                if counted == walked and not failed:
+                    continue
+                for (codes, _, _), s, k, j in zip(batch, found, walked, counted):
+                    if k != j:
+                        why = f"walk counts {k} loose letters, residue {residue_text(s)}"
+                    elif s in failed:
+                        why = failed[s]
+                    else:
                         continue
                     if len(bad) >= 5:
                         break
-                    if right is None:
-                        i = [col[place] for col in columns].index(None)
-                        why = f"extension {ext[i]}: its residue's shape fits no word of length {top}"
-                    else:
-                        why = f"{Fraction(left, scale)} != sum {Fraction(right, scale)}"
                     bad.append(f"m={m} word={' '.join(map(str, codes))}: {why}")
             if level != scale:
                 bad.append(f"m={m} n={n}: level mass {Fraction(level, scale)} != 1")

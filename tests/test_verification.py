@@ -1,6 +1,7 @@
 """The verify runner, the wording of check results, and faults the checks must catch."""
 
 import hashlib
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -317,9 +318,9 @@ def _misstep_planted(states, code):
 
 
 def test_stepping_each_residue_once_still_names_every_faulty_word(monkeypatch):
-    # Each distinct residue is stepped once per batch, yet every word that
-    # shares the faulty state is named, in walk order, as a word-by-word
-    # route names them: a1^8, then the first four words of length 10.
+    # Each residue is stepped once per length, yet every word that shares the
+    # faulty state is named, in walk order, as a word-by-word route names
+    # them: a1^8, then the first four words of length 10.
     monkeypatch.setattr(verification, "advance", _misstep_planted)
     walk = [codes for n in range(11) for codes, _, _ in iter_language_stats(n, 2)]
     expected = [codes for codes in walk if residue(codes) == PLANTED][:5]
@@ -329,25 +330,93 @@ def test_stepping_each_residue_once_still_names_every_faulty_word(monkeypatch):
     assert {tens.index(codes) // verification._WORD_BATCH for codes in expected[1:]} == {0}
 
 
+def _residue_slices(n, m):
+    """The slices of :func:`verification._residues` that cylinder-consistency steps together."""
+    residues = verification._residues(n, m)
+    while part := list(itertools.islice(residues, verification._WORD_BATCH)):
+        yield part
+
+
 def test_a_failing_batch_is_named_from_its_own_prices(monkeypatch):
-    # No word is stepped again to name it: 2m steps per batch of each length,
-    # and the only single-state steps are those of the empty word's batch.
+    # No word is stepped to name it: each residue of a length is stepped
+    # once, 2m steps per slice of at most _WORD_BATCH residues, and no step
+    # takes a word's own state.
     calls = []
 
     def counted(states, code):
-        calls.append(states[0] if len(states) == 1 else len(states))
+        calls.append(states)
         return _misstep_planted(states, code)
 
     monkeypatch.setattr(verification, "advance", counted)
     named = _consistency_failures(run_check("cylinder-consistency"))
     walk = [codes for n in range(11) for codes, _, _ in iter_language_stats(n, 2)]
     assert named == [(2, codes) for codes in walk if residue(codes) == PLANTED][:5]
-    batches = {
-        m: sum(-(-count_language(n, m) // verification._WORD_BATCH) for n in range(n_max + 1))
+    slices = (
+        part
         for m, n_max in verification._CYLINDER_SCOPES
+        for n in range(n_max + 1)
+        for part in _residue_slices(n, m)
+        for _ in range(2 * m)
+    )
+    assert len(calls) == 1342
+    assert all(got == part for got, part in zip(calls, slices, strict=True))
+
+
+@pytest.mark.parametrize("m,n_max", [(2, 8), (3, 6)])
+def test_residues_are_those_of_the_language_each_once(m, n_max):
+    for n in range(n_max + 1):
+        listed = list(verification._residues(n, m))
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == {residue(codes) for codes, _, _ in iter_language_stats(n, m)}
+
+
+def test_residues_count_every_typed_shape():
+    # (k + 1) shapes of k loose letters, each typed in m^k ways
+    counts = {
+        (m, n): sum(1 for _ in verification._residues(n, m))
+        for m, n_max in verification._CYLINDER_SCOPES
+        for n in range(n_max + 1)
     }
-    assert len(calls) == sum(2 * m * count for m, count in batches.items())
-    assert [c for c in calls if not isinstance(c, int)] == [((), ())] * (2 * 2 + 2 * 3)
+    assert counts == {(m, n): sum((k + 1) * m**k for k in range(n % 2, n + 1, 2)) for m, n in counts}
+    assert (counts[2, 10], counts[3, 8], sum(counts.values())) == (14109, 64585, 116837)
+
+
+def _retype_a1_a2(codes):
+    """``residue``, except that ``a1 a2`` keeps an ``a3`` open on top."""
+    return ((), (1, 3)) if codes == (1, 2) else residue(codes)
+
+
+def _overcount_a1_a1_b1_a2(real):
+    """``iter_language_stats``, except that ``a1 a1 b1 a2`` at m = 2 has one pair more and two loose letters fewer."""
+
+    def stats(n, m):
+        for codes, pairs, loose in real(n, m):
+            yield (codes, pairs + 1, loose - 2) if (m, codes) == (2, (1, 1, -1, 2)) else (codes, pairs, loose)
+
+    return stats
+
+
+# Faults in the word pass: a walk and a residue that disagree on a word's
+# loose letters, or a residue the residue pass never stepped.  Each is named
+# by its loose counts; the residue pass alone sees none of them.
+@pytest.mark.parametrize(
+    "name,fault,observed",
+    [
+        ("residue", _misreduce, "m=2 word=1 1 1 1 1 1 1 -1 -1 -1: walk counts 4 loose letters, residue a1 a1 a1"),
+        ("residue", _retype_a1_a2, "m=2 word=1 2: walk counts 2 loose letters, residue a1 a3"),
+        (
+            "iter_language_stats",
+            _overcount_a1_a1_b1_a2(iter_language_stats),
+            "m=2 word=1 1 -1 2: walk counts 0 loose letters, residue a1 a2; m=2 n=4: level mass 129/128 != 1",
+        ),
+    ],
+    ids=["misreduce", "retype", "overcount"],
+)
+def test_a_walk_that_disagrees_with_the_residue_fails_the_word_pass(monkeypatch, name, fault, observed):
+    monkeypatch.setattr(verification, name, fault)
+    result = run_check("cylinder-consistency")
+    assert (result.ok, result.observed, result.detail) == (False, observed, ())
+    assert len(_consistency_failures(result)) == 1
 
 
 # What block-swap-exact says under each planted fault when every trie edge
