@@ -179,15 +179,20 @@ def _check_cylinder_consistency(seed: int) -> _Outcome:
 
 
 def _check_balanced_law(seed: int) -> _Outcome:
-    """Balanced words must price identically under both closed forms."""
+    """Balanced words must price identically under both closed forms.
+
+    Each word's from-scratch residue is priced by :func:`mass_denominator`,
+    whose whole-number ``1/mass`` must equal the balanced law's ``2^(2p) m^p``.
+    """
     del seed
     checked = 0
     for m, n_max in ((2, 5), (3, 5)):
         for pairs in range(n_max + 1):
             # every word here has length 2 * pairs
-            closed_form = Fraction(1, 2 ** (2 * pairs) * m**pairs)
+            closed_form = 2 ** (2 * pairs) * m**pairs
             for w in enumerate_balanced(pairs, m):
-                if cylinder_mass(w.codes, m) != closed_form:
+                shape = _shape(residue(w.codes))
+                if shape is None or mass_denominator("tilde", m, 2 * pairs, *shape) != closed_form:
                     return False, f"{w.text()!r} prices differently under the two forms", ()
                 checked += 1
     return True, f"{checked} balanced words agree exactly", ("scopes: m in {2,3}, up to 5 matched pairs",)
@@ -307,6 +312,51 @@ def _swap_sweep(contexts: Sequence[tuple[int, ...]], n_max: int, m: int) -> tupl
     return comparisons, None
 
 
+def _two_sided_sweep(
+    classes: Sequence[list[tuple[int, ...]]], contexts: Sequence[tuple[int, ...]]
+) -> tuple[int, str | None]:
+    """Every block against its class's first block, by mass, in every two-sided context ``s + w + t``.
+
+    ``contexts`` come shortest first, so each right context's one-letter
+    prefix is stepped before it.  For each left context ``s`` every block's
+    ``residue(s + w)`` is reduced from scratch; each distinct state is kept
+    once, in first-seen order, and each block holds its state's index.  Only
+    the distinct states are stepped through the right contexts by
+    :func:`advance`: it is a function of its input values, so blocks of one
+    index have one shape after every ``t``, and only a class whose blocks
+    hold more than one index is compared block by block, by the shapes of
+    their indices.  Every left context is swept before the first failure is
+    named, in class, then left-context, then right-context order.
+
+    Returns the number of evaluations, counted per block (each block but its
+    class's first, in every ``(s, t)``), and, if a block's mass differs from
+    its class's first block's, a message naming that block (else ``None``).
+    """
+    comparisons = sum(len(members) - 1 for members in classes) * len(contexts) ** 2
+    odd: dict[int, tuple[int, ...]] = {}  # each failing class's first odd block, by the class's place
+    for s in contexts:
+        index: dict = {}
+        split = []  # (place, blocks, index row) of each class whose blocks hold more than one state
+        for k, members in enumerate(classes):
+            row = [index.setdefault(residue(s + w), len(index)) for w in members]
+            if row.count(row[0]) != len(row):
+                split.append((k, members, row))
+        prefixes = {(): list(index)}  # the states after each right context that a longer one extends
+        for t in contexts:
+            states = advance(prefixes[t[:-1]], t[-1]) if t else prefixes[()]
+            if len(t) < len(contexts[-1]):
+                prefixes[t] = states
+            if split:
+                shapes = list(map(_shape, states))
+                for k, members, row in split:
+                    w = next((w for w, i in zip(members, row) if shapes[i] != shapes[row[0]]), None)
+                    if w is not None:
+                        odd.setdefault(k, w)
+    if odd:
+        return comparisons, f"mass of s+{_codes_text(odd[min(odd)])}+t differs from the representative's"
+    return comparisons, None
+
+
 def _check_block_swap(seed: int) -> _Outcome:
     """Swapping equivalent same-length blocks never changes a cylinder mass.
 
@@ -318,10 +368,12 @@ def _check_block_swap(seed: int) -> _Outcome:
     with equal residues, and a verified member's children step from its
     class's scans, so each (class, letter) step is advanced at most twice;
     (b) exhaustive two-sided contexts of length <= 2 around every word of
-    length <= 6, compared by mass: for each left context ``s`` every block's ``residue(s + w)`` is reduced from scratch
-    once, stepped through each right context ``t`` by :func:`advance`
-    (``t``'s one-letter prefix stepped first and shared); (c) seeded random
-    two-sided triples at the full stated sizes, each reduced by
+    length <= 6, compared by mass (:func:`_two_sided_sweep`): for each left
+    context ``s`` every block's ``residue(s + w)`` is reduced from scratch
+    once, each distinct state is kept once and stepped through each right
+    context ``t`` by :func:`advance` (``t``'s one-letter prefix stepped
+    first and shared), and evaluations are counted per block; (c) seeded
+    random two-sided triples at the full stated sizes, each reduced by
     :func:`residue` from scratch.  Sweeps (b) and (c) compare masses by
     residue shape: the words compared have equal lengths, and by
     :func:`mass_denominator` length and shape fix the mass under every
@@ -339,23 +391,10 @@ def _check_block_swap(seed: int) -> _Outcome:
         return False, failure, ()
     # Collected after sweep (a), so the two never coexist.
     classes8 = _shared_classes(8, m)
-
-    # Right contexts come shortest first, so each one's prefix is stepped before it.
-    contexts2 = [c for c in contexts4 if len(c) <= 2]
-    mass_comparisons = 0
-    for key, members in classes8.items():
-        if key[0] > 6:
-            continue
-        for s in contexts2:
-            stepped = {(): [residue(s + w) for w in members]}
-            for t in contexts2:
-                if t:
-                    stepped[t] = advance(stepped[t[:-1]], t[-1])
-                shapes = list(map(_shape, stepped[t]))
-                mass_comparisons += len(shapes) - 1
-                if shapes.count(shapes[0]) != len(shapes):
-                    odd = next(w for w, shape in zip(members, shapes) if shape != shapes[0])
-                    return False, f"mass of s+{_codes_text(odd)}+t differs from the representative's", ()
+    six = [members for key, members in classes8.items() if key[0] <= 6]
+    mass_comparisons, failure = _two_sided_sweep(six, [c for c in contexts4 if len(c) <= 2])
+    if failure is not None:
+        return False, failure, ()
 
     rng = random.Random(f"{seed}:block-swap")
     rich = list(classes8.values())

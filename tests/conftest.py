@@ -182,6 +182,33 @@ def pairwise_swap_comparisons(contexts: Sequence[tuple[int, ...]], n_max: int, m
     return comparisons
 
 
+def two_sided_mass_comparisons(
+    classes: Sequence[Sequence[tuple[int, ...]]], contexts: Sequence[tuple[int, ...]]
+) -> int | None:
+    """Sweep (b) of block-swap-exact one (block, left context, right context) triple at a time.
+
+    Oracle for the distinct-state sweep: every ``s + w + t`` is reduced from
+    scratch and its residue's shape, which fixes the mass at its length, is
+    compared with that of the class's first block in the same contexts.
+    Returns the number of comparisons, or ``None`` at the first mismatch.
+    """
+
+    def shape(codes: tuple[int, ...]) -> tuple[int, int] | None:
+        found = residue(codes)
+        return None if found is None else (len(found[0]), len(found[1]))
+
+    comparisons = 0
+    for rep, *others in classes:
+        for s in contexts:
+            for t in contexts:
+                expect = shape(s + rep + t)
+                for w in others:
+                    comparisons += 1
+                    if shape(s + w + t) != expect:
+                        return None
+    return comparisons
+
+
 def pattern_tally(n: int) -> Counter[tuple[int, int]]:
     """Brute force over all ``2^n`` opener/closer patterns of length ``n``.
 

@@ -13,7 +13,7 @@ from dyckshift.measures import LogPair, cylinder_mass, mass_denominator
 from dyckshift.verification import run_check
 from dyckshift.words import Word, advance, count_language, iter_language_stats, residue
 
-from conftest import pairwise_swap_comparisons, residue_classes
+from conftest import pairwise_swap_comparisons, residue_classes, two_sided_mass_comparisons
 
 
 def test_run_check_runs_afresh_on_every_call():
@@ -443,23 +443,161 @@ def test_misreduced_word_fails_both_checks(monkeypatch):
     assert _consistency_failures(run_check("cylinder-consistency")) == [(2, MISREDUCED)]
 
 
-def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
-    # Planted once the classes are collected, so that sweep (a) and the
-    # classes see the true residue and only sweep (b)'s from-scratch scans of
-    # s + w meet it: a1 + a2 b2 keeps a2 open, which b1 then annihilates.
+def _plant_after_classes(monkeypatch, **faults):
+    """Patch ``faults`` into ``verification`` once the classes are collected.
+
+    Sweep (a) and the classes see the true routes, so sweep (b) is the
+    first to meet the faults.
+    """
     collect = verification._shared_classes
 
     def collect_then_plant(*args):
         classes = collect(*args)
-        monkeypatch.setattr(
-            verification, "residue", lambda codes: ((), (2,)) if codes == (1, 2, -2) else residue(codes)
-        )
+        for name, fault in faults.items():
+            monkeypatch.setattr(verification, name, fault)
         return classes
 
     monkeypatch.setattr(verification, "_shared_classes", collect_then_plant)
+
+
+def _two_sided_scope():
+    """Sweep (b)'s classes (blocks to length 6 at m = 2) and its contexts (to length 2)."""
+    classes = [members for key, members in verification._shared_classes(8, 2).items() if key[0] <= 6]
+    return classes, [codes for n in range(3) for codes, _, _ in iter_language_stats(n, 2)]
+
+
+def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
+    # Only sweep (b)'s from-scratch scans of s + w meet the fault:
+    # a1 + a2 b2 keeps a2 open, which b1 then annihilates.
+    _plant_after_classes(
+        monkeypatch, residue=lambda codes: ((), (2,)) if codes == (1, 2, -2) else residue(codes)
+    )
     result = run_check("block-swap-exact")
     assert not result.ok
     assert result.observed == "mass of s+2 -2+t differs from the representative's"
+
+
+@pytest.mark.parametrize("m,n_max,context_len", [(2, 5, 2), (3, 4, 1), (1, 8, 2)])
+def test_two_sided_sweep_makes_the_triple_comparisons(m, n_max, context_len):
+    contexts = [codes for n in range(context_len + 1) for codes, _, _ in iter_language_stats(n, m)]
+    classes = list(verification._shared_classes(n_max, m).values())
+    expected = two_sided_mass_comparisons(classes, contexts)
+    assert expected
+    assert verification._two_sided_sweep(classes, contexts) == (expected, None)
+
+
+# After one left context or another, blocks of 9 classes reach three open a1.
+SHARED = ((), (1, 1, 1))
+
+
+def _misstep_shared(states, code):
+    """``advance``, except that ``b1`` annihilates the three open ``a1`` of ``SHARED``."""
+    stepped = advance(states, code)
+    return [None if code == -1 and state == SHARED else out for state, out in zip(states, stepped)]
+
+
+def _retype_the_bottom_a1(codes):
+    """``residue``, except that ``a2 b2 a1 a1 a1`` keeps ``a2 a1 a1`` open.
+
+    Right contexts of two letters never reach the bottom opener, so without
+    another fault the block's masses are those of its class's first block.
+    """
+    return ((), (2, 1, 1)) if codes == (2, -2, 1, 1, 1) else residue(codes)
+
+
+def test_a_step_fault_on_a_shared_state_fails_only_a_class_it_splits(monkeypatch, exact_check_results):
+    # Alone, the step fault moves every block that holds SHARED alike, and
+    # sweep (b) compares blocks with one another, so it passes, as it did
+    # when each class's blocks were stepped (SHARED 666 times, against 28
+    # here).  The retyped block alone passes too.  Together, its class holds
+    # SHARED and a state that b1 does not annihilate, and the check names
+    # that block, as the class-by-class sweep did.
+    passing = exact_check_results["block-swap-exact"]
+    for faults in ({"advance": _misstep_shared}, {"residue": _retype_the_bottom_a1}):
+        with monkeypatch.context() as patch:
+            _plant_after_classes(patch, **faults)
+            result = run_check("block-swap-exact")
+        assert (result.ok, result.observed, result.detail) == (True, passing.observed, passing.detail)
+    _plant_after_classes(monkeypatch, advance=_misstep_shared, residue=_retype_the_bottom_a1)
+    result = run_check("block-swap-exact")
+    assert (result.ok, result.observed, result.detail) == (
+        False,
+        "mass of s+2 -2 1 1 1+t differs from the representative's",
+        (),
+    )
+
+
+# Two residue faults, each of which gives one class of length 6 two states
+# after one left context.  The first names ``named``; the second alone names
+# ``other``.  The check names the block that a class-by-class sweep meets
+# first: the first class, then the first left context, then the first right
+# context at which a block differs.
+@pytest.mark.parametrize(
+    "first,second,named,other",
+    [
+        (  # a1^4 under b2 b2, then a1 a1 a1 a2 under no context, in a later class
+            ((-2, -2, 1, 1, 1, 1, 2, -2), ((2, 2), (1, 1, 1))),
+            ((1, -1, 1, 1, 1, 2), ((1,), (1, 1, 1, 2))),
+            "1 1 1 1 2 -2",
+            "1 -1 1 1 1 2",
+        ),
+        (  # under no context from b1 on, then under a1 at once
+            ((2, -2, 1, 1, 1, 1), ((), (1, 1, 1, 2))),
+            ((1, 1, -1, 1, 1, 1, 1), ((1,), (1, 1, 1, 1, 1))),
+            "2 -2 1 1 1 1",
+            "1 -1 1 1 1 1",
+        ),
+        (  # under no context, the later block at once, the earlier from b1 on
+            ((2, -2, 1, 1, 1, 1), ((1,), (1, 1, 1, 1))),
+            ((1, -1, 1, 1, 1, 1), ((), (1, 1, 1, 2))),
+            "2 -2 1 1 1 1",
+            "1 -1 1 1 1 1",
+        ),
+    ],
+    ids=["class", "left-context", "right-context"],
+)
+def test_two_sided_sweep_names_the_first_failure_class_by_class(monkeypatch, first, second, named, other):
+    classes, contexts = _two_sided_scope()
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "residue", lambda codes: dict([second]).get(codes) or residue(codes))
+        alone = verification._two_sided_sweep(classes, contexts)[1]
+    assert alone == f"mass of s+{other}+t differs from the representative's"
+    _plant_after_classes(monkeypatch, residue=lambda codes: dict([first, second]).get(codes) or residue(codes))
+    result = run_check("block-swap-exact")
+    assert (result.ok, result.observed) == (False, f"mass of s+{named}+t differs from the representative's")
+
+
+def test_two_sided_sweep_steps_each_distinct_state_once(monkeypatch, exact_check_results):
+    # 19 left contexts, each with its distinct states stepped through the 18
+    # non-empty right contexts: 342 advance batches over 32,778 states,
+    # against 50,274 batches over 583,452 states when each class's blocks are
+    # stepped, for the same 562,799 evaluations.
+    calls = []
+
+    def counted(states, code):
+        calls.append(len(states))
+        return advance(states, code)
+
+    _plant_after_classes(monkeypatch, advance=counted)
+    result = run_check("block-swap-exact")
+    assert (result.ok, result.observed) == (True, exact_check_results["block-swap-exact"].observed)
+    assert (len(calls), sum(calls)) == (342, 32778)
+
+
+def test_two_sided_sweep_holds_only_distinct_states():
+    # Each left context holds its distinct states, the states after the
+    # right contexts that longer ones extend, and the index rows of the
+    # classes that split: 14.6 KiB here, against 34.1 KiB when each class's
+    # blocks were stepped, and 129.5 KiB when every right context's states
+    # were kept.
+    classes, contexts = _two_sided_scope()
+    tracemalloc.start()
+    try:
+        assert verification._two_sided_sweep(classes, contexts) == (562799, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**10
 
 
 def test_dropped_balanced_word_fails_balanced_counts(monkeypatch):
@@ -678,6 +816,22 @@ def test_an_unbalanced_word_fails_balanced_law(monkeypatch):
     monkeypatch.setattr(verification, "enumerate_balanced", with_a_stranger)
     result = run_check("balanced-law")
     assert (result.ok, result.observed, result.detail) == (False, "'a1 a1' prices differently under the two forms", ())
+
+
+def test_a_shifted_price_fails_balanced_law(monkeypatch):
+    # The balanced words of three pairs at m = 3 are priced at thrice their
+    # law's 2^6 3^3; the first of them is named.
+    def shifted(measure, m, n, closers, openers):
+        priced = mass_denominator(measure, m, n, closers, openers)
+        return 3 * priced if (m, n) == (3, 6) else priced
+
+    monkeypatch.setattr(verification, "mass_denominator", shifted)
+    result = run_check("balanced-law")
+    assert (result.ok, result.observed, result.detail) == (
+        False,
+        "'a1 a1 a1 b1 b1 b1' prices differently under the two forms",
+        (),
+    )
 
 
 @pytest.mark.parametrize(
