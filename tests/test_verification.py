@@ -469,9 +469,7 @@ def _two_sided_scope():
 def test_two_sided_sweep_scans_each_left_context_with_each_block(monkeypatch):
     # Only sweep (b)'s from-scratch scans of s + w meet the fault:
     # a1 + a2 b2 keeps a2 open, which b1 then annihilates.
-    _plant_after_classes(
-        monkeypatch, residue=lambda codes: ((), (2,)) if codes == (1, 2, -2) else residue(codes)
-    )
+    _plant_after_classes(monkeypatch, residue=lambda codes: ((), (2,)) if codes == (1, 2, -2) else residue(codes))
     result = run_check("block-swap-exact")
     assert not result.ok
     assert result.observed == "mass of s+2 -2+t differs from the representative's"
