@@ -372,9 +372,12 @@ def _check_block_swap(seed: int) -> _Outcome:
     context ``s`` every block's ``residue(s + w)`` is reduced from scratch
     once, each distinct state is kept once and stepped through each right
     context ``t`` by :func:`advance` (``t``'s one-letter prefix stepped
-    first and shared), and evaluations are counted per block; (c) seeded
-    random two-sided triples at the full stated sizes, each reduced by
-    :func:`residue` from scratch.  Sweeps (b) and (c) compare masses by
+    first and shared), and evaluations are counted per block.  Blocks of
+    one class share one state after each left context, and :func:`advance`
+    maps equal states to equal states, so only the from-scratch reductions
+    ``s + w`` can split a class, and the detail names their number; (c)
+    seeded random two-sided triples at the full stated sizes, each reduced
+    by :func:`residue` from scratch.  Sweeps (b) and (c) compare masses by
     residue shape: the words compared have equal lengths, and by
     :func:`mass_denominator` length and shape fix the mass under every
     measure.  Checking members against one representative covers all pairs,
@@ -392,7 +395,8 @@ def _check_block_swap(seed: int) -> _Outcome:
     # Collected after sweep (a), so the two never coexist.
     classes8 = _shared_classes(8, m)
     six = [members for key, members in classes8.items() if key[0] <= 6]
-    mass_comparisons, failure = _two_sided_sweep(six, [c for c in contexts4 if len(c) <= 2])
+    contexts2 = [c for c in contexts4 if len(c) <= 2]
+    mass_comparisons, failure = _two_sided_sweep(six, contexts2)
     if failure is not None:
         return False, failure, ()
 
@@ -413,7 +417,8 @@ def _check_block_swap(seed: int) -> _Outcome:
         f"{mass_comparisons} exhaustive and {random_comparisons} randomized mass evaluations",
         (
             "blocks to length 8, one-sided contexts to length 4 (reduction route)",
-            "blocks to length 6, two-sided contexts to length 2 (direct-mass route)",
+            f"blocks to length 6, two-sided contexts to length 2: only the {len(contexts2) * sum(map(len, six))} "
+            "from-scratch reductions s+w can split a class, since equal states step alike",
             f"randomized sweep seeded {seed}:block-swap",
             "the comparisons cover every measure that prices by length and residue (tilde, plus, minus)",
         ),
@@ -481,10 +486,10 @@ def _check_entropy_below_topological(seed: int) -> _Outcome:
 def _check_balanced_counts(seed: int) -> _Outcome:
     """Catalan-times-types counting against two enumerations.
 
-    The scan route walks the whole language of each length by the head
-    walk of :func:`~dyckshift.words.iter_language_stats`, but tallies the
-    words per head (:func:`~dyckshift.words.loose_counts`) instead of
-    building each one, and reads the count with no loose letter.
+    The scan route counts the whole language of each length by the letter
+    rule of :func:`~dyckshift.words.iter_language_stats`, tallied by state
+    (:func:`~dyckshift.words.loose_counts`) instead of word by word, and
+    reads the count with no loose letter.
     """
     del seed
     checked = []

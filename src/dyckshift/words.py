@@ -21,11 +21,11 @@ oracle).  A word's residue — loose closers then loose openers, or ``None``
 for zero — is its normal form, and :func:`residue_text` renders it.
 
 The language of one length is walked once, head by head, by a letter rule
-of its own (:func:`_heads`): a word's last few letters depend only on the
+of its own (:func:`_steps`): a word's last few letters depend only on the
 innermost open types of its head, so their endings are listed once per such
-top.  That one head walk serves two views: :func:`iter_language_stats`
-yields every word with its statistics, and :func:`loose_counts` only
-tallies them, building no word.
+top.  :func:`iter_language_stats` walks the heads (:func:`_heads`) and
+yields every word with its statistics; :func:`loose_counts` steps the same
+rule over head counts by state and only tallies them, building no word.
 """
 
 from __future__ import annotations
@@ -246,17 +246,27 @@ def loose_counts(n: int, m: int) -> dict[int, int]:
     """How many length-``n`` language words have each number of loose letters.
 
     The tally of :func:`iter_language_stats`' ``loose`` statistic, by the
-    same walk, without building a word: the heads of :func:`_heads` are
-    counted by matched pairs and top open types, and each top's endings by
-    the pairs they close.  Keys run upwards; absent keys count no word.
+    same letter rule and table of endings, without building a word: head
+    counts by state, ``(open types, matched pairs)``, step each distinct
+    state by :func:`_steps` once per letter, and each state's top open
+    types fix its endings, counted by the pairs they close.  Keys run
+    upwards; absent keys count no word.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     _check_letters(m, ())
     tail = min(n, _TAIL)
+    states: Counter[tuple[tuple[int, ...], int]] = Counter({((), 0): 1})
+    for _ in range(n - tail):
+        stepped: Counter[tuple[tuple[int, ...], int]] = Counter()
+        for (opens, pairs), heads in states.items():
+            for _, after, closed in _steps(opens, m):
+                stepped[after, pairs + closed] += heads
+        states = stepped
     closes: dict[tuple[int, ...], Counter[int]] = {}
     tally: Counter[int] = Counter()
-    for (pairs, top), heads in Counter((pairs, top) for _, pairs, top in _heads(n, m)).items():
+    for (opens, pairs), heads in states.items():
+        top = opens[-tail:]
         if top not in closes:
             closes[top] = Counter(more for _, more in _endings(top, tail, m))
         for more, ends in closes[top].items():

@@ -71,7 +71,7 @@ def _results_digest(results):
 
 def test_exact_results_are_byte_stable(exact_check_results):
     """Digest of every exact check's verdict and wording; a change means ``verify``'s output changed."""
-    assert _results_digest(exact_check_results) == "7af5182b8eb917840dcf86ea507bb114"
+    assert _results_digest(exact_check_results) == "5585fb4f750cb896006796237672aba1"
 
 
 def test_sampling_results_are_byte_stable(sampling_check_results):
@@ -112,6 +112,11 @@ def test_exact_sweeps_keep_their_scope(exact_check_results):
     assert exact_check_results["block-swap-exact"].observed == (
         "exact block-swap invariance across 4748386 reductions, "
         "562799 exhaustive and 20000 randomized mass evaluations"
+    )
+    # 19 left contexts times 1,706 blocks: the reductions that can split a class
+    assert exact_check_results["block-swap-exact"].detail[1] == (
+        "blocks to length 6, two-sided contexts to length 2: only the 32414 "
+        "from-scratch reductions s+w can split a class, since equal states step alike"
     )
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -277,6 +279,41 @@ def test_loose_counts_tally_the_brute_force_walk(n, m):
         expected[loose] = expected.get(loose, 0) + 1
     assert tally == expected
     assert sum(tally.values()) == count_language(n, m)
+
+
+@pytest.mark.parametrize("m,n_max", [(2, 10), (3, 8)])
+def test_loose_counts_tally_the_language_walk_at_full_scope(m, n_max):
+    # Past the brute-force oracle's reach: every length that balanced-counts
+    # scans and more, against the walk that the oracle pins at small sizes.
+    for n in range(n_max + 1):
+        tally = loose_counts(n, m)
+        assert tally == Counter(loose for _, _, loose in iter_language_stats(n, m)), n
+        assert list(tally) == sorted(tally)
+
+
+def test_loose_counts_steps_each_distinct_state_once_per_letter(monkeypatch):
+    # At (12, 2) the nine head letters step 1,329 distinct (open types,
+    # matched pairs) states and the table of endings takes 203 steps: 1,532
+    # calls, against 26,134 when the head walk stepped every prefix of its
+    # 57,216 heads.
+    calls = []
+    real = words._steps
+    monkeypatch.setattr(words, "_steps", lambda opens, m: calls.append(opens) or real(opens, m))
+    assert sum(loose_counts(12, 2).values()) == count_language(12, 2)
+    assert len(calls) == 1532
+
+
+def test_loose_counts_holds_two_letters_of_states():
+    # At most 1,359 states per letter: the first call in a fresh process
+    # peaked at 333 KiB (the tuples it frees stay on the interpreter's free
+    # lists), later calls at about 80 KiB.
+    tracemalloc.start()
+    try:
+        loose_counts(12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10
 
 
 def test_loose_counts_rejects_negative_length():
