@@ -283,8 +283,8 @@ def test_loose_counts_tally_the_brute_force_walk(n, m):
 
 @pytest.mark.parametrize("m,n_max", [(2, 10), (3, 8)])
 def test_loose_counts_tally_the_language_walk_at_full_scope(m, n_max):
-    # Past the brute-force oracle's reach: every length that balanced-counts
-    # scans and more, against the walk that the oracle pins at small sizes.
+    # Past the brute-force oracle's reach, at every length of balanced-counts'
+    # m = 3 scope and to 10 at m = 2: against the walk that the oracle pins.
     for n in range(n_max + 1):
         tally = loose_counts(n, m)
         assert tally == Counter(loose for _, _, loose in iter_language_stats(n, m)), n
