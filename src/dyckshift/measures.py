@@ -297,24 +297,23 @@ class EntropyReport(NamedTuple):
 def _entropy_rows(first: int, last: int, m: int) -> list[EntropyReport]:
     """Exact entropy rows for ``n = first .. last``, one pattern pass per length.
 
-    Row ``n``'s block entropy is that of the length-``n`` block distribution,
-    in the two-log form.  A length-``n`` pattern is hit with probability
-    ``2^-n`` regardless of ``m`` (the type choices integrate out), so the
-    ``log(m)`` coefficient is a pure pattern statistic and the ``log(2)``
-    coefficient is ``n``.  The pattern statistic is a sum of ``n/2 + 1``
-    terms, so any length is exact and cheap.  Row ``n``'s step entropy needs
-    the block entropy of length ``n + 1``, which is row ``n + 1``'s own, so
-    each length's pattern statistics are computed once.
+    A length-``n`` pattern is hit with probability ``2^-n`` whatever ``m`` (the type choices
+    integrate out), so the block entropy is ``n log(2) + (n - T_n / 2^n) log(m)``, with ``T_n``
+    the total pairs of :func:`_pattern_stats`.  The step entropy is block ``n + 1`` less block
+    ``n``: the integer difference of their numerators over ``2^(n+1)``.  So each length's
+    statistics are computed once, and every coefficient is built as one rational.
     """
     if min(first, last) < 0:
         raise ValueError("block length must be >= 0")
     _check_letters(m, ())
-    stats = [(n, *_pattern_stats(n)) for n in range(first, last + 2)]
-    blocks = [LogPair(_fraction(n), n - _fraction(total_pairs, 2**n)) for n, total_pairs, _ in stats]
-    return [
-        EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=_fraction(nonneg, 2**n))
-        for (n, _, nonneg), here, after in zip(stats, blocks, blocks[1:])
-    ]
+    stats = [_pattern_stats(n) for n in range(first, last + 2)]
+    one, rows = _fraction(1), []
+    for n, (pairs, nonneg), (pairs_after, _) in zip(range(first, last + 1), stats, stats[1:]):
+        scale = 1 << n
+        block = LogPair(_fraction(n), _fraction(n * scale - pairs, scale))
+        step = LogPair(one, _fraction(2 * scale - pairs_after + 2 * pairs, 2 * scale))
+        rows.append(EntropyReport(n=n, m=m, block=block, step=step, p_nonneg=_fraction(nonneg, scale)))
+    return rows
 
 
 def entropy_report(n: int, m: int = 2) -> EntropyReport:

@@ -349,8 +349,9 @@ def pattern_counts(n: int) -> Iterator[int]:
     loose openers.  Every one of the ``n - 2p + 1`` splits has this same
     count, so the entries with their split counts tally all ``2^n``
     patterns.  The binomials come from their ratio recurrence, stepped
-    lazily, so a caller that folds the entries as they come holds no list
-    of ``n / 2`` big integers.
+    lazily, so ``measures._pattern_stats``, which folds the entries as they
+    come, holds no list of big integers.  :func:`count_language` sums by
+    parts over the binomials themselves, and steps them in its own loop.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
@@ -365,22 +366,22 @@ def _step_pattern_counts(n: int) -> Iterator[int]:
 
 
 def count_language(n: int, m: int) -> int:
-    """|L(n)| as a sum over the pattern counts of :func:`pattern_counts`.
+    """|L(n)| by parts, in one Horner loop over the binomials ``C(n, p)``.
 
-    Types integrate out pattern by pattern: a pattern with ``p`` matched
-    pairs and ``n - 2p`` loose letters carries ``m^(n - p)`` words (one free
-    type per pair and per loose letter), and ``n - 2p + 1`` loose splits
-    share each count ``S(n, p)``.  The sum ``Σ_p (n - 2p + 1) S(n, p)
-    m^(n - p)`` is ``m^(n - n // 2)`` times a polynomial in ``m`` whose
-    coefficients come in the order :func:`pattern_counts` steps them, so
-    Horner's rule folds each term in with one multiply by ``m`` as it is
-    stepped, and one power finishes.
+    A pattern with ``p`` matched pairs carries ``m^(n - p)`` words, and its ``n - 2p + 1``
+    loose splits share each count ``S(n, p) = C(n, p) - C(n, p - 1)`` of :func:`pattern_counts`.
+    With ``P = n // 2``, ``Σ_p (n - 2p + 1) S(n, p) m^(P - p)`` is, by parts, ``Σ_{p<P} C(n, p)
+    ((n - 2p + 1) m - (n - 2p - 1)) m^(P - 1 - p) + (n - 2P + 1) C(n, P)``, whose coefficient
+    falls by ``2(m - 1)`` a step; ``|L(n)|`` is ``m^(n - P)`` times it.
     """
     _check_letters(m, ())
-    folded = 0
-    for p, count in enumerate(pattern_counts(n)):
-        folded = folded * m + (n - 2 * p + 1) * count
-    return folded * m ** (n - n // 2)
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    folded, comb = 0, 1  # C(n, p)
+    for p, coefficient in zip(range(n // 2), itertools.count(n * (m - 1) + m + 1, 2 - 2 * m)):
+        folded = folded * m + comb * coefficient
+        comb = comb * (n - p) // (p + 1)
+    return (folded + (n % 2 + 1) * comb) * m ** (n - n // 2)
 
 
 def _binomial(n: int, k: int) -> int:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dyckshift.analysis import EmpiricalEstimate, MatchingTimes, WindowDiagnostics, _drift_label, matching_times
 from dyckshift.coding import SAMPLERS, PointWindow
-from dyckshift.measures import ExtensionMassRow, _ballot_ways, cylinder_mass
+from dyckshift.measures import EntropyReport, ExtensionMassRow, LogPair, _ballot_ways, _pattern_stats, cylinder_mass
 from dyckshift.verification import DEFAULT_SEED, SUITES, CheckResult, run_check
 from dyckshift.words import (
     NotInLanguage,
@@ -291,6 +291,21 @@ def depth_dp_counts(n_max: int, m: int) -> list[int]:
         counts = nxt
         totals.append(sum(counts))
     return totals
+
+
+def difference_entropy_rows(first: int, last: int, m: int) -> list[EntropyReport]:
+    """Oracle for ``measures._entropy_rows``: each step a ``Fraction`` difference of two blocks.
+
+    Each block is built in rationals, ``n - T_n / 2^n`` for its ``log(m)``
+    coefficient, and each step subtracts two of them, where the product
+    takes one integer difference of their numerators.
+    """
+    stats = [(n, *_pattern_stats(n)) for n in range(first, last + 2)]
+    blocks = [LogPair(Fraction(n), n - Fraction(total_pairs, 2**n)) for n, total_pairs, _ in stats]
+    return [
+        EntropyReport(n=n, m=m, block=here, step=after - here, p_nonneg=Fraction(nonneg, 2**n))
+        for (n, _, nonneg), here, after in zip(stats, blocks, blocks[1:])
+    ]
 
 
 def power_sum_count(n: int, m: int) -> int:

@@ -49,6 +49,12 @@ def test_counting_entropy_and_horizon_layers_time_small_inputs():
         assert ok and seconds >= 0
 
 
+def test_count_layer_fails_on_a_count_off_its_pattern_terms(monkeypatch):
+    real = layer_bench.words.count_language
+    monkeypatch.setattr(layer_bench.words, "count_language", lambda n, m: real(n, m) + (n == 20))
+    assert not layer_bench.count_layer(range(0, 31, 10), (2, 3))[1]
+
+
 def test_window_body_layers_time_a_few_windows():
     assert {"coding._tilde_window_codes.s", "coding._plus_window_codes.s"} <= set(layer_bench.layers(7))
     for body in (coding._tilde_window_codes, coding._plus_window_codes):

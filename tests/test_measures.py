@@ -31,6 +31,7 @@ from dyckshift.words import (
 
 from conftest import (
     catalan_convolution,
+    difference_entropy_rows,
     enumerated_pattern_stats,
     extension_additivity,
     first_row_within,
@@ -552,6 +553,19 @@ def test_entropy_table_rows_equal_single_reports(m):
     assert entropy_table(0, m) == [entropy_report(0, m)]
     with pytest.raises(ValueError):
         entropy_table(-1, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_entropy_rows_equal_fraction_differences(m):
+    """Integer numerators give the rows that subtracting ``Fraction`` blocks gives, every coefficient a ``Fraction``."""
+    rows = measures._entropy_rows(0, 300, m)
+    assert rows == difference_entropy_rows(0, 300, m)
+    assert {type(c) for r in rows for c in (*r.block, *r.step, r.p_nonneg)} == {Fraction}
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_entropy_report_equals_fraction_difference_row(n):
+    assert entropy_report(n) == difference_entropy_rows(n, n, 2)[0]
 
 
 @pytest.mark.parametrize("route", [entropy_report, entropy_table])

@@ -183,9 +183,13 @@ def test_language_counts_equal_depth_dp(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
-@pytest.mark.parametrize("n", [151, 777, 1500, 2001])
+@pytest.mark.parametrize("n", [*range(61), 151, 777, 1500, 2001])
 def test_language_counts_equal_power_sum(n, m):
-    """Horner's fold in m gives the sum of one power per pattern term, at real-load lengths."""
+    """The by-parts loop over binomials gives the sum of one power per pattern term.
+
+    Every length to 60 takes both parities of the loop's last step; the
+    longer ones are real-load lengths.
+    """
     assert count_language(n, m) == power_sum_count(n, m)
 
 

@@ -19,8 +19,10 @@ bench's verify passes (see ``tools/bench_record.py``).  The layers:
   length 10, the walk that lists them not timed;
 * ``words.advance.s``: ``advance`` of that language's distinct
   ``(length, residue)`` classes by each letter;
-* ``words.count_language.s``: ``count_language`` at the ``exact-scale``
-  workload's lengths, 0 to 1500 in steps of 300, at m = 2 and 3;
+* ``words.count_language.s``: ``count_language``'s by-parts loop at the
+  ``exact-scale`` workload's lengths, 0 to 1500 in steps of 300, at m = 2
+  and 3, each count then checked, untimed, against the pattern-term sum
+  over ``pattern_counts``;
 * ``measures.cylinder_mass.s``: ``cylinder_mass`` of every word of the
   m = 2 language to length 8 under each of the three measures, the walk
   that lists them not timed;
@@ -36,9 +38,9 @@ The last line of standard output is one JSON object shaped like
 ``perfbench/run.py``'s: ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  Each layer is one attempt.  It fails when any repetition
 raises, or gives a wrong outcome: a mismatch in the sweep, a language
-word that reduces to zero or has no mass, a count below 1, an entropy row
-off the two-branch mixture, a horizon no longer than the word, or a
-sampled window that is not a language word.
+word that reduces to zero or has no mass, a count off its pattern-term
+sum, an entropy row off the two-branch mixture, a horizon no longer than
+the word, or a sampled window that is not a language word.
 """
 
 from __future__ import annotations
@@ -98,7 +100,13 @@ def advance_layer(n_max: int = 10, m: int = 2) -> tuple[float, bool]:
 def count_layer(lengths: range = range(0, 1501, 300), alphabets: tuple[int, ...] = (2, 3)) -> tuple[float, bool]:
     start = time.perf_counter()
     found = [words.count_language(n, m) for m in alphabets for n in lengths]
-    return time.perf_counter() - start, min(found) >= 1
+    seconds = time.perf_counter() - start
+    terms = [
+        sum((n - 2 * p + 1) * count * m ** (n - p) for p, count in enumerate(words.pattern_counts(n)))
+        for m in alphabets
+        for n in lengths
+    ]
+    return seconds, found == terms
 
 
 def mass_layer(n_max: int = 8, m: int = 2) -> tuple[float, bool]:
