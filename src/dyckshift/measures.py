@@ -297,11 +297,11 @@ class EntropyReport(NamedTuple):
 def _entropy_rows(first: int, last: int, m: int) -> list[EntropyReport]:
     """Exact entropy rows for ``n = first .. last``, one pattern pass per length.
 
-    A length-``n`` pattern is hit with probability ``2^-n`` whatever ``m`` (the type choices
-    integrate out), so the block entropy is ``n log(2) + (n - T_n / 2^n) log(m)``, with ``T_n``
-    the total pairs of :func:`_pattern_stats`.  The step entropy is block ``n + 1`` less block
-    ``n``: the integer difference of their numerators over ``2^(n+1)``.  So each length's
-    statistics are computed once, and every coefficient is built as one rational.
+    A length-``n`` pattern is hit with probability ``2^-n`` whatever ``m`` (the type
+    choices integrate out), so block ``n`` is ``n log(2) + (n - T_n / 2^n) log(m)``, with
+    ``T_n`` the total pairs of :func:`_pattern_stats`.  Step ``n`` is block ``n + 1`` less
+    block ``n``, one integer numerator over ``2^(n+1)``.  So each length's statistics are
+    computed once, and each coefficient is built as one rational.
     """
     if min(first, last) < 0:
         raise ValueError("block length must be >= 0")

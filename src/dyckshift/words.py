@@ -349,9 +349,8 @@ def pattern_counts(n: int) -> Iterator[int]:
     loose openers.  Every one of the ``n - 2p + 1`` splits has this same
     count, so the entries with their split counts tally all ``2^n``
     patterns.  The binomials come from their ratio recurrence, stepped
-    lazily, so ``measures._pattern_stats``, which folds the entries as they
-    come, holds no list of big integers.  :func:`count_language` sums by
-    parts over the binomials themselves, and steps them in its own loop.
+    lazily, so ``measures._pattern_stats`` folds the entries as they come
+    and holds no list; :func:`count_language` steps the binomials itself.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
@@ -369,10 +368,11 @@ def count_language(n: int, m: int) -> int:
     """|L(n)| by parts, in one Horner loop over the binomials ``C(n, p)``.
 
     A pattern with ``p`` matched pairs carries ``m^(n - p)`` words, and its ``n - 2p + 1``
-    loose splits share each count ``S(n, p) = C(n, p) - C(n, p - 1)`` of :func:`pattern_counts`.
-    With ``P = n // 2``, ``Σ_p (n - 2p + 1) S(n, p) m^(P - p)`` is, by parts, ``Σ_{p<P} C(n, p)
-    ((n - 2p + 1) m - (n - 2p - 1)) m^(P - 1 - p) + (n - 2P + 1) C(n, P)``, whose coefficient
-    falls by ``2(m - 1)`` a step; ``|L(n)|`` is ``m^(n - P)`` times it.
+    loose splits share each count ``S(n, p) = C(n, p) - C(n, p - 1)`` of
+    :func:`pattern_counts`.  With ``P = n // 2``, summing ``Σ_p (n - 2p + 1) S(n, p)
+    m^(P - p)`` by parts gives ``Σ_{p<P} C(n, p) ((n - 2p + 1) m - (n - 2p - 1)) m^(P - 1 - p)
+    + (n - 2P + 1) C(n, P)``, whose coefficient falls by ``2(m - 1)`` a step, and
+    ``|L(n)|`` is ``m^(n - P)`` times it.
     """
     _check_letters(m, ())
     if n < 0:
