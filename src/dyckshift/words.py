@@ -365,23 +365,26 @@ def _step_pattern_counts(n: int) -> Iterator[int]:
 
 
 def count_language(n: int, m: int) -> int:
-    """|L(n)| by parts, in one Horner loop over the binomials ``C(n, p)``.
+    """|L(n)| from one partial binomial row ``B = Σ_{p<P} C(n, p) m^(P - 1 - p)``, ``P = n // 2``.
 
     A pattern with ``p`` matched pairs carries ``m^(n - p)`` words, and its ``n - 2p + 1``
-    loose splits share each count ``S(n, p) = C(n, p) - C(n, p - 1)`` of
-    :func:`pattern_counts`.  With ``P = n // 2``, summing ``Σ_p (n - 2p + 1) S(n, p)
-    m^(P - p)`` by parts gives ``Σ_{p<P} C(n, p) ((n - 2p + 1) m - (n - 2p - 1)) m^(P - 1 - p)
-    + (n - 2P + 1) C(n, P)``, whose coefficient falls by ``2(m - 1)`` a step, and
-    ``|L(n)|`` is ``m^(n - P)`` times it.
+    loose splits share each count ``C(n, p) - C(n, p - 1)`` of :func:`pattern_counts`.  By
+    parts, ``|L(n)| = m^(n - P) [Σ_{p<P} C(n, p) ((n - 2p)(m - 1) + m + 1) m^(P - 1 - p)
+    + (n - 2P + 1) C(n, P)]``.  Those weights telescope: ``h(p) = n C(n - 1, p - 1) m^(P - p)``
+    steps by ``C(n, p) (n - (m + 1)p) m^(P - 1 - p)`` from ``h(0) = 0`` to ``h(P) = P C(n, P)``,
+    so ``(m + 1) |L(n)| = m^(n - P) [((m - 1)² n + (m + 1)²) B + (2(m - 1) P + (m + 1)(n - 2P
+    + 1)) C(n, P)]``, and ``m + 1``, prime to ``m``, divides the bracket exactly.
     """
     _check_letters(m, ())
     if n < 0:
         raise ValueError("word length must be >= 0")
-    folded, comb = 0, 1  # C(n, p)
-    for p, coefficient in zip(range(n // 2), itertools.count(n * (m - 1) + m + 1, 2 - 2 * m)):
-        folded = folded * m + comb * coefficient
-        comb = comb * (n - p) // (p + 1)
-    return (folded + (n % 2 + 1) * comb) * m ** (n - n // 2)
+    half = n // 2
+    row, comb = 0, 1  # B so far, C(n, p)
+    for top, bottom in zip(range(n, n - half, -1), range(1, half + 1)):
+        row = row * m + comb
+        comb = comb * top // bottom
+    bracket = ((m - 1) ** 2 * n + (m + 1) ** 2) * row + (2 * (m - 1) * half + (m + 1) * (n % 2 + 1)) * comb
+    return bracket // (m + 1) * m ** (n - half)
 
 
 def _binomial(n: int, k: int) -> int:

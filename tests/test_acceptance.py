@@ -24,6 +24,7 @@ from itertools import count
 
 import pytest
 
+from dyckshift import verification
 from dyckshift.verification import SUITES
 
 from conftest import pattern_sum
@@ -122,12 +123,26 @@ def test_criterion(key, request):
             + "; ".join(result.detail)
         )
         return
+    faults = finding_faults(finding, result)
+    assert not faults, f"{key}: {'; '.join(faults)}; got {(result.observed, *result.detail)}"
+
+
+def finding_faults(finding, result) -> list[str]:
+    """Where a finite-size check departs from its finding: its verdict, and each figure it does not report."""
     truth, figures = finding()
-    assert result.ok == truth, f"{key}: verdict {result.ok}, but the criterion is {truth}"
+    faults = [] if result.ok == truth else [f"verdict {result.ok}, but the criterion is {truth}"]
     reported = (result.observed, *result.detail)
     for figure in figures:
         # a figure must match whole: "n = 21" is not reported by "n = 210"
         pattern = re.escape(figure) + r"(?!\d)"
-        assert any(re.search(pattern, line) for line in reported), (
-            f"{key}: nothing reports {figure!r}; got {reported}"
-        )
+        if not any(re.search(pattern, line) for line in reported):
+            faults.append(f"nothing reports {figure!r}")
+    return faults
+
+
+def test_a_count_off_by_one_at_length_14_fails_the_growth_rate_gate(monkeypatch):
+    """Off by one, ``|L(14)|`` keeps the verdict and every rounded reading; the exact count shows it."""
+    real = verification.count_language
+    monkeypatch.setattr(verification, "count_language", lambda n, m: real(n, m) + (n == 14))
+    result = verification.run_check("growth-rate")
+    assert finding_faults(growth_rate_finding, result) == ["nothing reports '|L(14)| = 18083712 exactly'"]

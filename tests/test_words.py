@@ -182,15 +182,40 @@ def test_language_counts_equal_depth_dp(m):
     assert [count_language(n, m) for n in range(151)] == depth_dp_counts(150, m)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7])
-@pytest.mark.parametrize("n", [*range(61), 151, 777, 1500, 2001])
-def test_language_counts_equal_power_sum(n, m):
-    """The by-parts loop over binomials gives the sum of one power per pattern term.
+# The exact-scale workload's lengths (it checks only |L(14)| itself) and a few more.
+LONG_LENGTHS = [151, 300, 600, 777, 900, 1200, 1500, 2001]
 
-    Every length to 60 takes both parities of the loop's last step; the
-    longer ones are real-load lengths.
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [*range(61), *LONG_LENGTHS])
+def test_language_counts_equal_power_sum(n, m):
+    """The partial binomial row with its telescoped boundary gives the sum of one power per pattern term.
+
+    Every length to 60 takes both parities of ``n - 2P``; the longer ones
+    are real-load lengths.
     """
     assert count_language(n, m) == power_sum_count(n, m)
+
+
+@pytest.mark.parametrize("n", [*range(61), *LONG_LENGTHS])
+def test_one_type_language_is_every_word(n):
+    """At m = 1 no pair of letters annihilates, so all ``2^n`` words count: no pattern sum involved."""
+    assert count_language(n, 1) == 2**n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", range(61))
+def test_count_language_weights_telescope(n, m):
+    """``Σ_{p<P} C(n, p)(n - (m + 1)p) m^(P - 1 - p) = P C(n, P)``, and ``m + 1`` divides the bracket."""
+    half = n // 2
+    row = sum(math.comb(n, p) * m ** (half - 1 - p) for p in range(half))
+    weighted = sum(math.comb(n, p) * (n - (m + 1) * p) * m ** (half - 1 - p) for p in range(half))
+    assert weighted == half * math.comb(n, half)
+    bracket = ((m - 1) ** 2 * n + (m + 1) ** 2) * row + (
+        2 * (m - 1) * half + (m + 1) * (n - 2 * half + 1)
+    ) * math.comb(n, half)
+    assert bracket % (m + 1) == 0
+    assert bracket // (m + 1) * m ** (n - half) == power_sum_count(n, m)
 
 
 def test_count_language_rejects_negative_length():

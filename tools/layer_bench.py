@@ -19,10 +19,10 @@ bench's verify passes (see ``tools/bench_record.py``).  The layers:
   length 10, the walk that lists them not timed;
 * ``words.advance.s``: ``advance`` of that language's distinct
   ``(length, residue)`` classes by each letter;
-* ``words.count_language.s``: ``count_language``'s by-parts loop at the
-  ``exact-scale`` workload's lengths, 0 to 1500 in steps of 300, at m = 2
-  and 3, each count then checked, untimed, against the pattern-term sum
-  over ``pattern_counts``;
+* ``words.count_language.s``: ``count_language``'s partial binomial row
+  with its telescoped boundary at the ``exact-scale`` workload's lengths,
+  0 to 1500 in steps of 300, at m = 2 and 3, each count then checked,
+  untimed, against the pattern-term sum over ``pattern_counts``;
 * ``measures.cylinder_mass.s``: ``cylinder_mass`` of every word of the
   m = 2 language to length 8 under each of the three measures, the walk
   that lists them not timed;
