@@ -30,6 +30,7 @@ Their results spell out these numbers; see the README for discussion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -317,16 +318,13 @@ def _two_sided_sweep(
 ) -> tuple[int, str | None]:
     """Every block against its class's first block, by mass, in every two-sided context ``s + w + t``.
 
-    ``contexts`` come shortest first, so each right context's one-letter
-    prefix is stepped before it.  For each left context ``s`` every block's
-    ``residue(s + w)`` is reduced from scratch; each distinct state is kept
-    once, in first-seen order, and each block holds its state's index.  Only
-    the distinct states are stepped through the right contexts by
-    :func:`advance`: it is a function of its input values, so blocks of one
-    index have one shape after every ``t``, and only a class whose blocks
-    hold more than one index is compared block by block, by the shapes of
-    their indices.  Every left context is swept before the first failure is
-    named, in class, then left-context, then right-context order.
+    For each left context ``s`` every block's ``residue(s + w)`` is reduced
+    from scratch.  :func:`advance` is a function of its input values, so
+    blocks that reach one state have one shape after every ``t``: only a
+    class whose blocks reach more than one state is stepped through the
+    right contexts, and only its distinct states.  Every left context is
+    swept before the first failure is named, in class, then left-context,
+    then right-context order.
 
     Returns the number of evaluations, counted per block (each block but its
     class's first, in every ``(s, t)``), and, if a block's mass differs from
@@ -335,23 +333,17 @@ def _two_sided_sweep(
     comparisons = sum(len(members) - 1 for members in classes) * len(contexts) ** 2
     odd: dict[int, tuple[int, ...]] = {}  # each failing class's first odd block, by the class's place
     for s in contexts:
-        index: dict = {}
-        split = []  # (place, blocks, index row) of each class whose blocks hold more than one state
         for k, members in enumerate(classes):
-            row = [index.setdefault(residue(s + w), len(index)) for w in members]
-            if row.count(row[0]) != len(row):
-                split.append((k, members, row))
-        prefixes = {(): list(index)}  # the states after each right context that a longer one extends
-        for t in contexts:
-            states = advance(prefixes[t[:-1]], t[-1]) if t else prefixes[()]
-            if len(t) < len(contexts[-1]):
-                prefixes[t] = states
-            if split:
-                shapes = list(map(_shape, states))
-                for k, members, row in split:
-                    w = next((w for w, i in zip(members, row) if shapes[i] != shapes[row[0]]), None)
-                    if w is not None:
-                        odd.setdefault(k, w)
+            found = [residue(s + w) for w in members]
+            distinct = list(dict.fromkeys(found))
+            if len(distinct) == 1 or k in odd:
+                continue
+            for t in contexts:
+                shape = dict(zip(distinct, map(_shape, functools.reduce(advance, t, distinct))))
+                w = next((w for w, state in zip(members, found) if shape[state] != shape[found[0]]), None)
+                if w is not None:
+                    odd[k] = w
+                    break
     if odd:
         return comparisons, f"mass of s+{_codes_text(odd[min(odd)])}+t differs from the representative's"
     return comparisons, None
@@ -362,24 +354,14 @@ def _check_block_swap(seed: int) -> _Outcome:
 
     Three sweeps: (a) every word of length <= 8 against its equivalence-class
     representative under every left context of length <= 4, compared by
-    stack reduction (:func:`_swap_sweep`): the representative's scans are
-    reduced from scratch in every context, every other block's are advanced
-    one letter per edge of a single trie walk, one state per group of contexts
-    with equal residues, and a verified member's children step from its
-    class's scans, so each (class, letter) step is advanced at most twice;
-    (b) exhaustive two-sided contexts of length <= 2 around every word of
-    length <= 6, compared by mass (:func:`_two_sided_sweep`): for each left
-    context ``s`` every block's ``residue(s + w)`` is reduced from scratch
-    once, each distinct state is kept once and stepped through each right
-    context ``t`` by :func:`advance` (``t``'s one-letter prefix stepped
-    first and shared), and evaluations are counted per block.  Blocks of
-    one class share one state after each left context, and :func:`advance`
-    maps equal states to equal states, so only the from-scratch reductions
-    ``s + w`` can split a class, and the detail names their number; (c)
-    seeded random two-sided triples at the full stated sizes, each reduced
-    by :func:`residue` from scratch.  Sweeps (b) and (c) compare masses by
-    residue shape: the words compared have equal lengths, and by
-    :func:`mass_denominator` length and shape fix the mass under every
+    stack reduction (:func:`_swap_sweep`); (b) every word of length <= 6
+    against its class's first block in every two-sided context of length
+    <= 2, compared by mass (:func:`_two_sided_sweep`), where only the
+    from-scratch reductions ``s + w`` can split a class and the detail names
+    their number; (c) seeded random two-sided triples at the full stated
+    sizes, each reduced by :func:`residue` from scratch.  Sweeps (b) and (c)
+    compare masses by residue shape: the words compared have equal lengths,
+    and by :func:`mass_denominator` length and shape fix the mass under every
     measure.  Checking members against one representative covers all pairs,
     since equality of masses is transitive.  Sweep (a) compares whole
     residues, and a residue fixes every later one, so it covers each
@@ -486,10 +468,12 @@ def _check_entropy_below_topological(seed: int) -> _Outcome:
 def _check_balanced_counts(seed: int) -> _Outcome:
     """Catalan-times-types counting against two enumerations.
 
-    The scan route counts the whole language of each length by the letter
-    rule of :func:`~dyckshift.words.iter_language_stats`, tallied by state
-    (:func:`~dyckshift.words.loose_counts`) instead of word by word, and
-    reads the count with no loose letter.
+    The enumeration route walks the balanced words
+    (:func:`~dyckshift.words.enumerate_balanced`); the scan route tallies the
+    whole language of each length by state
+    (:func:`~dyckshift.words.loose_counts`) and reads the count with no loose
+    letter.  Both step the language walk's one letter rule, so the formula is
+    the route that shares no code with them.
     """
     del seed
     checked = []

@@ -20,12 +20,16 @@ change the outcome (the tests check this against an order-free rewriting
 oracle).  A word's residue — loose closers then loose openers, or ``None``
 for zero — is its normal form, and :func:`residue_text` renders it.
 
-The language of one length is walked once, head by head, by a letter rule
-of its own (:func:`_steps`): a word's last few letters depend only on the
-innermost open types of its head, so their endings are listed once per such
-top.  :func:`iter_language_stats` walks the heads (:func:`_heads`) and
-yields every word with its statistics; :func:`loose_counts` steps the same
-rule over head counts by state and only tallies them, building no word.
+Every walk of words takes one letter rule (:func:`_steps`), apart from the
+reducer: a word's last few letters depend only on the innermost open types
+of its head, so their endings are listed once per such top
+(:func:`_endings`).  :func:`iter_language_stats` walks the heads of the
+language (:func:`_heads`) and yields every word with its statistics;
+:func:`loose_counts` steps the same rule over head counts by state and only
+tallies them, building no word; :func:`enumerate_balanced` walks only the
+heads that can still balance and keeps the endings that do.  So
+:func:`residue` and :func:`advance` stay an independent route to check the
+walks against.
 """
 
 from __future__ import annotations
@@ -436,38 +440,35 @@ def enumerate_balanced(pair_count: int, m: int) -> Iterator[Word]:
 
 
 def _walk_balanced(n: int, m: int) -> Iterator[Word]:
-    """Depth-first over one shared word, by an explicit stack rather than a generator per letter.
+    """The language walk pruned to heads that can still balance, by :func:`_steps` and :func:`_endings`.
 
-    Its own rule: an opener while the letters left can still close it and
-    all that is open, and the closer of the innermost open type.
+    A head keeps a closer only while something is open and an opener only
+    while the letters left can close all that is open; its endings, tabled
+    by its open types, close every one of them and leave no closer loose.
     """
-    word: list[int] = []
-    opens: list[int] = []
-    # (word length before the letter, letter), the lexicographically next on top.
-    pending: list[tuple[int, int]] = []
-    while True:
-        depth = len(word)
-        if depth == n:
-            yield Word(m, tuple(word))
-        else:
-            if opens:
-                pending.append((depth, -opens[-1]))
-            if n - depth >= len(opens) + 2:
-                pending.extend((depth, i) for i in range(m, 0, -1))
-        if not pending:
-            return
-        depth, code = pending.pop()
-        while len(word) > depth:
-            dropped = word.pop()
-            if dropped > 0:
-                opens.pop()
-            else:
-                opens.append(-dropped)
-        word.append(code)
-        if code > 0:
-            opens.append(code)
-        else:
-            opens.pop()
+    tail = min(n, _TAIL)
+    endings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # Heads still to extend, as (codes, open types innermost last), the lexicographically next on top.
+    pending: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    pop, extend = pending.pop, pending.extend
+    while pending:
+        codes, opens = pop()
+        if len(codes) < n - tail:
+            room = n - len(codes)
+            kept = [
+                (codes + (c,), after) for c, after, closed in _steps(opens, m) if closed or c > 0 and len(after) < room
+            ]
+            extend(reversed(kept))
+            continue
+        ends = endings.get(opens)
+        if ends is None:
+            ends = endings[opens] = [
+                end
+                for end, closed in _endings(opens, tail, m)
+                if 2 * closed == len(opens) + tail == 2 * sum(c < 0 for c in end)
+            ]
+        for end in ends:
+            yield Word(m, codes + end)
 
 
 def completion_needs(a: Word, max_len: int | None = None) -> _Residue:

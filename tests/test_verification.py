@@ -511,10 +511,11 @@ def _retype_the_bottom_a1(codes):
 def test_a_step_fault_on_a_shared_state_fails_only_a_class_it_splits(monkeypatch, exact_check_results):
     # Alone, the step fault moves every block that holds SHARED alike, and
     # sweep (b) compares blocks with one another, so it passes, as it did
-    # when each class's blocks were stepped (SHARED 666 times, against 28
-    # here).  The retyped block alone passes too.  Together, its class holds
-    # SHARED and a state that b1 does not annihilate, and the check names
-    # that block, as the class-by-class sweep did.
+    # when each class's blocks were stepped (SHARED 666 times, against none
+    # here, since no class splits).  The retyped block alone passes too.
+    # Together, its class holds SHARED and a state that b1 does not
+    # annihilate, and the check names that block, as the class-by-class
+    # sweep did.
     passing = exact_check_results["block-swap-exact"]
     for faults in ({"advance": _misstep_shared}, {"residue": _retype_the_bottom_a1}):
         with monkeypatch.context() as patch:
@@ -571,28 +572,34 @@ def test_two_sided_sweep_names_the_first_failure_class_by_class(monkeypatch, fir
 
 
 def test_two_sided_sweep_steps_each_distinct_state_once(monkeypatch, exact_check_results):
-    # 19 left contexts, each with its distinct states stepped through the 18
-    # non-empty right contexts: 342 advance batches over 32,778 states,
-    # against 50,274 batches over 583,452 states when each class's blocks are
-    # stepped, for the same 562,799 evaluations.
-    calls = []
+    # On a correct run no class's blocks reach more than one state, so no
+    # state is stepped: 0 advance batches for the 562,799 evaluations, where
+    # stepping every left context's distinct states made 342 batches over
+    # 32,778 states.  With the bottom a1 retyped, one class reaches two states
+    # under the empty left context, and only those two are stepped through
+    # the 18 non-empty right contexts, each from scratch: 4 of one letter and
+    # 14 of two, 32 batches over 64 states.
+    for faults, stepped in (({}, (0, 0)), ({"residue": _retype_the_bottom_a1}, (32, 64))):
+        calls = []
 
-    def counted(states, code):
-        calls.append(len(states))
-        return advance(states, code)
+        def counted(states, code):
+            calls.append(len(states))
+            return advance(states, code)
 
-    _plant_after_classes(monkeypatch, advance=counted)
-    result = run_check("block-swap-exact")
-    assert (result.ok, result.observed) == (True, exact_check_results["block-swap-exact"].observed)
-    assert (len(calls), sum(calls)) == (342, 32778)
+        with monkeypatch.context() as patch:
+            _plant_after_classes(patch, advance=counted, **faults)
+            result = run_check("block-swap-exact")
+        assert (result.ok, result.observed) == (True, exact_check_results["block-swap-exact"].observed)
+        assert (len(calls), sum(calls)) == stepped
 
 
 def test_two_sided_sweep_holds_only_distinct_states():
-    # Each left context holds its distinct states, the states after the
-    # right contexts that longer ones extend, and the index rows of the
-    # classes that split: 14.6 KiB here, against 34.1 KiB when each class's
-    # blocks were stepped, and 129.5 KiB when every right context's states
-    # were kept.
+    # Each left context holds one class's from-scratch states at a time, and
+    # the distinct states of a class that splits: 1.4 KiB here, against
+    # 14.6 KiB when each left context held the index rows of every class and
+    # the states after the right contexts that longer ones extend, 34.1 KiB
+    # when each class's blocks were stepped, and 129.5 KiB when every right
+    # context's states were kept.
     classes, contexts = _two_sided_scope()
     tracemalloc.start()
     try:
@@ -819,6 +826,23 @@ def test_an_unbalanced_word_fails_balanced_law(monkeypatch):
     monkeypatch.setattr(verification, "enumerate_balanced", with_a_stranger)
     result = run_check("balanced-law")
     assert (result.ok, result.observed, result.detail) == (False, "'a1 a1' prices differently under the two forms", ())
+
+
+def test_a_closer_of_another_type_fails_balanced_law_only(monkeypatch):
+    # The letter rule closes an innermost open a2 by b1.  Enumeration and scan
+    # both step that rule, so every count stays and balanced-counts passes;
+    # balanced-law reduces each enumerated word from scratch and names the
+    # first such word.
+    real = words._steps
+
+    def crossed(opens, m):
+        for c, after, closed in real(opens, m):
+            yield (-1 if closed and c == -2 else c), after, closed
+
+    monkeypatch.setattr(words, "_steps", crossed)
+    assert run_check("balanced-counts").ok
+    result = run_check("balanced-law")
+    assert (result.ok, result.observed, result.detail) == (False, "'a2 b1' prices differently under the two forms", ())
 
 
 def test_a_shifted_price_fails_balanced_law(monkeypatch):

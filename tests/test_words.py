@@ -419,7 +419,12 @@ def test_balanced_counts(pairs):
     assert count_balanced(pairs, 2) == BALANCED_COUNTS_M2[pairs]
 
 
-@pytest.mark.parametrize("pairs,m", [(p, 2) for p in range(6)] + [(p, 3) for p in range(5)])
+# At m = 1 the walk must drop the loose closer that the letter rule offers
+# when nothing is open; m = 4 reaches past the table of endings too.
+@pytest.mark.parametrize(
+    "pairs,m",
+    [(p, 1) for p in range(9)] + [(p, 2) for p in range(6)] + [(p, 3) for p in range(5)] + [(p, 4) for p in range(5)],
+)
 def test_balanced_enumeration_matches_formula(pairs, m):
     listed = list(enumerate_balanced(pairs, m))
     assert len(listed) == count_balanced(pairs, m)
@@ -429,7 +434,9 @@ def test_balanced_enumeration_matches_formula(pairs, m):
 
 
 def test_balanced_enumeration_walks_long_words():
-    # One letter per step of an explicit stack, not one nested generator per letter.
+    # Heads wait on an explicit stack, not in one nested generator per letter.
+    # Up to the 600th letter each level leaves its a2 and closer heads there,
+    # so the first word leaves about 1,200 heads pending (5.6 MiB traced).
     assert next(enumerate_balanced(600, 2)).codes == (1,) * 600 + (-1,) * 600
 
 
